@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from types import MappingProxyType
+from typing import Mapping
 
 from .model import (
     NonadaptiveComputer,
@@ -86,8 +88,14 @@ class ErrorParams:
         object.__setattr__(self, "c", as_rational(self.c))
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        if self.epsilon >= Fraction(1, 2):
+            raise ValueError("epsilon must be below 1/2")
         if not 0 < self.c < self.d:
             raise ValueError(f"c must lie strictly between 0 and {self.d}")
+        # Every weight comparison reads C, so it is derived once here.
+        sqrt_c = (1 - 2 * self.eps_prime) / 4
+        object.__setattr__(self, "_sqrt_C", sqrt_c)
+        object.__setattr__(self, "_C", sqrt_c * sqrt_c)
 
     @property
     def d(self) -> Fraction:
@@ -101,12 +109,11 @@ class ErrorParams:
 
     @property
     def C(self) -> Fraction:
-        half_gap = 1 - 2 * self.eps_prime
-        return half_gap * half_gap / 16
+        return self._C
 
     @property
     def sqrt_C(self) -> Fraction:
-        return (1 - 2 * self.eps_prime) / 4
+        return self._sqrt_C
 
     @property
     def margin(self) -> Fraction:
@@ -128,6 +135,11 @@ def ceil_log2(x: Rational) -> int:
         v *= 2
         w += 1
     return w
+
+
+def rank_width(T: int, C: Fraction) -> int:
+    """Bit width of a heavy-prefix rank field: ceil(log2(T / C)), 0 if T = 0."""
+    return ceil_log2(Fraction(T) / C) if T else 0
 
 
 @dataclass(frozen=True)
@@ -158,6 +170,8 @@ class EncodingContext:
             raise ValueError("T must be nonnegative")
         if not 1 <= self.l <= self.M:
             raise ValueError("l must lie in [1, M]")
+        object.__setattr__(self, "_t", Fraction(self.T) / self.C)
+        object.__setattr__(self, "_width_k", rank_width(self.T, self.C))
 
     @property
     def N(self) -> int:
@@ -174,12 +188,12 @@ class EncodingContext:
     @property
     def t(self) -> Fraction:
         """Ratio T / C, the capacity bound on heavy-prefix ranks."""
-        return Fraction(self.T) / self.C
+        return self._t
 
     @property
     def width_k(self) -> int:
         """Bit width of the rank field for good blocks."""
-        return ceil_log2(self.t) if self.T else 0
+        return self._width_k
 
 
 def _check_pair(ctx: EncodingContext, computer: NonadaptiveComputer) -> None:
@@ -230,11 +244,47 @@ def weight_p(computer, i, advice, j, prefix, p) -> Fraction:
     return prefix_weights(computer, i, advice, p).get((j, prefix), Fraction(0))
 
 
-def _heavy_prefixes(computer, block, advice, p, threshold):
-    tbl = prefix_weights(computer, block, advice, p)
-    return tuple(
-        sorted(a for (j, a), v in tbl.items() if j == block and v > threshold)
+@dataclass(frozen=True)
+class WeightAnalysis:
+    """Prefix weights of one machine input (block, advice) at cut p.
+
+    table maps (j, leading n-p bits) to the summed weight of the 2**p
+    completions, as prefix_weights builds it; own_mass sums the input
+    block's own entries. heavy lists, sorted, the input block's own
+    prefixes weighted strictly above threshold (the coder's C). None of
+    this depends on the instance, so one record serves every instance
+    with this advice string. It is shared and read only.
+    """
+
+    table: Mapping[tuple[int, str], Fraction]
+    own_mass: Fraction
+    threshold: Fraction
+    heavy: tuple[str, ...]
+
+
+def weight_analysis(computer, block, advice, p, threshold) -> WeightAnalysis:
+    """The computer's weight analysis of (block, advice) at cut p.
+
+    Built on first use and kept in computer.weight_analyses, keyed by
+    (block, advice, p); later calls at the same threshold return the same
+    record. A call at another threshold keeps the table and own mass and
+    recomputes only the heavy list.
+    """
+    key = (block, advice, p)
+    found = computer.weight_analyses.get(key)
+    if found is not None and found.threshold == threshold:
+        return found
+    if found is None:
+        table = MappingProxyType(prefix_weights(computer, block, advice, p))
+        own_mass = sum((v for (j, _), v in table.items() if j == block), Fraction(0))
+    else:
+        table, own_mass = found.table, found.own_mass
+    heavy = tuple(
+        sorted(a for (j, a), v in table.items() if j == block and v > threshold)
     )
+    found = WeightAnalysis(table, own_mass, threshold, heavy)
+    computer.weight_analyses[key] = found
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +329,12 @@ def profile(computer, advice_fn, instance, p, params=DEFAULT_PARAMS) -> GoodBadP
     f = advice_fn(instance)
     out = []
     for i in range(1, computer.M + 1):
-        tbl = prefix_weights(computer, i, f, p)
-        heavy = tuple(
-            sorted(a for (j, a), v in tbl.items() if j == i and v > params.C)
-        )
+        wa = weight_analysis(computer, i, f, p, params.C)
         pre = instance.step_bits(i)[: computer.n - p]
-        w = tbl.get((i, pre), Fraction(0))
+        w = wa.table.get((i, pre), Fraction(0))
         good = w > params.C
-        rank = heavy.index(pre) if good else None
-        out.append(BlockProfile(i, pre, w, good, rank, heavy if good else None))
+        rank = wa.heavy.index(pre) if good else None
+        out.append(BlockProfile(i, pre, w, good, rank, wa.heavy if good else None))
     return GoodBadProfile(tuple(out))
 
 
@@ -546,7 +593,7 @@ def _select(
             )
         pivot = candidates[0]
         picked.append(pivot)
-        tbl = prefix_weights(computer, pivot, advice, ctx.p)
+        tbl = weight_analysis(computer, pivot, advice, ctx.p, ctx.C).table
         tables[pivot] = tbl
         survivors = [
             j
@@ -622,6 +669,11 @@ def expected_length(ctx: EncodingContext, l_prime: int, case: int, selected: int
 
 def encode(ctx, computer, advice_fn, instance) -> Encoding:
     """Serialize one instance relative to the machine."""
+    return _encode(ctx, computer, advice_fn, instance)[0]
+
+
+def _encode(ctx, computer, advice_fn, instance):
+    """Encoding plus the profile and, in case 2, the selection behind it."""
     _check_pair(ctx, computer)
     f = advice_fn(instance)
     prof = profile(computer, advice_fn, instance, ctx.p, ctx.params)
@@ -643,7 +695,7 @@ def encode(ctx, computer, advice_fn, instance) -> Encoding:
                 w.put(f"suffix-{bp.block}", names[bp.block][cut:])
             else:
                 w.put(f"name-{bp.block}", names[bp.block])
-        return w.build(1)
+        return w.build(1), prof, None
     for i in good:
         w.put(f"name-{i}", names[i])
     bad = [bp.block for bp in prof.blocks if not bp.good]
@@ -654,7 +706,7 @@ def encode(ctx, computer, advice_fn, instance) -> Encoding:
     for j in bad:
         if j not in chosen:
             w.put(f"suffix-{j}", names[j][cut:])
-    return w.build(2)
+    return w.build(2), prof, sel
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +780,7 @@ def decode(ctx, computer, advice_fn, encoding: Encoding) -> StepInstance:
                 rank_bits = r.take(ctx.width_k)
                 rank = int(rank_bits, 2) if rank_bits else 0
                 suffix = r.take(ctx.p)
-                heavy = _heavy_prefixes(computer, i, f, ctx.p, ctx.C)
+                heavy = weight_analysis(computer, i, f, ctx.p, ctx.C).heavy
                 if rank >= len(heavy):
                     raise DecodeError(
                         f"block {i} has no heavy prefix at rank {rank}"
@@ -824,13 +876,13 @@ def encode_single(n, k, params, computer, advice_fn, instance) -> Encoding:
     f = advice_fn(instance)
     name = instance.step_bits(1)
     cut = n - p
-    heavy = _heavy_prefixes(computer, 1, f, p, params.C)
+    heavy = weight_analysis(computer, 1, f, p, params.C).heavy
     w = _ItemWriter()
     w.put("advice", f)
     if name[:cut] in heavy:
-        width = ceil_log2(Fraction(computer.T) / params.C) if computer.T else 0
         w.put("suffix", name[cut:])
-        w.put("rank", _field(heavy.index(name[:cut]), width))
+        rank = heavy.index(name[:cut])
+        w.put("rank", _field(rank, rank_width(computer.T, params.C)))
         return w.build(1)
     w.put("prefix", name[:cut])
     return w.build(2)
@@ -843,24 +895,15 @@ def decode_single(n, k, params, computer, encoding: Encoding) -> StepInstance:
     cut = n - p
     if encoding.case == 1:
         suffix = r.take(p)
-        width = ceil_log2(Fraction(computer.T) / params.C) if computer.T else 0
-        rank_bits = r.take(width)
+        rank_bits = r.take(rank_width(computer.T, params.C))
         rank = int(rank_bits, 2) if rank_bits else 0
-        heavy = _heavy_prefixes(computer, 1, f, p, params.C)
+        heavy = weight_analysis(computer, 1, f, p, params.C).heavy
         if rank >= len(heavy):
             raise DecodeError(f"no heavy prefix at rank {rank}")
         name = heavy[rank] + suffix
     else:
         prefix = r.take(cut)
-
-        def answer(block, location):
-            v = location[:cut]
-            if v < prefix:
-                return 0
-            if v > prefix:
-                return 1
-            return 0
-
+        answer = _substitution_rule(cut, {}, {1: prefix}, {1})
         state = _oracle_with_answers(computer, 1, f, answer)
         state = computer.final.apply(state)
         outcome = _majority_outcome(state, p)
@@ -892,23 +935,19 @@ class PigeonholeReport:
         return self.injective and self.long_count >= 1
 
 
-def verify_pigeonhole(ctx, computer, advice_fn, M, n, budget=None) -> PigeonholeReport:
-    """Encode every instance; check injectivity and the length census.
+def census(pairs, full_length: int) -> PigeonholeReport:
+    """Injectivity and length census of a sweep's (instance, encoding) pairs.
 
-    A decodable code cannot shorten every instance: some code must reach
-    M * n bits. This function observes that fact rather than assuming it.
+    full_length is the raw length M * n. A decodable code cannot shorten
+    every instance: some code must reach it. The census observes that
+    fact rather than assuming it.
     """
-    if (M, n) != (ctx.M, ctx.n):
-        raise ValueError("M or n does not match the context")
     seen: dict = {}
     collisions = []
     lengths = []
     cases = {1: 0, 2: 0}
     long_count = 0
-    total = 0
-    for instance in enumerate_instances(M, n, budget):
-        enc = encode(ctx, computer, advice_fn, instance)
-        total += 1
+    for instance, enc in pairs:
         key = (enc.case, enc.bits)
         if key in seen:
             collisions.append((format_instance(seen[key]), format_instance(instance)))
@@ -916,10 +955,10 @@ def verify_pigeonhole(ctx, computer, advice_fn, M, n, budget=None) -> Pigeonhole
             seen[key] = instance
         lengths.append(len(enc))
         cases[enc.case] += 1
-        if len(enc) >= M * n:
+        if len(enc) >= full_length:
             long_count += 1
     return PigeonholeReport(
-        total=total,
+        total=len(lengths),
         injective=not collisions,
         collisions=tuple(collisions),
         min_length=min(lengths) if lengths else 0,
@@ -927,6 +966,19 @@ def verify_pigeonhole(ctx, computer, advice_fn, M, n, budget=None) -> Pigeonhole
         case1_count=cases[1],
         case2_count=cases[2],
         long_count=long_count,
+    )
+
+
+def verify_pigeonhole(ctx, computer, advice_fn, M, n, budget=None) -> PigeonholeReport:
+    """Encode every instance afresh and census the codes."""
+    if (M, n) != (ctx.M, ctx.n):
+        raise ValueError("M or n does not match the context")
+    return census(
+        (
+            (instance, encode(ctx, computer, advice_fn, instance))
+            for instance in enumerate_instances(M, n, budget)
+        ),
+        M * n,
     )
 
 
@@ -977,23 +1029,19 @@ class AuditReport:
 
 
 def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
-    _check_pair(ctx, computer)
+    enc, prof, selection = _encode(ctx, computer, advice_fn, instance)
     f = advice_fn(instance)
-    prof = profile(computer, advice_fn, instance, ctx.p, ctx.params)
     lp = prof.l_prime
-    enc = encode(ctx, computer, advice_fn, instance)
 
     rank_ok = all(
         bp.rank < ctx.t and bp.rank < 2**ctx.width_k
         for bp in prof.blocks
         if bp.good
     )
-    mass_ok = True
-    for i in range(1, ctx.M + 1):
-        tbl = prefix_weights(computer, i, f, ctx.p)
-        own = sum((v for (j, _), v in tbl.items() if j == i), Fraction(0))
-        if own > ctx.T:
-            mass_ok = False
+    mass_ok = all(
+        weight_analysis(computer, i, f, ctx.p, ctx.C).own_mass <= ctx.T
+        for i in range(1, ctx.M + 1)
+    )
 
     certificate = (
         check_inequalities(ctx, prof) if ctx.T >= 1 else None
@@ -1001,13 +1049,11 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
     certified = certificate.certified if certificate else False
     certificate_ok = (not certified) or len(enc) < ctx.M * ctx.n
 
-    selection = None
     sel_distinct = sel_floor = sel_cross = sel_m = True
     distance_ok = True
     distances: tuple = ()
     length_with_l = None
     if enc.case == 2:
-        selection = lwss(computer, advice_fn, instance, prof, ctx)
         sel_distinct = len(set(selection.W)) == len(selection.W)
         bad_count = ctx.M - lp
         for i, size in enumerate(selection.survivor_sizes):

@@ -31,6 +31,7 @@ from .compression import (
     LwssExhaustedError,
     audit_instance,
     c_uv_values,
+    census,
     decode,
     decode_single,
     encode,
@@ -127,6 +128,8 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
         if value is not None:
             fields[key] = value
     cfg = replace(cfg, **fields)
+    if cfg.M < 1 or cfg.n < 1:
+        raise ConfigError("M and n must be at least 1")
     if cfg.scheme not in ("multi", "single"):
         raise ConfigError("scheme must be multi or single")
     if cfg.budget < 0:
@@ -290,9 +293,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> Report:
 def _roundtrip_multi(cfg, computer, advice_fn):
     ctx = _context(cfg, computer)
     rows = []
+    pairs = []
     all_pass = True
     for instance in _instances(cfg):
         enc = encode(ctx, computer, advice_fn, instance)
+        pairs.append((instance, enc))
         try:
             back = decode(ctx, computer, advice_fn, enc)
             status = _PASS if back == instance else _FAIL
@@ -309,7 +314,11 @@ def _roundtrip_multi(cfg, computer, advice_fn):
                 status,
             )
         )
-    pig = verify_pigeonhole(ctx, computer, advice_fn, cfg.M, cfg.n, cfg.budget)
+    # The census always covers the whole sweep, also when one instance is run.
+    if cfg.instance is None:
+        pig = census(pairs, cfg.M * cfg.n)
+    else:
+        pig = verify_pigeonhole(ctx, computer, advice_fn, cfg.M, cfg.n, cfg.budget)
     summary = {
         "scheme": "multi",
         "subject": cfg.subject,
@@ -332,26 +341,17 @@ def _roundtrip_single(cfg, computer, advice_fn):
     if cfg.k + 1 > cfg.n:
         raise ConfigError("the single scheme needs k + 1 <= n")
     rows = []
+    pairs = []
     all_pass = True
-    seen: dict = {}
-    injective = True
-    max_len = 0
-    long_count = 0
     for instance in _instances(cfg):
         enc = encode_single(cfg.n, cfg.k, params, computer, advice_fn, instance)
+        pairs.append((instance, enc))
         try:
             back = decode_single(cfg.n, cfg.k, params, computer, enc)
             status = _PASS if back == instance else _FAIL
         except (DecodeError, EncodingFormatError):
             status = _FAIL
         all_pass = all_pass and status == _PASS
-        key = (enc.case, enc.bits)
-        if key in seen:
-            injective = False
-        seen[key] = instance
-        max_len = max(max_len, len(enc))
-        if len(enc) >= cfg.n:
-            long_count += 1
         rows.append(
             (
                 format_instance(instance),
@@ -362,15 +362,16 @@ def _roundtrip_single(cfg, computer, advice_fn):
                 status,
             )
         )
+    pig = census(pairs, cfg.n)
     summary = {
         "scheme": "single",
         "subject": cfg.subject,
         "roundtrips": f"{sum(1 for r in rows if r[-1] == _PASS)}/{len(rows)}",
-        "injective": injective,
-        "max_length": max_len,
-        "codes_at_least_Mn": long_count,
+        "injective": pig.injective,
+        "max_length": pig.max_length,
+        "codes_at_least_Mn": pig.long_count,
     }
-    return rows, summary, all_pass and injective and long_count >= 1
+    return rows, summary, all_pass and pig.ok
 
 
 def cmd_roundtrip(cfg: ExperimentConfig) -> Report:

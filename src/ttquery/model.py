@@ -14,8 +14,9 @@ every last-p-bits coarsening by measuring fewer cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ordered_search import StepInstance, bin_n, eval_G, rank_of
@@ -92,7 +93,8 @@ class PrequeryState:
     """Superposition of (query list, workspace) terms before the oracle.
 
     The answer register is implicitly all zeros. Every list must have
-    exactly T words; the squared amplitudes must sum to 1.
+    exactly T words; the squared amplitudes must sum to 1. The amplitude
+    map is read only, so a cached state can be shared.
     """
 
     T: int
@@ -112,7 +114,7 @@ class PrequeryState:
             amp = as_rational(amp)
             if amp != 0:
                 clean[(words, ws)] = amp
-        object.__setattr__(self, "amps", clean)
+        object.__setattr__(self, "amps", MappingProxyType(clean))
 
     def norm_sq(self) -> Fraction:
         return sum((a * a for a in self.amps.values()), Fraction(0))
@@ -167,6 +169,13 @@ class NonadaptiveComputer:
     `prequery(i, advice)` builds the state for input block i; `final` is the
     closing orthogonal transform. The workspace register has dimension
     2**output_width * scratch_dim, with the output cells in front.
+
+    The computer caches what it derives from its prequery states, so
+    `prequery` must be a pure function of (block, advice): it is called at
+    most once per pair. `prequery_state` keeps each validated state, and
+    `weight_analyses` holds the compression coder's weight analyses, built
+    on first use. Both belong to this computer alone; the cached states and
+    analyses are shared by every caller and must be treated as read only.
     """
 
     M: int
@@ -177,6 +186,10 @@ class NonadaptiveComputer:
     scratch_dim: int
     prequery: Callable[[int, str], PrequeryState]
     final: FinalTransform
+    _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    weight_analyses: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def N(self) -> int:
@@ -194,6 +207,10 @@ class NonadaptiveComputer:
         return (self.list_space, 2**self.T, self.workspace_dim)
 
     def prequery_state(self, block: int, advice: str) -> PrequeryState:
+        """The validated prequery state of (block, advice), built once."""
+        pre = self._states.get((block, advice))
+        if pre is not None:
+            return pre
         if not 1 <= block <= self.M:
             raise ModelError(f"input block {block} outside 1..{self.M}")
         if len(advice) != self.advice_len:
@@ -203,6 +220,10 @@ class NonadaptiveComputer:
         pre = self.prequery(block, advice)
         if pre.T != self.T or pre.workspace_dim != self.workspace_dim:
             raise ModelError("prequery state shape disagrees with computer")
+        for words, _ws in pre.amps:
+            for word in words:
+                check_word(word, self.M, self.n)
+        self._states[(block, advice)] = pre
         return pre
 
 
@@ -487,6 +508,7 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
                 f"final matrix dim {final.matrix.dim} does not match register "
                 f"space {expected}"
             )
+    validate_computer(computer, list(table))
     return computer
 
 

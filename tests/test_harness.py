@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +56,10 @@ def test_build_config_rejects_bad_values():
         build_config({"epsilon": "one third"})
     with pytest.raises(ConfigError):
         build_config({"scheme": "triple"})
+    with pytest.raises(ConfigError):
+        build_config({"M": "0"})
+    with pytest.raises(ConfigError):
+        build_config({"n": "0"})
 
 
 def test_resolve_subject_from_file(tmp_path):
@@ -197,3 +204,63 @@ def test_cli_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def _cli_subprocess(*args):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ttquery.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def _broken_full_doc(tmp_path, amp=None, location=None):
+    """A full M=1 n=2 subject doc with every amplitude or location replaced."""
+    comp, adv = get_subject("full", 1, 2, 0)
+    doc = {
+        "computer": computer_to_doc(comp, [(1, "")]),
+        "advice": advice_to_doc(adv, list(enumerate_instances(1, 2, 100))),
+    }
+    for rows in doc["computer"]["prequery"].values():
+        for row in rows:
+            if amp is not None:
+                row[0] = amp
+            if location is not None:
+                for word in row[1]:
+                    word[1] = location
+    path = tmp_path / "subject.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("simulate", "M = 0\nn = 2\n"),
+        ("bounds", "M = 0\nn = 2\n"),
+        ("simulate", "M = 1\nn = 0\n"),
+        ("simulate", "M = 1\nn = 2\np = 2\nsubject = @unit\n"),
+        ("roundtrip", "M = 1\nn = 2\np = 2\nsubject = @location\n"),
+    ],
+)
+def test_cli_bad_input_exits_two_without_traceback(tmp_path, command, text):
+    text = text.replace("@unit", _broken_full_doc(tmp_path, amp="2"))
+    text = text.replace("@location", _broken_full_doc(tmp_path, location="0110"))
+    done = _cli_subprocess(command, "--config", _write(tmp_path, text))
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["bounds", "roundtrip", "lemmas"])
+@pytest.mark.parametrize("epsilon", ["1/2", "3/4"])
+def test_epsilon_from_half_up_names_the_bound(tmp_path, capsys, command, epsilon):
+    cfg = _write(tmp_path, f"M = 1\nn = 2\nepsilon = {epsilon}\n")
+    assert main([command, "--config", cfg]) == 2
+    assert "epsilon must be below 1/2" in capsys.readouterr().err
