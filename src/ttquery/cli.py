@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from .harness import COMMANDS, ConfigError, emit, load_config
+from .model import MissingEntryError
 from .ordered_search import BudgetExceededError
 
 
@@ -46,7 +47,7 @@ def main(argv=None) -> int:
         )
         report = COMMANDS[args.command](cfg)
         emit(report, cfg.out)
-    except (ConfigError, BudgetExceededError) as e:
+    except (ConfigError, BudgetExceededError, MissingEntryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

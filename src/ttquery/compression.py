@@ -33,7 +33,6 @@ from typing import Mapping
 
 from .model import (
     NonadaptiveComputer,
-    QueryWord,
     answers_index,
     apply_oracle,
     list_index,
@@ -224,11 +223,6 @@ def _weight_table(computer, block, advice):
     return acc
 
 
-def weight(computer, i, advice, j, z) -> Fraction:
-    """Squared-amplitude mass of lists (on input block i) containing (j, z)."""
-    return _weight_table(computer, i, advice).get(QueryWord(j, z), Fraction(0))
-
-
 def prefix_weights(computer, block, advice, p):
     """Map (j, leading n-p bits) -> summed weight over the 2**p completions."""
     acc: dict = {}
@@ -236,12 +230,6 @@ def prefix_weights(computer, block, advice, p):
         key = (w.block, w.location[: len(w.location) - p])
         acc[key] = acc.get(key, Fraction(0)) + v
     return acc
-
-
-def weight_p(computer, i, advice, j, prefix, p) -> Fraction:
-    if len(prefix) != computer.n - p:
-        raise ValueError("prefix length must be n - p")
-    return prefix_weights(computer, i, advice, p).get((j, prefix), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -356,23 +344,6 @@ def c_uv_values(ctx: EncodingContext):
     a = 2 * ctx.l * ctx.log_M + ctx.k + 2
     second = ctx.C * (ctx.M - ctx.l) * ctx.p * ctx.p / (a * a)
     return first, second
-
-
-def c_uv(ctx: EncodingContext, prof: GoodBadProfile) -> Fraction:
-    """The certifying constant for this instance's branch.
-
-    Raises when the branch value is irrational; check_inequalities still
-    decides the comparison exactly in that situation.
-    """
-    first, second = c_uv_values(ctx)
-    if ctx.l <= prof.l_prime:
-        if first is None:
-            raise ValueError(
-                "(k+2)/l is not an integer, so this branch value is irrational; "
-                "use check_inequalities for the exact comparison"
-            )
-        return first
-    return second
 
 
 @dataclass(frozen=True)
@@ -551,36 +522,24 @@ class LwssResult:
     crosses: tuple[tuple[int, int, Fraction], ...]
 
 
-def _round_count(t: Fraction, pool_size: int, quad_scale) -> int:
-    """Floor of the positive root of (at) m^2 - (at - 1) m - pool = 0.
+def _round_count(t: Fraction, pool_size: int) -> int:
+    """Floor of the positive root of t m^2 - (t - 1) m - pool = 0.
 
-    With a = quad_scale. Computed through an integer square root of the
-    discriminant; flooring the root and flooring the radical commute
-    here, which the audit rechecks against direct evaluation.
+    Computed through an integer square root of the discriminant; flooring
+    the root and flooring the radical commute here, which the audit
+    rechecks against direct evaluation.
     """
     if t == 0 or pool_size == 0:
         return 0
-    coeff = as_rational(quad_scale) * t
-    num, den = coeff.numerator, coeff.denominator
+    num, den = t.numerator, t.denominator
     disc = (num - den) ** 2 + 4 * num * den * pool_size
     return (num - den + isqrt(disc)) // (2 * num)
 
 
-def _select(
-    ctx,
-    computer,
-    advice,
-    bad_prefixes,
-    *,
-    quad_scale=1,
-    pool_bound=None,
-    threshold_numerator=None,
-):
+def _select(ctx, computer, advice, bad_prefixes):
     pool = tuple(sorted(bad_prefixes))
-    bound = len(pool) if pool_bound is None else pool_bound
-    m = _round_count(ctx.t, bound, quad_scale)
-    thr_num = ctx.C if threshold_numerator is None else as_rational(threshold_numerator)
-    threshold = thr_num / m if m else None
+    m = _round_count(ctx.t, len(pool))
+    threshold = ctx.C / m if m else None
     survivors = list(pool)
     picked: list[int] = []
     sizes = [len(survivors)]
@@ -612,17 +571,7 @@ def _select(
     )
 
 
-def lwss(
-    computer,
-    advice_fn,
-    instance,
-    prof: GoodBadProfile,
-    ctx: EncodingContext,
-    *,
-    quad_scale=1,
-    pool_bound=None,
-    threshold_numerator=None,
-):
+def lwss(computer, advice_fn, instance, prof: GoodBadProfile, ctx: EncodingContext):
     """Pick bad blocks whose steps other picks query only lightly.
 
     Runs m rounds, m being the floored positive root of
@@ -630,24 +579,11 @@ def lwss(
     machine with no queries gets m = 0 outright. Each round picks the
     smallest remaining candidate and then discards every candidate on
     which the pick's machine run puts prefix weight at or above C/m.
-
-    The three keyword knobs rescale the quadratic, the candidate bound,
-    and the threshold numerator. They exist so variant selections are
-    expressible through parameters; defaults reproduce the primary
-    procedure.
     """
     _check_pair(ctx, computer)
     f = advice_fn(instance)
     bad = {bp.block: bp.prefix for bp in prof.blocks if not bp.good}
-    return _select(
-        ctx,
-        computer,
-        f,
-        bad,
-        quad_scale=quad_scale,
-        pool_bound=pool_bound,
-        threshold_numerator=threshold_numerator,
-    )
+    return _select(ctx, computer, f, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,8 @@ def resolve_subject(cfg: ExperimentConfig):
         raise ConfigError("subject file disagrees with the configured M or n")
     if computer.advice_len != cfg.k:
         raise ConfigError("subject file disagrees with the configured k")
+    if advice_fn.length != computer.advice_len:
+        raise ConfigError("subject file's advice length disagrees with its computer")
     return computer, advice_fn
 
 
@@ -217,6 +219,8 @@ def _params(cfg) -> ErrorParams:
 
 
 def _context(cfg, computer) -> EncodingContext:
+    if cfg.p > computer.output_width:
+        raise ConfigError("p exceeds the subject's output width")
     try:
         return EncodingContext(
             M=cfg.M, n=cfg.n, p=cfg.p, k=cfg.k, T=computer.T, l=cfg.l,
@@ -340,6 +344,8 @@ def _roundtrip_single(cfg, computer, advice_fn):
     params = _params(cfg)
     if cfg.k + 1 > cfg.n:
         raise ConfigError("the single scheme needs k + 1 <= n")
+    if cfg.k + 1 > computer.output_width:
+        raise ConfigError("the single scheme reads k + 1 cells, more than the subject writes")
     rows = []
     pairs = []
     all_pass = True

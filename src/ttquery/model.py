@@ -3,8 +3,9 @@
 A computer fixes its whole query list up front: the prequery state is a
 superposition of (query list, workspace) basis terms with an implicit
 all-zero answer register. The oracle fills the answer register in one shot,
-a final orthogonal transform mixes everything, and the output is read from
-the leading cells of the workspace register.
+a final orthogonal transform rewrites the workspace within each (query
+list, answers) fiber, and the output is read from the leading cells of the
+workspace register.
 
 Output cells are ordered least-significant-bit-first: cell j holds the j-th
 bit from the end of the answer string. Narrower outputs are then prefixes of
@@ -14,20 +15,14 @@ every last-p-bits coarsening by measuring fewer cells.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .ordered_search import StepInstance, bin_n, eval_G, rank_of
-from .statevec import (
-    OrthogonalMatrix,
-    SparseState,
-    apply_matrix,
-    as_rational,
-    measure_register,
-    rational_str,
-)
+from .ordered_search import StepInstance, eval_G, rank_of
+from .statevec import SparseState, as_rational, measure_register, rational_str
 
 
 class QueryWord(NamedTuple):
@@ -42,6 +37,10 @@ QueryList = tuple  # tuple[QueryWord, ...]
 
 class ModelError(ValueError):
     """A computer or one of its inputs is malformed."""
+
+
+class MissingEntryError(ModelError):
+    """A computer or advice loaded from a document lacks the entry asked for."""
 
 
 def check_word(word: QueryWord, M: int, n: int) -> None:
@@ -63,17 +62,6 @@ def list_index(words: QueryList, M: int, n: int) -> int:
     for word in words:
         idx = idx * base + word_index(word, M, n)
     return idx
-
-
-def index_to_list(idx: int, M: int, n: int, T: int) -> QueryList:
-    base = M * 2**n
-    N = 2**n
-    parts = []
-    for _ in range(T):
-        idx, w = divmod(idx, base)
-        block, loc = divmod(w, N)
-        parts.append(QueryWord(block + 1, bin_n(n, loc + 1)))
-    return tuple(reversed(parts))
 
 
 def oracle_answers(instance: StepInstance, words: QueryList) -> tuple[int, ...]:
@@ -124,40 +112,33 @@ class PrequeryState:
 
 
 class FinalTransform:
-    """Orthogonal transform applied after the oracle."""
+    """Orthogonal transform applied after the oracle (see FiberFinal)."""
 
     def apply(self, state: SparseState) -> SparseState:
         raise NotImplementedError
 
 
-class MatrixFinal(FinalTransform):
-    """Final transform given as an explicit dense orthogonal matrix."""
+class FiberFinal(FinalTransform):
+    """Final transform that permutes the workspace within each fiber.
 
-    def __init__(self, matrix: OrthogonalMatrix):
-        self.matrix = matrix
-
-    def apply(self, state: SparseState) -> SparseState:
-        return apply_matrix(self.matrix, state)
-
-
-class PermutationFinal(FinalTransform):
-    """Final transform given as a basis permutation.
-
-    The function must be a bijection on (list index, answer index, workspace
-    index) keys; orthogonality is then exact by construction. Collisions on
-    the support of any applied state are rejected, which witnesses
-    injectivity on every subspace the transform actually touches.
+    A fiber is one (list index, answer index) pair. `fn(list_index,
+    answer_index, ws)` names the image of workspace cell ws; it must be a
+    bijection on the workspace of every fiber, which makes the transform
+    orthogonal by construction. Collisions on the support of any applied
+    state are rejected, which witnesses injectivity on every subspace the
+    transform actually touches.
     """
 
-    def __init__(self, fn: Callable[[tuple], tuple]):
+    def __init__(self, fn: Callable[[int, int, int], int]):
         self.fn = fn
 
     def apply(self, state: SparseState) -> SparseState:
+        fn = self.fn
         out = {}
-        for key, amp in state.items():
-            new_key = tuple(self.fn(key))
+        for (lidx, aidx, ws), amp in state.items():
+            new_key = (lidx, aidx, fn(lidx, aidx, ws))
             if new_key in out:
-                raise ModelError(f"permutation collides on {new_key!r}")
+                raise ModelError(f"final transform collides on {new_key!r}")
             out[new_key] = amp
         return SparseState(state.dims, out)
 
@@ -167,7 +148,8 @@ class NonadaptiveComputer:
     """A truth-table query computer for the M-block problem over n-bit blocks.
 
     `prequery(i, advice)` builds the state for input block i; `final` is the
-    closing orthogonal transform. The workspace register has dimension
+    closing orthogonal transform, a workspace permutation per (list,
+    answers) fiber. The workspace register has dimension
     2**output_width * scratch_dim, with the output cells in front.
 
     The computer caches what it derives from its prequery states, so
@@ -185,7 +167,7 @@ class NonadaptiveComputer:
     output_width: int
     scratch_dim: int
     prequery: Callable[[int, str], PrequeryState]
-    final: FinalTransform
+    final: FiberFinal
     _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     weight_analyses: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -207,7 +189,11 @@ class NonadaptiveComputer:
         return (self.list_space, 2**self.T, self.workspace_dim)
 
     def prequery_state(self, block: int, advice: str) -> PrequeryState:
-        """The validated prequery state of (block, advice), built once."""
+        """The validated prequery state of (block, advice), built once.
+
+        Validation checks the state's shape, every query word and that the
+        squared norm is exactly 1.
+        """
         pre = self._states.get((block, advice))
         if pre is not None:
             return pre
@@ -223,6 +209,11 @@ class NonadaptiveComputer:
         for words, _ws in pre.amps:
             for word in words:
                 check_word(word, self.M, self.n)
+        if pre.norm_sq() != 1:
+            raise ModelError(
+                f"prequery norm^2 is {rational_str(pre.norm_sq())} for input "
+                f"({block}, {advice!r})"
+            )
         self._states[(block, advice)] = pre
         return pre
 
@@ -336,70 +327,31 @@ def max_error(
 def validate_computer(
     computer: NonadaptiveComputer, pairs: Sequence[tuple[int, str]]
 ) -> None:
-    """Check unit norm and list lengths of the prequery states for given inputs."""
+    """Build, and so validate, the prequery states of the given inputs."""
     for block, advice in pairs:
-        pre = computer.prequery_state(block, advice)
-        if pre.norm_sq() != 1:
-            raise ModelError(
-                f"prequery norm^2 is {rational_str(pre.norm_sq())} for input "
-                f"({block}, {advice!r})"
-            )
+        computer.prequery_state(block, advice)
 
 
-def materialize_final_matrix(computer: NonadaptiveComputer) -> OrthogonalMatrix:
-    """Dense matrix form of the final transform, for small register spaces.
+def _reachable_answers(words: QueryList) -> set[int]:
+    """Answer indices a query list can receive.
 
-    Useful to cross-check that a permutation-backed transform really is
-    orthogonal, and to serialize small computers.
+    Real instances and the decoders' substitution rule both answer a block
+    by a threshold s in 1..N+1: a word is answered 1 exactly when its rank
+    is at least s. Over a block's distinct queried ranks r_1 < ... < r_m,
+    the thresholds r_1, ..., r_m and r_m + 1 already give every answer
+    pattern, so the product of those choices over blocks covers them all.
     """
-    dims = computer.state_dims()
-    total = dims[0] * dims[1] * dims[2]
-    if total > 4096:
-        raise ModelError(f"register space of size {total} is too large to materialize")
-    if isinstance(computer.final, MatrixFinal):
-        return computer.final.matrix
-    cols = []
-    for flat in range(total):
-        rest, ws = divmod(flat, dims[2])
-        lidx, aidx = divmod(rest, dims[1])
-        image = computer.final.apply(SparseState.basis(dims, (lidx, aidx, ws)))
-        cols.append(image)
-    rows = [[Fraction(0)] * total for _ in range(total)]
-    for j, image in enumerate(cols):
-        for (lidx, aidx, ws), amp in image.items():
-            rows[(lidx * dims[1] + aidx) * dims[2] + ws][j] = amp
-    return OrthogonalMatrix(rows)
-
-
-def _final_fiber_table(computer: NonadaptiveComputer, prequery_states) -> dict | None:
-    """Per-fiber workspace permutations of the final transform, if it has them.
-
-    A fiber is one (list index, answer index) pair; many transforms, the
-    built-in subjects included, only rewrite the workspace cell within each
-    fiber. Such transforms serialize as a small table over the fibers
-    reachable from the tabulated prequery states. Returns None when some
-    reachable image leaves its fiber.
-    """
-    dims = computer.state_dims()
-    wdim = computer.workspace_dim
-    fibers = set()
-    for pre in prequery_states:
-        for (words, _ws), _amp in pre.items():
-            lidx = list_index(words, computer.M, computer.n)
-            for aidx in range(2**computer.T):
-                fibers.add((lidx, aidx))
-    table = {}
-    for lidx, aidx in sorted(fibers):
-        images = []
-        for ws in range(wdim):
-            out = computer.final.apply(SparseState.basis(dims, (lidx, aidx, ws)))
-            ((key, amp),) = out.items()
-            if key[:2] != (lidx, aidx) or amp != 1:
-                return None
-            images.append(key[2])
-        if images != list(range(wdim)):
-            table[f"{lidx},{aidx}"] = images
-    return table
+    ranks = [(w.block, rank_of(w.location)) for w in words]
+    queried: dict[int, set[int]] = {}
+    for block, r in ranks:
+        queried.setdefault(block, set()).add(r)
+    blocks = sorted(queried)
+    choices = [sorted(queried[b]) + [max(queried[b]) + 1] for b in blocks]
+    found = set()
+    for thresholds in itertools.product(*choices):
+        at = dict(zip(blocks, thresholds))
+        found.add(answers_index([1 if r >= at[b] else 0 for b, r in ranks]))
+    return found
 
 
 def computer_to_doc(
@@ -407,16 +359,15 @@ def computer_to_doc(
 ) -> dict:
     """Serialize a computer: prequery table for the given inputs, then V.
 
-    The final transform is stored as per-fiber workspace permutations when
-    it never moves amplitude between (list, answers) fibers, which covers
-    every built-in subject at any size. Otherwise it is stored as a dense
-    rational matrix, which only fits genuinely small register spaces.
+    The final transform is stored as per-fiber workspace permutations over
+    the fibers the tabulated prequery states can reach (see
+    _reachable_answers); fibers the transform leaves fixed are omitted. A
+    fiber whose images are not a permutation of the workspace is rejected.
     """
     table = {}
-    states = []
+    lists = {}
     for block, advice in inputs:
         pre = computer.prequery_state(block, advice)
-        states.append(pre)
         rows = []
         for (words, ws), amp in sorted(
             pre.items(), key=lambda kv: (kv[0][1], kv[0][0])
@@ -428,13 +379,18 @@ def computer_to_doc(
                     ws,
                 ]
             )
+            lists[list_index(words, computer.M, computer.n)] = words
         table[f"{block}|{advice}"] = rows
-    fiber_table = _final_fiber_table(computer, states)
-    if fiber_table is not None:
-        final_doc = {"form": "fibers", "table": fiber_table}
-    else:
-        matrix = materialize_final_matrix(computer)
-        final_doc = [[rational_str(x) for x in row] for row in matrix.rows]
+    identity = list(range(computer.workspace_dim))
+    fn = computer.final.fn
+    fiber_table = {}
+    for lidx, words in sorted(lists.items()):
+        for aidx in sorted(_reachable_answers(words)):
+            images = [fn(lidx, aidx, ws) for ws in identity]
+            if sorted(images) != identity:
+                raise ModelError(f"fiber {lidx},{aidx} is not a workspace permutation")
+            if images != identity:
+                fiber_table[f"{lidx},{aidx}"] = images
     return {
         "M": computer.M,
         "n": computer.n,
@@ -443,29 +399,33 @@ def computer_to_doc(
         "p": computer.output_width,
         "scratch": computer.scratch_dim,
         "prequery": table,
-        "final": final_doc,
+        "final": {"form": "fibers", "table": fiber_table},
     }
 
 
-def _final_from_doc(final_doc, ws_dim: int) -> FinalTransform:
-    if isinstance(final_doc, Mapping):
-        if final_doc.get("form") != "fibers":
-            raise ModelError(f"unknown final transform form {final_doc.get('form')!r}")
-        fiber_map = {}
-        for key, images in final_doc.get("table", {}).items():
-            lidx_text, _, aidx_text = key.partition(",")
-            images = [int(v) for v in images]
-            if sorted(images) != list(range(ws_dim)):
-                raise ModelError(f"fiber {key} is not a workspace permutation")
-            fiber_map[(int(lidx_text), int(aidx_text))] = images
+def _final_from_doc(final_doc, ws_dim: int) -> FiberFinal:
+    if not isinstance(final_doc, Mapping):
+        raise ModelError(
+            "final transform must be a fiber table; dense matrices are not accepted"
+        )
+    if final_doc.get("form") != "fibers":
+        raise ModelError(f"unknown final transform form {final_doc.get('form')!r}")
+    table = final_doc.get("table", {})
+    if not isinstance(table, Mapping):
+        raise ModelError("fiber table must map fibers to workspace permutations")
+    fiber_map = {}
+    for key, images in table.items():
+        lidx_text, _, aidx_text = key.partition(",")
+        images = [int(v) for v in images]
+        if sorted(images) != list(range(ws_dim)):
+            raise ModelError(f"fiber {key} is not a workspace permutation")
+        fiber_map[(int(lidx_text), int(aidx_text))] = images
 
-        def fn(key):
-            lidx, aidx, ws = key
-            images = fiber_map.get((lidx, aidx))
-            return (lidx, aidx, images[ws] if images else ws)
+    def fn(lidx, aidx, ws):
+        images = fiber_map.get((lidx, aidx))
+        return images[ws] if images else ws
 
-        return PermutationFinal(fn)
-    return MatrixFinal(OrthogonalMatrix(final_doc))
+    return FiberFinal(fn)
 
 
 def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
@@ -475,6 +435,8 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
     output_width = int(doc["p"])
     scratch_dim = int(doc["scratch"])
     ws_dim = 2**output_width * scratch_dim
+    if not isinstance(doc["prequery"], Mapping):
+        raise ModelError("prequery table must map inputs to rows")
     table = {}
     for key, rows in doc["prequery"].items():
         block_text, _, advice = key.partition("|")
@@ -488,9 +450,10 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
         try:
             return table[(block, advice)]
         except KeyError:
-            raise ModelError(f"no prequery row for input ({block}, {advice!r})")
+            raise MissingEntryError(
+                f"no prequery row for input ({block}, {advice!r})"
+            ) from None
 
-    final = _final_from_doc(doc["final"], ws_dim)
     computer = NonadaptiveComputer(
         M=M,
         n=n,
@@ -499,23 +462,32 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
         output_width=output_width,
         scratch_dim=scratch_dim,
         prequery=prequery,
-        final=final,
+        final=_final_from_doc(doc["final"], ws_dim),
     )
-    if isinstance(final, MatrixFinal):
-        expected = computer.list_space * 2**T * ws_dim
-        if final.matrix.dim != expected:
-            raise ModelError(
-                f"final matrix dim {final.matrix.dim} does not match register "
-                f"space {expected}"
-            )
     validate_computer(computer, list(table))
     return computer
 
 
 def advice_from_doc(doc: Mapping) -> AdviceFunction:
-    """Advice given as a table keyed by instance literals."""
+    """Advice given as a table keyed by instance literals.
+
+    Every tabulated value must be a `length`-bit string; an instance with
+    no entry raises MissingEntryError when its advice is asked for.
+    """
     length = int(doc["length"])
-    table = {key: str(value) for key, value in doc.get("table", {}).items()}
+    table = doc.get("table", {})
+    if not isinstance(table, Mapping):
+        raise ModelError("advice table must map instance literals to bit strings")
+    table = dict(table)
+    for literal, bits in table.items():
+        if (
+            not isinstance(bits, str)
+            or len(bits) != length
+            or any(b not in "01" for b in bits)
+        ):
+            raise ModelError(
+                f"advice {bits!r} for {literal!r} is not a {length}-bit string"
+            )
 
     def fn(instance: StepInstance) -> str:
         literal = instance.literal()
@@ -524,7 +496,7 @@ def advice_from_doc(doc: Mapping) -> AdviceFunction:
         try:
             return table[literal]
         except KeyError:
-            raise ModelError(f"no advice entry for {literal!r}")
+            raise MissingEntryError(f"no advice entry for {literal!r}") from None
 
     return AdviceFunction(length, fn)
 

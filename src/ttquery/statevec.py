@@ -1,15 +1,15 @@
-"""Exact rational linear algebra for small register spaces.
+"""Exact rational states over products of registers.
 
-States are sparse maps from composite basis keys to rational amplitudes;
-matrices are dense, with orthogonality checked exactly on construction.
-Nothing here touches floating point: every amplitude, probability, and
-matrix entry is a `fractions.Fraction`.
+States are sparse maps from composite basis keys to rational amplitudes,
+with norms, inner products, distances and measurement. Nothing here
+touches floating point: every amplitude and probability is a
+`fractions.Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Rational = Fraction
 
@@ -18,10 +18,6 @@ BasisKey = tuple
 
 class DimensionMismatchError(ValueError):
     """Operands live in different register spaces."""
-
-
-class NotOrthogonalError(ValueError):
-    """A matrix failed the exact transpose-times-self identity check."""
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -87,11 +83,6 @@ class SparseState:
     def __setattr__(self, name, value):
         raise AttributeError("SparseState is immutable")
 
-    @classmethod
-    def basis(cls, dims: Sequence[int], key) -> "SparseState":
-        """Unit amplitude on a single basis vector."""
-        return cls(dims, {_normalize_key(key, len(tuple(dims))): Fraction(1)})
-
     def get(self, key) -> Fraction:
         return self.amps.get(_normalize_key(key, len(self.dims)), Fraction(0))
 
@@ -141,135 +132,6 @@ def distance_sq(a: SparseState, b: SparseState) -> Fraction:
     return norm_sq(a) + norm_sq(b) - 2 * inner_product(a, b)
 
 
-class OrthogonalMatrix:
-    """Dense square matrix with exact rational entries and M^T M = I.
-
-    The orthogonality identity is verified entry by entry at construction;
-    matrices that fail it are rejected outright.
-    """
-
-    __slots__ = ("dim", "rows")
-
-    def __init__(self, rows: Sequence[Sequence], _skip_check: bool = False):
-        rows = tuple(tuple(as_rational(x) for x in row) for row in rows)
-        dim = len(rows)
-        if dim == 0 or any(len(row) != dim for row in rows):
-            raise DimensionMismatchError("matrix must be square and non-empty")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", rows)
-        if not _skip_check:
-            self._check_orthogonal()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrthogonalMatrix is immutable")
-
-    def _check_orthogonal(self) -> None:
-        # Columns must be exactly orthonormal.
-        rows, dim = self.rows, self.dim
-        for i in range(dim):
-            for j in range(i, dim):
-                dot = sum((rows[r][i] * rows[r][j] for r in range(dim)), Fraction(0))
-                want = Fraction(1) if i == j else Fraction(0)
-                if dot != want:
-                    raise NotOrthogonalError(
-                        f"columns {i} and {j} have inner product {rational_str(dot)}"
-                    )
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
-    def transpose(self) -> "OrthogonalMatrix":
-        rows = tuple(
-            tuple(self.rows[j][i] for j in range(self.dim)) for i in range(self.dim)
-        )
-        return OrthogonalMatrix(rows, _skip_check=True)
-
-    @classmethod
-    def identity(cls, dim: int) -> "OrthogonalMatrix":
-        rows = [
-            [Fraction(1) if i == j else Fraction(0) for j in range(dim)]
-            for i in range(dim)
-        ]
-        return cls(rows, _skip_check=True)
-
-    @classmethod
-    def from_permutation(cls, images: Sequence[int]) -> "OrthogonalMatrix":
-        """Permutation matrix sending basis j to basis images[j]."""
-        dim = len(images)
-        if sorted(images) != list(range(dim)):
-            raise NotOrthogonalError(f"{images!r} is not a permutation of 0..{dim - 1}")
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
-        for j, i in enumerate(images):
-            rows[i][j] = Fraction(1)
-        return cls(rows, _skip_check=True)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrthogonalMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return f"OrthogonalMatrix(dim={self.dim})"
-
-
-def _flatten(dims: Sequence[int], key: BasisKey) -> int:
-    idx = 0
-    for d, k in zip(dims, key):
-        idx = idx * d + k
-    return idx
-
-
-def _unflatten(dims: Sequence[int], idx: int) -> BasisKey:
-    parts = []
-    for d in reversed(dims):
-        parts.append(idx % d)
-        idx //= d
-    return tuple(reversed(parts))
-
-
-def apply_matrix(
-    matrix: OrthogonalMatrix, state: SparseState, register: int | None = None
-) -> SparseState:
-    """Apply a dense matrix to a state, over one register or the whole space.
-
-    With `register=None` the matrix must match the product of all register
-    dimensions; otherwise it acts on the named register alone.
-    """
-    out: dict[BasisKey, Fraction] = {}
-    if register is None:
-        total = 1
-        for d in state.dims:
-            total *= d
-        if matrix.dim != total:
-            raise DimensionMismatchError(
-                f"matrix dim {matrix.dim} vs state space {total}"
-            )
-        for key, amp in state.items():
-            j = _flatten(state.dims, key)
-            for i in range(matrix.dim):
-                entry = matrix.rows[i][j]
-                if entry == 0:
-                    continue
-                new_key = _unflatten(state.dims, i)
-                out[new_key] = out.get(new_key, Fraction(0)) + entry * amp
-    else:
-        if not 0 <= register < len(state.dims):
-            raise DimensionMismatchError(f"no register {register} in {state.dims}")
-        if matrix.dim != state.dims[register]:
-            raise DimensionMismatchError(
-                f"matrix dim {matrix.dim} vs register size {state.dims[register]}"
-            )
-        for key, amp in state.items():
-            j = key[register]
-            for i in range(matrix.dim):
-                entry = matrix.rows[i][j]
-                if entry == 0:
-                    continue
-                new_key = key[:register] + (i,) + key[register + 1 :]
-                out[new_key] = out.get(new_key, Fraction(0)) + entry * amp
-    return SparseState(state.dims, {k: v for k, v in out.items() if v != 0})
-
-
 def measure_register(
     state: SparseState, register: int, width: int
 ) -> dict[int, Fraction]:
@@ -294,33 +156,3 @@ def measure_register(
         outcome = key[register] // stride
         probs[outcome] = probs.get(outcome, Fraction(0)) + amp * amp
     return probs
-
-
-def state_to_doc(state: SparseState) -> dict:
-    """Plain-data form of a state with explicit register dimensions."""
-    return {
-        "dims": list(state.dims),
-        "amplitudes": [
-            [list(key), rational_str(amp)] for key, amp in sorted(state.items())
-        ],
-    }
-
-
-def state_from_doc(doc: Mapping) -> SparseState:
-    dims = tuple(doc["dims"])
-    amps = {tuple(key): as_rational(amp) for key, amp in doc["amplitudes"]}
-    return SparseState(dims, amps)
-
-
-def matrix_to_doc(matrix: OrthogonalMatrix) -> dict:
-    return {
-        "dim": matrix.dim,
-        "rows": [[rational_str(x) for x in row] for row in matrix.rows],
-    }
-
-
-def matrix_from_doc(doc: Mapping) -> OrthogonalMatrix:
-    matrix = OrthogonalMatrix(doc["rows"])
-    if matrix.dim != doc.get("dim", matrix.dim):
-        raise DimensionMismatchError("declared dim does not match row count")
-    return matrix

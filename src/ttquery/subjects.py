@@ -19,9 +19,9 @@ from fractions import Fraction
 
 from .model import (
     AdviceFunction,
+    FiberFinal,
     ModelError,
     NonadaptiveComputer,
-    PermutationFinal,
     PrequeryState,
     QueryWord,
     answer_to_outcome,
@@ -41,12 +41,11 @@ def _ones(answers_idx: int) -> int:
 
 def _xor_final(target_fn):
     """Final transform XORing target_fn(list index, answer index) into ws."""
+    return FiberFinal(lambda lidx, aidx, ws: ws ^ target_fn(lidx, aidx))
 
-    def fn(key):
-        lidx, aidx, ws = key
-        return (lidx, aidx, ws ^ target_fn(lidx, aidx))
 
-    return PermutationFinal(fn)
+def _identity_final():
+    return FiberFinal(lambda lidx, aidx, ws: ws)
 
 
 def build_full_query(M: int, n: int):
@@ -127,7 +126,7 @@ def build_advised(M: int, n: int, k: int):
         step = hi - _ones(aidx)
         return answer_to_outcome(bin_n(n, step))
 
-    final = _xor_final(target) if T else PermutationFinal(lambda key: key)
+    final = _xor_final(target) if T else _identity_final()
 
     def advice_bits(instance: StepInstance) -> str:
         parts = [instance.step_bits(b)[:q] for b in range(1, M + 1)]
@@ -160,7 +159,7 @@ def build_zero(M: int, n: int):
         output_width=n,
         scratch_dim=1,
         prequery=prequery,
-        final=PermutationFinal(lambda key: key),
+        final=_identity_final(),
     )
     return computer, no_advice()
 
@@ -206,7 +205,7 @@ def build_probe(M: int, n: int):
         output_width=1,
         scratch_dim=1,
         prequery=prequery,
-        final=PermutationFinal(lambda key: key),
+        final=_identity_final(),
     )
     return computer, AdviceFunction(k, advice_bits)
 
@@ -295,7 +294,7 @@ def build_neighbor_probe(M: int, n: int):
         output_width=1,
         scratch_dim=1,
         prequery=prequery,
-        final=PermutationFinal(lambda key: key),
+        final=_identity_final(),
     )
     return computer, AdviceFunction(M, advice_bits)
 
@@ -322,7 +321,7 @@ def build_single_query(M: int, n: int):
         output_width=n,
         scratch_dim=1,
         prequery=prequery,
-        final=PermutationFinal(lambda key: key),
+        final=_identity_final(),
     )
     return computer, no_advice()
 

@@ -11,7 +11,6 @@ from ttquery.compression import (
     EncodingFormatError,
     ErrorParams,
     audit_instance,
-    c_uv,
     c_uv_values,
     ceil_log2,
     check_inequalities,
@@ -22,8 +21,7 @@ from ttquery.compression import (
     lwss,
     profile,
     verify_pigeonhole,
-    weight,
-    weight_p,
+    weight_analysis,
 )
 from ttquery.ordered_search import StepInstance, enumerate_instances, parse_instance
 from ttquery.subjects import build_single_query, get_subject
@@ -80,16 +78,19 @@ def test_weight_is_membership_not_multiplicity():
     comp, adv = get_subject("shortcut", 1, 4, 1)
     inst = StepInstance(1, 4, (8,))
     advice = adv(inst)
-    assert weight(comp, 1, advice, 1, "0000") == 1
-    assert weight(comp, 1, advice, 1, "0001") == 0
+    # the list holds T = 12 copies of 0000, and no other word, yet weighs 1
+    table = weight_analysis(comp, 1, advice, 1, DEFAULT_PARAMS.C).table
+    assert table[(1, "000")] == 1
+    assert (1, "001") not in table
 
 
 def test_weight_p_sums_completions():
     comp, adv = get_subject("full", 1, 2, 0)
     advice = adv(StepInstance(1, 2, (1,)))
+    table = weight_analysis(comp, 1, advice, 1, DEFAULT_PARAMS.C).table
     # the full subject queries ranks 1..3, so the "0" prefix holds two of them
-    assert weight_p(comp, 1, advice, 1, "0", 1) == 2
-    assert weight_p(comp, 1, advice, 1, "1", 1) == 1
+    assert table[(1, "0")] == 2
+    assert table[(1, "1")] == 1
 
 
 def test_own_weight_mass_bounded_by_queries():
@@ -97,10 +98,11 @@ def test_own_weight_mass_bounded_by_queries():
     for inst in enumerate_instances(2, 2, 100):
         advice = adv(inst)
         for i in (1, 2):
-            total = sum(
-                weight_p(comp, i, advice, i, prefix, 1) for prefix in ("0", "1")
+            wa = weight_analysis(comp, i, advice, 1, DEFAULT_PARAMS.C)
+            assert wa.own_mass == sum(
+                wa.table.get((i, prefix), 0) for prefix in ("0", "1")
             )
-            assert total <= comp.T
+            assert wa.own_mass <= comp.T
 
 
 def test_profile_probe_goodness():
@@ -128,13 +130,14 @@ def test_c_uv_frozen_value():
     ctx = _ctx(2, 3, 1, 0, 7, 1)
     comp, adv = get_subject("full", 2, 3, 0)
     prof = profile(comp, adv, StepInstance(2, 3, (1, 1)), 1)
-    assert c_uv(ctx, prof) == Fraction(1, 2048)
+    # two good blocks, l = 1: the instance sits on the first branch
+    assert check_inequalities(ctx, prof).c_uv == Fraction(1, 2048)
     first, second = c_uv_values(ctx)
     assert first == Fraction(1, 2048)
     assert second == Fraction(1, 4096)
 
 
-def test_c_uv_irrational_branch_raises():
+def test_c_uv_irrational_branch_has_no_value():
     # l = 3 does not divide k + 2 = 2, so the good-branch constant is irrational
     ctx = _ctx(4, 1, 1, 0, 1, 3)
     first, second = c_uv_values(ctx)
@@ -142,8 +145,7 @@ def test_c_uv_irrational_branch_raises():
     comp, adv = get_subject("full", 4, 1, 0)
     prof = profile(comp, adv, StepInstance(4, 1, (1, 1, 1, 1)), 1)
     assert prof.l_prime == 4
-    with pytest.raises(ValueError):
-        c_uv(ctx, prof)
+    assert check_inequalities(ctx, prof).c_uv is None
 
 
 def test_check_inequalities_still_exact_on_irrational_branch():
@@ -250,20 +252,6 @@ def test_lwss_certified_many_bad_frozen_selection():
     assert sel.W == (1, 3, 5, 7, 9, 11)
     # every recorded cross stays strictly under the admission threshold
     assert all(wt < sel.threshold for _, _, wt in sel.crosses)
-
-
-def test_lwss_variant_knobs_change_only_parameters():
-    comp, adv = get_subject("probe", 2, 2, 2)
-    ctx = _ctx(2, 2, 1, 2, 1, 2)
-    inst = StepInstance(2, 2, (3, 4))
-    prof = profile(comp, adv, inst, 1)
-    plain = lwss(comp, adv, inst, prof, ctx)
-    tuned = lwss(
-        comp, adv, inst, prof, ctx,
-        quad_scale=288, pool_bound=4, threshold_numerator=Fraction(1, 288),
-    )
-    assert set(tuned.W) <= set(plain.pool)
-    assert tuned.m >= plain.m
 
 
 # ------------------------------------------------------------ encode, decode

@@ -238,6 +238,40 @@ def _broken_full_doc(tmp_path, amp=None, location=None):
     return str(path)
 
 
+def _broken_probe_doc(tmp_path, edit):
+    """A probe M=2 n=2 k=2 subject doc, changed in place by edit."""
+    comp, adv = get_subject("probe", 2, 2, 2)
+    inputs = [(block, format(a, "02b")) for block in (1, 2) for a in range(4)]
+    doc = {
+        "computer": computer_to_doc(comp, inputs),
+        "advice": advice_to_doc(adv, list(enumerate_instances(2, 2, 100))),
+    }
+    edit(doc)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_PROBE_LAST = "M=2 n=2 steps=4,4"
+_PROBE = "M = 2\nn = 2\nk = 2\np = 1\nsubject = "
+_BROKEN_SUBJECTS = {
+    "@unit": lambda tmp: _broken_full_doc(tmp, amp="2"),
+    "@location": lambda tmp: _broken_full_doc(tmp, location="0110"),
+    "@no-advice": lambda tmp: _broken_probe_doc(
+        tmp, lambda doc: doc["advice"]["table"].pop(_PROBE_LAST)
+    ),
+    "@bad-advice": lambda tmp: _broken_probe_doc(
+        tmp, lambda doc: doc["advice"]["table"].update({_PROBE_LAST: "2x"})
+    ),
+    "@dense-final": lambda tmp: _broken_probe_doc(
+        tmp, lambda doc: doc["computer"].update(final=[[1, 0], [0, 1]])
+    ),
+    "@list-prequery": lambda tmp: _broken_probe_doc(
+        tmp, lambda doc: doc["computer"].update(prequery=[])
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -246,11 +280,20 @@ def _broken_full_doc(tmp_path, amp=None, location=None):
         ("simulate", "M = 1\nn = 0\n"),
         ("simulate", "M = 1\nn = 2\np = 2\nsubject = @unit\n"),
         ("roundtrip", "M = 1\nn = 2\np = 2\nsubject = @location\n"),
+        ("simulate", _PROBE + "@no-advice\n"),
+        ("roundtrip", _PROBE + "@no-advice\n"),
+        ("simulate", _PROBE + "@bad-advice\n"),
+        ("simulate", _PROBE + "@dense-final\n"),
+        ("simulate", _PROBE + "@list-prequery\n"),
+        ("roundtrip", "M = 2\nn = 2\nk = 2\np = 2\nsubject = probe\n"),
+        ("lemmas", "M = 2\nn = 2\nk = 2\np = 2\nsubject = probe\n"),
+        ("roundtrip", "M = 1\nn = 3\nk = 1\nsubject = probe\nscheme = single\n"),
     ],
 )
 def test_cli_bad_input_exits_two_without_traceback(tmp_path, command, text):
-    text = text.replace("@unit", _broken_full_doc(tmp_path, amp="2"))
-    text = text.replace("@location", _broken_full_doc(tmp_path, location="0110"))
+    for mark, build in _BROKEN_SUBJECTS.items():
+        if mark in text:
+            text = text.replace(mark, build(tmp_path))
     done = _cli_subprocess(command, "--config", _write(tmp_path, text))
     assert done.returncode == 2
     assert "Traceback" not in done.stderr

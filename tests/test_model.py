@@ -4,9 +4,9 @@ import pytest
 
 from ttquery.model import (
     AdviceFunction,
+    FiberFinal,
     ModelError,
     NonadaptiveComputer,
-    PermutationFinal,
     PrequeryState,
     QueryWord,
     advice_from_doc,
@@ -17,7 +17,6 @@ from ttquery.model import (
     computer_from_doc,
     computer_to_doc,
     error_probability,
-    index_to_list,
     list_index,
     max_error,
     no_advice,
@@ -39,9 +38,12 @@ def test_output_cells_are_lsb_first():
 
 
 def test_list_index_roundtrip():
-    words = (QueryWord(2, "01"), QueryWord(1, "11"))
-    idx = list_index(words, 2, 2)
-    assert index_to_list(idx, 2, 2, 2) == words
+    # every list of two words over M = 2, n = 2 gets its own index in 0..63
+    words = [QueryWord(b, loc) for b in (1, 2) for loc in ("00", "01", "10", "11")]
+    lists = [(a, b) for a in words for b in words]
+    indices = {list_index(pair, 2, 2) for pair in lists}
+    assert len(indices) == len(lists) == 64
+    assert indices == set(range(64))
 
 
 def test_oracle_answers_duplicates_answered_alike():
@@ -59,7 +61,7 @@ def test_prequery_state_checks_shape():
 
 
 def test_permutation_final_rejects_collision():
-    final = PermutationFinal(lambda key: (key[0], key[1], 0))
+    final = FiberFinal(lambda lidx, aidx, ws: 0)
     from ttquery.statevec import SparseState
 
     state = SparseState((1, 1, 2), {(0, 0, 0): "3/5", (0, 0, 1): "4/5"})
@@ -94,6 +96,25 @@ def test_validate_computer_checks_norm():
     validate_computer(comp, [(1, ""), (2, "")])
 
 
+def test_run_rejects_non_unit_prequery_state():
+    # a library-built computer is checked on first use, not only on load
+    word = (QueryWord(1, "0"),)
+    comp = NonadaptiveComputer(
+        M=1,
+        n=1,
+        T=1,
+        advice_len=0,
+        output_width=1,
+        scratch_dim=1,
+        prequery=lambda block, advice: PrequeryState(
+            1, 2, {(word, 0): Fraction(1, 2), (word, 1): Fraction(1, 2)}
+        ),
+        final=FiberFinal(lambda lidx, aidx, ws: ws),
+    )
+    with pytest.raises(ModelError, match="norm"):
+        run(comp, 1, "", StepInstance(1, 1, (1,)))
+
+
 def test_advice_function_length_enforced():
     fn = AdviceFunction(2, lambda inst: "0")
     with pytest.raises(ModelError):
@@ -125,12 +146,18 @@ def test_computer_doc_roundtrip_fiber_form():
 def test_computer_doc_rejects_bad_fiber():
     comp, _ = get_subject("full", 1, 1, 0)
     doc = computer_to_doc(comp, [(1, "")])
-    if isinstance(doc["final"], dict):
-        broken = dict(doc["final"])
-        broken["table"] = {"0,0": [0, 0]}
-        doc = dict(doc, final=broken)
-        with pytest.raises(ModelError):
-            computer_from_doc(doc)
+    broken = dict(doc["final"])
+    broken["table"] = {"0,0": [0, 0]}
+    doc = dict(doc, final=broken)
+    with pytest.raises(ModelError):
+        computer_from_doc(doc)
+
+
+def test_computer_to_doc_rejects_non_permutation_fiber():
+    comp, _ = get_subject("full", 1, 1, 0)
+    comp.final = FiberFinal(lambda lidx, aidx, ws: 0)
+    with pytest.raises(ModelError, match="not a workspace permutation"):
+        computer_to_doc(comp, [(1, "")])
 
 
 def test_run_rejects_bad_width():

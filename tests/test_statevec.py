@@ -4,20 +4,13 @@ import pytest
 
 from ttquery.statevec import (
     DimensionMismatchError,
-    NotOrthogonalError,
-    OrthogonalMatrix,
     SparseState,
-    apply_matrix,
     as_rational,
     distance_sq,
     inner_product,
-    matrix_from_doc,
-    matrix_to_doc,
     measure_register,
     norm_sq,
     rational_str,
-    state_from_doc,
-    state_to_doc,
 )
 
 
@@ -70,33 +63,6 @@ def test_space_mismatch_rejected():
         inner_product(a, b)
 
 
-def test_orthogonal_matrix_accepts_rotation():
-    m = OrthogonalMatrix([["3/5", "-4/5"], ["4/5", "3/5"]])
-    assert m.entry(0, 0) == Fraction(3, 5)
-    assert m.transpose().entry(0, 1) == Fraction(4, 5)
-
-
-def test_orthogonal_matrix_rejects_non_orthogonal():
-    with pytest.raises(NotOrthogonalError):
-        OrthogonalMatrix([[1, 1], [0, 1]])
-
-
-def test_from_permutation_and_apply():
-    m = OrthogonalMatrix.from_permutation([1, 2, 0])
-    s = SparseState((3,), {(0,): Fraction(1)})
-    out = apply_matrix(m, s)
-    assert out.get((1,)) == 1
-
-
-def test_apply_matrix_single_register():
-    rot = OrthogonalMatrix([["3/5", "-4/5"], ["4/5", "3/5"]])
-    s = SparseState((2, 2), {(0, 1): Fraction(1)})
-    out = apply_matrix(rot, s, register=0)
-    assert out.get((0, 1)) == Fraction(3, 5)
-    assert out.get((1, 1)) == Fraction(4, 5)
-    assert norm_sq(out) == 1
-
-
 def test_measure_register_groups_leading_split():
     s = SparseState(
         (2, 4),
@@ -112,13 +78,3 @@ def test_measure_register_sums_to_norm():
     probs = measure_register(s, 0, 2)
     assert sum(probs.values()) == 1
     assert probs[0] == Fraction(9, 25)
-
-
-def test_state_doc_roundtrip():
-    s = SparseState((2, 3), {(0, 2): Fraction(3, 5), (1, 0): Fraction(-4, 5)})
-    assert state_from_doc(state_to_doc(s)) == s
-
-
-def test_matrix_doc_roundtrip():
-    m = OrthogonalMatrix([["3/5", "-4/5"], ["4/5", "3/5"]])
-    assert matrix_from_doc(matrix_to_doc(m)) == m
