@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .model import apply_oracle
+from .model import ModelError, apply_oracle
 from .ordered_search import StepInstance
 from .statevec import SparseState, as_rational, inner_product
 
@@ -75,8 +75,10 @@ def postquery_state(computer, advice, instance) -> SparseState:
     """State right after the oracle answers, before the final transform."""
     if computer.M != 1:
         raise PartitionError("single-block states only")
+    if (instance.M, instance.n) != (computer.M, computer.n):
+        raise ModelError("instance shape disagrees with computer")
     pre = computer.prequery_state(1, advice)
-    return apply_oracle(computer, pre, instance)
+    return apply_oracle(computer, pre, instance.steps)
 
 
 def final_state(computer, advice, instance) -> SparseState:

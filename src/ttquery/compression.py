@@ -4,8 +4,9 @@ The machinery here turns a query-bounded machine into a code for step
 vectors. Query weights classify each block as good (its own step prefix
 carries weight above a threshold) or bad. Good steps compress to a rank
 inside the machine's heavy-prefix list; bad steps either ship in full or
-drop their low-order bits, which the decoder wins back by simulating the
-machine on substituted oracle answers and reading the measurement.
+drop their low-order bits, which the decoder wins back by running the
+machine (model.run) with substituted per-block oracle thresholds and
+reading the answer measured with probability above 1/2.
 
 Everything is exact. Weights, thresholds, state amplitudes, and the two
 certifying inequalities are rationals; square roots are never
@@ -31,20 +32,14 @@ from math import isqrt
 from types import MappingProxyType
 from typing import Mapping
 
-from .model import (
-    NonadaptiveComputer,
-    answers_index,
-    apply_oracle,
-    list_index,
-    outcome_to_answer,
-)
+from .model import NonadaptiveComputer, apply_oracle, run
 from .ordered_search import (
     StepInstance,
     enumerate_instances,
     format_instance,
     rank_of,
 )
-from .statevec import Rational, SparseState, as_rational, distance_sq, measure_register
+from .statevec import Rational, as_rational, distance_sq
 
 
 class EncodingFormatError(ValueError):
@@ -609,7 +604,7 @@ def encode(ctx, computer, advice_fn, instance) -> Encoding:
 
 
 def _encode(ctx, computer, advice_fn, instance):
-    """Encoding plus the profile and, in case 2, the selection behind it."""
+    """Encoding plus its profile, its selection (case 2 only) and advice."""
     _check_pair(ctx, computer)
     f = advice_fn(instance)
     prof = profile(computer, advice_fn, instance, ctx.p, ctx.params)
@@ -631,45 +626,22 @@ def _encode(ctx, computer, advice_fn, instance):
                 w.put(f"suffix-{bp.block}", names[bp.block][cut:])
             else:
                 w.put(f"name-{bp.block}", names[bp.block])
-        return w.build(1), prof, None
+        return w.build(1), prof, None, f
     for i in good:
         w.put(f"name-{i}", names[i])
     bad = [bp.block for bp in prof.blocks if not bp.good]
     for j in bad:
         w.put(f"prefix-{j}", names[j][:cut])
-    sel = lwss(computer, advice_fn, instance, prof, ctx)
+    sel = _select(ctx, computer, f, {j: names[j][:cut] for j in bad})
     chosen = set(sel.W)
     for j in bad:
         if j not in chosen:
             w.put(f"suffix-{j}", names[j][cut:])
-    return w.build(2), prof, sel
+    return w.build(2), prof, sel, f
 
 
 # ---------------------------------------------------------------------------
 # Decoders
-
-
-def _oracle_with_answers(computer, block, advice, answer_fn) -> SparseState:
-    """Oracle application with answer bits supplied by a rule, not an instance."""
-    pre = computer.prequery_state(block, advice)
-    amps: dict = {}
-    for (words, ws), amp in pre.items():
-        bits = tuple(answer_fn(w.block, w.location) for w in words)
-        key = (
-            list_index(words, computer.M, computer.n),
-            answers_index(bits),
-            ws,
-        )
-        amps[key] = amps.get(key, Fraction(0)) + amp
-    return SparseState(computer.state_dims(), amps)
-
-
-def _majority_outcome(state, p):
-    dist = measure_register(state, 2, p)
-    for outcome, prob in dist.items():
-        if prob > Fraction(1, 2):
-            return outcome
-    return None
 
 
 def decode(ctx, computer, advice_fn, encoding: Encoding) -> StepInstance:
@@ -682,10 +654,10 @@ def decode(ctx, computer, advice_fn, encoding: Encoding) -> StepInstance:
     Good blocks are recovered by rerunning the machine's prequery side
     and indexing into its heavy-prefix list. In case 2 the unselected bad
     blocks come straight from stored prefix and suffix bits, and each
-    selected block is recovered by feeding the machine substituted oracle
-    answers (exact for every word whose step is already known, 0 for
-    words touching still-unknown selected steps), applying the final
-    transform, and reading the unique measurement outcome above 1/2.
+    selected block is recovered by running the machine with substituted
+    thresholds (see _substituted_steps: true steps for known blocks, the
+    first rank past its prefix group for each still-pending one) and
+    taking the answer whose probability is above 1/2.
     """
     _check_pair(ctx, computer)
     r = BitReader(encoding.bits)
@@ -738,15 +710,13 @@ def decode(ctx, computer, advice_fn, encoding: Encoding) -> StepInstance:
         prefix_of.update(prefixes)
         pending = set(sel.W)
         for pivot in sel.W:
-            answer_fn = _substitution_rule(cut, names, prefix_of, pending)
-            state = _oracle_with_answers(computer, pivot, f, answer_fn)
-            state = computer.final.apply(state)
-            outcome = _majority_outcome(state, ctx.p)
-            if outcome is None:
+            steps = _substituted_steps(ctx.M, ctx.p, names, prefix_of, pending)
+            suffix = _majority(run(computer, pivot, f, steps, width=ctx.p))
+            if suffix is None:
                 raise DecodeError(
                     f"no outcome for block {pivot} wins a strict majority"
                 )
-            names[pivot] = prefix_of[pivot] + outcome_to_answer(outcome, ctx.p)
+            names[pivot] = prefix_of[pivot] + suffix
             pending.discard(pivot)
     r.expect_end()
     instance = StepInstance(
@@ -757,27 +727,26 @@ def decode(ctx, computer, advice_fn, encoding: Encoding) -> StepInstance:
     return instance
 
 
-def _substitution_rule(cut, names, prefix_of, pending):
-    """Answer rule used while a selected block's step is being recovered.
+def _substituted_steps(M, p, names, prefix_of, pending) -> tuple[int, ...]:
+    """Per-block thresholds used while a selected block is being recovered.
 
-    Words whose location prefix differs from the owning block's step
-    prefix get their true answer, which the prefix comparison alone
-    determines. On a prefix match the answer needs the step's suffix:
-    exact when known, substituted by 0 while the owner is still pending.
+    A known block answers by its true step. A pending block is known only
+    up to its prefix group, the 2**p steps sharing its leading n-p bits; it
+    answers by the first rank past that group, so its words are answered 1
+    exactly when their prefix sorts after the block's. For the last group
+    that threshold is N + 1.
     """
+    return tuple(
+        (int(prefix_of[i] or "0", 2) + 1) * 2**p + 1
+        if i in pending
+        else rank_of(names[i])
+        for i in range(1, M + 1)
+    )
 
-    def answer(block, location):
-        v, z = location[:cut], location[cut:]
-        own = prefix_of[block]
-        if v < own:
-            return 0
-        if v > own:
-            return 1
-        if block in pending:
-            return 0
-        return 1 if z >= names[block][cut:] else 0
 
-    return answer
+def _majority(dist):
+    """The answer whose probability is above 1/2, or None."""
+    return next((a for a, prob in dist.items() if prob > Fraction(1, 2)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -839,13 +808,11 @@ def decode_single(n, k, params, computer, encoding: Encoding) -> StepInstance:
         name = heavy[rank] + suffix
     else:
         prefix = r.take(cut)
-        answer = _substitution_rule(cut, {}, {1: prefix}, {1})
-        state = _oracle_with_answers(computer, 1, f, answer)
-        state = computer.final.apply(state)
-        outcome = _majority_outcome(state, p)
-        if outcome is None:
+        steps = _substituted_steps(1, p, {}, {1: prefix}, {1})
+        suffix = _majority(run(computer, 1, f, steps, width=p))
+        if suffix is None:
             raise DecodeError("no outcome wins a strict majority")
-        name = prefix + outcome_to_answer(outcome, p)
+        name = prefix + suffix
     r.expect_end()
     return StepInstance(1, n, (rank_of(name),))
 
@@ -965,8 +932,7 @@ class AuditReport:
 
 
 def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
-    enc, prof, selection = _encode(ctx, computer, advice_fn, instance)
-    f = advice_fn(instance)
+    enc, prof, selection, f = _encode(ctx, computer, advice_fn, instance)
     lp = prof.l_prime
 
     rank_ok = all(
@@ -1017,11 +983,12 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
         names = {i: instance.step_bits(i) for i in range(1, ctx.M + 1)}
         prefix_of = {i: names[i][:cut] for i in names}
         for pivot in selection.W:
-            rule = _substitution_rule(cut, names, prefix_of, pending)
-            substituted = _oracle_with_answers(computer, pivot, f, rule)
+            steps = _substituted_steps(ctx.M, ctx.p, names, prefix_of, pending)
             pre = computer.prequery_state(pivot, f)
-            true_state = apply_oracle(computer, pre, instance)
-            d = distance_sq(substituted, true_state)
+            d = distance_sq(
+                apply_oracle(computer, pre, steps),
+                apply_oracle(computer, pre, instance.steps),
+            )
             distance_values.append(d)
             if d > 4 * ctx.C:
                 distance_ok = False

@@ -37,7 +37,6 @@ from .compression import (
     encode,
     encode_single,
     single_block_bound,
-    verify_pigeonhole,
 )
 from .model import advice_from_doc, computer_from_doc, run
 from .ordered_search import (
@@ -259,7 +258,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> Report:
     for instance in _instances(cfg):
         f = advice_fn(instance)
         for block in blocks:
-            dist = run(computer, block, f, instance, width=cfg.p)
+            dist = run(computer, block, f, instance.steps, width=cfg.p)
             expected = eval_G(instance, block, cfg.p)
             error = 1 - dist.get(expected, Fraction(0))
             max_error = max(max_error, error)
@@ -294,20 +293,39 @@ def cmd_simulate(cfg: ExperimentConfig) -> Report:
     )
 
 
-def _roundtrip_multi(cfg, computer, advice_fn):
-    ctx = _context(cfg, computer)
+def _coder(cfg, computer, advice_fn):
+    """Encode and decode functions of the configured scheme for one instance."""
+    if cfg.scheme == "multi":
+        ctx = _context(cfg, computer)
+        return (
+            lambda instance: encode(ctx, computer, advice_fn, instance),
+            lambda enc: decode(ctx, computer, advice_fn, enc),
+        )
+    if cfg.M != 1:
+        raise ConfigError("the single scheme needs M = 1")
+    params = _params(cfg)
+    if cfg.k + 1 > cfg.n:
+        raise ConfigError("the single scheme needs k + 1 <= n")
+    if cfg.k + 1 > computer.output_width:
+        raise ConfigError("the single scheme reads k + 1 cells, more than the subject writes")
+    return (
+        lambda instance: encode_single(cfg.n, cfg.k, params, computer, advice_fn, instance),
+        lambda enc: decode_single(cfg.n, cfg.k, params, computer, enc),
+    )
+
+
+def cmd_roundtrip(cfg: ExperimentConfig) -> Report:
+    computer, advice_fn = resolve_subject(cfg)
+    encode_one, decode_one = _coder(cfg, computer, advice_fn)
     rows = []
     pairs = []
-    all_pass = True
     for instance in _instances(cfg):
-        enc = encode(ctx, computer, advice_fn, instance)
+        enc = encode_one(instance)
         pairs.append((instance, enc))
         try:
-            back = decode(ctx, computer, advice_fn, enc)
-            status = _PASS if back == instance else _FAIL
+            status = _PASS if decode_one(enc) == instance else _FAIL
         except (DecodeError, EncodingFormatError, LwssExhaustedError):
             status = _FAIL
-        all_pass = all_pass and status == _PASS
         rows.append(
             (
                 format_instance(instance),
@@ -319,79 +337,34 @@ def _roundtrip_multi(cfg, computer, advice_fn):
             )
         )
     # The census always covers the whole sweep, also when one instance is run.
-    if cfg.instance is None:
-        pig = census(pairs, cfg.M * cfg.n)
-    else:
-        pig = verify_pigeonhole(ctx, computer, advice_fn, cfg.M, cfg.n, cfg.budget)
-    summary = {
-        "scheme": "multi",
-        "subject": cfg.subject,
-        "l": cfg.l,
-        "roundtrips": f"{sum(1 for r in rows if r[-1] == _PASS)}/{len(rows)}",
-        "injective": pig.injective,
-        "case1": pig.case1_count,
-        "case2": pig.case2_count,
-        "min_length": pig.min_length,
-        "max_length": pig.max_length,
-        "codes_at_least_Mn": pig.long_count,
-    }
-    return rows, summary, all_pass and pig.ok
-
-
-def _roundtrip_single(cfg, computer, advice_fn):
-    if cfg.M != 1:
-        raise ConfigError("the single scheme needs M = 1")
-    params = _params(cfg)
-    if cfg.k + 1 > cfg.n:
-        raise ConfigError("the single scheme needs k + 1 <= n")
-    if cfg.k + 1 > computer.output_width:
-        raise ConfigError("the single scheme reads k + 1 cells, more than the subject writes")
-    rows = []
-    pairs = []
-    all_pass = True
-    for instance in _instances(cfg):
-        enc = encode_single(cfg.n, cfg.k, params, computer, advice_fn, instance)
-        pairs.append((instance, enc))
-        try:
-            back = decode_single(cfg.n, cfg.k, params, computer, enc)
-            status = _PASS if back == instance else _FAIL
-        except (DecodeError, EncodingFormatError):
-            status = _FAIL
-        all_pass = all_pass and status == _PASS
-        rows.append(
-            (
-                format_instance(instance),
-                str(enc.case),
-                str(len(enc)),
-                enc.hex,
-                enc.items_compact(),
-                status,
-            )
+    if cfg.instance is not None:
+        pairs = (
+            (instance, encode_one(instance))
+            for instance in enumerate_instances(cfg.M, cfg.n, cfg.budget)
         )
-    pig = census(pairs, cfg.n)
+    pig = census(pairs, cfg.M * cfg.n)
+    passed = sum(1 for row in rows if row[-1] == _PASS)
     summary = {
-        "scheme": "single",
+        "scheme": cfg.scheme,
         "subject": cfg.subject,
-        "roundtrips": f"{sum(1 for r in rows if r[-1] == _PASS)}/{len(rows)}",
+        "roundtrips": f"{passed}/{len(rows)}",
         "injective": pig.injective,
         "max_length": pig.max_length,
         "codes_at_least_Mn": pig.long_count,
     }
-    return rows, summary, all_pass and pig.ok
-
-
-def cmd_roundtrip(cfg: ExperimentConfig) -> Report:
-    computer, advice_fn = resolve_subject(cfg)
-    if cfg.scheme == "single":
-        rows, summary, ok = _roundtrip_single(cfg, computer, advice_fn)
-    else:
-        rows, summary, ok = _roundtrip_multi(cfg, computer, advice_fn)
+    if cfg.scheme == "multi":
+        summary.update(
+            l=cfg.l,
+            case1=pig.case1_count,
+            case2=pig.case2_count,
+            min_length=pig.min_length,
+        )
     return Report(
         name="roundtrip",
         header=("instance", "case", "length", "hex", "items", "status"),
         rows=tuple(rows),
         summary=summary,
-        ok=ok,
+        ok=passed == len(rows) and pig.ok,
     )
 
 

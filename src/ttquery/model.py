@@ -7,6 +7,12 @@ a final orthogonal transform rewrites the workspace within each (query
 list, answers) fiber, and the output is read from the leading cells of the
 workspace register.
 
+The oracle takes one threshold per block and answers a word 1 exactly when
+its rank is at or past its block's threshold (threshold_answers, the only
+place this rule is written). An instance's steps are such thresholds; the
+compression decoders and audits substitute their own, in 1..N+1, and run
+the same machine through `run`.
+
 Output cells are ordered least-significant-bit-first: cell j holds the j-th
 bit from the end of the answer string. Narrower outputs are then prefixes of
 wider ones, so a computer that resolves the full step name also resolves
@@ -64,15 +70,17 @@ def list_index(words: QueryList, M: int, n: int) -> int:
     return idx
 
 
-def oracle_answers(instance: StepInstance, words: QueryList) -> tuple[int, ...]:
-    """Answer bits for a query list, in list order."""
-    return tuple(instance.answer(w.block, w.location) for w in words)
+def threshold_answers(words: QueryList, steps: Sequence[int]) -> int:
+    """Answer index of a query list under per-block thresholds.
 
-
-def answers_index(bits: Sequence[int]) -> int:
+    Word w is answered 1 exactly when rank_of(w.location) >= steps[w.block
+    - 1]; the bits, in list order, are read as a binary number. This is the
+    one answer rule: real instances answer by their steps, the decoders by
+    substituted thresholds.
+    """
     idx = 0
-    for b in bits:
-        idx = idx * 2 + b
+    for w in words:
+        idx = idx * 2 + (rank_of(w.location) >= steps[w.block - 1])
     return idx
 
 
@@ -237,16 +245,26 @@ def no_advice() -> AdviceFunction:
 
 
 def apply_oracle(
-    computer: NonadaptiveComputer, pre: PrequeryState, instance: StepInstance
+    computer: NonadaptiveComputer, pre: PrequeryState, steps: Sequence[int]
 ) -> SparseState:
-    """Fill the answer register according to the instance, per basis term."""
-    if instance.M != computer.M or instance.n != computer.n:
-        raise ModelError("instance shape disagrees with computer")
+    """Fill the answer register by per-block thresholds, per basis term.
+
+    steps holds one threshold per block, each in 1..N+1: an instance's
+    steps, or the thresholds a decoder substitutes (see threshold_answers).
+    """
+    N = computer.N
+    if len(steps) != computer.M or any(not 1 <= s <= N + 1 for s in steps):
+        raise ModelError(
+            f"thresholds {tuple(steps)!r} are not {computer.M} values in 1..{N + 1}"
+        )
     dims = computer.state_dims()
     amps = {}
     for (words, ws), amp in pre.items():
-        answers = oracle_answers(instance, words)
-        key = (list_index(words, computer.M, computer.n), answers_index(answers), ws)
+        key = (
+            list_index(words, computer.M, computer.n),
+            threshold_answers(words, steps),
+            ws,
+        )
         amps[key] = amps.get(key, Fraction(0)) + amp
     return SparseState(dims, amps)
 
@@ -264,10 +282,13 @@ def run(
     computer: NonadaptiveComputer,
     block: int,
     advice: str,
-    instance: StepInstance,
+    steps: Sequence[int],
     width: int | None = None,
 ) -> dict[str, Fraction]:
-    """Exact distribution over answer strings read from the output cells."""
+    """Exact distribution over answer strings read from the output cells.
+
+    The oracle answers by the per-block thresholds steps (see apply_oracle).
+    """
     if width is None:
         width = computer.output_width
     if not 1 <= width <= computer.output_width:
@@ -275,18 +296,9 @@ def run(
             f"cannot read {width} cells from a {computer.output_width}-cell output"
         )
     pre = computer.prequery_state(block, advice)
-    after = apply_oracle(computer, pre, instance)
-    final = computer.final.apply(after)
+    final = computer.final.apply(apply_oracle(computer, pre, steps))
     probs = measure_register(final, 2, width)
-    # Outcome blocks of the workspace register split as output cells first.
-    # The leading `width` cells survive; translate to answer strings.
-    out: dict[str, Fraction] = {}
-    for outcome, prob in probs.items():
-        # measure_register already grouped by the leading 2**width split of
-        # the whole register, which is exactly the first `width` cells.
-        out_answer = outcome_to_answer(outcome, width)
-        out[out_answer] = out.get(out_answer, Fraction(0)) + prob
-    return out
+    return {outcome_to_answer(outcome, width): prob for outcome, prob in probs.items()}
 
 
 def error_probability(
@@ -297,8 +309,10 @@ def error_probability(
     block: int,
 ) -> Fraction:
     """1 minus the probability mass on the correct last-p-bits answer."""
+    if (instance.M, instance.n) != (computer.M, computer.n):
+        raise ModelError("instance shape disagrees with computer")
     advice = advice_fn(instance)
-    dist = run(computer, block, advice, instance, width=p)
+    dist = run(computer, block, advice, instance.steps, width=p)
     correct = eval_G(instance, block, p)
     return Fraction(1) - dist.get(correct, Fraction(0))
 
@@ -335,23 +349,21 @@ def validate_computer(
 def _reachable_answers(words: QueryList) -> set[int]:
     """Answer indices a query list can receive.
 
-    Real instances and the decoders' substitution rule both answer a block
-    by a threshold s in 1..N+1: a word is answered 1 exactly when its rank
-    is at least s. Over a block's distinct queried ranks r_1 < ... < r_m,
-    the thresholds r_1, ..., r_m and r_m + 1 already give every answer
-    pattern, so the product of those choices over blocks covers them all.
+    Real instances and the decoders' substituted thresholds both answer a
+    block by a threshold s in 1..N+1 (see threshold_answers). Over a
+    block's distinct queried ranks r_1 < ... < r_m, the thresholds r_1,
+    ..., r_m and r_m + 1 already give every answer pattern, so the product
+    of those choices over blocks covers them all; a block nobody queries
+    needs one placeholder threshold.
     """
-    ranks = [(w.block, rank_of(w.location)) for w in words]
-    queried: dict[int, set[int]] = {}
-    for block, r in ranks:
-        queried.setdefault(block, set()).add(r)
-    blocks = sorted(queried)
-    choices = [sorted(queried[b]) + [max(queried[b]) + 1] for b in blocks]
-    found = set()
-    for thresholds in itertools.product(*choices):
-        at = dict(zip(blocks, thresholds))
-        found.add(answers_index([1 if r >= at[b] else 0 for b, r in ranks]))
-    return found
+    ranks: dict[int, set[int]] = {}
+    for w in words:
+        ranks.setdefault(w.block, set()).add(rank_of(w.location))
+    choices = [
+        sorted(ranks[b]) + [max(ranks[b]) + 1] if b in ranks else [1]
+        for b in range(1, max(ranks, default=0) + 1)
+    ]
+    return {threshold_answers(words, steps) for steps in itertools.product(*choices)}
 
 
 def computer_to_doc(

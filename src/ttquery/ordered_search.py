@@ -2,7 +2,8 @@
 
 An instance is a vector of M step positions, one per block of size N = 2**n.
 Block j's characteristic string is 0^(s_j - 1) 1^(N - s_j + 1): querying a
-location answers whether that location is at or past the step. The target
+location answers whether that location is at or past the step (the oracle,
+model.threshold_answers, applies this rule to a query list). The target
 function returns the last p bits of the step's n-bit name.
 """
 
@@ -34,14 +35,6 @@ def rank_of(bits: str) -> int:
     if bits and any(b not in "01" for b in bits):
         raise ValueError(f"not a bit string: {bits!r}")
     return (int(bits, 2) if bits else 0) + 1
-
-
-def step_string(n: int, step: int) -> str:
-    """Characteristic string of a single block: 0^(s-1) 1^(N-s+1)."""
-    size = 2**n
-    if not 1 <= step <= size:
-        raise ValueError(f"step {step} outside 1..{size}")
-    return "0" * (step - 1) + "1" * (size - step + 1)
 
 
 @dataclass(frozen=True)
@@ -76,15 +69,6 @@ class StepInstance:
     def step_bits(self, block: int) -> str:
         """n-bit name of the block's step."""
         return bin_n(self.n, self.step(block))
-
-    def block_string(self, block: int) -> str:
-        return step_string(self.n, self.step(block))
-
-    def answer(self, block: int, location: str) -> int:
-        """Oracle bit: 1 iff the location is at or past the block's step."""
-        if len(location) != self.n or any(b not in "01" for b in location):
-            raise ValueError(f"bad location {location!r} for n={self.n}")
-        return 1 if rank_of(location) >= self.step(block) else 0
 
     def literal(self) -> str:
         return format_instance(self)

@@ -22,9 +22,17 @@ from ttquery.compression import (
     profile,
     verify_pigeonhole,
     weight_analysis,
+    _substituted_steps,
 )
-from ttquery.ordered_search import StepInstance, enumerate_instances, parse_instance
-from ttquery.subjects import build_single_query, get_subject
+from ttquery.model import AdviceFunction
+from ttquery.ordered_search import StepInstance, enumerate_instances, parse_instance, rank_of
+from ttquery.subjects import (
+    build_neighbor_probe,
+    build_probe,
+    build_shortcut,
+    build_single_query,
+    get_subject,
+)
 
 CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
 
@@ -353,3 +361,94 @@ def test_audit_with_no_queries_has_vacuous_certificate():
     audit = audit_instance(ctx, comp, adv, StepInstance(2, 2, (4, 1)))
     assert audit.certificate is None and audit.certificate_ok
     assert audit.ok
+
+
+# ------------------------------------------------------- substituted answers
+
+
+def _closure_rule(cut, names, prefix_of, pending):
+    """The substitution rule as a per-word closure, kept as the reference.
+
+    A location prefix below or above the owning block's step prefix gets
+    its true answer; on a prefix match the answer compares suffixes when
+    the step is known and is 0 while the owner is pending.
+    """
+
+    def answer(block, location):
+        v, z = location[:cut], location[cut:]
+        own = prefix_of[block]
+        if v < own:
+            return 0
+        if v > own:
+            return 1
+        if block in pending:
+            return 0
+        return 1 if z >= names[block][cut:] else 0
+
+    return answer
+
+
+@pytest.mark.parametrize(
+    "name, M, n",
+    [
+        ("probe", 2, 2),
+        ("probe", 3, 2),
+        ("neighbor_probe", 3, 2),
+        ("shortcut", 1, 4),
+        ("single_query", 2, 3),
+    ],
+)
+def test_substituted_steps_match_closure_rule(name, M, n):
+    builders = {
+        "probe": build_probe,
+        "neighbor_probe": build_neighbor_probe,
+        "shortcut": lambda M, n: build_shortcut(n),
+        "single_query": build_single_query,
+    }
+    comp, _ = builders[name](M, n)
+    k = comp.advice_len
+    words = {
+        w
+        for block in range(1, M + 1)
+        for a in range(2**k)
+        for (qlist, _ws) in comp.prequery_state(block, format(a, f"0{k}b") if k else "").amps
+        for w in qlist
+    }
+    checked = 0
+    for p in range(1, n + 1):
+        cut = n - p
+        for instance in enumerate_instances(M, n):
+            names = {i: instance.step_bits(i) for i in range(1, M + 1)}
+            prefix_of = {i: names[i][:cut] for i in names}
+            for mask in range(2**M):
+                pending = {i for i in names if mask >> (i - 1) & 1}
+                steps = _substituted_steps(M, p, names, prefix_of, pending)
+                assert all(1 <= s <= 2**n + 1 for s in steps)
+                reference = _closure_rule(cut, names, prefix_of, pending)
+                for w in words:
+                    got = 1 if rank_of(w.location) >= steps[w.block - 1] else 0
+                    assert got == reference(w.block, w.location), (p, instance, pending, w)
+                    checked += 1
+    assert checked
+
+
+def _counting(advice_fn):
+    calls = []
+
+    def fn(instance):
+        calls.append(instance)
+        return advice_fn(instance)
+
+    return AdviceFunction(advice_fn.length, fn), calls
+
+
+@pytest.mark.parametrize("subject, M, n, k, l", [("probe", 4, 2, 4, 4), ("full", 2, 2, 0, 1)])
+def test_advice_evaluated_at_most_twice_per_encode_and_audit(subject, M, n, k, l):
+    comp, adv = get_subject(subject, M, n, k)
+    ctx = _ctx(M, n, 1, k, comp.T, l)
+    counted, calls = _counting(adv)
+    for instance in enumerate_instances(M, n):
+        for call in (encode, audit_instance):
+            calls.clear()
+            call(ctx, comp, counted, instance)
+            assert 1 <= len(calls) <= 2, (call.__name__, instance, len(calls))

@@ -165,13 +165,31 @@ def _write(tmp_path, text):
 
 def test_cli_exit_zero_and_files(tmp_path):
     cfg = _write(tmp_path, "M = 2\nn = 2\np = 1\nsubject = full\n")
-    out = str(tmp_path / "out")
-    assert main(["roundtrip", "--config", cfg, "--out", out]) == 0
-    rows = open(os.path.join(out, "roundtrip.csv")).read().splitlines()
+    out = tmp_path / "out"
+    assert main(["roundtrip", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "roundtrip.csv").read_text().splitlines()
     assert rows[0] == "instance,case,length,hex,items,status"
     assert len(rows) == 17
-    doc = json.load(open(os.path.join(out, "roundtrip.json")))
+    doc = json.loads((out / "roundtrip.json").read_text())
     assert doc["ok"] is True
+
+
+def test_cli_one_instance_single_scheme_censuses_the_sweep(tmp_path):
+    # step 8 roundtrips; its own 3-bit code is short, but the sweep's
+    # census has 13 codes of at least Mn bits, so the run passes
+    sweep = "M = 1\nn = 4\nk = 1\np = 1\nsubject = shortcut\nscheme = single\n"
+    out = tmp_path / "one"
+    cfg = _write(tmp_path, sweep + "instance = M=1 n=4 steps=8\n")
+    assert main(["roundtrip", "--config", cfg, "--out", str(out)]) == 0
+    one = json.loads((out / "roundtrip.json").read_text())
+    assert one["ok"] is True
+    assert one["summary"]["roundtrips"] == "1/1"
+    assert one["summary"]["codes_at_least_Mn"] == 13
+    whole = cmd_roundtrip(build_config(parse_config(sweep)))
+    census_fields = ("injective", "max_length", "codes_at_least_Mn")
+    assert {f: one["summary"][f] for f in census_fields} == {
+        f: whole.summary[f] for f in census_fields
+    }
 
 
 def test_cli_exit_two_on_bad_config(tmp_path, capsys):

@@ -12,7 +12,6 @@ from ttquery.model import (
     advice_from_doc,
     advice_to_doc,
     answer_to_outcome,
-    answers_index,
     apply_oracle,
     computer_from_doc,
     computer_to_doc,
@@ -20,9 +19,9 @@ from ttquery.model import (
     list_index,
     max_error,
     no_advice,
-    oracle_answers,
     outcome_to_answer,
     run,
+    threshold_answers,
     validate_computer,
 )
 from ttquery.ordered_search import StepInstance, bin_n, enumerate_instances
@@ -47,10 +46,9 @@ def test_list_index_roundtrip():
 
 
 def test_oracle_answers_duplicates_answered_alike():
-    inst = StepInstance(1, 2, (2,))
+    # step 2: both copies of rank 2 answer 1, rank 1 answers 0, so bits 110
     words = (QueryWord(1, "01"), QueryWord(1, "01"), QueryWord(1, "00"))
-    assert oracle_answers(inst, words) == (1, 1, 0)
-    assert answers_index((1, 1, 0)) == 6
+    assert threshold_answers(words, (2,)) == 0b110
 
 
 def test_prequery_state_checks_shape():
@@ -73,14 +71,14 @@ def test_full_query_worked_example():
     # two-bit search, step 3: the machine answers "10" with certainty
     comp, adv = get_subject("full", 1, 2, 0)
     inst = StepInstance(1, 2, (3,))
-    dist = run(comp, 1, adv(inst), inst)
+    dist = run(comp, 1, adv(inst), inst.steps)
     assert dist == {"10": Fraction(1)}
 
 
 def test_narrow_width_is_answer_suffix():
     comp, adv = get_subject("full", 1, 2, 0)
     inst = StepInstance(1, 2, (3,))
-    dist = run(comp, 1, adv(inst), inst, width=1)
+    dist = run(comp, 1, adv(inst), inst.steps, width=1)
     assert dist == {"0": Fraction(1)}
 
 
@@ -112,7 +110,7 @@ def test_run_rejects_non_unit_prequery_state():
         final=FiberFinal(lambda lidx, aidx, ws: ws),
     )
     with pytest.raises(ModelError, match="norm"):
-        run(comp, 1, "", StepInstance(1, 1, (1,)))
+        run(comp, 1, "", (1,))
 
 
 def test_advice_function_length_enforced():
@@ -126,7 +124,7 @@ def test_apply_oracle_keys_by_list_and_answers():
     comp, adv = get_subject("full", 1, 1, 0)
     inst = StepInstance(1, 1, (2,))
     pre = comp.prequery_state(1, "")
-    after = apply_oracle(comp, pre, inst)
+    after = apply_oracle(comp, pre, inst.steps)
     # one query of location "0": answer 0 under step 2, so answer index 0
     ((key, amp),) = after.items()
     assert key[1] == 0
@@ -164,4 +162,21 @@ def test_run_rejects_bad_width():
     comp, adv = get_subject("full", 1, 2, 0)
     inst = StepInstance(1, 2, (1,))
     with pytest.raises(ModelError):
-        run(comp, 1, "", inst, width=3)
+        run(comp, 1, "", inst.steps, width=3)
+
+
+@pytest.mark.parametrize("steps", [(), (1, 1), (0,), (6,)])
+def test_apply_oracle_rejects_bad_thresholds(steps):
+    # one threshold per block, each in 1..N+1 (N = 4 here)
+    comp, _ = get_subject("full", 1, 2, 0)
+    pre = comp.prequery_state(1, "")
+    with pytest.raises(ModelError, match="thresholds"):
+        apply_oracle(comp, pre, steps)
+    # N + 1 is the largest threshold: every word is answered 0
+    assert all(key[1] == 0 for key, _ in apply_oracle(comp, pre, (5,)).items())
+
+
+def test_error_probability_checks_instance_shape():
+    comp, adv = get_subject("full", 1, 2, 0)
+    with pytest.raises(ModelError, match="shape"):
+        error_probability(comp, adv, 1, StepInstance(1, 3, (5,)), 1)

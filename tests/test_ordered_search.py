@@ -1,5 +1,6 @@
 import pytest
 
+from ttquery.model import QueryWord, threshold_answers
 from ttquery.ordered_search import (
     BudgetExceededError,
     StepInstance,
@@ -10,7 +11,6 @@ from ttquery.ordered_search import (
     instance_count,
     parse_instance,
     rank_of,
-    step_string,
 )
 
 
@@ -29,18 +29,15 @@ def test_bin_n_range_checked():
         bin_n(2, 0)
 
 
-def test_step_string_shape():
-    # step 3 of 8: two zeros then ones from position 3 on
-    assert step_string(3, 3) == "00111111"
-    assert step_string(1, 1) == "11"
-    assert step_string(1, 2) == "01"
-
-
 def test_answer_is_step_threshold():
     inst = StepInstance(1, 3, (5,))
-    assert inst.answer(1, bin_n(3, 4)) == 0
-    assert inst.answer(1, bin_n(3, 5)) == 1
-    assert inst.answer(1, bin_n(3, 8)) == 1
+
+    def answer(rank):
+        return threshold_answers((QueryWord(1, bin_n(3, rank)),), inst.steps)
+
+    assert answer(4) == 0
+    assert answer(5) == 1
+    assert answer(8) == 1
 
 
 def test_instance_validation():

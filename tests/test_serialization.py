@@ -24,7 +24,6 @@ from ttquery.model import (
     QueryWord,
     _reachable_answers,
     advice_to_doc,
-    answers_index,
     computer_to_doc,
 )
 from ttquery.ordered_search import enumerate_instances, rank_of
@@ -105,7 +104,7 @@ def test_reachable_answers_are_every_threshold_pattern():
         QueryWord(1, "10"),
     )
     patterns = {
-        answers_index([1 if rank_of(w.location) >= s[w.block - 1] else 0 for w in words])
+        int("".join("1" if rank_of(w.location) >= s[w.block - 1] else "0" for w in words), 2)
         for s in itertools.product(range(1, 6), repeat=2)
     }
     assert _reachable_answers(words) == patterns
