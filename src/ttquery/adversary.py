@@ -77,8 +77,7 @@ def postquery_state(computer, advice, instance) -> SparseState:
         raise PartitionError("single-block states only")
     if (instance.M, instance.n) != (computer.M, computer.n):
         raise ModelError("instance shape disagrees with computer")
-    pre = computer.prequery_state(1, advice)
-    return apply_oracle(computer, pre, instance.steps)
+    return apply_oracle(computer, 1, advice, instance.steps)
 
 
 def final_state(computer, advice, instance) -> SparseState:

@@ -984,10 +984,9 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
         prefix_of = {i: names[i][:cut] for i in names}
         for pivot in selection.W:
             steps = _substituted_steps(ctx.M, ctx.p, names, prefix_of, pending)
-            pre = computer.prequery_state(pivot, f)
             d = distance_sq(
-                apply_oracle(computer, pre, steps),
-                apply_oracle(computer, pre, instance.steps),
+                apply_oracle(computer, pivot, f, steps),
+                apply_oracle(computer, pivot, f, instance.steps),
             )
             distance_values.append(d)
             if d > 4 * ctx.C:

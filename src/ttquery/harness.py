@@ -159,7 +159,9 @@ def resolve_subject(cfg: ExperimentConfig):
             doc = json.load(fh)
     except OSError as e:
         raise ConfigError(f"subject is neither a built-in name nor a readable file: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # malformed JSON, bytes that are not UTF-8, or an integer too long
+        # for int() (Python's digit limit)
         raise ConfigError(f"subject file is not valid JSON: {e}") from None
     try:
         computer = computer_from_doc(doc["computer"])

@@ -13,6 +13,12 @@ place this rule is written). An instance's steps are such thresholds; the
 compression decoders and audits substitute their own, in 1..N+1, and run
 the same machine through `run`.
 
+Query words carry n-bit location strings, which is also how documents store
+them. Each word is parsed once: when a computer validates a prequery state
+it caches, with that state, the state's oracle terms (list index, words as
+(block, rank) int pairs, workspace cell, amplitude), and `apply_oracle`
+reads only those.
+
 Output cells are ordered least-significant-bit-first: cell j holds the j-th
 bit from the end of the answer string. Narrower outputs are then prefixes of
 wider ones, so a computer that resolves the full step name also resolves
@@ -22,6 +28,7 @@ every last-p-bits coarsening by measuring fewer cells.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -56,32 +63,33 @@ def check_word(word: QueryWord, M: int, n: int) -> None:
         raise ModelError(f"bad location {word.location!r} for n={n}")
 
 
-def word_index(word: QueryWord, M: int, n: int) -> int:
-    check_word(word, M, n)
-    return (word.block - 1) * 2**n + (rank_of(word.location) - 1)
+def _ranked_index(ranked_words, M: int, n: int) -> int:
+    """list_index of a query list given as (block, rank) pairs."""
+    idx = 0
+    for block, rank in ranked_words:
+        idx = idx * (M << n) + ((block - 1) << n) + rank - 1
+    return idx
 
 
 def list_index(words: QueryList, M: int, n: int) -> int:
     """Lexicographic index of a query list among all (M * N)^T lists."""
-    base = M * 2**n
-    idx = 0
     for word in words:
-        idx = idx * base + word_index(word, M, n)
-    return idx
+        check_word(word, M, n)
+    return _ranked_index(((w.block, rank_of(w.location)) for w in words), M, n)
 
 
-def threshold_answers(words: QueryList, steps: Sequence[int]) -> int:
+def threshold_answers(ranked_words, steps: Sequence[int]) -> int:
     """Answer index of a query list under per-block thresholds.
 
-    Word w is answered 1 exactly when rank_of(w.location) >= steps[w.block
-    - 1]; the bits, in list order, are read as a binary number. This is the
-    one answer rule: real instances answer by their steps, the decoders by
+    ranked_words holds one (block, rank) int pair per word, in list order,
+    as the oracle terms cache them (see NonadaptiveComputer.prequery_state).
+    Word (block, rank) is answered 1 exactly when rank >= steps[block - 1];
+    the bits, in list order, are read as a binary number. This is the one
+    answer rule: real instances answer by their steps, the decoders by
     substituted thresholds.
     """
-    idx = 0
-    for w in words:
-        idx = idx * 2 + (rank_of(w.location) >= steps[w.block - 1])
-    return idx
+    bits = ["1" if rank >= steps[block - 1] else "0" for block, rank in ranked_words]
+    return int("".join(bits), 2) if bits else 0
 
 
 @dataclass(frozen=True)
@@ -151,6 +159,13 @@ class FiberFinal(FinalTransform):
         return SparseState(state.dims, out)
 
 
+class _CachedInput(NamedTuple):
+    """A validated prequery state and its oracle terms (see prequery_state)."""
+
+    state: PrequeryState
+    terms: tuple
+
+
 @dataclass
 class NonadaptiveComputer:
     """A truth-table query computer for the M-block problem over n-bit blocks.
@@ -162,10 +177,14 @@ class NonadaptiveComputer:
 
     The computer caches what it derives from its prequery states, so
     `prequery` must be a pure function of (block, advice): it is called at
-    most once per pair. `prequery_state` keeps each validated state, and
-    `weight_analyses` holds the compression coder's weight analyses, built
-    on first use. Both belong to this computer alone; the cached states and
-    analyses are shared by every caller and must be treated as read only.
+    most once per pair. `prequery_state` keeps each validated state together
+    with its oracle terms, one `(list_index, ranked_words, ws, amp)` tuple
+    per basis term, where ranked_words holds a (block, rank) int pair per
+    query word; every oracle application reads those terms, so no query
+    word is parsed twice. `weight_analyses` holds the compression coder's
+    weight analyses, built on first use. Both belong to this computer
+    alone; the cached states, terms and analyses are shared by every caller
+    and must be treated as read only.
     """
 
     M: int
@@ -200,11 +219,13 @@ class NonadaptiveComputer:
         """The validated prequery state of (block, advice), built once.
 
         Validation checks the state's shape, every query word and that the
-        squared norm is exactly 1.
+        squared norm is exactly 1. The same pass derives the state's oracle
+        terms, ranking each distinct query word once, and caches them with
+        the state under the same key.
         """
-        pre = self._states.get((block, advice))
-        if pre is not None:
-            return pre
+        cached = self._states.get((block, advice))
+        if cached is not None:
+            return cached.state
         if not 1 <= block <= self.M:
             raise ModelError(f"input block {block} outside 1..{self.M}")
         if len(advice) != self.advice_len:
@@ -214,16 +235,33 @@ class NonadaptiveComputer:
         pre = self.prequery(block, advice)
         if pre.T != self.T or pre.workspace_dim != self.workspace_dim:
             raise ModelError("prequery state shape disagrees with computer")
-        for words, _ws in pre.amps:
-            for word in words:
-                check_word(word, self.M, self.n)
+        ranks: dict[QueryWord, tuple[int, int]] = {}
+        lists: dict[QueryList, tuple[int, tuple]] = {}
+        terms = []
+        for (words, ws), amp in pre.items():
+            indexed = lists.get(words)
+            if indexed is None:
+                ranked = []
+                for word in words:
+                    pair = ranks.get(word)
+                    if pair is None:
+                        check_word(word, self.M, self.n)
+                        pair = ranks[word] = (word.block, rank_of(word.location))
+                    ranked.append(pair)
+                ranked = tuple(ranked)
+                indexed = lists[words] = (_ranked_index(ranked, self.M, self.n), ranked)
+            terms.append((*indexed, ws, amp))
         if pre.norm_sq() != 1:
             raise ModelError(
                 f"prequery norm^2 is {rational_str(pre.norm_sq())} for input "
                 f"({block}, {advice!r})"
             )
-        self._states[(block, advice)] = pre
+        self._states[(block, advice)] = _CachedInput(pre, tuple(terms))
         return pre
+
+    def _oracle_terms(self, block: int, advice: str) -> tuple:
+        self.prequery_state(block, advice)
+        return self._states[(block, advice)].terms
 
 
 @dataclass
@@ -245,28 +283,26 @@ def no_advice() -> AdviceFunction:
 
 
 def apply_oracle(
-    computer: NonadaptiveComputer, pre: PrequeryState, steps: Sequence[int]
+    computer: NonadaptiveComputer, block: int, advice: str, steps: Sequence[int]
 ) -> SparseState:
-    """Fill the answer register by per-block thresholds, per basis term.
+    """Fill the answer register of input (block, advice) by per-block thresholds.
 
     steps holds one threshold per block, each in 1..N+1: an instance's
     steps, or the thresholds a decoder substitutes (see threshold_answers).
+    The terms come from the computer's cache (see prequery_state), so this
+    is integer work only.
     """
     N = computer.N
     if len(steps) != computer.M or any(not 1 <= s <= N + 1 for s in steps):
         raise ModelError(
             f"thresholds {tuple(steps)!r} are not {computer.M} values in 1..{N + 1}"
         )
-    dims = computer.state_dims()
-    amps = {}
-    for (words, ws), amp in pre.items():
-        key = (
-            list_index(words, computer.M, computer.n),
-            threshold_answers(words, steps),
-            ws,
-        )
-        amps[key] = amps.get(key, Fraction(0)) + amp
-    return SparseState(dims, amps)
+    # list indices are distinct per query list, so every key is new
+    amps = {
+        (lidx, threshold_answers(ranked_words, steps), ws): amp
+        for lidx, ranked_words, ws, amp in computer._oracle_terms(block, advice)
+    }
+    return SparseState(computer.state_dims(), amps)
 
 
 def outcome_to_answer(outcome: int, width: int) -> str:
@@ -295,8 +331,7 @@ def run(
         raise ModelError(
             f"cannot read {width} cells from a {computer.output_width}-cell output"
         )
-    pre = computer.prequery_state(block, advice)
-    final = computer.final.apply(apply_oracle(computer, pre, steps))
+    final = computer.final.apply(apply_oracle(computer, block, advice, steps))
     probs = measure_register(final, 2, width)
     return {outcome_to_answer(outcome, width): prob for outcome, prob in probs.items()}
 
@@ -346,8 +381,8 @@ def validate_computer(
         computer.prequery_state(block, advice)
 
 
-def _reachable_answers(words: QueryList) -> set[int]:
-    """Answer indices a query list can receive.
+def _reachable_answers(ranked_words) -> set[int]:
+    """Answer indices a query list, as (block, rank) pairs, can receive.
 
     Real instances and the decoders' substituted thresholds both answer a
     block by a threshold s in 1..N+1 (see threshold_answers). Over a
@@ -357,13 +392,15 @@ def _reachable_answers(words: QueryList) -> set[int]:
     needs one placeholder threshold.
     """
     ranks: dict[int, set[int]] = {}
-    for w in words:
-        ranks.setdefault(w.block, set()).add(rank_of(w.location))
+    for block, rank in ranked_words:
+        ranks.setdefault(block, set()).add(rank)
     choices = [
         sorted(ranks[b]) + [max(ranks[b]) + 1] if b in ranks else [1]
         for b in range(1, max(ranks, default=0) + 1)
     ]
-    return {threshold_answers(words, steps) for steps in itertools.product(*choices)}
+    return {
+        threshold_answers(ranked_words, steps) for steps in itertools.product(*choices)
+    }
 
 
 def computer_to_doc(
@@ -391,13 +428,14 @@ def computer_to_doc(
                     ws,
                 ]
             )
-            lists[list_index(words, computer.M, computer.n)] = words
         table[f"{block}|{advice}"] = rows
+        for lidx, ranked_words, _ws, _amp in computer._oracle_terms(block, advice):
+            lists[lidx] = ranked_words
     identity = list(range(computer.workspace_dim))
     fn = computer.final.fn
     fiber_table = {}
-    for lidx, words in sorted(lists.items()):
-        for aidx in sorted(_reachable_answers(words)):
+    for lidx, ranked_words in sorted(lists.items()):
+        for aidx in sorted(_reachable_answers(ranked_words)):
             images = [fn(lidx, aidx, ws) for ws in identity]
             if sorted(images) != identity:
                 raise ModelError(f"fiber {lidx},{aidx} is not a workspace permutation")
@@ -415,6 +453,36 @@ def computer_to_doc(
     }
 
 
+def _doc_int(value, what: str, least: int | None = None) -> int:
+    """A JSON integer field: an int, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelError(f"{what} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ModelError(f"{what} must be at least {least}, not {value}")
+    return value
+
+
+def _doc_location(value) -> str:
+    if not isinstance(value, str):
+        raise ModelError(f"location {value!r} is not a bit string")
+    return value
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _doc_amp(value) -> Fraction:
+    """A JSON amplitude: an int or a "p/q" string, as rational_str writes it."""
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ModelError(f"amplitude {value!r} has a zero denominator") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ModelError(f"amplitude {value!r} is not an integer or a 'p/q' string")
+
+
 def _final_from_doc(final_doc, ws_dim: int) -> FiberFinal:
     if not isinstance(final_doc, Mapping):
         raise ModelError(
@@ -428,8 +496,8 @@ def _final_from_doc(final_doc, ws_dim: int) -> FiberFinal:
     fiber_map = {}
     for key, images in table.items():
         lidx_text, _, aidx_text = key.partition(",")
-        images = [int(v) for v in images]
-        if sorted(images) != list(range(ws_dim)):
+        images = [_doc_int(v, "fiber image") for v in images]
+        if len(images) != ws_dim or sorted(images) != list(range(ws_dim)):
             raise ModelError(f"fiber {key} is not a workspace permutation")
         fiber_map[(int(lidx_text), int(aidx_text))] = images
 
@@ -442,10 +510,11 @@ def _final_from_doc(final_doc, ws_dim: int) -> FiberFinal:
 
 def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
     """Load a computer from its serialized form (inverse of computer_to_doc)."""
-    M, n, T = int(doc["M"]), int(doc["n"]), int(doc["T"])
-    advice_len = int(doc["k"])
-    output_width = int(doc["p"])
-    scratch_dim = int(doc["scratch"])
+    M, n = _doc_int(doc["M"], "M", 1), _doc_int(doc["n"], "n", 1)
+    T = _doc_int(doc["T"], "T", 0)
+    advice_len = _doc_int(doc["k"], "k", 0)
+    output_width = _doc_int(doc["p"], "p", 0)
+    scratch_dim = _doc_int(doc["scratch"], "scratch", 1)
     ws_dim = 2**output_width * scratch_dim
     if not isinstance(doc["prequery"], Mapping):
         raise ModelError("prequery table must map inputs to rows")
@@ -454,8 +523,10 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
         block_text, _, advice = key.partition("|")
         amps = {}
         for amp, words, ws in rows:
-            qlist = tuple(QueryWord(int(b), str(loc)) for b, loc in words)
-            amps[(qlist, int(ws))] = as_rational(amp)
+            qlist = tuple(
+                QueryWord(_doc_int(b, "word block"), _doc_location(loc)) for b, loc in words
+            )
+            amps[(qlist, _doc_int(ws, "workspace cell"))] = _doc_amp(amp)
         table[(int(block_text), advice)] = PrequeryState(T, ws_dim, amps)
 
     def prequery(block: int, advice: str) -> PrequeryState:
@@ -486,7 +557,7 @@ def advice_from_doc(doc: Mapping) -> AdviceFunction:
     Every tabulated value must be a `length`-bit string; an instance with
     no entry raises MissingEntryError when its advice is asked for.
     """
-    length = int(doc["length"])
+    length = _doc_int(doc["length"], "advice length", 0)
     table = doc.get("table", {})
     if not isinstance(table, Mapping):
         raise ModelError("advice table must map instance literals to bit strings")

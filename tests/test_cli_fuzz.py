@@ -1,19 +1,25 @@
-"""Fuzz the command line over config text.
+"""Fuzz the command line over config text and subject documents.
 
-Whatever a config file says, every command must finish with exit 0 or 1
-and nothing on stderr, or refuse it with exit 2 and exactly one `error:`
-line; no exception may escape `cli.main`. Sizes stay at M <= 4 and n <= 3
-and the sweep budget stays small, so each case runs in milliseconds.
+Whatever a config file or a subject document says, every command must
+finish with exit 0 or 1 and nothing on stderr, or refuse it with exit 2 and
+exactly one `error:` line; no exception may escape `cli.main`. Sizes stay
+at M <= 4 and n <= 3 and the sweep budget stays small, so each case runs in
+milliseconds.
 """
 
 import contextlib
+import copy
 import io
+import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttquery.cli import main
-from ttquery.subjects import REGISTRY
+from ttquery.model import advice_to_doc, computer_to_doc
+from ttquery.ordered_search import enumerate_instances
+from ttquery.subjects import REGISTRY, get_subject
 
 
 def _mostly(valid, invalid):
@@ -75,3 +81,156 @@ def test_cli_config_fuzz_honours_exit_codes(tmp_path_factory, command, text):
     else:
         assert code in (0, 1), (text, code)
         assert lines == [], (text, lines)
+
+
+# ---------------------------------------------------------------------------
+# Subject documents
+
+_DOC_CONFIG = "subject = shortcut\nM = 1\nn = 3\nk = 1\np = 2\nl = 1\nbudget = 256\n"
+
+
+def _exported_doc():
+    comp, adv = get_subject("shortcut", 1, 3, 1)
+    return {
+        "computer": computer_to_doc(comp, [(1, "0"), (1, "1")]),
+        "advice": advice_to_doc(adv, enumerate_instances(1, 3)),
+    }
+
+
+_DOC = _exported_doc()
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, as a tuple of keys and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+_DOC_PATHS = sorted(_paths(_DOC), key=repr)
+# odd JSON values: bools, floats, out-of-range ints, bad rationals, wrong
+# containers, strings that look like bits; ints stay small, because a doc's
+# header sizes the workspace (2**p) before it is compared with the config
+_ODD_VALUES = [
+    *(True, False, None, 0.0, 3.5, -1, 0, 1, 2, 7, 1000),
+    *("1/0", "0/0", "-1/2", "1/2", "0.5", "x", "", "01", "011", "1|0"),
+    *([], {}, [1], [[1, "000"]]),
+]
+
+
+def _mutate(doc, path, op, value):
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    if op == "delete":
+        if isinstance(node, dict):
+            del node[last]
+        else:
+            node.pop(last)
+    elif op == "duplicate" and isinstance(node, list):
+        node.insert(last, copy.deepcopy(node[last]))
+    else:
+        node[last] = value
+
+
+def _run_doc(tmp_dir, doc, command):
+    subject = tmp_dir / "subject.json"
+    subject.write_text(json.dumps(doc))
+    cfg = tmp_dir / "cfg.txt"
+    cfg.write_text(_DOC_CONFIG)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--subject", str(subject)])
+    return code, err.getvalue().splitlines()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["simulate", "roundtrip", "lemmas"]),
+    mutations=st.lists(
+        st.tuples(
+            st.sampled_from(_DOC_PATHS),
+            st.sampled_from(["replace", "replace", "delete", "duplicate"]),
+            st.sampled_from(_ODD_VALUES),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_cli_subject_doc_fuzz_honours_exit_codes(tmp_path_factory, command, mutations):
+    doc = copy.deepcopy(_DOC)
+    for path, op, value in mutations:
+        try:
+            _mutate(doc, path, op, value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced this position
+    code, lines = _run_doc(tmp_path_factory.mktemp("docfuzz"), doc, command)
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (mutations, lines)
+    else:
+        assert code in (0, 1), (mutations, code)
+        assert lines == [], (mutations, lines)
+
+
+_FIRST_ROW = ("computer", "prequery", "1|0", 0)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (_FIRST_ROW + (0,), "1/0", "zero denominator"),
+        (_FIRST_ROW + (0,), True, "amplitude True"),
+        (_FIRST_ROW + (0,), "0.5", "'p/q' string"),
+        (_FIRST_ROW + (2,), 0.0, "workspace cell must be an integer"),
+        (_FIRST_ROW + (1, 0, 0), True, "word block must be an integer"),
+        (_FIRST_ROW + (1, 0, 1), 11, "location 11 is not a bit string"),
+        (("computer", "n"), 3.5, "n must be an integer"),
+        (("computer", "T"), True, "T must be an integer"),
+        (("computer", "scratch"), 0, "scratch must be at least 1"),
+        (("advice", "length"), 1.0, "advice length must be an integer"),
+    ],
+)
+def test_cli_subject_doc_bad_values_exit_two(tmp_path, path, value, message):
+    doc = copy.deepcopy(_DOC)
+    _mutate(doc, path, "replace", value)
+    code, lines = _run_doc(tmp_path, doc, "simulate")
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+def test_cli_subject_doc_bad_fiber_image_exits_two(tmp_path):
+    doc = copy.deepcopy(_DOC)
+    fibers = doc["computer"]["final"]["table"]
+    key = sorted(fibers)[0]
+    fibers[key] = [float(v) for v in fibers[key]]
+    code, lines = _run_doc(tmp_path, doc, "simulate")
+    assert code == 2 and len(lines) == 1 and "fiber image must be an integer" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"computer": {"M": ' + b"1" * 5000 + b"}}", b"\xff\xfe{}", b'{"computer": '],
+    ids=["5000-digit int", "not utf-8", "truncated"],
+)
+def test_cli_unreadable_subject_file_exits_two(tmp_path, content):
+    subject = tmp_path / "subject.json"
+    subject.write_bytes(content)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_DOC_CONFIG)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(cfg), "--subject", str(subject)])
+    lines = err.getvalue().splitlines()
+    assert code == 2 and len(lines) == 1 and "not valid JSON" in lines[0], lines
+
+
+def test_cli_subject_doc_unmutated_exits_zero(tmp_path):
+    code, lines = _run_doc(tmp_path, copy.deepcopy(_DOC), "simulate")
+    assert (code, lines) == (0, [])

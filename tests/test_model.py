@@ -47,8 +47,7 @@ def test_list_index_roundtrip():
 
 def test_oracle_answers_duplicates_answered_alike():
     # step 2: both copies of rank 2 answer 1, rank 1 answers 0, so bits 110
-    words = (QueryWord(1, "01"), QueryWord(1, "01"), QueryWord(1, "00"))
-    assert threshold_answers(words, (2,)) == 0b110
+    assert threshold_answers(((1, 2), (1, 2), (1, 1)), (2,)) == 0b110
 
 
 def test_prequery_state_checks_shape():
@@ -113,6 +112,34 @@ def test_run_rejects_non_unit_prequery_state():
         run(comp, 1, "", (1,))
 
 
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        (QueryWord(2, "01"), "block 2 outside"),
+        (QueryWord(1, "1"), "bad location"),
+        (QueryWord(1, "012"), "bad location"),
+    ],
+)
+def test_prequery_state_checks_every_word(word, message):
+    # the bad word sits in the second list, behind a valid one
+    good = (QueryWord(1, "01"),)
+    comp = NonadaptiveComputer(
+        M=1,
+        n=2,
+        T=1,
+        advice_len=0,
+        output_width=1,
+        scratch_dim=1,
+        prequery=lambda block, advice: PrequeryState(
+            1, 2, {(good, 0): Fraction(3, 5), ((word,), 1): Fraction(4, 5)}
+        ),
+        final=FiberFinal(lambda lidx, aidx, ws: ws),
+    )
+    with pytest.raises(ModelError, match=message):
+        run(comp, 1, "", (1,))
+    assert comp._states == {}
+
+
 def test_advice_function_length_enforced():
     fn = AdviceFunction(2, lambda inst: "0")
     with pytest.raises(ModelError):
@@ -123,8 +150,7 @@ def test_advice_function_length_enforced():
 def test_apply_oracle_keys_by_list_and_answers():
     comp, adv = get_subject("full", 1, 1, 0)
     inst = StepInstance(1, 1, (2,))
-    pre = comp.prequery_state(1, "")
-    after = apply_oracle(comp, pre, inst.steps)
+    after = apply_oracle(comp, 1, "", inst.steps)
     # one query of location "0": answer 0 under step 2, so answer index 0
     ((key, amp),) = after.items()
     assert key[1] == 0
@@ -169,11 +195,10 @@ def test_run_rejects_bad_width():
 def test_apply_oracle_rejects_bad_thresholds(steps):
     # one threshold per block, each in 1..N+1 (N = 4 here)
     comp, _ = get_subject("full", 1, 2, 0)
-    pre = comp.prequery_state(1, "")
     with pytest.raises(ModelError, match="thresholds"):
-        apply_oracle(comp, pre, steps)
+        apply_oracle(comp, 1, "", steps)
     # N + 1 is the largest threshold: every word is answered 0
-    assert all(key[1] == 0 for key, _ in apply_oracle(comp, pre, (5,)).items())
+    assert all(key[1] == 0 for key, _ in apply_oracle(comp, 1, "", (5,)).items())
 
 
 def test_error_probability_checks_instance_shape():

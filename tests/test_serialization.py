@@ -107,5 +107,5 @@ def test_reachable_answers_are_every_threshold_pattern():
         int("".join("1" if rank_of(w.location) >= s[w.block - 1] else "0" for w in words), 2)
         for s in itertools.product(range(1, 6), repeat=2)
     }
-    assert _reachable_answers(words) == patterns
+    assert _reachable_answers(tuple((w.block, rank_of(w.location)) for w in words)) == patterns
     assert len(patterns) == 3 * 3

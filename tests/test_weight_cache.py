@@ -1,9 +1,10 @@
 """Differential tests of the per-computer caches and the single-pass census.
 
 Each cached weight analysis is checked against a recomputation from a
-fresh call of the subject's own prequery function, each census folded into
-a sweep against an independent fresh encode or a direct recount, and each
-computer's caches against another computer's.
+fresh call of the subject's own prequery function, the oracle over cached
+terms against the oracle that parses every query word on every run, each
+census folded into a sweep against an independent fresh encode or a direct
+recount, and each computer's caches against another computer's.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from ttquery.compression import (
     DEFAULT_PARAMS,
     EncodingContext,
     ErrorParams,
+    _substituted_steps,
     audit_instance,
     census,
     encode,
@@ -25,7 +27,9 @@ from ttquery.compression import (
     weight_analysis,
 )
 from ttquery.harness import ExperimentConfig, cmd_roundtrip
-from ttquery.ordered_search import enumerate_instances
+from ttquery.model import QueryWord, apply_oracle, list_index
+from ttquery.ordered_search import bin_n, enumerate_instances, rank_of
+from ttquery.statevec import SparseState
 from ttquery.subjects import build_neighbor_probe, build_single_query, get_subject
 
 CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
@@ -84,6 +88,63 @@ def test_cached_analysis_and_state_are_read_only():
         wa.table[(1, "0")] = Fraction(0)
     with pytest.raises(TypeError):
         comp.prequery_state(1, "01").amps[((), 0)] = Fraction(1)
+
+
+def _straight_oracle(comp, pre, steps):
+    """The oracle without the term cache: every word parsed on every run."""
+    amps = {}
+    for (words, ws), amp in pre.items():
+        answers = 0
+        for w in words:
+            answers = answers * 2 + (rank_of(w.location) >= steps[w.block - 1])
+        key = (list_index(words, comp.M, comp.n), answers, ws)
+        amps[key] = amps.get(key, Fraction(0)) + amp
+    return SparseState(comp.state_dims(), amps)
+
+
+def _swept_thresholds(M, n):
+    """Every instance's steps and every threshold vector the coder substitutes."""
+    thresholds = set()
+    for instance in enumerate_instances(M, n):
+        thresholds.add(instance.steps)
+        names = {i: instance.step_bits(i) for i in range(1, M + 1)}
+        for p in range(1, n + 1):
+            prefix_of = {i: names[i][: n - p] for i in names}
+            for mask in range(1, 2**M):
+                pending = {i for i in names if mask >> (i - 1) & 1}
+                thresholds.add(_substituted_steps(M, p, names, prefix_of, pending))
+    return sorted(thresholds)
+
+
+@pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
+def test_cached_oracle_matches_straight_oracle(label, build, M, n, k, p):
+    comp, adv = build()
+    inputs = {(b, adv(i)) for i in enumerate_instances(M, n) for b in range(1, M + 1)}
+    thresholds = _swept_thresholds(M, n)
+    assert len(thresholds) > 2**(M * n)  # substituted vectors beyond the steps
+    for block, advice in sorted(inputs):
+        pre = comp.prequery(block, advice)
+        for steps in thresholds:
+            want = _straight_oracle(comp, pre, steps)
+            assert apply_oracle(comp, block, advice, steps) == want, (block, advice, steps)
+
+
+@pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
+def test_cached_terms_are_immutable_int_tuples(label, build, M, n, k, p):
+    comp, _ = build()
+    for block, advice in product(range(1, M + 1), _advice_strings(k)):
+        pre = comp.prequery_state(block, advice)
+        cached = comp._states[(block, advice)]
+        assert cached.state is pre
+        assert type(cached.terms) is tuple and len(cached.terms) == len(pre.amps)
+        for term in cached.terms:
+            assert type(term) is tuple
+            lidx, ranked_words, ws, amp = term
+            assert type(ranked_words) is tuple
+            assert all(type(b) is int and type(r) is int for b, r in ranked_words)
+            words = tuple(QueryWord(b, bin_n(n, r)) for b, r in ranked_words)
+            assert lidx == list_index(words, M, n)
+            assert pre.amps[(words, ws)] == amp
 
 
 def _multi_ctx(comp, M, n, k, p, l):
@@ -166,6 +227,10 @@ def test_computers_never_share_cached_entries():
     b = weight_analysis(second, 1, "01", 1, DEFAULT_PARAMS.C)
     assert a == b and a is not b
     assert first.prequery_state(1, "01") is not second.prequery_state(1, "01")
+    first_terms = first._states[(1, "01")].terms
+    second_terms = second._states[(1, "01")].terms
+    assert first_terms == second_terms and first_terms is not second_terms
+    assert all(x is not y for x, y in zip(first_terms, second_terms))
     # another threshold and a state read of the same input reuse the cached
     # state, and the new threshold keeps the cached table
     assert weight_analysis(first, 1, "01", 1, CERT_PARAMS.C).table is a.table
