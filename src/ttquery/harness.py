@@ -38,9 +38,8 @@ from .compression import (
     encode_single,
     single_block_bound,
 )
-from .model import advice_from_doc, computer_from_doc, run
+from .model import advice_from_doc, computer_from_doc, doc_shape, run
 from .ordered_search import (
-    BudgetExceededError,
     enumerate_instances,
     eval_G,
     format_instance,
@@ -163,14 +162,17 @@ def resolve_subject(cfg: ExperimentConfig):
         # malformed JSON, bytes that are not UTF-8, or an integer too long
         # for int() (Python's digit limit)
         raise ConfigError(f"subject file is not valid JSON: {e}") from None
+    # compare the doc's shape with the config before anything is sized from it
     try:
-        computer = computer_from_doc(doc["computer"])
-        advice_fn = advice_from_doc(doc["advice"])
+        shape = doc_shape(doc["computer"])
+        if shape == (cfg.M, cfg.n, cfg.k):
+            computer = computer_from_doc(doc["computer"])
+            advice_fn = advice_from_doc(doc["advice"])
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"subject file is malformed: {e}") from None
-    if (computer.M, computer.n) != (cfg.M, cfg.n):
+    if shape[:2] != (cfg.M, cfg.n):
         raise ConfigError("subject file disagrees with the configured M or n")
-    if computer.advice_len != cfg.k:
+    if shape[2] != cfg.k:
         raise ConfigError("subject file disagrees with the configured k")
     if advice_fn.length != computer.advice_len:
         raise ConfigError("subject file's advice length disagrees with its computer")
@@ -232,6 +234,7 @@ def _context(cfg, computer) -> EncodingContext:
 
 
 def _instances(cfg):
+    """The instance literal, or the sweep with its budget already checked."""
     if cfg.instance is not None:
         try:
             instance = parse_instance(cfg.instance)
@@ -247,6 +250,7 @@ _PASS, _FAIL = "pass", "fail"
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> Report:
+    instances = _instances(cfg)
     computer, advice_fn = resolve_subject(cfg)
     if not 1 <= cfg.p <= cfg.n:
         raise ConfigError("p must lie in [1, n]")
@@ -257,7 +261,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> Report:
         raise ConfigError("blocks must lie in [1, M]")
     rows = []
     max_error = Fraction(0)
-    for instance in _instances(cfg):
+    for instance in instances:
         f = advice_fn(instance)
         for block in blocks:
             dist = run(computer, block, f, instance.steps, width=cfg.p)
@@ -317,11 +321,14 @@ def _coder(cfg, computer, advice_fn):
 
 
 def cmd_roundtrip(cfg: ExperimentConfig) -> Report:
+    # The census always covers the whole sweep, also when one instance is run.
+    sweep = enumerate_instances(cfg.M, cfg.n, cfg.budget)
+    instances = _instances(cfg)
     computer, advice_fn = resolve_subject(cfg)
     encode_one, decode_one = _coder(cfg, computer, advice_fn)
     rows = []
     pairs = []
-    for instance in _instances(cfg):
+    for instance in instances:
         enc = encode_one(instance)
         pairs.append((instance, enc))
         try:
@@ -338,12 +345,8 @@ def cmd_roundtrip(cfg: ExperimentConfig) -> Report:
                 status,
             )
         )
-    # The census always covers the whole sweep, also when one instance is run.
     if cfg.instance is not None:
-        pairs = (
-            (instance, encode_one(instance))
-            for instance in enumerate_instances(cfg.M, cfg.n, cfg.budget)
-        )
+        pairs = ((instance, encode_one(instance)) for instance in sweep)
     pig = census(pairs, cfg.M * cfg.n)
     passed = sum(1 for row in rows if row[-1] == _PASS)
     summary = {
@@ -439,11 +442,12 @@ _LEMMA_CHECKS = (
 def cmd_lemmas(cfg: ExperimentConfig) -> Report:
     if cfg.scheme == "single":
         raise ConfigError("lemma audits apply to the multi scheme")
+    instances = _instances(cfg)
     computer, advice_fn = resolve_subject(cfg)
     ctx = _context(cfg, computer)
     rows = []
     failed = 0
-    for instance in _instances(cfg):
+    for instance in instances:
         audit = audit_instance(ctx, computer, advice_fn, instance)
         flags = [check(audit) for _, check in _LEMMA_CHECKS]
         if not all(flags):

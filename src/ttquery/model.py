@@ -1,11 +1,13 @@
 """Truth-table query computers over the block search problem.
 
 A computer fixes its whole query list up front: the prequery state is a
-superposition of (query list, workspace) basis terms with an implicit
-all-zero answer register. The oracle fills the answer register in one shot,
-a final orthogonal transform rewrites the workspace within each (query
-list, answers) fiber, and the output is read from the leading cells of the
-workspace register.
+superposition of (query list, workspace) basis terms. The oracle answers
+every word of a list in one shot, giving a post-oracle state keyed by
+(list index, answer index, workspace cell); a final orthogonal transform
+rewrites the workspace within each (list index, answer index) fiber, and
+the output is read from the leading workspace cells. The list and answer
+indices only label fibers, so the workspace is the one register with a
+size (statevec.SparseState).
 
 The oracle takes one threshold per block and answers a word 1 exactly when
 its rank is at or past its block's threshold (threshold_answers, the only
@@ -72,7 +74,7 @@ def _ranked_index(ranked_words, M: int, n: int) -> int:
 
 
 def list_index(words: QueryList, M: int, n: int) -> int:
-    """Lexicographic index of a query list among all (M * N)^T lists."""
+    """Lexicographic index of a query list among all lists of its length."""
     for word in words:
         check_word(word, M, n)
     return _ranked_index(((w.block, rank_of(w.location)) for w in words), M, n)
@@ -96,9 +98,8 @@ def threshold_answers(ranked_words, steps: Sequence[int]) -> int:
 class PrequeryState:
     """Superposition of (query list, workspace) terms before the oracle.
 
-    The answer register is implicitly all zeros. Every list must have
-    exactly T words; the squared amplitudes must sum to 1. The amplitude
-    map is read only, so a cached state can be shared.
+    Every list must have exactly T words; the squared amplitudes must sum
+    to 1. The amplitude map is read only, so a cached state can be shared.
     """
 
     T: int
@@ -156,7 +157,7 @@ class FiberFinal(FinalTransform):
             if new_key in out:
                 raise ModelError(f"final transform collides on {new_key!r}")
             out[new_key] = amp
-        return SparseState(state.dims, out)
+        return SparseState(state.workspace_dim, out)
 
 
 class _CachedInput(NamedTuple):
@@ -207,13 +208,6 @@ class NonadaptiveComputer:
     @property
     def workspace_dim(self) -> int:
         return 2**self.output_width * self.scratch_dim
-
-    @property
-    def list_space(self) -> int:
-        return (self.M * self.N) ** self.T
-
-    def state_dims(self) -> tuple[int, int, int]:
-        return (self.list_space, 2**self.T, self.workspace_dim)
 
     def prequery_state(self, block: int, advice: str) -> PrequeryState:
         """The validated prequery state of (block, advice), built once.
@@ -285,12 +279,13 @@ def no_advice() -> AdviceFunction:
 def apply_oracle(
     computer: NonadaptiveComputer, block: int, advice: str, steps: Sequence[int]
 ) -> SparseState:
-    """Fill the answer register of input (block, advice) by per-block thresholds.
+    """Answer every list of input (block, advice) by per-block thresholds.
 
     steps holds one threshold per block, each in 1..N+1: an instance's
     steps, or the thresholds a decoder substitutes (see threshold_answers).
     The terms come from the computer's cache (see prequery_state), so this
-    is integer work only.
+    is integer work only. The post-oracle state is sized by the workspace
+    alone.
     """
     N = computer.N
     if len(steps) != computer.M or any(not 1 <= s <= N + 1 for s in steps):
@@ -302,7 +297,7 @@ def apply_oracle(
         (lidx, threshold_answers(ranked_words, steps), ws): amp
         for lidx, ranked_words, ws, amp in computer._oracle_terms(block, advice)
     }
-    return SparseState(computer.state_dims(), amps)
+    return SparseState(computer.workspace_dim, amps)
 
 
 def outcome_to_answer(outcome: int, width: int) -> str:
@@ -332,7 +327,7 @@ def run(
             f"cannot read {width} cells from a {computer.output_width}-cell output"
         )
     final = computer.final.apply(apply_oracle(computer, block, advice, steps))
-    probs = measure_register(final, 2, width)
+    probs = measure_register(final, width)
     return {outcome_to_answer(outcome, width): prob for outcome, prob in probs.items()}
 
 
@@ -462,6 +457,15 @@ def _doc_int(value, what: str, least: int | None = None) -> int:
     return value
 
 
+def doc_shape(doc: Mapping) -> tuple[int, int, int]:
+    """The (M, n, k) of a computer doc, checked as ints; nothing is built."""
+    return (
+        _doc_int(doc["M"], "M", 1),
+        _doc_int(doc["n"], "n", 1),
+        _doc_int(doc["k"], "k", 0),
+    )
+
+
 def _doc_location(value) -> str:
     if not isinstance(value, str):
         raise ModelError(f"location {value!r} is not a bit string")
@@ -509,11 +513,16 @@ def _final_from_doc(final_doc, ws_dim: int) -> FiberFinal:
 
 
 def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
-    """Load a computer from its serialized form (inverse of computer_to_doc)."""
-    M, n = _doc_int(doc["M"], "M", 1), _doc_int(doc["n"], "n", 1)
+    """Load a computer from its serialized form (inverse of computer_to_doc).
+
+    The output width p may not exceed n, which every built-in meets; it is
+    checked before the workspace is sized from it.
+    """
+    M, n, advice_len = doc_shape(doc)
     T = _doc_int(doc["T"], "T", 0)
-    advice_len = _doc_int(doc["k"], "k", 0)
     output_width = _doc_int(doc["p"], "p", 0)
+    if output_width > n:
+        raise ModelError(f"p must be at most n = {n}, not {output_width}")
     scratch_dim = _doc_int(doc["scratch"], "scratch", 1)
     ws_dim = 2**output_width * scratch_dim
     if not isinstance(doc["prequery"], Mapping):

@@ -113,12 +113,18 @@ def instance_count(M: int, n: int) -> int:
 def enumerate_instances(
     M: int, n: int, budget: int | None = None
 ) -> Iterator[StepInstance]:
-    """All instances in lexicographic step order, guarded by a count budget."""
-    total = instance_count(M, n)
-    if budget is not None and total > budget:
+    """All instances in lexicographic step order, guarded by a count budget.
+
+    The budget is checked when the sweep is requested, not when it is first
+    iterated. There are 2**(M*n) instances, so a sweep with M*n at or past
+    the budget's bit length is refused without computing that count.
+    """
+    if budget is not None and M * n >= budget.bit_length():
         raise BudgetExceededError(
-            f"{total} instances at M={M}, n={n} exceed budget {budget}"
+            f"2^{M * n} instances at M={M}, n={n} exceed budget {budget}"
         )
     size = 2**n
-    for steps in itertools.product(range(1, size + 1), repeat=M):
-        yield StepInstance(M, n, steps)
+    return (
+        StepInstance(M, n, steps)
+        for steps in itertools.product(range(1, size + 1), repeat=M)
+    )

@@ -1,23 +1,23 @@
-"""Exact rational states over products of registers.
+"""Exact rational post-oracle states.
 
-States are sparse maps from composite basis keys to rational amplitudes,
-with norms, inner products, distances and measurement. Nothing here
-touches floating point: every amplitude and probability is a
-`fractions.Fraction`.
+A state is a sparse map from (list index, answer index, workspace cell)
+keys to rational amplitudes, with norms, inner products, distances and
+measurement of the leading workspace cells. The list and answer indices
+only label the fibers the final transform acts on; the workspace is the
+one register with a size. Nothing here touches floating point: every
+amplitude and probability is a `fractions.Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 Rational = Fraction
 
-BasisKey = tuple
-
 
 class DimensionMismatchError(ValueError):
-    """Operands live in different register spaces."""
+    """A workspace cell or width does not fit, or two workspaces differ."""
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -39,52 +39,34 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _normalize_key(key, nregs: int) -> BasisKey:
-    if isinstance(key, int):
-        key = (key,)
-    key = tuple(key)
-    if len(key) != nregs:
-        raise DimensionMismatchError(
-            f"basis key {key!r} has {len(key)} entries, state has {nregs} registers"
-        )
-    return key
-
-
 class SparseState:
-    """Sparse amplitude map over a product of registers.
+    """Sparse amplitudes of a post-oracle state.
 
-    `dims` gives the size of each register; keys are tuples with one basis
-    index per register. Zero amplitudes are dropped on construction, and
-    instances are treated as immutable once built.
+    Keys are (list index, answer index, workspace cell) int triples. Only
+    the workspace is sized: every cell lies in 0..workspace_dim - 1, while
+    the list and answer indices only label fibers and need no bound. Zero
+    amplitudes are dropped on construction, and instances are immutable
+    once built.
     """
 
-    __slots__ = ("dims", "amps")
+    __slots__ = ("workspace_dim", "amps")
 
-    def __init__(self, dims: Sequence[int], amps: Mapping):
-        dims = tuple(int(d) for d in dims)
-        if not dims or any(d < 1 for d in dims):
-            raise DimensionMismatchError(f"invalid register dimensions {dims!r}")
-        clean: dict[BasisKey, Fraction] = {}
+    def __init__(self, workspace_dim: int, amps: Mapping):
+        clean: dict[tuple[int, int, int], Fraction] = {}
         for key, amp in amps.items():
-            key = _normalize_key(key, len(dims))
-            for idx, d in zip(key, dims):
-                if not 0 <= idx < d:
-                    raise DimensionMismatchError(
-                        f"basis index {idx} out of range for register of size {d}"
-                    )
+            _lidx, _aidx, ws = key
+            if not 0 <= ws < workspace_dim:
+                raise DimensionMismatchError(
+                    f"workspace cell {ws} outside 0..{workspace_dim - 1}"
+                )
             amp = as_rational(amp)
             if amp != 0:
-                if key in clean:
-                    raise ValueError(f"duplicate basis key {key!r}")
                 clean[key] = amp
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "workspace_dim", workspace_dim)
         object.__setattr__(self, "amps", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseState is immutable")
-
-    def get(self, key) -> Fraction:
-        return self.amps.get(_normalize_key(key, len(self.dims)), Fraction(0))
 
     def items(self):
         return self.amps.items()
@@ -95,18 +77,14 @@ class SparseState:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseState):
             return NotImplemented
-        return self.dims == other.dims and self.amps == other.amps
-
-    def __repr__(self) -> str:
-        terms = ", ".join(
-            f"{key}: {rational_str(amp)}" for key, amp in sorted(self.amps.items())
-        )
-        return f"SparseState(dims={self.dims}, {{{terms}}})"
+        return self.workspace_dim == other.workspace_dim and self.amps == other.amps
 
 
 def _require_same_space(a: SparseState, b: SparseState) -> None:
-    if a.dims != b.dims:
-        raise DimensionMismatchError(f"register spaces differ: {a.dims} vs {b.dims}")
+    if a.workspace_dim != b.workspace_dim:
+        raise DimensionMismatchError(
+            f"workspaces differ: {a.workspace_dim} vs {b.workspace_dim} cells"
+        )
 
 
 def norm_sq(state: SparseState) -> Fraction:
@@ -132,27 +110,23 @@ def distance_sq(a: SparseState, b: SparseState) -> Fraction:
     return norm_sq(a) + norm_sq(b) - 2 * inner_product(a, b)
 
 
-def measure_register(
-    state: SparseState, register: int, width: int
-) -> dict[int, Fraction]:
-    """Exact outcome distribution for the first `width` cells of a register.
+def measure_register(state: SparseState, width: int) -> dict[int, Fraction]:
+    """Exact outcome distribution for the first `width` workspace cells.
 
-    The register size must be divisible by 2**width; probabilities sum to
+    The workspace size must be divisible by 2**width; probabilities sum to
     norm_sq(state), which is 1 for unit states.
     """
-    if not 0 <= register < len(state.dims):
-        raise DimensionMismatchError(f"no register {register} in {state.dims}")
     if width < 0:
         raise ValueError("width must be non-negative")
-    reg = state.dims[register]
     block = 2**width
-    if reg % block != 0:
+    if state.workspace_dim % block != 0:
         raise DimensionMismatchError(
-            f"register of size {reg} cannot be split into {block} outcome blocks"
+            f"workspace of size {state.workspace_dim} cannot be split into "
+            f"{block} outcome blocks"
         )
-    stride = reg // block
+    stride = state.workspace_dim // block
     probs: dict[int, Fraction] = {}
-    for key, amp in state.items():
-        outcome = key[register] // stride
+    for (_lidx, _aidx, ws), amp in state.items():
+        outcome = ws // stride
         probs[outcome] = probs.get(outcome, Fraction(0)) + amp * amp
     return probs

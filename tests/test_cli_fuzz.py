@@ -114,11 +114,11 @@ def _paths(node, path=()):
 
 
 _DOC_PATHS = sorted(_paths(_DOC), key=repr)
-# odd JSON values: bools, floats, out-of-range ints, bad rationals, wrong
-# containers, strings that look like bits; ints stay small, because a doc's
-# header sizes the workspace (2**p) before it is compared with the config
+# odd JSON values: bools, floats, out-of-range ints (10**8 among them: a
+# header is checked before anything is sized from it), bad rationals, wrong
+# containers, strings that look like bits
 _ODD_VALUES = [
-    *(True, False, None, 0.0, 3.5, -1, 0, 1, 2, 7, 1000),
+    *(True, False, None, 0.0, 3.5, -1, 0, 1, 2, 7, 1000, 10**8),
     *("1/0", "0/0", "-1/2", "1/2", "0.5", "x", "", "01", "011", "1|0"),
     *([], {}, [1], [[1, "000"]]),
 ]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ttquery import harness
 from ttquery.cli import main
 from ttquery.harness import (
     ConfigError,
@@ -202,6 +203,70 @@ def test_cli_exit_two_on_budget(tmp_path, capsys):
     cfg = _write(tmp_path, "M = 2\nn = 3\nsubject = full\n")
     assert main(["simulate", "--config", cfg, "--budget", "5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", ""),
+        ("lemmas", ""),
+        ("roundtrip", ""),
+        ("roundtrip", "scheme = single\n"),
+        ("roundtrip", "instance = M=1 n=18 steps=5\n"),
+    ],
+)
+def test_cli_refuses_over_budget_sweep_before_building_subject(
+    tmp_path, capsys, monkeypatch, command, extra
+):
+    # 2^18 instances against the default budget of 4096; the run must stop
+    # before the subject is built (full n=18 takes over a minute)
+    def refuse(cfg):
+        raise AssertionError("subject built before the budget check")
+
+    monkeypatch.setattr(harness, "resolve_subject", refuse)
+    cfg = _write(tmp_path, "subject = full\nM = 1\nn = 18\n" + extra)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceed budget 4096" in err
+
+
+def test_one_instance_simulate_has_no_budget(tmp_path, capsys):
+    cfg = _write(tmp_path, "subject = zero\nM = 2\nn = 7\ninstance = M=2 n=7 steps=1,1\n")
+    assert main(["simulate", "--config", cfg, "--budget", "5"]) == 0
+    assert capsys.readouterr().out.startswith("instance,block,")
+
+
+def _zero_doc_path(tmp_path, **header):
+    comp, adv = get_subject("zero", 1, 2, 0)
+    doc = {
+        "computer": {**computer_to_doc(comp, [(1, "")]), **header},
+        "advice": advice_to_doc(adv, enumerate_instances(1, 2)),
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("p", [3, 10**8])
+def test_cli_doc_output_wider_than_n_names_p(tmp_path, capsys, p):
+    cfg = _write(tmp_path, "M = 1\nn = 2\np = 1\n")
+    subject = _zero_doc_path(tmp_path, p=p)
+    assert main(["simulate", "--config", cfg, "--subject", subject]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"p must be at most n = 2, not {p}" in err
+
+
+@pytest.mark.parametrize("header", [{"M": 2}, {"n": 3}, {"k": 1}])
+def test_resolve_subject_compares_shape_before_loading(tmp_path, monkeypatch, header):
+    def refuse(doc):
+        raise AssertionError("computer loaded before its shape was compared")
+
+    monkeypatch.setattr(harness, "computer_from_doc", refuse)
+    cfg = ExperimentConfig(M=1, n=2, subject=_zero_doc_path(tmp_path, p=10**8, **header))
+    with pytest.raises(ConfigError, match="disagrees with the configured"):
+        resolve_subject(cfg)
 
 
 def test_cli_exit_one_on_check_failure(tmp_path, capsys):

@@ -25,6 +25,7 @@ from ttquery.model import (
     validate_computer,
 )
 from ttquery.ordered_search import StepInstance, bin_n, enumerate_instances
+from ttquery.statevec import DimensionMismatchError
 from ttquery.subjects import get_subject
 
 
@@ -61,9 +62,16 @@ def test_permutation_final_rejects_collision():
     final = FiberFinal(lambda lidx, aidx, ws: 0)
     from ttquery.statevec import SparseState
 
-    state = SparseState((1, 1, 2), {(0, 0, 0): "3/5", (0, 0, 1): "4/5"})
+    state = SparseState(2, {(0, 0, 0): "3/5", (0, 0, 1): "4/5"})
     with pytest.raises(ModelError):
         final.apply(state)
+
+
+def test_fiber_final_rejects_cell_outside_workspace():
+    comp, _ = get_subject("full", 1, 2, 0)
+    comp.final = FiberFinal(lambda lidx, aidx, ws: ws + comp.workspace_dim)
+    with pytest.raises(DimensionMismatchError):
+        run(comp, 1, "", (3,))
 
 
 def test_full_query_worked_example():

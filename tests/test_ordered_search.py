@@ -80,3 +80,23 @@ def test_budget_refusal_precedes_enumeration():
         list(enumerate_instances(2, 3, 63))
     # exactly at the limit is fine
     assert len(list(enumerate_instances(2, 3, 64))) == 64
+
+
+def test_budget_is_checked_when_the_sweep_is_requested():
+    with pytest.raises(BudgetExceededError):
+        enumerate_instances(2, 3, 63)  # no next() needed
+    # 2**(10**12) instances would not fit in memory; the refusal never counts them
+    with pytest.raises(BudgetExceededError):
+        enumerate_instances(10**6, 10**6, 4096)
+
+
+def test_budget_refusal_matches_instance_count():
+    for M in range(1, 4):
+        for n in range(1, 4):
+            for budget in range(0, 2 ** (M * n) + 2):
+                try:
+                    enumerate_instances(M, n, budget)
+                    refused = False
+                except BudgetExceededError:
+                    refused = True
+                assert refused == (instance_count(M, n) > budget), (M, n, budget)

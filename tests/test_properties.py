@@ -70,8 +70,8 @@ def test_sqrt_bracket_encloses(x):
     st.integers(0, 3),
 )
 def test_measurement_mass_equals_norm(amps, width):
-    state = SparseState((8,), {(k,): v for k, v in amps.items()})
-    probs = measure_register(state, 0, width)
+    state = SparseState(8, {(0, 0, k): v for k, v in amps.items()})
+    probs = measure_register(state, width)
     assert sum(probs.values(), Fraction(0)) == norm_sq(state)
 
 

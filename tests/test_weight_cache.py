@@ -99,7 +99,7 @@ def _straight_oracle(comp, pre, steps):
             answers = answers * 2 + (rank_of(w.location) >= steps[w.block - 1])
         key = (list_index(words, comp.M, comp.n), answers, ws)
         amps[key] = amps.get(key, Fraction(0)) + amp
-    return SparseState(comp.state_dims(), amps)
+    return SparseState(comp.workspace_dim, amps)
 
 
 def _swept_thresholds(M, n):
