@@ -22,12 +22,20 @@ block stores the full n-bit name. Case 2 stores full names for good
 blocks, the leading n-p bits for bad blocks, and last-p-bit suffixes for
 the bad blocks the selection procedure did not pick. The case tag rides
 alongside the bits, not inside them.
+
+Work that does not depend on the instance is done once. The EncodingContext
+derives T / C and the rank width when built, and on first use the two
+inequality reports and each round-count verdict. The computer keeps, per
+advice string, the weight analyses (weight_analysis) and the query-mass
+verdict (mass_within_queries). Per instance, encoding and auditing evaluate
+the advice and each step name once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from types import MappingProxyType
 from typing import Mapping
@@ -39,7 +47,7 @@ from .ordered_search import (
     format_instance,
     rank_of,
 )
-from .statevec import Rational, as_rational, distance_sq
+from .statevec import Rational, as_rational, inner_product
 
 
 class EncodingFormatError(ValueError):
@@ -141,6 +149,12 @@ class EncodingContext:
     """Shared parameters of one encode/decode configuration.
 
     M must be a power of two so that index fields have integral width.
+
+    What depends on the configuration alone is derived here once, not per
+    instance: the ratio t = T / C and the rank width on construction, the
+    two inequality reports on first use (inequality_reports), and each
+    round-count verdict on first use per (bad-block count, m)
+    (round_count_ok). The context owns these; they are read only.
     """
 
     M: int
@@ -166,6 +180,7 @@ class EncodingContext:
             raise ValueError("l must lie in [1, M]")
         object.__setattr__(self, "_t", Fraction(self.T) / self.C)
         object.__setattr__(self, "_width_k", rank_width(self.T, self.C))
+        object.__setattr__(self, "_round_verdicts", {})
 
     @property
     def N(self) -> int:
@@ -188,6 +203,40 @@ class EncodingContext:
     def width_k(self) -> int:
         """Bit width of the rank field for good blocks."""
         return self._width_k
+
+    @cached_property
+    def inequality_reports(self) -> tuple[InequalityReport, InequalityReport]:
+        """The case 1 and case 2 reports of the length guarantee.
+
+        Built on first use, and only then is T = 0 refused with ValueError;
+        see check_inequalities.
+        """
+        return _inequality_reports(self)
+
+    def round_count_ok(self, bad_count: int, m: int) -> bool:
+        """Whether m is the selection's round count for bad_count bad blocks.
+
+        The round count must be the largest m with the quadratic
+        t m^2 - (t - 1) m - bad_count nonpositive, and flooring keeps
+        C * bad_count <= T * (m + 1)^2; with no queries it must be 0. The
+        verdict is evaluated once per (bad_count, m).
+        """
+        key = (bad_count, m)
+        verdict = self._round_verdicts.get(key)
+        if verdict is None:
+            if self.T == 0 or not bad_count:
+                verdict = m == 0
+            else:
+                t = self.t
+
+                def quad(x):
+                    return t * x * x - (t - 1) * x - bad_count
+
+                verdict = quad(m) <= 0 < quad(m + 1) and (
+                    self.C * bad_count <= self.T * (m + 1) ** 2
+                )
+            self._round_verdicts[key] = verdict
+        return verdict
 
 
 def _check_pair(ctx: EncodingContext, computer: NonadaptiveComputer) -> None:
@@ -307,13 +356,19 @@ def profile(computer, advice_fn, instance, p, params=DEFAULT_PARAMS) -> GoodBadP
     strictly above C. For good blocks the rank counts heavy prefixes that
     sort strictly below the step's own prefix.
     """
+    names = {i: instance.step_bits(i) for i in range(1, computer.M + 1)}
+    return _profile(computer, advice_fn(instance), names, p, params)
+
+
+def _profile(computer, f, names, p, params) -> GoodBadProfile:
+    """profile for advice string f and step names block -> n-bit name."""
     if not 1 <= p <= computer.n:
         raise ValueError("p must lie in [1, n]")
-    f = advice_fn(instance)
+    cut = computer.n - p
     out = []
     for i in range(1, computer.M + 1):
         wa = weight_analysis(computer, i, f, p, params.C)
-        pre = instance.step_bits(i)[: computer.n - p]
+        pre = names[i][:cut]
         w = wa.table.get((i, pre), Fraction(0))
         good = w > params.C
         rank = wa.heavy.index(pre) if good else None
@@ -364,26 +419,34 @@ class InequalityReport:
     detail: str
 
 
-def check_inequalities(ctx: EncodingContext, prof: GoodBadProfile, T=None):
-    """Decide the length guarantee for this configuration, exactly."""
-    T = ctx.T if T is None else T
-    if T < 1:
+def _inequality_reports(ctx: EncodingContext):
+    """Both inequality reports of a context: case 1 first, then case 2."""
+    if ctx.T < 1:
         raise ValueError("the length guarantee needs at least one query")
-    t = Fraction(T) / ctx.C
+    T = Fraction(ctx.T)
+    t = ctx.t
     E = ctx.l * (ctx.n - ctx.p - 1 - 2 * ctx.log_M) - (ctx.k + 2)
     case1 = t**ctx.l < Fraction(2) ** E
     a = 2 * ctx.l * ctx.log_M + ctx.k + 2
-    case2 = ctx.p * ctx.p * ctx.C * (ctx.M - ctx.l) > a * a * Fraction(T)
-    case = 1 if ctx.l <= prof.l_prime else 2
-    certified = case1 if case == 1 else case2
-    first, second = c_uv_values(ctx)
-    cu = first if case == 1 else second
-    matches = None if cu is None else ((Fraction(T) < cu) == certified)
-    if case == 1:
-        detail = f"(T/C)^l = {t**ctx.l} against 2^{E}"
-    else:
-        detail = f"A^2 T = {a * a * T} against p^2 C (M-l) = {ctx.p * ctx.p * ctx.C * (ctx.M - ctx.l)}"
-    return InequalityReport(case, case1, case2, certified, cu, matches, detail)
+    case2 = ctx.p * ctx.p * ctx.C * (ctx.M - ctx.l) > a * a * T
+    details = (
+        f"(T/C)^l = {t**ctx.l} against 2^{E}",
+        f"A^2 T = {a * a * ctx.T} against p^2 C (M-l) = {ctx.p * ctx.p * ctx.C * (ctx.M - ctx.l)}",
+    )
+    reports = []
+    for case, certified, cu, detail in zip((1, 2), (case1, case2), c_uv_values(ctx), details):
+        matches = None if cu is None else ((T < cu) == certified)
+        reports.append(InequalityReport(case, case1, case2, certified, cu, matches, detail))
+    return tuple(reports)
+
+
+def check_inequalities(ctx: EncodingContext, prof: GoodBadProfile) -> InequalityReport:
+    """Decide the length guarantee for this configuration, exactly.
+
+    Only the choice of case reads the instance, through its good-block
+    count; the report itself is the context's shared one.
+    """
+    return ctx.inequality_reports[0 if ctx.l <= prof.l_prime else 1]
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +667,15 @@ def encode(ctx, computer, advice_fn, instance) -> Encoding:
 
 
 def _encode(ctx, computer, advice_fn, instance):
-    """Encoding plus its profile, its selection (case 2 only) and advice."""
+    """Encoding plus its profile, its selection (case 2 only), advice and names.
+
+    The advice and every step name are evaluated once here; names maps
+    each block to its step's n-bit name.
+    """
     _check_pair(ctx, computer)
     f = advice_fn(instance)
-    prof = profile(computer, advice_fn, instance, ctx.p, ctx.params)
+    names = {i: instance.step_bits(i) for i in range(1, ctx.M + 1)}
+    prof = _profile(computer, f, names, ctx.p, ctx.params)
     good = prof.good_indices
     case = 1 if ctx.l <= prof.l_prime else 2
     w = _ItemWriter()
@@ -617,7 +685,6 @@ def _encode(ctx, computer, advice_fn, instance):
         double_bits("".join(_field(i - 1, ctx.log_M) for i in good)),
     )
     w.put("separator", "01")
-    names = {i: instance.step_bits(i) for i in range(1, ctx.M + 1)}
     cut = ctx.n - ctx.p
     if case == 1:
         for bp in prof.blocks:
@@ -626,7 +693,7 @@ def _encode(ctx, computer, advice_fn, instance):
                 w.put(f"suffix-{bp.block}", names[bp.block][cut:])
             else:
                 w.put(f"name-{bp.block}", names[bp.block])
-        return w.build(1), prof, None, f
+        return w.build(1), prof, None, f, names
     for i in good:
         w.put(f"name-{i}", names[i])
     bad = [bp.block for bp in prof.blocks if not bp.good]
@@ -637,7 +704,7 @@ def _encode(ctx, computer, advice_fn, instance):
     for j in bad:
         if j not in chosen:
             w.put(f"suffix-{j}", names[j][cut:])
-    return w.build(2), prof, sel, f
+    return w.build(2), prof, sel, f, names
 
 
 # ---------------------------------------------------------------------------
@@ -931,8 +998,34 @@ class AuditReport:
         )
 
 
+def mass_within_queries(computer, advice, p, threshold) -> bool:
+    """Whether every input block's own query mass is at most T, for one advice.
+
+    The verdict reads only the computer and the advice string, so it is
+    kept in computer.mass_checks, keyed by (advice, p), and built from the
+    cached weight analyses on first use.
+    """
+    key = (advice, p)
+    verdict = computer.mass_checks.get(key)
+    if verdict is None:
+        verdict = computer.mass_checks[key] = all(
+            weight_analysis(computer, i, advice, p, threshold).own_mass <= computer.T
+            for i in range(1, computer.M + 1)
+        )
+    return verdict
+
+
 def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
-    enc, prof, selection, f = _encode(ctx, computer, advice_fn, instance)
+    """Check every scheme invariant on one instance.
+
+    Only the encoding, profile and selection are per instance. The
+    inequality reports and the round-count verdicts come from the context
+    and the mass check from the computer (see EncodingContext and
+    mass_within_queries). Substitution distances use 2 - 2 <a, b>: both
+    post-oracle states are unit vectors, since prequery_state checks norm^2
+    = 1 and the oracle maps distinct prequery terms to distinct keys.
+    """
+    enc, prof, selection, f, names = _encode(ctx, computer, advice_fn, instance)
     lp = prof.l_prime
 
     rank_ok = all(
@@ -940,10 +1033,7 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
         for bp in prof.blocks
         if bp.good
     )
-    mass_ok = all(
-        weight_analysis(computer, i, f, ctx.p, ctx.C).own_mass <= ctx.T
-        for i in range(1, ctx.M + 1)
-    )
+    mass_ok = mass_within_queries(computer, f, ctx.p, ctx.C)
 
     certificate = (
         check_inequalities(ctx, prof) if ctx.T >= 1 else None
@@ -963,28 +1053,14 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
                 sel_floor = False
         if selection.threshold is not None:
             sel_cross = all(v < selection.threshold for (_, _, v) in selection.crosses)
-        # The round count must be the largest m with the quadratic
-        # t m^2 - (t - 1) m - bad_count nonpositive, and flooring keeps
-        # C * bad_count <= T * (m + 1)^2.
-        m = selection.m
-        if ctx.T == 0:
-            sel_m = m == 0
-        else:
-
-            def quad(x):
-                return ctx.t * x * x - (ctx.t - 1) * x - bad_count
-
-            sel_m = quad(m) <= 0 < quad(m + 1) if bad_count else m == 0
-            if sel_m and bad_count:
-                sel_m = ctx.C * bad_count <= ctx.T * (m + 1) ** 2
+        sel_m = ctx.round_count_ok(bad_count, selection.m)
         distance_values = []
         pending = set(selection.W)
         cut = ctx.n - ctx.p
-        names = {i: instance.step_bits(i) for i in range(1, ctx.M + 1)}
         prefix_of = {i: names[i][:cut] for i in names}
         for pivot in selection.W:
             steps = _substituted_steps(ctx.M, ctx.p, names, prefix_of, pending)
-            d = distance_sq(
+            d = 2 - 2 * inner_product(
                 apply_oracle(computer, pivot, f, steps),
                 apply_oracle(computer, pivot, f, instance.steps),
             )

@@ -112,7 +112,7 @@ class PrequeryState:
             words = tuple(QueryWord(*w) for w in words)
             if len(words) != self.T:
                 raise ModelError(
-                    f"list {words!r} has {len(words)} words, computer makes {self.T}"
+                    f"a query list has {len(words)} words, but T = {self.T}"
                 )
             if not 0 <= ws < self.workspace_dim:
                 raise ModelError(f"workspace index {ws} outside 0..{self.workspace_dim - 1}")
@@ -183,8 +183,9 @@ class NonadaptiveComputer:
     per basis term, where ranked_words holds a (block, rank) int pair per
     query word; every oracle application reads those terms, so no query
     word is parsed twice. `weight_analyses` holds the compression coder's
-    weight analyses, built on first use. Both belong to this computer
-    alone; the cached states, terms and analyses are shared by every caller
+    weight analyses and `mass_checks` its per-advice query-mass verdicts,
+    both built on first use. All three belong to this computer alone; the
+    cached states, terms, analyses and verdicts are shared by every caller
     and must be treated as read only.
     """
 
@@ -200,6 +201,7 @@ class NonadaptiveComputer:
     weight_analyses: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    mass_checks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -487,7 +489,8 @@ def _doc_amp(value) -> Fraction:
     raise ModelError(f"amplitude {value!r} is not an integer or a 'p/q' string")
 
 
-def _final_from_doc(final_doc, ws_dim: int) -> FiberFinal:
+def _final_from_doc(final_doc, output_width: int, scratch_dim: int) -> FiberFinal:
+    ws_dim = 2**output_width * scratch_dim
     if not isinstance(final_doc, Mapping):
         raise ModelError(
             "final transform must be a fiber table; dense matrices are not accepted"
@@ -501,7 +504,13 @@ def _final_from_doc(final_doc, ws_dim: int) -> FiberFinal:
     for key, images in table.items():
         lidx_text, _, aidx_text = key.partition(",")
         images = [_doc_int(v, "fiber image") for v in images]
-        if len(images) != ws_dim or sorted(images) != list(range(ws_dim)):
+        if len(images) != ws_dim:
+            raise ModelError(
+                f"fiber {key} has {len(images)} images, but the header's "
+                f"p = {output_width} and scratch = {scratch_dim} give a "
+                f"workspace of {ws_dim} cells"
+            )
+        if sorted(images) != list(range(ws_dim)):
             raise ModelError(f"fiber {key} is not a workspace permutation")
         fiber_map[(int(lidx_text), int(aidx_text))] = images
 
@@ -536,7 +545,11 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
                 QueryWord(_doc_int(b, "word block"), _doc_location(loc)) for b, loc in words
             )
             amps[(qlist, _doc_int(ws, "workspace cell"))] = _doc_amp(amp)
-        table[(int(block_text), advice)] = PrequeryState(T, ws_dim, amps)
+        block = int(block_text)
+        try:
+            table[(block, advice)] = PrequeryState(T, ws_dim, amps)
+        except ModelError as e:
+            raise ModelError(f"prequery input ({block}, {advice!r}): {e}") from None
 
     def prequery(block: int, advice: str) -> PrequeryState:
         try:
@@ -554,7 +567,7 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
         output_width=output_width,
         scratch_dim=scratch_dim,
         prequery=prequery,
-        final=_final_from_doc(doc["final"], ws_dim),
+        final=_final_from_doc(doc["final"], output_width, scratch_dim),
     )
     validate_computer(computer, list(table))
     return computer

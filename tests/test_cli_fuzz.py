@@ -234,3 +234,30 @@ def test_cli_unreadable_subject_file_exits_two(tmp_path, content):
 def test_cli_subject_doc_unmutated_exits_zero(tmp_path):
     code, lines = _run_doc(tmp_path, copy.deepcopy(_DOC), "simulate")
     assert (code, lines) == (0, [])
+
+
+def test_cli_subject_doc_list_length_error_names_both_lengths(tmp_path):
+    doc = copy.deepcopy(_DOC)
+    T = doc["computer"]["T"]
+    doc["computer"]["T"] = T + 3
+    code, lines = _run_doc(tmp_path, doc, "simulate")
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert f"has {T} words" in lines[0] and f"T = {T + 3}" in lines[0], lines
+    assert "(1, '0')" in lines[0] and len(lines[0]) < 160, lines
+
+
+@pytest.mark.parametrize("field, value", [("scratch", 2), ("p", 3)])
+def test_cli_subject_doc_header_disagreeing_with_fibers_blames_the_header(
+    tmp_path, field, value
+):
+    doc = copy.deepcopy(_DOC)
+    header = doc["computer"]
+    header[field] = value
+    size = 2 ** header["p"] * header["scratch"]
+    code, lines = _run_doc(tmp_path, doc, "simulate")
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+    fibers = doc["computer"]["final"]["table"]
+    images = len(next(iter(fibers.values())))
+    assert f"has {images} images" in lines[0] and f"workspace of {size} cells" in lines[0]
+    assert f"p = {header['p']} and scratch = {header['scratch']}" in lines[0], lines
+    assert "not a workspace permutation" not in lines[0]

@@ -443,7 +443,7 @@ def _counting(advice_fn):
 
 
 @pytest.mark.parametrize("subject, M, n, k, l", [("probe", 4, 2, 4, 4), ("full", 2, 2, 0, 1)])
-def test_advice_evaluated_at_most_twice_per_encode_and_audit(subject, M, n, k, l):
+def test_advice_evaluated_once_per_encode_and_audit(subject, M, n, k, l):
     comp, adv = get_subject(subject, M, n, k)
     ctx = _ctx(M, n, 1, k, comp.T, l)
     counted, calls = _counting(adv)
@@ -451,4 +451,4 @@ def test_advice_evaluated_at_most_twice_per_encode_and_audit(subject, M, n, k, l
         for call in (encode, audit_instance):
             calls.clear()
             call(ctx, comp, counted, instance)
-            assert 1 <= len(calls) <= 2, (call.__name__, instance, len(calls))
+            assert len(calls) == 1, (call.__name__, instance, len(calls))
