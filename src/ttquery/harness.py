@@ -250,15 +250,20 @@ _PASS, _FAIL = "pass", "fail"
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> Report:
-    instances = _instances(cfg)
-    computer, advice_fn = resolve_subject(cfg)
+    # epsilon is checked here, not through ErrorParams: c plays no part
+    if cfg.epsilon < 0:
+        raise ConfigError("epsilon must be nonnegative")
+    if cfg.epsilon >= Fraction(1, 2):
+        raise ConfigError("epsilon must be below 1/2")
     if not 1 <= cfg.p <= cfg.n:
         raise ConfigError("p must lie in [1, n]")
-    if cfg.p > computer.output_width:
-        raise ConfigError("p exceeds the subject's output width")
     blocks = cfg.blocks or tuple(range(1, cfg.M + 1))
     if any(not 1 <= b <= cfg.M for b in blocks):
         raise ConfigError("blocks must lie in [1, M]")
+    instances = _instances(cfg)
+    computer, advice_fn = resolve_subject(cfg)
+    if cfg.p > computer.output_width:
+        raise ConfigError("p exceeds the subject's output width")
     rows = []
     max_error = Fraction(0)
     for instance in instances:

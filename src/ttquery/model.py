@@ -10,16 +10,19 @@ indices only label fibers, so the workspace is the one register with a
 size (statevec.SparseState).
 
 The oracle takes one threshold per block and answers a word 1 exactly when
-its rank is at or past its block's threshold (threshold_answers, the only
+its rank is at or past its block's threshold (_answer_table, the only
 place this rule is written). An instance's steps are such thresholds; the
 compression decoders and audits substitute their own, in 1..N+1, and run
 the same machine through `run`.
 
 Query words carry n-bit location strings, which is also how documents store
 them. Each word is parsed once: when a computer validates a prequery state
-it caches, with that state, the state's oracle terms (list index, words as
-(block, rank) int pairs, workspace cell, amplitude), and `apply_oracle`
-reads only those.
+it caches, with that state, the state's oracle terms (list index, the
+list's answer table, workspace cell, amplitude), and `apply_oracle` reads
+only those. A list's answers under a threshold depend only on the
+threshold's class among the ranks the list queries in that block, so each
+answer index is a sum of one table entry per queried block, and `run`
+memoizes each distribution by the state's class vector.
 
 Output cells are ordered least-significant-bit-first: cell j holds the j-th
 bit from the end of the answer string. Narrower outputs are then prefixes of
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -80,18 +84,44 @@ def list_index(words: QueryList, M: int, n: int) -> int:
     return _ranked_index(((w.block, rank_of(w.location)) for w in words), M, n)
 
 
-def threshold_answers(ranked_words, steps: Sequence[int]) -> int:
-    """Answer index of a query list under per-block thresholds.
+def _answer_table(ranked_words) -> tuple:
+    """Answer table of a query list, as (block, rank) int pairs.
 
-    ranked_words holds one (block, rank) int pair per word, in list order,
-    as the oracle terms cache them (see NonadaptiveComputer.prequery_state).
-    Word (block, rank) is answered 1 exactly when rank >= steps[block - 1];
-    the bits, in list order, are read as a binary number. This is the one
-    answer rule: real instances answer by their steps, the decoders by
-    substituted thresholds.
+    This is the one answer rule: word (block, rank) is answered 1 exactly
+    when rank >= the block's threshold, and the bits, in list order, are
+    read as a binary number. Real instances answer by their steps, the
+    decoders by substituted thresholds, both in 1..N+1.
+
+    Under a threshold s, a block's answer bits depend only on its class,
+    the number c of the list's distinct ranks in that block that lie below
+    s: exactly the words whose rank is one of ranks[c:] answer 1. The table
+    holds one (block - 1, ranks, shares) triple per queried block, with
+    ranks sorted and shares[c] the block's part of the answer index at
+    class c, so the answer index is the sum of one share per block.
     """
-    bits = ["1" if rank >= steps[block - 1] else "0" for block, rank in ranked_words]
-    return int("".join(bits), 2) if bits else 0
+    weights: dict[tuple[int, int], int] = {}
+    bit = 1 << len(ranked_words)
+    for pair in ranked_words:
+        bit >>= 1
+        weights[pair] = weights.get(pair, 0) + bit
+    # walk the ranks downwards, so each share adds one weight to the last
+    table = []
+    block = ranks = shares = None
+    for (word_block, rank), weight in sorted(weights.items(), reverse=True):
+        if word_block != block:
+            block, ranks, shares = word_block, [], [0]
+            table.append((block - 1, ranks, shares))
+        ranks.append(rank)
+        shares.append(shares[-1] + weight)
+    return tuple([(j, tuple(ranks[::-1]), tuple(shares[::-1])) for j, ranks, shares in table[::-1]])
+
+
+def _table_answer(table, steps: Sequence[int]) -> int:
+    """Answer index of a query list's answer table under thresholds steps."""
+    answers = 0
+    for j, ranks, shares in table:
+        answers += shares[bisect_left(ranks, steps[j])]
+    return answers
 
 
 @dataclass(frozen=True)
@@ -161,10 +191,21 @@ class FiberFinal(FinalTransform):
 
 
 class _CachedInput(NamedTuple):
-    """A validated prequery state and its oracle terms (see prequery_state)."""
+    """A validated prequery state and its oracle terms (see prequery_state).
+
+    bounds holds one (block - 1, ranks) pair per block the state queries,
+    ranks being the sorted union of the ranks its lists query there.
+    """
 
     state: PrequeryState
     terms: tuple
+    bounds: tuple
+
+    def classes(self, steps: Sequence[int]) -> tuple:
+        """Class vector of thresholds steps: the oracle's answer to every
+        list of the state, and so the post-oracle state, depend on steps
+        only through it."""
+        return tuple([bisect_left(ranks, steps[j]) for j, ranks in self.bounds])
 
 
 @dataclass
@@ -179,14 +220,16 @@ class NonadaptiveComputer:
     The computer caches what it derives from its prequery states, so
     `prequery` must be a pure function of (block, advice): it is called at
     most once per pair. `prequery_state` keeps each validated state together
-    with its oracle terms, one `(list_index, ranked_words, ws, amp)` tuple
-    per basis term, where ranked_words holds a (block, rank) int pair per
-    query word; every oracle application reads those terms, so no query
-    word is parsed twice. `weight_analyses` holds the compression coder's
-    weight analyses and `mass_checks` its per-advice query-mass verdicts,
-    both built on first use. All three belong to this computer alone; the
-    cached states, terms, analyses and verdicts are shared by every caller
-    and must be treated as read only.
+    with its oracle terms, one `(list_index, answer_table, ws, amp)` tuple
+    per basis term (see _answer_table); every oracle application reads
+    those terms, so no query word is parsed twice and an application costs
+    one table entry per queried block per term. `runs` memoizes `run`'s
+    distributions by (block, advice, class vector, width),
+    `weight_analyses` holds the compression coder's weight analyses and
+    `mass_checks` its per-advice query-mass verdicts, all built on first
+    use. These caches belong to this computer
+    alone; the cached states, terms, tables, distributions, analyses and
+    verdicts are shared by every caller and must be treated as read only.
     """
 
     M: int
@@ -202,6 +245,7 @@ class NonadaptiveComputer:
         default_factory=dict, init=False, repr=False, compare=False
     )
     mass_checks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -216,8 +260,9 @@ class NonadaptiveComputer:
 
         Validation checks the state's shape, every query word and that the
         squared norm is exactly 1. The same pass derives the state's oracle
-        terms, ranking each distinct query word once, and caches them with
-        the state under the same key.
+        terms, ranking each distinct query word once and building each
+        distinct list's answer table once, and caches them with the state
+        under the same key.
         """
         cached = self._states.get((block, advice))
         if cached is not None:
@@ -244,20 +289,27 @@ class NonadaptiveComputer:
                         check_word(word, self.M, self.n)
                         pair = ranks[word] = (word.block, rank_of(word.location))
                     ranked.append(pair)
-                ranked = tuple(ranked)
-                indexed = lists[words] = (_ranked_index(ranked, self.M, self.n), ranked)
+                indexed = lists[words] = (
+                    _ranked_index(ranked, self.M, self.n),
+                    _answer_table(ranked),
+                )
             terms.append((*indexed, ws, amp))
         if pre.norm_sq() != 1:
             raise ModelError(
                 f"prequery norm^2 is {rational_str(pre.norm_sq())} for input "
                 f"({block}, {advice!r})"
             )
-        self._states[(block, advice)] = _CachedInput(pre, tuple(terms))
+        # ranks holds every distinct (block, rank) pair the state queries
+        union: dict[int, list[int]] = {}
+        for word_block, rank in sorted(ranks.values()):
+            union.setdefault(word_block - 1, []).append(rank)
+        bounds = tuple((j, tuple(union_ranks)) for j, union_ranks in union.items())
+        self._states[(block, advice)] = _CachedInput(pre, tuple(terms), bounds)
         return pre
 
-    def _oracle_terms(self, block: int, advice: str) -> tuple:
+    def _cached_input(self, block: int, advice: str) -> _CachedInput:
         self.prequery_state(block, advice)
-        return self._states[(block, advice)].terms
+        return self._states[(block, advice)]
 
 
 @dataclass
@@ -278,26 +330,31 @@ def no_advice() -> AdviceFunction:
     return AdviceFunction(0, lambda instance: "")
 
 
+def _check_thresholds(computer: NonadaptiveComputer, steps: Sequence[int]) -> None:
+    """One threshold per block, each in 1..N+1, or ModelError."""
+    N = computer.N
+    if len(steps) != computer.M or min(steps) < 1 or max(steps) > N + 1:
+        raise ModelError(
+            f"thresholds {tuple(steps)!r} are not {computer.M} values in 1..{N + 1}"
+        )
+
+
 def apply_oracle(
     computer: NonadaptiveComputer, block: int, advice: str, steps: Sequence[int]
 ) -> SparseState:
     """Answer every list of input (block, advice) by per-block thresholds.
 
     steps holds one threshold per block, each in 1..N+1: an instance's
-    steps, or the thresholds a decoder substitutes (see threshold_answers).
-    The terms come from the computer's cache (see prequery_state), so this
-    is integer work only. The post-oracle state is sized by the workspace
-    alone.
+    steps, or the thresholds a decoder substitutes (see _answer_table).
+    Each list's answer index is read from its cached answer table (see
+    prequery_state), one entry per queried block, so the cost does not
+    grow with T. The post-oracle state is sized by the workspace alone.
     """
-    N = computer.N
-    if len(steps) != computer.M or any(not 1 <= s <= N + 1 for s in steps):
-        raise ModelError(
-            f"thresholds {tuple(steps)!r} are not {computer.M} values in 1..{N + 1}"
-        )
+    _check_thresholds(computer, steps)
     # list indices are distinct per query list, so every key is new
     amps = {
-        (lidx, threshold_answers(ranked_words, steps), ws): amp
-        for lidx, ranked_words, ws, amp in computer._oracle_terms(block, advice)
+        (lidx, _table_answer(table, steps), ws): amp
+        for lidx, table, ws, amp in computer._cached_input(block, advice).terms
     }
     return SparseState(computer.workspace_dim, amps)
 
@@ -321,6 +378,12 @@ def run(
     """Exact distribution over answer strings read from the output cells.
 
     The oracle answers by the per-block thresholds steps (see apply_oracle).
+    Runs are memoized on the computer, keyed by (block, advice, class
+    vector, width): thresholds with the same class vector give the same
+    post-oracle state (see _CachedInput.classes), so each distinct one is
+    built, transformed and measured once. The width and the thresholds are
+    checked before every lookup, and every call gets its own copy of the
+    distribution.
     """
     if width is None:
         width = computer.output_width
@@ -328,9 +391,16 @@ def run(
         raise ModelError(
             f"cannot read {width} cells from a {computer.output_width}-cell output"
         )
-    final = computer.final.apply(apply_oracle(computer, block, advice, steps))
-    probs = measure_register(final, width)
-    return {outcome_to_answer(outcome, width): prob for outcome, prob in probs.items()}
+    _check_thresholds(computer, steps)
+    key = (block, advice, computer._cached_input(block, advice).classes(steps), width)
+    dist = computer.runs.get(key)
+    if dist is None:
+        final = computer.final.apply(apply_oracle(computer, block, advice, steps))
+        probs = measure_register(final, width)
+        dist = computer.runs[key] = MappingProxyType(
+            {outcome_to_answer(outcome, width): prob for outcome, prob in probs.items()}
+        )
+    return dict(dist)
 
 
 def error_probability(
@@ -378,25 +448,17 @@ def validate_computer(
         computer.prequery_state(block, advice)
 
 
-def _reachable_answers(ranked_words) -> set[int]:
-    """Answer indices a query list, as (block, rank) pairs, can receive.
+def _reachable_answers(table) -> set[int]:
+    """Answer indices a query list with answer table `table` can receive.
 
     Real instances and the decoders' substituted thresholds both answer a
-    block by a threshold s in 1..N+1 (see threshold_answers). Over a
-    block's distinct queried ranks r_1 < ... < r_m, the thresholds r_1,
-    ..., r_m and r_m + 1 already give every answer pattern, so the product
-    of those choices over blocks covers them all; a block nobody queries
-    needs one placeholder threshold.
+    block by a threshold s in 1..N+1, so a block's answers are fixed by its
+    class (see _answer_table), and every class of every queried block is
+    reached: s = ranks[c] gives class c, and the largest rank + 1 <= N + 1
+    gives the last. The answers are the sums over every class vector.
     """
-    ranks: dict[int, set[int]] = {}
-    for block, rank in ranked_words:
-        ranks.setdefault(block, set()).add(rank)
-    choices = [
-        sorted(ranks[b]) + [max(ranks[b]) + 1] if b in ranks else [1]
-        for b in range(1, max(ranks, default=0) + 1)
-    ]
     return {
-        threshold_answers(ranked_words, steps) for steps in itertools.product(*choices)
+        sum(parts) for parts in itertools.product(*(shares for _j, _ranks, shares in table))
     }
 
 
@@ -413,7 +475,8 @@ def computer_to_doc(
     table = {}
     lists = {}
     for block, advice in inputs:
-        pre = computer.prequery_state(block, advice)
+        cached = computer._cached_input(block, advice)
+        pre = cached.state
         rows = []
         for (words, ws), amp in sorted(
             pre.items(), key=lambda kv: (kv[0][1], kv[0][0])
@@ -426,13 +489,13 @@ def computer_to_doc(
                 ]
             )
         table[f"{block}|{advice}"] = rows
-        for lidx, ranked_words, _ws, _amp in computer._oracle_terms(block, advice):
-            lists[lidx] = ranked_words
+        for lidx, answer_table, _ws, _amp in cached.terms:
+            lists[lidx] = answer_table
     identity = list(range(computer.workspace_dim))
     fn = computer.final.fn
     fiber_table = {}
-    for lidx, ranked_words in sorted(lists.items()):
-        for aidx in sorted(_reachable_answers(ranked_words)):
+    for lidx, answer_table in sorted(lists.items()):
+        for aidx in sorted(_reachable_answers(answer_table)):
             images = [fn(lidx, aidx, ws) for ws in identity]
             if sorted(images) != identity:
                 raise ModelError(f"fiber {lidx},{aidx} is not a workspace permutation")

@@ -3,7 +3,7 @@
 An instance is a vector of M step positions, one per block of size N = 2**n.
 Block j's characteristic string is 0^(s_j - 1) 1^(N - s_j + 1): querying a
 location answers whether that location is at or past the step (the oracle,
-model.threshold_answers, applies this rule to a query list). The target
+model._answer_table, applies this rule to a query list). The target
 function returns the last p bits of the step's n-bit name.
 """
 

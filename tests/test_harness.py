@@ -384,9 +384,17 @@ def test_cli_bad_input_exits_two_without_traceback(tmp_path, command, text):
     assert done.stdout == ""
 
 
-@pytest.mark.parametrize("command", ["bounds", "roundtrip", "lemmas"])
-@pytest.mark.parametrize("epsilon", ["1/2", "3/4"])
+@pytest.mark.parametrize("command", ["bounds", "roundtrip", "lemmas", "simulate"])
+@pytest.mark.parametrize("epsilon", ["1/2", "3/4", "2"])
 def test_epsilon_from_half_up_names_the_bound(tmp_path, capsys, command, epsilon):
     cfg = _write(tmp_path, f"M = 1\nn = 2\nepsilon = {epsilon}\n")
     assert main([command, "--config", cfg]) == 2
     assert "epsilon must be below 1/2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bounds", "roundtrip", "lemmas", "simulate"])
+def test_negative_epsilon_is_refused(tmp_path, capsys, command):
+    # full M=1 n=3 p=3 would otherwise fail all 8 simulate rows with exit 1
+    cfg = _write(tmp_path, "subject = full\nM = 1\nn = 3\np = 3\nepsilon = -1/3\n")
+    assert main([command, "--config", cfg]) == 2
+    assert "epsilon must be nonnegative" in capsys.readouterr().err

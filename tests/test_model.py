@@ -9,6 +9,8 @@ from ttquery.model import (
     NonadaptiveComputer,
     PrequeryState,
     QueryWord,
+    _answer_table,
+    _table_answer,
     advice_from_doc,
     advice_to_doc,
     answer_to_outcome,
@@ -21,7 +23,6 @@ from ttquery.model import (
     no_advice,
     outcome_to_answer,
     run,
-    threshold_answers,
     validate_computer,
 )
 from ttquery.ordered_search import StepInstance, bin_n, enumerate_instances
@@ -48,7 +49,7 @@ def test_list_index_roundtrip():
 
 def test_oracle_answers_duplicates_answered_alike():
     # step 2: both copies of rank 2 answer 1, rank 1 answers 0, so bits 110
-    assert threshold_answers(((1, 2), (1, 2), (1, 1)), (2,)) == 0b110
+    assert _table_answer(_answer_table(((1, 2), (1, 2), (1, 1))), (2,)) == 0b110
 
 
 def test_prequery_state_checks_shape():

@@ -1,6 +1,6 @@
 import pytest
 
-from ttquery.model import threshold_answers
+from ttquery.model import _answer_table, _table_answer
 from ttquery.ordered_search import (
     BudgetExceededError,
     StepInstance,
@@ -33,7 +33,7 @@ def test_answer_is_step_threshold():
     inst = StepInstance(1, 3, (5,))
 
     def answer(rank):
-        return threshold_answers(((1, rank),), inst.steps)
+        return _table_answer(_answer_table(((1, rank),)), inst.steps)
 
     assert answer(4) == 0
     assert answer(5) == 1

@@ -22,6 +22,7 @@ from ttquery.harness import (
 )
 from ttquery.model import (
     QueryWord,
+    _answer_table,
     _reachable_answers,
     advice_to_doc,
     computer_to_doc,
@@ -107,5 +108,6 @@ def test_reachable_answers_are_every_threshold_pattern():
         int("".join("1" if rank_of(w.location) >= s[w.block - 1] else "0" for w in words), 2)
         for s in itertools.product(range(1, 6), repeat=2)
     }
-    assert _reachable_answers(tuple((w.block, rank_of(w.location)) for w in words)) == patterns
+    ranked = tuple((w.block, rank_of(w.location)) for w in words)
+    assert _reachable_answers(_answer_table(ranked)) == patterns
     assert len(patterns) == 3 * 3

@@ -2,9 +2,11 @@
 
 Each cached weight analysis is checked against a recomputation from a
 fresh call of the subject's own prequery function, the oracle over cached
-terms against the oracle that parses every query word on every run, each
-census folded into a sweep against an independent fresh encode or a direct
-recount, and each computer's caches against another computer's.
+terms and answer tables against the oracle that parses and answers every
+query word on every run, each memoized run against the same run without
+the memo on a freshly built computer, each census folded into a sweep
+against an independent fresh encode or a direct recount, and each
+computer's caches against another computer's.
 """
 
 from fractions import Fraction
@@ -27,10 +29,16 @@ from ttquery.compression import (
     weight_analysis,
 )
 from ttquery.harness import ExperimentConfig, cmd_roundtrip
-from ttquery.model import QueryWord, apply_oracle, list_index
-from ttquery.ordered_search import bin_n, enumerate_instances, rank_of
-from ttquery.statevec import SparseState
-from ttquery.subjects import build_neighbor_probe, build_single_query, get_subject
+from ttquery.model import (
+    _reachable_answers,
+    apply_oracle,
+    list_index,
+    outcome_to_answer,
+    run,
+)
+from ttquery.ordered_search import enumerate_instances, rank_of
+from ttquery.statevec import SparseState, measure_register
+from ttquery.subjects import REGISTRY, build_neighbor_probe, build_single_query, get_subject
 
 CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
 
@@ -90,16 +98,25 @@ def test_cached_analysis_and_state_are_read_only():
         comp.prequery_state(1, "01").amps[((), 0)] = Fraction(1)
 
 
+def _threshold_answers(ranked_words, steps):
+    """The answer rule word by word: the reference the answer tables replace."""
+    bits = ["1" if rank >= steps[block - 1] else "0" for block, rank in ranked_words]
+    return int("".join(bits), 2) if bits else 0
+
+
 def _straight_oracle(comp, pre, steps):
     """The oracle without the term cache: every word parsed on every run."""
     amps = {}
     for (words, ws), amp in pre.items():
-        answers = 0
-        for w in words:
-            answers = answers * 2 + (rank_of(w.location) >= steps[w.block - 1])
-        key = (list_index(words, comp.M, comp.n), answers, ws)
+        ranked = [(w.block, rank_of(w.location)) for w in words]
+        key = (list_index(words, comp.M, comp.n), _threshold_answers(ranked, steps), ws)
         amps[key] = amps.get(key, Fraction(0)) + amp
     return SparseState(comp.workspace_dim, amps)
+
+
+def _every_threshold(M, n):
+    """Every threshold vector in 1..N+1: each class of every block, N+1 included."""
+    return list(product(range(1, 2**n + 2), repeat=M))
 
 
 def _swept_thresholds(M, n):
@@ -120,13 +137,25 @@ def _swept_thresholds(M, n):
 def test_cached_oracle_matches_straight_oracle(label, build, M, n, k, p):
     comp, adv = build()
     inputs = {(b, adv(i)) for i in enumerate_instances(M, n) for b in range(1, M + 1)}
-    thresholds = _swept_thresholds(M, n)
-    assert len(thresholds) > 2**(M * n)  # substituted vectors beyond the steps
+    swept = _swept_thresholds(M, n)
+    assert len(swept) > 2**(M * n)  # substituted vectors beyond the steps
+    thresholds = sorted(set(swept) | set(_every_threshold(M, n)))
     for block, advice in sorted(inputs):
         pre = comp.prequery(block, advice)
         for steps in thresholds:
             want = _straight_oracle(comp, pre, steps)
             assert apply_oracle(comp, block, advice, steps) == want, (block, advice, steps)
+
+
+@pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
+def test_reachable_answers_match_every_threshold(label, build, M, n, k, p):
+    comp, _ = build()
+    for block, advice in product(range(1, M + 1), _advice_strings(k)):
+        tables = {lidx: table for lidx, table, _ws, _amp in comp._cached_input(block, advice).terms}
+        for words, _ws in comp.prequery(block, advice).amps:
+            ranked = [(w.block, rank_of(w.location)) for w in words]
+            brute = {_threshold_answers(ranked, s) for s in _every_threshold(M, n)}
+            assert _reachable_answers(tables[list_index(words, M, n)]) == brute
 
 
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
@@ -137,14 +166,21 @@ def test_cached_terms_are_immutable_int_tuples(label, build, M, n, k, p):
         cached = comp._states[(block, advice)]
         assert cached.state is pre
         assert type(cached.terms) is tuple and len(cached.terms) == len(pre.amps)
+        lists = {list_index(words, M, n): words for words, _ws in pre.amps}
         for term in cached.terms:
             assert type(term) is tuple
-            lidx, ranked_words, ws, amp = term
-            assert type(ranked_words) is tuple
-            assert all(type(b) is int and type(r) is int for b, r in ranked_words)
-            words = tuple(QueryWord(b, bin_n(n, r)) for b, r in ranked_words)
-            assert lidx == list_index(words, M, n)
+            lidx, table, ws, amp = term
+            words = lists[lidx]
             assert pre.amps[(words, ws)] == amp
+            # one (block - 1, ranks, shares) triple per queried block, in
+            # block order, over the list's sorted distinct ranks there
+            assert type(table) is tuple
+            assert [j for j, _r, _s in table] == sorted({w.block - 1 for w in words})
+            for j, ranks, shares in table:
+                assert type(ranks) is tuple and type(shares) is tuple
+                assert all(type(r) is int for r in ranks) and all(type(v) is int for v in shares)
+                assert ranks == tuple(sorted({rank_of(w.location) for w in words if w.block == j + 1}))
+                assert len(shares) == len(ranks) + 1 and shares[-1] == 0
 
 
 def _multi_ctx(comp, M, n, k, p, l):
@@ -210,6 +246,109 @@ def test_audit_reuses_what_a_fresh_profile_and_selection_give(label, build, M, n
             assert audit.selection == lwss(fresh, fresh_adv, inst, prof, ctx)
 
 
+def _advice_len(name, M):
+    return {"advised": 1, "probe": M, "shortcut": 1}.get(name, 0)
+
+
+# every registry subject at every M <= 4, n <= 3 it can be built at
+MEMO_CASES = [
+    (name, M, n)
+    for name in REGISTRY
+    for M, n in product(range(1, 5), range(1, 4))
+    if name != "shortcut" or (M == 1 and n >= 2)
+]
+
+
+class _StraightRunner:
+    """`run` without the memo or the answer tables, on its own computer:
+    each word answered by the reference rule, then the final transform and
+    the measurement once per distinct post-oracle state."""
+
+    def __init__(self, comp):
+        self.comp = comp
+        self.parsed = {}
+        self.finals = {}
+
+    def answers(self, block, advice, steps):
+        key = (block, advice)
+        if key not in self.parsed:
+            M, n = self.comp.M, self.comp.n
+            self.parsed[key] = [
+                (list_index(words, M, n), [(w.block, rank_of(w.location)) for w in words], ws, amp)
+                for (words, ws), amp in self.comp.prequery(block, advice).items()
+            ]
+        return tuple(
+            (lidx, _threshold_answers(ranked, steps), ws, amp)
+            for lidx, ranked, ws, amp in self.parsed[key]
+        )
+
+    def run(self, block, advice, answers, width):
+        key = (block, advice, answers, width)
+        if key not in self.finals:
+            amps = {(lidx, aidx, ws): amp for lidx, aidx, ws, amp in answers}
+            final = self.comp.final.apply(SparseState(self.comp.workspace_dim, amps))
+            self.finals[key] = {
+                outcome_to_answer(outcome, width): prob
+                for outcome, prob in measure_register(final, width).items()
+            }
+        return self.finals[key]
+
+
+def _memo_sweep(M, n, k, adv):
+    """(block, advice, steps) of the runs to check: at M * n <= 8 every
+    threshold vector in 1..N+1, so every class of every block, under every
+    advice string; beyond that, the simulate sweep, every instance under
+    its own advice."""
+    blocks = range(1, M + 1)
+    if M * n <= 8:
+        advices = _advice_strings(k)
+        for steps in _every_threshold(M, n):
+            for block, advice in product(blocks, advices):
+                yield block, advice, steps
+        return
+    for instance in enumerate_instances(M, n):
+        advice = adv(instance)
+        for block in blocks:
+            yield block, advice, instance.steps
+
+
+@pytest.mark.parametrize(
+    "name, M, n", MEMO_CASES, ids=[f"{c[0]}-M{c[1]}-n{c[2]}" for c in MEMO_CASES]
+)
+def test_memoized_runs_match_unmemoized_runs(name, M, n):
+    k = _advice_len(name, M)
+    comp, adv = get_subject(name, M, n, k)
+    fresh, _ = get_subject(name, M, n, k)
+    straight = _StraightRunner(fresh)
+    for block, advice, steps in _memo_sweep(M, n, k, adv):
+        answers = straight.answers(block, advice, steps)
+        for width in range(1, comp.output_width + 1):
+            want = straight.run(block, advice, answers, width)
+            assert run(comp, block, advice, steps, width) == want, (block, advice, steps, width)
+    assert comp.runs and fresh.runs == {}
+
+
+def test_mutating_a_returned_distribution_leaves_the_memo_alone():
+    comp, _ = get_subject("full", 1, 2, 0)
+    first = run(comp, 1, "", (3,))
+    assert first == {"10": Fraction(1)}
+    first["10"] = Fraction(0)
+    first["01"] = Fraction(1)
+    assert run(comp, 1, "", (3,)) == {"10": Fraction(1)}
+    assert run(comp, 1, "", (3,)) is not run(comp, 1, "", (3,))
+    (cached,) = comp.runs.values()
+    with pytest.raises(TypeError):
+        cached["10"] = Fraction(0)
+
+
+def test_width_is_part_of_the_key():
+    comp, _ = get_subject("full", 1, 3, 0)
+    assert run(comp, 1, "", (6,), width=1) == {"1": Fraction(1)}
+    assert run(comp, 1, "", (6,), width=3) == {"101": Fraction(1)}
+    assert run(comp, 1, "", (6,)) == {"101": Fraction(1)}
+    assert len(comp.runs) == 2
+
+
 def test_computers_never_share_cached_entries():
     calls = []
     first, _ = get_subject("probe", 2, 2, 2)
@@ -222,8 +361,10 @@ def test_computers_never_share_cached_entries():
 
     first.prequery = counted
     a = weight_analysis(first, 1, "01", 1, DEFAULT_PARAMS.C)
+    run(first, 1, "01", (1, 1))
     assert second.weight_analyses == {}
     assert second._states == {}
+    assert second.runs == {}
     b = weight_analysis(second, 1, "01", 1, DEFAULT_PARAMS.C)
     assert a == b and a is not b
     assert first.prequery_state(1, "01") is not second.prequery_state(1, "01")
@@ -236,3 +377,6 @@ def test_computers_never_share_cached_entries():
     assert weight_analysis(first, 1, "01", 1, CERT_PARAMS.C).table is a.table
     first.prequery_state(1, "01")
     assert calls == [(1, "01")]
+    assert run(second, 1, "01", (1, 1)) == run(first, 1, "01", (1, 1))
+    assert first.runs == second.runs
+    assert all(first.runs[key] is not second.runs[key] for key in first.runs)
