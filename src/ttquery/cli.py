@@ -47,10 +47,7 @@ def main(argv=None) -> int:
         )
         report = COMMANDS[args.command](cfg)
         emit(report, cfg.out)
-    except (ConfigError, BudgetExceededError, MissingEntryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ConfigError, BudgetExceededError, MissingEntryError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0 if report.ok else 1

@@ -258,9 +258,8 @@ def _check_pair(ctx: EncodingContext, computer: NonadaptiveComputer) -> None:
 
 
 def _weight_table(computer, block, advice):
-    pre = computer.prequery_state(block, advice)
     acc: dict = {}
-    for (words, ws), amp in pre.items():
+    for (words, _ws), amp in computer.prequery_state(block, advice).items():
         sq = amp * amp
         for w in set(words):
             acc[w] = acc.get(w, Fraction(0)) + sq
@@ -985,17 +984,22 @@ class AuditReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.length_matches
-            and self.rank_ok
-            and self.mass_ok
-            and self.certificate_ok
-            and self.selection_distinct
-            and self.selection_floor_ok
-            and self.selection_cross_ok
-            and self.selection_m_ok
-            and self.distance_ok
-        )
+        return all(getattr(self, attr) for _, attr in AUDIT_CHECKS)
+
+
+# The audit's pass/fail flags, as (lemmas report column, AuditReport
+# attribute) pairs in column order; AuditReport.ok is their conjunction.
+AUDIT_CHECKS = (
+    ("length-ok", "length_matches"),
+    ("rank-ok", "rank_ok"),
+    ("mass-ok", "mass_ok"),
+    ("certificate-ok", "certificate_ok"),
+    ("selection-distinct", "selection_distinct"),
+    ("selection-floor", "selection_floor_ok"),
+    ("selection-cross", "selection_cross_ok"),
+    ("selection-m", "selection_m_ok"),
+    ("distance-ok", "distance_ok"),
+)
 
 
 def mass_within_queries(computer, advice, p, threshold) -> bool:

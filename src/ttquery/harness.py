@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .adversary import adversary_bound
 from .compression import (
+    AUDIT_CHECKS,
     DecodeError,
     EncodingContext,
     EncodingFormatError,
@@ -431,19 +432,6 @@ def cmd_bounds(cfg: ExperimentConfig) -> Report:
     )
 
 
-_LEMMA_CHECKS = (
-    ("length-ok", lambda a: a.length_matches),
-    ("rank-ok", lambda a: a.rank_ok),
-    ("mass-ok", lambda a: a.mass_ok),
-    ("certificate-ok", lambda a: a.certificate_ok),
-    ("selection-distinct", lambda a: a.selection_distinct),
-    ("selection-floor", lambda a: a.selection_floor_ok),
-    ("selection-cross", lambda a: a.selection_cross_ok),
-    ("selection-m", lambda a: a.selection_m_ok),
-    ("distance-ok", lambda a: a.distance_ok),
-)
-
-
 def cmd_lemmas(cfg: ExperimentConfig) -> Report:
     if cfg.scheme == "single":
         raise ConfigError("lemma audits apply to the multi scheme")
@@ -454,7 +442,7 @@ def cmd_lemmas(cfg: ExperimentConfig) -> Report:
     failed = 0
     for instance in instances:
         audit = audit_instance(ctx, computer, advice_fn, instance)
-        flags = [check(audit) for _, check in _LEMMA_CHECKS]
+        flags = [getattr(audit, attr) for _, attr in AUDIT_CHECKS]
         if not all(flags):
             failed += 1
         rows.append(
@@ -480,7 +468,7 @@ def cmd_lemmas(cfg: ExperimentConfig) -> Report:
             "case",
             "length",
             "expected",
-            *(name for name, _ in _LEMMA_CHECKS),
+            *(name for name, _ in AUDIT_CHECKS),
             "status",
         ),
         rows=tuple(rows),

@@ -15,14 +15,16 @@ place this rule is written). An instance's steps are such thresholds; the
 compression decoders and audits substitute their own, in 1..N+1, and run
 the same machine through `run`.
 
-Query words carry n-bit location strings, which is also how documents store
-them. Each word is parsed once: when a computer validates a prequery state
-it caches, with that state, the state's oracle terms (list index, the
+A prequery function returns its (block, advice) input's superposition as a
+plain mapping {(words, ws): amp}. Query words carry n-bit location strings,
+which is also how documents store them. Each word is parsed once: the one
+pass that validates a mapping (see NonadaptiveComputer.prequery_state)
+caches, with the read-only mapping, its oracle terms (list index, the
 list's answer table, workspace cell, amplitude), and `apply_oracle` reads
 only those. A list's answers under a threshold depend only on the
 threshold's class among the ranks the list queries in that block, so each
 answer index is a sum of one table entry per queried block, and `run`
-memoizes each distribution by the state's class vector.
+memoizes each distribution by the input's class vector.
 
 Output cells are ordered least-significant-bit-first: cell j holds the j-th
 bit from the end of the answer string. Narrower outputs are then prefixes of
@@ -70,11 +72,21 @@ def check_word(word: QueryWord, M: int, n: int) -> None:
 
 
 def _ranked_index(ranked_words, M: int, n: int) -> int:
-    """list_index of a query list given as (block, rank) pairs."""
-    idx = 0
-    for block, rank in ranked_words:
-        idx = idx * (M << n) + ((block - 1) << n) + rank - 1
-    return idx
+    """list_index of a query list given as (block, rank) pairs.
+
+    The words are the digits of the index in base M * 2**n, most
+    significant first. Neighbouring digits are combined pairwise and the
+    base squared each round, so no step multiplies a long partial index by
+    a one-digit base, which would make the cost quadratic in T.
+    """
+    base = M << n
+    digits = [((block - 1) << n) + rank - 1 for block, rank in ranked_words]
+    while len(digits) > 1:
+        if len(digits) % 2:
+            digits.insert(0, 0)
+        digits = [high * base + low for high, low in zip(digits[::2], digits[1::2])]
+        base *= base
+    return digits[0] if digits else 0
 
 
 def list_index(words: QueryList, M: int, n: int) -> int:
@@ -124,40 +136,6 @@ def _table_answer(table, steps: Sequence[int]) -> int:
     return answers
 
 
-@dataclass(frozen=True)
-class PrequeryState:
-    """Superposition of (query list, workspace) terms before the oracle.
-
-    Every list must have exactly T words; the squared amplitudes must sum
-    to 1. The amplitude map is read only, so a cached state can be shared.
-    """
-
-    T: int
-    workspace_dim: int
-    amps: Mapping
-
-    def __post_init__(self):
-        clean = {}
-        for (words, ws), amp in self.amps.items():
-            words = tuple(QueryWord(*w) for w in words)
-            if len(words) != self.T:
-                raise ModelError(
-                    f"a query list has {len(words)} words, but T = {self.T}"
-                )
-            if not 0 <= ws < self.workspace_dim:
-                raise ModelError(f"workspace index {ws} outside 0..{self.workspace_dim - 1}")
-            amp = as_rational(amp)
-            if amp != 0:
-                clean[(words, ws)] = amp
-        object.__setattr__(self, "amps", MappingProxyType(clean))
-
-    def norm_sq(self) -> Fraction:
-        return sum((a * a for a in self.amps.values()), Fraction(0))
-
-    def items(self):
-        return self.amps.items()
-
-
 class FinalTransform:
     """Orthogonal transform applied after the oracle (see FiberFinal)."""
 
@@ -191,19 +169,20 @@ class FiberFinal(FinalTransform):
 
 
 class _CachedInput(NamedTuple):
-    """A validated prequery state and its oracle terms (see prequery_state).
+    """A validated prequery mapping and its oracle terms (see prequery_state).
 
-    bounds holds one (block - 1, ranks) pair per block the state queries,
-    ranks being the sorted union of the ranks its lists query there.
+    amps is the read-only mapping of the input's nonzero terms. bounds
+    holds one (block - 1, ranks) pair per block the input queries, ranks
+    being the sorted union of the ranks its lists query there.
     """
 
-    state: PrequeryState
+    amps: Mapping
     terms: tuple
     bounds: tuple
 
     def classes(self, steps: Sequence[int]) -> tuple:
         """Class vector of thresholds steps: the oracle's answer to every
-        list of the state, and so the post-oracle state, depend on steps
+        list of the input, and so the post-oracle state, depend on steps
         only through it."""
         return tuple([bisect_left(ranks, steps[j]) for j, ranks in self.bounds])
 
@@ -212,24 +191,26 @@ class _CachedInput(NamedTuple):
 class NonadaptiveComputer:
     """A truth-table query computer for the M-block problem over n-bit blocks.
 
-    `prequery(i, advice)` builds the state for input block i; `final` is the
-    closing orthogonal transform, a workspace permutation per (list,
-    answers) fiber. The workspace register has dimension
-    2**output_width * scratch_dim, with the output cells in front.
+    `prequery(i, advice)` returns the prequery superposition of input block
+    i as a mapping {(words, ws): amp}, words a tuple of T query words and
+    ws a workspace cell; `final` is the closing orthogonal transform, a
+    workspace permutation per (list, answers) fiber. The workspace
+    register has dimension 2**output_width * scratch_dim, with the output
+    cells in front.
 
-    The computer caches what it derives from its prequery states, so
+    The computer caches what it derives from its prequery mappings, so
     `prequery` must be a pure function of (block, advice): it is called at
-    most once per pair. `prequery_state` keeps each validated state together
-    with its oracle terms, one `(list_index, answer_table, ws, amp)` tuple
-    per basis term (see _answer_table); every oracle application reads
-    those terms, so no query word is parsed twice and an application costs
-    one table entry per queried block per term. `runs` memoizes `run`'s
-    distributions by (block, advice, class vector, width),
+    most once per pair. `prequery_state` validates each mapping and keeps
+    it together with its oracle terms, one `(list_index, answer_table, ws,
+    amp)` tuple per nonzero term (see _answer_table); every oracle
+    application reads those terms, so no query word is parsed twice and an
+    application costs one table entry per queried block per term. `runs`
+    memoizes `run`'s distributions by (block, advice, class vector, width),
     `weight_analyses` holds the compression coder's weight analyses and
     `mass_checks` its per-advice query-mass verdicts, all built on first
-    use. These caches belong to this computer
-    alone; the cached states, terms, tables, distributions, analyses and
-    verdicts are shared by every caller and must be treated as read only.
+    use. These caches belong to this computer alone; the cached mappings,
+    terms, tables, distributions, analyses and verdicts are shared by every
+    caller and must be treated as read only.
     """
 
     M: int
@@ -238,7 +219,7 @@ class NonadaptiveComputer:
     advice_len: int
     output_width: int
     scratch_dim: int
-    prequery: Callable[[int, str], PrequeryState]
+    prequery: Callable[[int, str], Mapping]
     final: FiberFinal
     _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     weight_analyses: dict = field(
@@ -255,57 +236,82 @@ class NonadaptiveComputer:
     def workspace_dim(self) -> int:
         return 2**self.output_width * self.scratch_dim
 
-    def prequery_state(self, block: int, advice: str) -> PrequeryState:
-        """The validated prequery state of (block, advice), built once.
+    def prequery_state(self, block: int, advice: str) -> Mapping:
+        """The validated prequery mapping of (block, advice), built once.
 
-        Validation checks the state's shape, every query word and that the
-        squared norm is exactly 1. The same pass derives the state's oracle
-        terms, ranking each distinct query word once and building each
-        distinct list's answer table once, and caches them with the state
-        under the same key.
+        Every error names the input as `prequery input (block, advice)`.
+        See _validated for the checks; the read-only mapping of the nonzero
+        terms is cached with the input's oracle terms under the same key.
         """
         cached = self._states.get((block, advice))
-        if cached is not None:
-            return cached.state
-        if not 1 <= block <= self.M:
-            raise ModelError(f"input block {block} outside 1..{self.M}")
-        if len(advice) != self.advice_len:
-            raise ModelError(
-                f"advice {advice!r} has {len(advice)} bits, computer expects {self.advice_len}"
-            )
-        pre = self.prequery(block, advice)
-        if pre.T != self.T or pre.workspace_dim != self.workspace_dim:
-            raise ModelError("prequery state shape disagrees with computer")
+        if cached is None:
+            where = f"prequery input ({block}, {advice!r})"
+            if not 1 <= block <= self.M:
+                raise ModelError(f"{where}: input block {block} outside 1..{self.M}")
+            if len(advice) != self.advice_len:
+                raise ModelError(
+                    f"{where}: advice {advice!r} has {len(advice)} bits, "
+                    f"computer expects {self.advice_len}"
+                )
+            amps = self.prequery(block, advice)
+            try:
+                cached = self._validated(amps)
+            except ModelError as e:
+                raise ModelError(f"{where}: {e}") from None
+            self._states[(block, advice)] = cached
+        return cached.amps
+
+    def _validated(self, amps: Mapping) -> _CachedInput:
+        """Check a prequery mapping and derive its oracle terms, in one pass.
+
+        Every term's list must have T words and its cell must lie in the
+        workspace; its amplitude is made rational and a zero term is
+        dropped unread. Each new nonzero list's words become QueryWords,
+        each distinct word is checked and ranked once, and the list's
+        index and answer table are built once. The squared norm of what is
+        left must be exactly 1.
+        """
+        M, n, T, ws_dim = self.M, self.n, self.T, self.workspace_dim
+        clean = {}
         ranks: dict[QueryWord, tuple[int, int]] = {}
-        lists: dict[QueryList, tuple[int, tuple]] = {}
+        # each list as given -> (its QueryWords, list index, answer table)
+        lists: dict[QueryList, tuple] = {}
         terms = []
-        for (words, ws), amp in pre.items():
-            indexed = lists.get(words)
-            if indexed is None:
+        for (words, ws), amp in amps.items():
+            if len(words) != T:
+                raise ModelError(f"a query list has {len(words)} words, but T = {T}")
+            if not 0 <= ws < ws_dim:
+                raise ModelError(f"workspace index {ws} outside 0..{ws_dim - 1}")
+            amp = as_rational(amp)
+            if amp == 0:
+                continue
+            listed = lists.get(words)
+            if listed is None:
+                qlist = tuple(QueryWord(*w) for w in words)
                 ranked = []
-                for word in words:
+                for word in qlist:
                     pair = ranks.get(word)
                     if pair is None:
-                        check_word(word, self.M, self.n)
+                        check_word(word, M, n)
                         pair = ranks[word] = (word.block, rank_of(word.location))
                     ranked.append(pair)
-                indexed = lists[words] = (
-                    _ranked_index(ranked, self.M, self.n),
+                listed = lists[words] = (
+                    qlist,
+                    _ranked_index(ranked, M, n),
                     _answer_table(ranked),
                 )
-            terms.append((*indexed, ws, amp))
-        if pre.norm_sq() != 1:
-            raise ModelError(
-                f"prequery norm^2 is {rational_str(pre.norm_sq())} for input "
-                f"({block}, {advice!r})"
-            )
-        # ranks holds every distinct (block, rank) pair the state queries
+            qlist, lidx, table = listed
+            clean[(qlist, ws)] = amp
+            terms.append((lidx, table, ws, amp))
+        norm_sq = sum((a * a for a in clean.values()), Fraction(0))
+        if norm_sq != 1:
+            raise ModelError(f"prequery norm^2 is {rational_str(norm_sq)}")
+        # ranks holds every distinct (block, rank) pair the input queries
         union: dict[int, list[int]] = {}
         for word_block, rank in sorted(ranks.values()):
             union.setdefault(word_block - 1, []).append(rank)
         bounds = tuple((j, tuple(union_ranks)) for j, union_ranks in union.items())
-        self._states[(block, advice)] = _CachedInput(pre, tuple(terms), bounds)
-        return pre
+        return _CachedInput(MappingProxyType(clean), tuple(terms), bounds)
 
     def _cached_input(self, block: int, advice: str) -> _CachedInput:
         self.prequery_state(block, advice)
@@ -443,7 +449,7 @@ def max_error(
 def validate_computer(
     computer: NonadaptiveComputer, pairs: Sequence[tuple[int, str]]
 ) -> None:
-    """Build, and so validate, the prequery states of the given inputs."""
+    """Build, and so validate, the prequery mappings of the given inputs."""
     for block, advice in pairs:
         computer.prequery_state(block, advice)
 
@@ -468,7 +474,7 @@ def computer_to_doc(
     """Serialize a computer: prequery table for the given inputs, then V.
 
     The final transform is stored as per-fiber workspace permutations over
-    the fibers the tabulated prequery states can reach (see
+    the fibers the tabulated prequery mappings can reach (see
     _reachable_answers); fibers the transform leaves fixed are omitted. A
     fiber whose images are not a permutation of the workspace is rejected.
     """
@@ -476,10 +482,9 @@ def computer_to_doc(
     lists = {}
     for block, advice in inputs:
         cached = computer._cached_input(block, advice)
-        pre = cached.state
         rows = []
         for (words, ws), amp in sorted(
-            pre.items(), key=lambda kv: (kv[0][1], kv[0][0])
+            cached.amps.items(), key=lambda kv: (kv[0][1], kv[0][0])
         ):
             rows.append(
                 [
@@ -596,7 +601,6 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
     if output_width > n:
         raise ModelError(f"p must be at most n = {n}, not {output_width}")
     scratch_dim = _doc_int(doc["scratch"], "scratch", 1)
-    ws_dim = 2**output_width * scratch_dim
     if not isinstance(doc["prequery"], Mapping):
         raise ModelError("prequery table must map inputs to rows")
     table = {}
@@ -608,13 +612,9 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
                 QueryWord(_doc_int(b, "word block"), _doc_location(loc)) for b, loc in words
             )
             amps[(qlist, _doc_int(ws, "workspace cell"))] = _doc_amp(amp)
-        block = int(block_text)
-        try:
-            table[(block, advice)] = PrequeryState(T, ws_dim, amps)
-        except ModelError as e:
-            raise ModelError(f"prequery input ({block}, {advice!r}): {e}") from None
+        table[(int(block_text), advice)] = amps
 
-    def prequery(block: int, advice: str) -> PrequeryState:
+    def prequery(block: int, advice: str) -> Mapping:
         try:
             return table[(block, advice)]
         except KeyError:

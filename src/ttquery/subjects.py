@@ -22,7 +22,6 @@ from .model import (
     FiberFinal,
     ModelError,
     NonadaptiveComputer,
-    PrequeryState,
     QueryWord,
     answer_to_outcome,
     list_index,
@@ -63,7 +62,7 @@ def build_full_query(M: int, n: int):
 
     def prequery(block, advice):
         words = tuple(QueryWord(block, bin_n(n, r)) for r in range(1, N))
-        return PrequeryState(T, N, {(words, 0): Fraction(1)})
+        return {(words, 0): Fraction(1)}
 
     def target(lidx, aidx):
         if lidx not in lists:
@@ -117,7 +116,7 @@ def build_advised(M: int, n: int, k: int):
         prefix = advice[(block - 1) * q : block * q]
         words, hi = window(block, prefix)
         ws = answer_to_outcome(prefix) if q == n else 0
-        return PrequeryState(T, 2**n, {(words, ws): Fraction(1)})
+        return {(words, ws): Fraction(1)}
 
     def target(lidx, aidx):
         hi = windows.get(lidx)
@@ -149,7 +148,7 @@ def build_zero(M: int, n: int):
     """No queries, no advice, identity final transform. Always answers zero."""
 
     def prequery(block, advice):
-        return PrequeryState(0, 2**n, {((), 0): Fraction(1)})
+        return {((), 0): Fraction(1)}
 
     computer = NonadaptiveComputer(
         M=M,
@@ -185,14 +184,10 @@ def build_probe(M: int, n: int):
 
     def prequery(block, advice):
         out = int(advice[block - 1])
-        return PrequeryState(
-            1,
-            2,
-            {
-                ((QueryWord(block, lo),), out): PROBE_HEAVY,
-                ((QueryWord(block, hi),), out): PROBE_LIGHT,
-            },
-        )
+        return {
+            ((QueryWord(block, lo),), out): PROBE_HEAVY,
+            ((QueryWord(block, hi),), out): PROBE_LIGHT,
+        }
 
     def advice_bits(instance: StepInstance) -> str:
         return "".join(eval_G(instance, b, 1) for b in range(1, M + 1))
@@ -231,7 +226,7 @@ def build_shortcut(n: int):
 
     def prequery(block, advice):
         words = dup if advice == "1" else asc
-        return PrequeryState(T, 4, {(words, 0): Fraction(1)})
+        return {(words, 0): Fraction(1)}
 
     def target(lidx, aidx):
         if lidx == dup_idx:
@@ -274,14 +269,10 @@ def build_neighbor_probe(M: int, n: int):
         out = int(advice[block - 1])
         first = block % M + 1
         second = first % M + 1
-        return PrequeryState(
-            1,
-            2,
-            {
-                ((QueryWord(first, loc),), out): PROBE_HEAVY,
-                ((QueryWord(second, loc),), out): PROBE_LIGHT,
-            },
-        )
+        return {
+            ((QueryWord(first, loc),), out): PROBE_HEAVY,
+            ((QueryWord(second, loc),), out): PROBE_LIGHT,
+        }
 
     def advice_bits(instance: StepInstance) -> str:
         return "".join(eval_G(instance, b, 1) for b in range(1, M + 1))
@@ -311,7 +302,7 @@ def build_single_query(M: int, n: int):
 
     def prequery(block, advice):
         words = (QueryWord(block % M + 1, loc),)
-        return PrequeryState(1, 2**n, {(words, 0): Fraction(1)})
+        return {(words, 0): Fraction(1)}
 
     computer = NonadaptiveComputer(
         M=M,

@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttquery.cli import main
-from ttquery.model import advice_to_doc, computer_to_doc
+from ttquery.model import ModelError, QueryWord, advice_to_doc, computer_to_doc
 from ttquery.ordered_search import enumerate_instances
+from ttquery.statevec import rational_str
 from ttquery.subjects import REGISTRY, get_subject
 
 
@@ -244,6 +245,32 @@ def test_cli_subject_doc_list_length_error_names_both_lengths(tmp_path):
     assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
     assert f"has {T} words" in lines[0] and f"T = {T + 3}" in lines[0], lines
     assert "(1, '0')" in lines[0] and len(lines[0]) < 160, lines
+
+
+# defects of one prequery term (words, ws, amp), each caught by one check
+_TERM_DEFECTS = {
+    "norm": lambda words, ws, amp: (words, ws, amp / 2),
+    "word": lambda words, ws, amp: ((QueryWord(2, words[0].location), *words[1:]), ws, amp),
+    "cell": lambda words, ws, amp: (words, 9, amp),
+    "length": lambda words, ws, amp: (words[:-1], ws, amp),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_TERM_DEFECTS))
+def test_library_and_doc_name_a_bad_prequery_input_alike(tmp_path, defect):
+    # the same defect in input (1, '0') of a library-built computer and of
+    # its exported doc is reported by the same `prequery input (...)` line
+    comp, _ = get_subject("shortcut", 1, 3, 1)
+    (((words, ws), amp),) = comp.prequery(1, "0").items()
+    words, ws, amp = _TERM_DEFECTS[defect](words, ws, amp)
+    comp.prequery = lambda block, advice: {(words, ws): amp}
+    with pytest.raises(ModelError) as library:
+        comp.prequery_state(1, "0")
+    assert str(library.value).startswith("prequery input (1, '0'): ")
+    doc = copy.deepcopy(_DOC)
+    doc["computer"]["prequery"]["1|0"] = [[rational_str(amp), [list(w) for w in words], ws]]
+    code, lines = _run_doc(tmp_path, doc, "simulate")
+    assert code == 2 and lines == [f"error: subject file is malformed: {library.value}"], lines
 
 
 @pytest.mark.parametrize("field, value", [("scratch", 2), ("p", 3)])

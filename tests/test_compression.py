@@ -411,7 +411,7 @@ def test_substituted_steps_match_closure_rule(name, M, n):
         w
         for block in range(1, M + 1)
         for a in range(2**k)
-        for (qlist, _ws) in comp.prequery_state(block, format(a, f"0{k}b") if k else "").amps
+        for (qlist, _ws) in comp.prequery_state(block, format(a, f"0{k}b") if k else "")
         for w in qlist
     }
     checked = 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,9 @@ from ttquery.model import (
     FiberFinal,
     ModelError,
     NonadaptiveComputer,
-    PrequeryState,
     QueryWord,
     _answer_table,
+    _ranked_index,
     _table_answer,
     advice_from_doc,
     advice_to_doc,
@@ -47,16 +48,85 @@ def test_list_index_roundtrip():
     assert indices == set(range(64))
 
 
+def _horner_index(ranked_words, M, n):
+    """The list index digit by digit: the reference the pairwise build replaces."""
+    idx = 0
+    for block, rank in ranked_words:
+        idx = idx * (M << n) + ((block - 1) << n) + rank - 1
+    return idx
+
+
+def test_ranked_index_matches_horner():
+    rng = random.Random(2003)
+    for M in range(1, 6):
+        for n in range(1, 5):
+            for T in range(10):
+                for _ in range(4):
+                    ranked = [(rng.randint(1, M), rng.randint(1, 2**n)) for _ in range(T)]
+                    assert _ranked_index(ranked, M, n) == _horner_index(ranked, M, n)
+    # the full M=1 n=12 list, and a random list of the same length over 3 blocks
+    full = [(1, rank) for rank in range(1, 4096)]
+    assert _ranked_index(full, 1, 12) == _horner_index(full, 1, 12)
+    mixed = [(rng.randint(1, 3), rng.randint(1, 2**4)) for _ in range(4095)]
+    assert _ranked_index(mixed, 3, 4) == _horner_index(mixed, 3, 4)
+
+
 def test_oracle_answers_duplicates_answered_alike():
     # step 2: both copies of rank 2 answer 1, rank 1 answers 0, so bits 110
     assert _table_answer(_answer_table(((1, 2), (1, 2), (1, 1))), (2,)) == 0b110
 
 
+def _one_block_computer(amps, n=1):
+    """An M = 1, T = 1 computer with a 2-cell workspace; every prequery returns amps."""
+    return NonadaptiveComputer(
+        M=1,
+        n=n,
+        T=1,
+        advice_len=0,
+        output_width=1,
+        scratch_dim=1,
+        prequery=lambda block, advice: amps,
+        final=FiberFinal(lambda lidx, aidx, ws: ws),
+    )
+
+
 def test_prequery_state_checks_shape():
-    with pytest.raises(ModelError):
-        PrequeryState(2, 4, {((QueryWord(1, "0"),), 0): Fraction(1)})
-    with pytest.raises(ModelError):
-        PrequeryState(1, 4, {((QueryWord(1, "0"),), 9): Fraction(1)})
+    # a 2-word list with T = 1, and cell 9 of a 2-cell workspace
+    two_words = (QueryWord(1, "0"), QueryWord(1, "1"))
+    for amps, message in [
+        ({(two_words, 0): Fraction(1)}, "a query list has 2 words, but T = 1"),
+        ({(two_words[:1], 9): Fraction(1)}, "workspace index 9 outside 0..1"),
+    ]:
+        comp = _one_block_computer(amps)
+        with pytest.raises(ModelError, match=rf"^prequery input \(1, ''\): {message}$"):
+            comp.prequery_state(1, "")
+        assert comp._states == {}
+
+
+def test_zero_terms_are_dropped_unchecked():
+    # a zero term leaves the mapping and the oracle terms, and its words are
+    # never checked; its list length and cell still are
+    good = (QueryWord(1, "01"),)
+    bad = (QueryWord(2, "1"),)
+    comp = _one_block_computer(
+        {(good, 0): Fraction(1), (bad, 1): Fraction(0), (good, 1): "0/3"}, n=2
+    )
+    amps = comp.prequery_state(1, "")
+    assert dict(amps) == {(good, 0): Fraction(1)}
+    assert [(ws, amp) for _lidx, _table, ws, amp in comp._cached_input(1, "").terms] == [
+        (0, Fraction(1))
+    ]
+    assert run(comp, 1, "", (1,)) == {"0": Fraction(1)}
+    long_zero = _one_block_computer({(good, 0): Fraction(1), (good * 2, 0): 0}, n=2)
+    with pytest.raises(ModelError, match="has 2 words"):
+        long_zero.prequery_state(1, "")
+
+
+def test_prequery_words_become_query_words():
+    # plain (block, location) pairs are read as QueryWords
+    comp = _one_block_computer({(((1, "1"),), 0): Fraction(1)})
+    ((words, ws),) = comp.prequery_state(1, "")
+    assert type(words[0]) is QueryWord and words == (QueryWord(1, "1"),)
 
 
 def test_permutation_final_rejects_collision():
@@ -105,19 +175,8 @@ def test_validate_computer_checks_norm():
 def test_run_rejects_non_unit_prequery_state():
     # a library-built computer is checked on first use, not only on load
     word = (QueryWord(1, "0"),)
-    comp = NonadaptiveComputer(
-        M=1,
-        n=1,
-        T=1,
-        advice_len=0,
-        output_width=1,
-        scratch_dim=1,
-        prequery=lambda block, advice: PrequeryState(
-            1, 2, {(word, 0): Fraction(1, 2), (word, 1): Fraction(1, 2)}
-        ),
-        final=FiberFinal(lambda lidx, aidx, ws: ws),
-    )
-    with pytest.raises(ModelError, match="norm"):
+    comp = _one_block_computer({(word, 0): Fraction(1, 2), (word, 1): Fraction(1, 2)})
+    with pytest.raises(ModelError, match=r"^prequery input \(1, ''\): prequery norm\^2 is 1/2$"):
         run(comp, 1, "", (1,))
 
 
@@ -132,19 +191,8 @@ def test_run_rejects_non_unit_prequery_state():
 def test_prequery_state_checks_every_word(word, message):
     # the bad word sits in the second list, behind a valid one
     good = (QueryWord(1, "01"),)
-    comp = NonadaptiveComputer(
-        M=1,
-        n=2,
-        T=1,
-        advice_len=0,
-        output_width=1,
-        scratch_dim=1,
-        prequery=lambda block, advice: PrequeryState(
-            1, 2, {(good, 0): Fraction(3, 5), ((word,), 1): Fraction(4, 5)}
-        ),
-        final=FiberFinal(lambda lidx, aidx, ws: ws),
-    )
-    with pytest.raises(ModelError, match=message):
+    comp = _one_block_computer({(good, 0): Fraction(3, 5), ((word,), 1): Fraction(4, 5)}, n=2)
+    with pytest.raises(ModelError, match=rf"^prequery input \(1, ''\): {message}"):
         run(comp, 1, "", (1,))
     assert comp._states == {}
 

@@ -95,7 +95,7 @@ def test_cached_analysis_and_state_are_read_only():
     with pytest.raises(TypeError):
         wa.table[(1, "0")] = Fraction(0)
     with pytest.raises(TypeError):
-        comp.prequery_state(1, "01").amps[((), 0)] = Fraction(1)
+        comp.prequery_state(1, "01")[((), 0)] = Fraction(1)
 
 
 def _threshold_answers(ranked_words, steps):
@@ -152,7 +152,7 @@ def test_reachable_answers_match_every_threshold(label, build, M, n, k, p):
     comp, _ = build()
     for block, advice in product(range(1, M + 1), _advice_strings(k)):
         tables = {lidx: table for lidx, table, _ws, _amp in comp._cached_input(block, advice).terms}
-        for words, _ws in comp.prequery(block, advice).amps:
+        for words, _ws in comp.prequery(block, advice):
             ranked = [(w.block, rank_of(w.location)) for w in words]
             brute = {_threshold_answers(ranked, s) for s in _every_threshold(M, n)}
             assert _reachable_answers(tables[list_index(words, M, n)]) == brute
@@ -164,14 +164,14 @@ def test_cached_terms_are_immutable_int_tuples(label, build, M, n, k, p):
     for block, advice in product(range(1, M + 1), _advice_strings(k)):
         pre = comp.prequery_state(block, advice)
         cached = comp._states[(block, advice)]
-        assert cached.state is pre
-        assert type(cached.terms) is tuple and len(cached.terms) == len(pre.amps)
-        lists = {list_index(words, M, n): words for words, _ws in pre.amps}
+        assert cached.amps is pre
+        assert type(cached.terms) is tuple and len(cached.terms) == len(pre)
+        lists = {list_index(words, M, n): words for words, _ws in pre}
         for term in cached.terms:
             assert type(term) is tuple
             lidx, table, ws, amp = term
             words = lists[lidx]
-            assert pre.amps[(words, ws)] == amp
+            assert pre[(words, ws)] == amp
             # one (block - 1, ranks, shares) triple per queried block, in
             # block order, over the list's sorted distinct ranks there
             assert type(table) is tuple
