@@ -25,20 +25,23 @@ alongside the bits, not inside them.
 
 Work that does not depend on the instance is done once. The EncodingContext
 derives T / C and the rank width when built, and on first use the two
-inequality reports and each round-count verdict. The computer keeps, per
-advice string, the weight analyses (weight_analysis) and the query-mass
-verdict (mass_within_queries). Per instance, encoding and auditing evaluate
-the advice and each step name once.
+inequality reports, the selection's round count m and threshold C / m
+per pool size, and each round-count verdict. The computer keeps, per
+advice string, the weight analyses (weight_analysis), each with a rank map
+from heavy prefix to its index, and the query-mass verdict
+(mass_within_queries). Per instance, encoding and auditing evaluate the
+advice and each step name once, and classify a block by looking its
+prefix up in the rank map rather than comparing its weight with C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .model import NonadaptiveComputer, apply_oracle, run
 from .ordered_search import (
@@ -48,6 +51,10 @@ from .ordered_search import (
     rank_of,
 )
 from .statevec import Rational, as_rational, inner_product
+
+
+_ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
 
 
 class EncodingFormatError(ValueError):
@@ -152,9 +159,11 @@ class EncodingContext:
 
     What depends on the configuration alone is derived here once, not per
     instance: the ratio t = T / C and the rank width on construction, the
-    two inequality reports on first use (inequality_reports), and each
-    round-count verdict on first use per (bad-block count, m)
-    (round_count_ok). The context owns these; they are read only.
+    two inequality reports on first use (inequality_reports), the
+    selection's round count and threshold on first use per pool size
+    (selection_rounds), and each round-count verdict on first use per
+    (bad-block count, m) (round_count_ok). The context owns these; they
+    are read only.
     """
 
     M: int
@@ -180,6 +189,7 @@ class EncodingContext:
             raise ValueError("l must lie in [1, M]")
         object.__setattr__(self, "_t", Fraction(self.T) / self.C)
         object.__setattr__(self, "_width_k", rank_width(self.T, self.C))
+        object.__setattr__(self, "_rounds", {})
         object.__setattr__(self, "_round_verdicts", {})
 
     @property
@@ -212,6 +222,15 @@ class EncodingContext:
         see check_inequalities.
         """
         return _inequality_reports(self)
+
+    def selection_rounds(self, pool_size: int) -> tuple[int, Fraction | None]:
+        """Round count m of a selection over pool_size bad blocks, and its
+        threshold C / m (None when m = 0), derived once per pool size."""
+        found = self._rounds.get(pool_size)
+        if found is None:
+            m = _round_count(self.t, pool_size)
+            found = self._rounds[pool_size] = (m, self.C / m if m else None)
+        return found
 
     def round_count_ok(self, bad_count: int, m: int) -> bool:
         """Whether m is the selection's round count for bad_count bad blocks.
@@ -282,15 +301,22 @@ class WeightAnalysis:
     table maps (j, leading n-p bits) to the summed weight of the 2**p
     completions, as prefix_weights builds it; own_mass sums the input
     block's own entries. heavy lists, sorted, the input block's own
-    prefixes weighted strictly above threshold (the coder's C). None of
-    this depends on the instance, so one record serves every instance
-    with this advice string. It is shared and read only.
+    prefixes weighted strictly above threshold (the coder's C), and ranks
+    maps each of them to its index in heavy, so a prefix is heavy exactly
+    when it has a rank. None of this depends on the instance, so one
+    record serves every instance with this advice string. It is shared
+    and read only.
     """
 
     table: Mapping[tuple[int, str], Fraction]
     own_mass: Fraction
     threshold: Fraction
     heavy: tuple[str, ...]
+    ranks: Mapping[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ranks = {prefix: rank for rank, prefix in enumerate(self.heavy)}
+        object.__setattr__(self, "ranks", MappingProxyType(ranks))
 
 
 def weight_analysis(computer, block, advice, p, threshold) -> WeightAnalysis:
@@ -299,11 +325,13 @@ def weight_analysis(computer, block, advice, p, threshold) -> WeightAnalysis:
     Built on first use and kept in computer.weight_analyses, keyed by
     (block, advice, p); later calls at the same threshold return the same
     record. A call at another threshold keeps the table and own mass and
-    recomputes only the heavy list.
+    recomputes only the heavy list and its ranks.
     """
     key = (block, advice, p)
     found = computer.weight_analyses.get(key)
-    if found is not None and found.threshold == threshold:
+    # the coder passes the same C object every time: identity skips the
+    # Fraction comparison
+    if found is not None and (found.threshold is threshold or found.threshold == threshold):
         return found
     if found is None:
         table = MappingProxyType(prefix_weights(computer, block, advice, p))
@@ -322,8 +350,7 @@ def weight_analysis(computer, block, advice, p, threshold) -> WeightAnalysis:
 # Good/bad profiling
 
 
-@dataclass(frozen=True)
-class BlockProfile:
+class BlockProfile(NamedTuple):
     block: int
     prefix: str
     weight: Fraction
@@ -336,7 +363,7 @@ class BlockProfile:
 class GoodBadProfile:
     blocks: tuple[BlockProfile, ...]
 
-    @property
+    @cached_property
     def good_indices(self) -> tuple[int, ...]:
         return tuple(bp.block for bp in self.blocks if bp.good)
 
@@ -364,13 +391,15 @@ def _profile(computer, f, names, p, params) -> GoodBadProfile:
     if not 1 <= p <= computer.n:
         raise ValueError("p must lie in [1, n]")
     cut = computer.n - p
+    C = params.C
     out = []
     for i in range(1, computer.M + 1):
-        wa = weight_analysis(computer, i, f, p, params.C)
+        wa = weight_analysis(computer, i, f, p, C)
         pre = names[i][:cut]
-        w = wa.table.get((i, pre), Fraction(0))
-        good = w > params.C
-        rank = wa.heavy.index(pre) if good else None
+        # heavy is the analysis's list at threshold C: a rank means w > C
+        rank = wa.ranks.get(pre)
+        good = rank is not None
+        w = wa.table.get((i, pre), _ZERO)
         out.append(BlockProfile(i, pre, w, good, rank, wa.heavy if good else None))
     return GoodBadProfile(tuple(out))
 
@@ -595,8 +624,7 @@ def _round_count(t: Fraction, pool_size: int) -> int:
 
 def _select(ctx, computer, advice, bad_prefixes):
     pool = tuple(sorted(bad_prefixes))
-    m = _round_count(ctx.t, len(pool))
-    threshold = ctx.C / m if m else None
+    m, threshold = ctx.selection_rounds(len(pool))
     survivors = list(pool)
     picked: list[int] = []
     sizes = [len(survivors)]
@@ -614,14 +642,14 @@ def _select(ctx, computer, advice, bad_prefixes):
         survivors = [
             j
             for j in survivors
-            if tbl.get((j, bad_prefixes[j]), Fraction(0)) < threshold
+            if tbl.get((j, bad_prefixes[j]), _ZERO) < threshold
         ]
         sizes.append(len(survivors))
     crosses = []
     for a_pos, a in enumerate(picked):
         for b in picked[a_pos + 1 :]:
             crosses.append(
-                (a, b, tables[a].get((b, bad_prefixes[b]), Fraction(0)))
+                (a, b, tables[a].get((b, bad_prefixes[b]), _ZERO))
             )
     return LwssResult(
         tuple(picked), m, threshold, pool, tuple(sizes), tuple(crosses)
@@ -812,7 +840,7 @@ def _substituted_steps(M, p, names, prefix_of, pending) -> tuple[int, ...]:
 
 def _majority(dist):
     """The answer whose probability is above 1/2, or None."""
-    return next((a for a, prob in dist.items() if prob > Fraction(1, 2)), None)
+    return next((a for a, prob in dist.items() if prob > _HALF), None)
 
 
 # ---------------------------------------------------------------------------
@@ -847,12 +875,11 @@ def encode_single(n, k, params, computer, advice_fn, instance) -> Encoding:
     f = advice_fn(instance)
     name = instance.step_bits(1)
     cut = n - p
-    heavy = weight_analysis(computer, 1, f, p, params.C).heavy
+    rank = weight_analysis(computer, 1, f, p, params.C).ranks.get(name[:cut])
     w = _ItemWriter()
     w.put("advice", f)
-    if name[:cut] in heavy:
+    if rank is not None:
         w.put("suffix", name[cut:])
-        rank = heavy.index(name[:cut])
         w.put("rank", _field(rank, rank_width(computer.T, params.C)))
         return w.build(1)
     w.put("prefix", name[:cut])

@@ -47,7 +47,7 @@ from .ordered_search import (
     parse_instance,
 )
 from .statevec import as_rational, rational_str
-from .subjects import REGISTRY, SubjectError, get_subject
+from .subjects import REGISTRY, SubjectError, get_subject, query_count
 
 
 class ConfigError(ValueError):
@@ -379,14 +379,25 @@ def cmd_roundtrip(cfg: ExperimentConfig) -> Report:
     )
 
 
+def _query_count(cfg: ExperimentConfig) -> int:
+    """The subject's T: a built-in states it without being built, a JSON
+    subject is loaded and checked in full."""
+    if cfg.subject in REGISTRY:
+        try:
+            return query_count(cfg.subject, cfg.M, cfg.n, cfg.k)
+        except SubjectError as e:
+            raise ConfigError(str(e)) from None
+    return resolve_subject(cfg)[0].T
+
+
 def cmd_bounds(cfg: ExperimentConfig) -> Report:
-    computer, _ = resolve_subject(cfg)
+    T = _query_count(cfg)
     params = _params(cfg)
     N = 2**cfg.n
     rows = []
     upper = N // 2 ** (cfg.k // cfg.M) - 1
     rows.append(("reference-upper", "-", str(upper), "queries of the advised reference machine"))
-    rows.append(("subject-T", "-", str(computer.T), cfg.subject))
+    rows.append(("subject-T", "-", str(T), cfg.subject))
     if cfg.M == 1 and cfg.k + 1 <= cfg.n:
         v = single_block_bound(cfg.n, cfg.k, params)
         rows.append(
@@ -404,7 +415,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> Report:
     for l in range(1, cfg.M + 1):
         try:
             ctx = EncodingContext(
-                M=cfg.M, n=cfg.n, p=cfg.p, k=cfg.k, T=computer.T, l=l, params=params
+                M=cfg.M, n=cfg.n, p=cfg.p, k=cfg.k, T=T, l=l, params=params
             )
         except ValueError as e:
             raise ConfigError(str(e)) from None
@@ -421,7 +432,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> Report:
         "epsilon": rational_str(as_rational(cfg.epsilon)),
         "c": rational_str(as_rational(cfg.c)),
         "reference_upper": upper,
-        "subject_T": computer.T,
+        "subject_T": T,
     }
     return Report(
         name="bounds",

@@ -43,7 +43,13 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ordered_search import StepInstance, eval_G, rank_of
-from .statevec import SparseState, as_rational, measure_register, rational_str
+from .statevec import (
+    DimensionMismatchError,
+    SparseState,
+    as_rational,
+    measure_register,
+    rational_str,
+)
 
 
 class QueryWord(NamedTuple):
@@ -151,7 +157,9 @@ class FiberFinal(FinalTransform):
     bijection on the workspace of every fiber, which makes the transform
     orthogonal by construction. Collisions on the support of any applied
     state are rejected, which witnesses injectivity on every subspace the
-    transform actually touches.
+    transform actually touches. Since fn is caller code, an image outside
+    the workspace is rejected too. The amplitudes are the input state's,
+    already checked, and are carried over without a second check.
     """
 
     def __init__(self, fn: Callable[[int, int, int], int]):
@@ -159,13 +167,17 @@ class FiberFinal(FinalTransform):
 
     def apply(self, state: SparseState) -> SparseState:
         fn = self.fn
+        dim = state.workspace_dim
         out = {}
         for (lidx, aidx, ws), amp in state.items():
-            new_key = (lidx, aidx, fn(lidx, aidx, ws))
+            image = fn(lidx, aidx, ws)
+            if not 0 <= image < dim:
+                raise DimensionMismatchError(f"workspace cell {image} outside 0..{dim - 1}")
+            new_key = (lidx, aidx, image)
             if new_key in out:
                 raise ModelError(f"final transform collides on {new_key!r}")
             out[new_key] = amp
-        return SparseState(state.workspace_dim, out)
+        return SparseState._trusted(dim, out)
 
 
 class _CachedInput(NamedTuple):
@@ -355,6 +367,8 @@ def apply_oracle(
     Each list's answer index is read from its cached answer table (see
     prequery_state), one entry per queried block, so the cost does not
     grow with T. The post-oracle state is sized by the workspace alone.
+    The terms were checked when the input was validated, so the state is
+    built from them without checking them again.
     """
     _check_thresholds(computer, steps)
     # list indices are distinct per query list, so every key is new
@@ -362,7 +376,7 @@ def apply_oracle(
         (lidx, _table_answer(table, steps), ws): amp
         for lidx, table, ws, amp in computer._cached_input(block, advice).terms
     }
-    return SparseState(computer.workspace_dim, amps)
+    return SparseState._trusted(computer.workspace_dim, amps)
 
 
 def outcome_to_answer(outcome: int, width: int) -> str:

@@ -65,6 +65,19 @@ class SparseState:
         object.__setattr__(self, "workspace_dim", workspace_dim)
         object.__setattr__(self, "amps", clean)
 
+    @classmethod
+    def _trusted(cls, workspace_dim: int, amps: dict) -> SparseState:
+        """A state over amps taken as they are, with no check.
+
+        Only for states derived from already validated terms: every cell
+        must lie in the workspace and every amplitude must be a nonzero
+        Fraction. The dict becomes the state's own and must not be changed.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "workspace_dim", workspace_dim)
+        object.__setattr__(state, "amps", amps)
+        return state
+
     def __setattr__(self, name, value):
         raise AttributeError("SparseState is immutable")
 

@@ -83,6 +83,13 @@ def build_full_query(M: int, n: int):
     return computer, no_advice()
 
 
+def _advised_queries(M: int, n: int, k: int) -> int:
+    """T of the advised reference machine, checking that k fits M blocks."""
+    if not 0 <= k <= M * n:
+        raise SubjectError(f"advice length {k} outside 0..{M * n}")
+    return 2 ** (n - k // M) - 1
+
+
 def build_advised(M: int, n: int, k: int):
     """Reference advised algorithm: floor(k/M) leading step bits per block.
 
@@ -90,10 +97,8 @@ def build_advised(M: int, n: int, k: int):
     the computer queries all but the last of them, so T = 2^(n-q) - 1.
     Leftover advice bits are zero padding.
     """
-    if not 0 <= k <= M * n:
-        raise SubjectError(f"advice length {k} outside 0..{M * n}")
+    T = _advised_queries(M, n, k)
     q = k // M
-    T = 2 ** (n - q) - 1
 
     def window(block, prefix):
         if prefix:
@@ -205,6 +210,13 @@ def build_probe(M: int, n: int):
     return computer, AdviceFunction(k, advice_bits)
 
 
+def _shortcut_queries(n: int) -> int:
+    """T of the shortcut machine: every location outside 4Z."""
+    if n < 2:
+        raise SubjectError("shortcut needs n >= 2")
+    return 3 * 2**n // 4
+
+
 def build_shortcut(n: int):
     """Single block, one advice bit: is the step a multiple of four?
 
@@ -214,10 +226,8 @@ def build_shortcut(n: int):
     T duplicate copies of location 1 so that only steps with the all-zero
     location prefix keep a good weight profile.
     """
-    if n < 2:
-        raise SubjectError("shortcut needs n >= 2")
+    T = _shortcut_queries(n)
     N = 2**n
-    T = 3 * N // 4
     ranks = tuple(r for r in range(1, N + 1) if r % 4 != 0)
     asc = tuple(QueryWord(1, bin_n(n, r)) for r in ranks)
     dup = (QueryWord(1, bin_n(n, 1)),) * T
@@ -320,26 +330,48 @@ def build_single_query(M: int, n: int):
 REGISTRY = ("full", "advised", "zero", "probe", "shortcut")
 
 
-def get_subject(name: str, M: int, n: int, k: int):
-    """Build a registry subject, checking that k fits the subject's shape."""
-    if name == "full":
-        if k != 0:
-            raise SubjectError("full takes no advice (k must be 0)")
-        return build_full_query(M, n)
-    if name == "advised":
-        return build_advised(M, n, k)
-    if name == "zero":
-        if k != 0:
-            raise SubjectError("zero takes no advice (k must be 0)")
-        return build_zero(M, n)
-    if name == "probe":
-        if k != M:
-            raise SubjectError(f"probe uses one advice bit per block (k must be {M})")
-        return build_probe(M, n)
+def _check_shape(name: str, M: int, k: int) -> None:
+    """SubjectError unless name is a registry subject and k fits its shape."""
+    if name not in REGISTRY:
+        raise SubjectError(f"unknown subject {name!r}; built-ins: {', '.join(REGISTRY)}")
+    if name in ("full", "zero") and k != 0:
+        raise SubjectError(f"{name} takes no advice (k must be 0)")
+    if name == "probe" and k != M:
+        raise SubjectError(f"probe uses one advice bit per block (k must be {M})")
     if name == "shortcut":
         if M != 1:
             raise SubjectError("shortcut is a single-block subject (M must be 1)")
         if k != 1:
             raise SubjectError("shortcut uses one advice bit (k must be 1)")
-        return build_shortcut(n)
-    raise SubjectError(f"unknown subject {name!r}; built-ins: {', '.join(REGISTRY)}")
+
+
+def get_subject(name: str, M: int, n: int, k: int):
+    """Build a registry subject, checking that k fits the subject's shape."""
+    _check_shape(name, M, k)
+    if name == "full":
+        return build_full_query(M, n)
+    if name == "advised":
+        return build_advised(M, n, k)
+    if name == "zero":
+        return build_zero(M, n)
+    if name == "probe":
+        return build_probe(M, n)
+    return build_shortcut(n)
+
+
+def query_count(name: str, M: int, n: int, k: int) -> int:
+    """T of the registry subject get_subject would build, without building it.
+
+    Raises the SubjectError that get_subject would raise for the same
+    arguments.
+    """
+    _check_shape(name, M, k)
+    if name == "full":
+        return 2**n - 1
+    if name == "advised":
+        return _advised_queries(M, n, k)
+    if name == "zero":
+        return 0
+    if name == "probe":
+        return 1
+    return _shortcut_queries(n)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ttquery import harness
+from ttquery import harness, subjects
 from ttquery.cli import main
 from ttquery.harness import (
     ConfigError,
@@ -131,6 +131,45 @@ def test_bounds_report_values():
     assert table[("reference-upper", "-")] == "7"
     assert table[("c-uv-good-branch", "1")] == "1/2048"
     assert table[("c-uv-bad-branch", "1")] == "1/4096"
+
+
+BOUNDS_CASES = [
+    ("full", 2, 3, 0, 1),
+    ("full", 1, 4, 0, 2),
+    ("advised", 2, 3, 2, 1),
+    ("advised", 4, 2, 5, 2),
+    ("zero", 2, 2, 0, 1),
+    ("probe", 4, 2, 4, 1),
+    ("shortcut", 1, 3, 1, 2),
+]
+
+
+@pytest.mark.parametrize("subject, M, n, k, p", BOUNDS_CASES)
+def test_bounds_report_matches_the_one_from_a_built_subject(monkeypatch, subject, M, n, k, p):
+    cfg = ExperimentConfig(M=M, n=n, k=k, p=p, subject=subject)
+    rep = cmd_bounds(cfg)
+    # the report as it reads with T taken from the built subject
+    monkeypatch.setattr(harness, "query_count", lambda *args: get_subject(*args)[0].T)
+    built = cmd_bounds(cfg)
+    assert report_csv(rep) == report_csv(built)
+    assert report_json(rep) == report_json(built)
+
+
+def test_bounds_never_builds_a_builtin_subject(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("subject built for bounds")
+
+    monkeypatch.setattr(subjects, "build_full_query", refuse)
+    cfg = _write(tmp_path, "subject = full\nM = 1\nn = 40\n")
+    assert main(["bounds", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "subject-T,-,1099511627775,full\n" in out
+
+
+def test_bounds_refuses_a_builtin_shape_like_the_builder(tmp_path, capsys):
+    cfg = _write(tmp_path, "subject = shortcut\nM = 1\nn = 1\nk = 1\np = 1\n")
+    assert main(["bounds", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: shortcut needs n >= 2\n"
 
 
 def test_lemmas_report_all_pass():
@@ -368,6 +407,9 @@ _BROKEN_SUBJECTS = {
         ("simulate", _PROBE + "@bad-advice\n"),
         ("simulate", _PROBE + "@dense-final\n"),
         ("simulate", _PROBE + "@list-prequery\n"),
+        # bounds loads a JSON subject in full, so a malformed one is refused
+        ("bounds", "M = 1\nn = 2\np = 2\nsubject = @unit\n"),
+        ("bounds", _PROBE + "@dense-final\n"),
         ("roundtrip", "M = 2\nn = 2\nk = 2\np = 2\nsubject = probe\n"),
         ("lemmas", "M = 2\nn = 2\nk = 2\np = 2\nsubject = probe\n"),
         ("roundtrip", "M = 1\nn = 3\nk = 1\nsubject = probe\nscheme = single\n"),

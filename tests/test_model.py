@@ -139,10 +139,13 @@ def test_permutation_final_rejects_collision():
 
 
 def test_fiber_final_rejects_cell_outside_workspace():
-    comp, _ = get_subject("full", 1, 2, 0)
-    comp.final = FiberFinal(lambda lidx, aidx, ws: ws + comp.workspace_dim)
-    with pytest.raises(DimensionMismatchError):
-        run(comp, 1, "", (3,))
+    # the post-oracle state is built unchecked, so the final checks each image
+    for sign in (1, -1):
+        comp, _ = get_subject("full", 1, 2, 0)
+        dim = comp.workspace_dim
+        comp.final = FiberFinal(lambda lidx, aidx, ws: ws + sign * dim)
+        with pytest.raises(DimensionMismatchError):
+            run(comp, 1, "", (3,))
 
 
 def test_full_query_worked_example():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from ttquery.subjects import (
     build_neighbor_probe,
     build_single_query,
     get_subject,
+    query_count,
 )
 
 
@@ -119,3 +121,27 @@ def test_registry_names():
 def test_subject_parameter_validation(name, M, n, k):
     with pytest.raises(SubjectError):
         get_subject(name, M, n, k)
+
+
+@pytest.mark.parametrize("name", REGISTRY)
+def test_query_count_matches_the_built_subject(name):
+    built = 0
+    for M, n, k in product((1, 2, 4), range(1, 5), range(0, 6)):
+        try:
+            want = get_subject(name, M, n, k)[0].T
+        except SubjectError as e:
+            with pytest.raises(SubjectError) as counted:
+                query_count(name, M, n, k)
+            assert str(counted.value) == str(e), (M, n, k)
+            continue
+        assert query_count(name, M, n, k) == want, (M, n, k)
+        built += 1
+    assert built
+
+
+def test_query_count_refuses_an_unknown_name_like_get_subject():
+    with pytest.raises(SubjectError) as built:
+        get_subject("nope", 1, 2, 0)
+    with pytest.raises(SubjectError) as counted:
+        query_count("nope", 1, 2, 0)
+    assert str(counted.value) == str(built.value)

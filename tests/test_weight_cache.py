@@ -1,12 +1,15 @@
 """Differential tests of the per-computer caches and the single-pass census.
 
 Each cached weight analysis is checked against a recomputation from a
-fresh call of the subject's own prequery function, the oracle over cached
-terms and answer tables against the oracle that parses and answers every
-query word on every run, each memoized run against the same run without
-the memo on a freshly built computer, each census folded into a sweep
-against an independent fresh encode or a direct recount, and each
-computer's caches against another computer's.
+fresh call of the subject's own prequery function, each profile and
+selection against a straight one that compares weights with C and derives
+the round count afresh, the oracle over cached terms and answer tables
+against the oracle that parses and answers every query word on every run,
+each unchecked derived state against the checked constructor, each
+memoized run against the same run without the memo on a freshly built
+computer, each census folded into a sweep against an independent fresh
+encode or a direct recount, and each computer's caches against another
+computer's.
 """
 
 from fractions import Fraction
@@ -18,6 +21,10 @@ from ttquery.compression import (
     DEFAULT_PARAMS,
     EncodingContext,
     ErrorParams,
+    LwssResult,
+    _profile,
+    _round_count,
+    _select,
     _substituted_steps,
     audit_instance,
     census,
@@ -38,9 +45,19 @@ from ttquery.model import (
 )
 from ttquery.ordered_search import enumerate_instances, rank_of
 from ttquery.statevec import SparseState, measure_register
-from ttquery.subjects import REGISTRY, build_neighbor_probe, build_single_query, get_subject
+from ttquery.subjects import (
+    PROBE_LIGHT,
+    REGISTRY,
+    build_neighbor_probe,
+    build_single_query,
+    get_subject,
+)
 
 CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
+# sqrt C = (1 - 2 (1 + c) / 3) / 4 = 64/1025, so C is the probe's light
+# weight: that prefix sits exactly at the threshold and must not be heavy
+EDGE_PARAMS = ErrorParams(Fraction(1, 3), Fraction(257, 2050))
+PARAMS = (DEFAULT_PARAMS, CERT_PARAMS, EDGE_PARAMS)
 
 # (label, builder, M, n, k, p): small sizes of every subject, p within the
 # subject's output width.
@@ -79,14 +96,25 @@ def _straight_analysis(comp, block, advice, p, threshold):
 def test_cached_analysis_matches_recomputation(label, build, M, n, k, p):
     comp, _ = build()
     for block, advice, cut, params in product(
-        range(1, M + 1), _advice_strings(k), range(1, n + 1), (DEFAULT_PARAMS, CERT_PARAMS)
+        range(1, M + 1), _advice_strings(k), range(1, n + 1), PARAMS
     ):
+        # consecutive params differ, so each call after the first on an
+        # input recomputes the heavy list and ranks of a kept table
         wa = weight_analysis(comp, block, advice, cut, params.C)
         table, heavy, own = _straight_analysis(comp, block, advice, cut, params.C)
         assert dict(wa.table) == table
         assert wa.heavy == heavy
+        assert dict(wa.ranks) == {a: i for i, a in enumerate(heavy)}
         assert wa.own_mass == own
         assert weight_analysis(comp, block, advice, cut, params.C) is wa
+
+
+def test_edge_params_put_a_probe_prefix_exactly_at_the_threshold():
+    assert EDGE_PARAMS.C == PROBE_LIGHT**2
+    comp, _ = get_subject("probe", 2, 2, 2)
+    wa = weight_analysis(comp, 1, "01", 1, EDGE_PARAMS.C)
+    assert wa.table[(1, "1")] == EDGE_PARAMS.C
+    assert wa.heavy == ("0",) and dict(wa.ranks) == {"0": 0}
 
 
 def test_cached_analysis_and_state_are_read_only():
@@ -95,7 +123,94 @@ def test_cached_analysis_and_state_are_read_only():
     with pytest.raises(TypeError):
         wa.table[(1, "0")] = Fraction(0)
     with pytest.raises(TypeError):
+        wa.ranks["1"] = 1
+    with pytest.raises(TypeError):
         comp.prequery_state(1, "01")[((), 0)] = Fraction(1)
+
+
+def _straight_profile(comp, advice, names, p, C):
+    """Each block classified by w > C, with its rank from heavy.index."""
+    blocks = []
+    for i in range(1, comp.M + 1):
+        table, heavy, _own = _straight_analysis(comp, i, advice, p, C)
+        pre = names[i][: comp.n - p]
+        w = table.get((i, pre), Fraction(0))
+        good = w > C
+        blocks.append((i, pre, w, good, heavy.index(pre) if good else None, heavy if good else None))
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
+def test_profile_matches_straight_classification(label, build, M, n, k, p):
+    comp, adv = build()
+    for params, inst in product(PARAMS, enumerate_instances(M, n)):
+        advice = adv(inst)
+        names = {i: inst.step_bits(i) for i in range(1, M + 1)}
+        for cut in range(1, n + 1):
+            prof = _profile(comp, advice, names, cut, params)
+            want = _straight_profile(comp, advice, names, cut, params.C)
+            assert prof.blocks == want, (params, inst, cut)
+            assert prof.good_indices == tuple(b[0] for b in want if b[3])
+            assert prof.l_prime == len(prof.good_indices)
+
+
+def _straight_select(ctx, comp, advice, bad_prefixes):
+    """The selection with its round count and threshold derived afresh and
+    every weight read from a straight analysis."""
+    pool = tuple(sorted(bad_prefixes))
+    m = _round_count(ctx.t, len(pool))
+    threshold = ctx.C / m if m else None
+    survivors, picked, sizes, tables = list(pool), [], [len(pool)], {}
+    for _ in range(m):
+        pivot = next(j for j in survivors if j not in picked)
+        picked.append(pivot)
+        tables[pivot] = _straight_analysis(comp, pivot, advice, ctx.p, ctx.C)[0]
+        survivors = [
+            j for j in survivors if tables[pivot].get((j, bad_prefixes[j]), Fraction(0)) < threshold
+        ]
+        sizes.append(len(survivors))
+    crosses = tuple(
+        (a, b, tables[a].get((b, bad_prefixes[b]), Fraction(0)))
+        for a_pos, a in enumerate(picked)
+        for b in picked[a_pos + 1 :]
+    )
+    return LwssResult(tuple(picked), m, threshold, pool, tuple(sizes), crosses)
+
+
+@pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
+def test_select_matches_straight_selection(label, build, M, n, k, p):
+    # every pool of blocks under every instance's advice, so one context
+    # sees every pool size; a second and a third context see the same
+    # sizes at other thresholds
+    comp, adv = build()
+    pools = [
+        [i for i in range(1, M + 1) if mask >> (i - 1) & 1] for mask in range(2**M)
+    ]
+    for params in PARAMS:
+        ctx = EncodingContext(M=M, n=n, p=p, k=k, T=comp.T, l=M, params=params)
+        for inst in enumerate_instances(M, n):
+            advice = adv(inst)
+            for pool in pools:
+                bad = {j: inst.step_bits(j)[: n - p] for j in pool}
+                want = _straight_select(ctx, comp, advice, bad)
+                assert _select(ctx, comp, advice, bad) == want, (params, inst, pool)
+
+
+def test_select_matches_straight_selection_over_several_rounds():
+    # the round count reaches 2 only once the pool holds 2t + 2 blocks
+    # (t = T / C = 16 here), so 64 blocks; pool sizes rise and then fall,
+    # and each size must get its own round count and threshold
+    M = 64
+    comp, _ = build_neighbor_probe(M, 1)
+    ctx = EncodingContext(M=M, n=1, p=1, k=M, T=comp.T, l=M, params=CERT_PARAMS)
+    advice = "01" * (M // 2)
+    rounds = set()
+    for size in [*range(M + 1), *range(M, -1, -1)]:
+        bad = {j: "" for j in range(M - size + 1, M + 1)}
+        sel = _select(ctx, comp, advice, bad)
+        assert sel == _straight_select(ctx, comp, advice, bad), size
+        rounds.add(sel.m)
+    assert rounds == {0, 1, 2}
 
 
 def _threshold_answers(ranked_words, steps):
@@ -145,6 +260,24 @@ def test_cached_oracle_matches_straight_oracle(label, build, M, n, k, p):
         for steps in thresholds:
             want = _straight_oracle(comp, pre, steps)
             assert apply_oracle(comp, block, advice, steps) == want, (block, advice, steps)
+
+
+@pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
+def test_trusted_states_match_checked_construction(label, build, M, n, k, p):
+    comp, adv = build()
+    fn = comp.final.fn
+    inputs = {(b, adv(i)) for i in enumerate_instances(M, n) for b in range(1, M + 1)}
+    swept = _swept_thresholds(M, n)
+    for block, advice in sorted(inputs):
+        for steps in swept:
+            state = apply_oracle(comp, block, advice, steps)
+            assert all(type(a) is Fraction and a != 0 for a in state.amps.values())
+            assert state == SparseState(state.workspace_dim, state.amps)
+            checked = SparseState(
+                state.workspace_dim,
+                {(lidx, aidx, fn(lidx, aidx, ws)): amp for (lidx, aidx, ws), amp in state.items()},
+            )
+            assert comp.final.apply(state) == checked, (block, advice, steps)
 
 
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
