@@ -353,10 +353,8 @@ def weight_analysis(computer, block, advice, p, threshold) -> WeightAnalysis:
 class BlockProfile(NamedTuple):
     block: int
     prefix: str
-    weight: Fraction
     good: bool
     rank: int | None
-    heavy: tuple[str, ...] | None
 
 
 @dataclass(frozen=True)
@@ -370,9 +368,6 @@ class GoodBadProfile:
     @property
     def l_prime(self) -> int:
         return len(self.good_indices)
-
-    def entry(self, block: int) -> BlockProfile:
-        return self.blocks[block - 1]
 
 
 def profile(computer, advice_fn, instance, p, params=DEFAULT_PARAMS) -> GoodBadProfile:
@@ -398,9 +393,7 @@ def _profile(computer, f, names, p, params) -> GoodBadProfile:
         pre = names[i][:cut]
         # heavy is the analysis's list at threshold C: a rank means w > C
         rank = wa.ranks.get(pre)
-        good = rank is not None
-        w = wa.table.get((i, pre), _ZERO)
-        out.append(BlockProfile(i, pre, w, good, rank, wa.heavy if good else None))
+        out.append(BlockProfile(i, pre, rank is not None, rank))
     return GoodBadProfile(tuple(out))
 
 

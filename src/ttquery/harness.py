@@ -395,7 +395,8 @@ def cmd_bounds(cfg: ExperimentConfig) -> Report:
     params = _params(cfg)
     N = 2**cfg.n
     rows = []
-    upper = N // 2 ** (cfg.k // cfg.M) - 1
+    # advice bits past M * n are padding: the window is then one location
+    upper = query_count("advised", cfg.M, cfg.n, min(cfg.k, cfg.M * cfg.n))
     rows.append(("reference-upper", "-", str(upper), "queries of the advised reference machine"))
     rows.append(("subject-T", "-", str(T), cfg.subject))
     if cfg.M == 1 and cfg.k + 1 <= cfg.n:

@@ -1,16 +1,19 @@
 """Built-in computers for the block search problem.
 
 These are the machines the test sweeps and the CLI run against. The
-reference algorithms (full, advised) are errorless and meet the known
-query counts; the others shape their queries to reach specific branches
-of the encoding machinery: zero makes no queries at all, probe keeps its
-own step's prefix group almost unqueried, shortcut mixes duplicate query
-lists with a sparse location pattern, and the two helpers at the bottom
-aim their single query at a neighboring block.
+reference algorithm (advised, with full as its k = 0 case) is errorless
+and meets the known query counts; the others shape their queries to
+reach specific branches of the encoding machinery: zero makes no queries
+at all, probe keeps its own step's prefix group almost unqueried,
+shortcut mixes duplicate query lists with a sparse location pattern, and
+the two helpers at the bottom aim their single query at a neighboring
+block.
 
-Every final transform here is either the identity or an XOR of a
-list-and-answer-determined value into the workspace cell block, which is
-an involution on basis states and hence orthogonal for free.
+Every final transform here is either the identity or an XOR of a fixed
+value per fiber into the workspace cell block, which is an involution on
+basis states and hence orthogonal for free. The advised machine's value
+depends on the answer index alone; shortcut's is the one that reads the
+list index too, since it must tell its two lists apart.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from fractions import Fraction
 from .model import (
     AdviceFunction,
     FiberFinal,
-    ModelError,
     NonadaptiveComputer,
     QueryWord,
     answer_to_outcome,
@@ -34,10 +36,6 @@ class SubjectError(ValueError):
     """Unknown subject name or parameters the subject cannot take."""
 
 
-def _ones(answers_idx: int) -> int:
-    return bin(answers_idx).count("1")
-
-
 def _xor_final(target_fn):
     """Final transform XORing target_fn(list index, answer index) into ws."""
     return FiberFinal(lambda lidx, aidx, ws: ws ^ target_fn(lidx, aidx))
@@ -45,42 +43,6 @@ def _xor_final(target_fn):
 
 def _identity_final():
     return FiberFinal(lambda lidx, aidx, ws: ws)
-
-
-def build_full_query(M: int, n: int):
-    """Reference no-advice algorithm: query locations 1..N-1 of the input block.
-
-    The step equals N minus the number of 1-answers, so the full n-bit name
-    is recovered exactly; T = N - 1.
-    """
-    N = 2**n
-    T = N - 1
-    lists = {}
-    for b in range(1, M + 1):
-        words = tuple(QueryWord(b, bin_n(n, r)) for r in range(1, N))
-        lists[list_index(words, M, n)] = words
-
-    def prequery(block, advice):
-        words = tuple(QueryWord(block, bin_n(n, r)) for r in range(1, N))
-        return {(words, 0): Fraction(1)}
-
-    def target(lidx, aidx):
-        if lidx not in lists:
-            return 0
-        step = N - _ones(aidx)
-        return answer_to_outcome(bin_n(n, step))
-
-    computer = NonadaptiveComputer(
-        M=M,
-        n=n,
-        T=T,
-        advice_len=0,
-        output_width=n,
-        scratch_dim=1,
-        prequery=prequery,
-        final=_xor_final(target),
-    )
-    return computer, no_advice()
 
 
 def _advised_queries(M: int, n: int, k: int) -> int:
@@ -94,43 +56,24 @@ def build_advised(M: int, n: int, k: int):
     """Reference advised algorithm: floor(k/M) leading step bits per block.
 
     Advice narrows each step to a window of 2^(n-q) consecutive locations;
-    the computer queries all but the last of them, so T = 2^(n-q) - 1.
-    Leftover advice bits are zero padding.
+    the computer queries all but the last of them, so T = 2^(n-q) - 1, and
+    at k = 0 this is the no-advice machine `full`. Leftover advice bits are
+    zero padding. The prequery writes the advised prefix into the
+    workspace; the step is the window's last location minus the number of
+    1-answers, so its remaining n-q bits are T minus that number, which the
+    final transform XORs into the cells the prefix leaves clear.
     """
     T = _advised_queries(M, n, k)
     q = k // M
 
-    def window(block, prefix):
-        if prefix:
-            lo = int(prefix + "0" * (n - q), 2) + 1
-            hi = int(prefix + "1" * (n - q), 2) + 1
-        else:
-            lo, hi = 1, 2**n
-        words = tuple(QueryWord(block, bin_n(n, r)) for r in range(lo, hi))
-        return words, hi
-
-    windows = {}
-    for b in range(1, M + 1):
-        for g in range(2**q):
-            prefix = format(g, f"0{q}b") if q else ""
-            words, hi = window(b, prefix)
-            if T:
-                windows[list_index(words, M, n)] = hi
-
     def prequery(block, advice):
-        prefix = advice[(block - 1) * q : block * q]
-        words, hi = window(block, prefix)
-        ws = answer_to_outcome(prefix) if q == n else 0
-        return {(words, ws): Fraction(1)}
+        first = advice[(block - 1) * q : block * q] + "0" * (n - q)
+        lo = int(first, 2) + 1
+        words = tuple(QueryWord(block, bin_n(n, r)) for r in range(lo, lo + T))
+        return {(words, answer_to_outcome(first)): Fraction(1)}
 
     def target(lidx, aidx):
-        hi = windows.get(lidx)
-        if hi is None:
-            return 0
-        step = hi - _ones(aidx)
-        return answer_to_outcome(bin_n(n, step))
-
-    final = _xor_final(target) if T else _identity_final()
+        return answer_to_outcome(bin_n(n, T + 1 - aidx.bit_count()))
 
     def advice_bits(instance: StepInstance) -> str:
         parts = [instance.step_bits(b)[:q] for b in range(1, M + 1)]
@@ -144,7 +87,7 @@ def build_advised(M: int, n: int, k: int):
         output_width=n,
         scratch_dim=1,
         prequery=prequery,
-        final=final,
+        final=_xor_final(target),
     )
     return computer, AdviceFunction(k, advice_bits)
 
@@ -348,9 +291,7 @@ def _check_shape(name: str, M: int, k: int) -> None:
 def get_subject(name: str, M: int, n: int, k: int):
     """Build a registry subject, checking that k fits the subject's shape."""
     _check_shape(name, M, k)
-    if name == "full":
-        return build_full_query(M, n)
-    if name == "advised":
+    if name in ("full", "advised"):
         return build_advised(M, n, k)
     if name == "zero":
         return build_zero(M, n)
@@ -366,9 +307,7 @@ def query_count(name: str, M: int, n: int, k: int) -> int:
     arguments.
     """
     _check_shape(name, M, k)
-    if name == "full":
-        return 2**n - 1
-    if name == "advised":
+    if name in ("full", "advised"):
         return _advised_queries(M, n, k)
     if name == "zero":
         return 0

@@ -125,7 +125,7 @@ def test_profile_probe_goodness():
 def test_profile_ranks_count_heavy_prefixes_below():
     comp, adv = get_subject("full", 1, 3, 0)
     prof = profile(comp, adv, StepInstance(1, 3, (8,)), 1)
-    entry = prof.entry(1)
+    entry = prof.blocks[0]
     assert entry.good
     # every 2-bit prefix is heavy for the full subject, step 8 sits last
     assert entry.rank == 3

@@ -159,7 +159,7 @@ def test_bounds_never_builds_a_builtin_subject(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("subject built for bounds")
 
-    monkeypatch.setattr(subjects, "build_full_query", refuse)
+    monkeypatch.setattr(subjects, "build_advised", refuse)
     cfg = _write(tmp_path, "subject = full\nM = 1\nn = 40\n")
     assert main(["bounds", "--config", cfg]) == 0
     out = capsys.readouterr().out
@@ -170,6 +170,22 @@ def test_bounds_refuses_a_builtin_shape_like_the_builder(tmp_path, capsys):
     cfg = _write(tmp_path, "subject = shortcut\nM = 1\nn = 1\nk = 1\np = 1\n")
     assert main(["bounds", "--config", cfg]) == 2
     assert capsys.readouterr().err == "error: shortcut needs n >= 2\n"
+
+
+def test_bounds_reference_upper_is_zero_past_Mn_advice_bits(tmp_path, capsys):
+    # a zero doc re-labelled with k = 3 > M * n: the extra bits are padding
+    comp, _ = get_subject("zero", 1, 2, 0)
+    doc = computer_to_doc(comp, [(1, "")])
+    row = doc["prequery"].pop("1|")
+    doc["k"] = 3
+    doc["prequery"] = {f"1|{a:03b}": row for a in range(8)}
+    subject = tmp_path / "zero-k3.json"
+    subject.write_text(json.dumps({"computer": doc, "advice": {"length": 3, "table": {}}}))
+    cfg = _write(tmp_path, "M = 1\nn = 2\nk = 3\n")
+    assert main(["bounds", "--config", cfg, "--subject", str(subject)]) == 0
+    out = capsys.readouterr().out
+    assert "reference-upper,-,0,queries of the advised reference machine\n" in out
+    assert '"reference_upper": 0,' in out
 
 
 def test_lemmas_report_all_pass():

@@ -136,7 +136,7 @@ def _straight_profile(comp, advice, names, p, C):
         pre = names[i][: comp.n - p]
         w = table.get((i, pre), Fraction(0))
         good = w > C
-        blocks.append((i, pre, w, good, heavy.index(pre) if good else None, heavy if good else None))
+        blocks.append((i, pre, good, heavy.index(pre) if good else None))
     return tuple(blocks)
 
 
@@ -150,7 +150,7 @@ def test_profile_matches_straight_classification(label, build, M, n, k, p):
             prof = _profile(comp, advice, names, cut, params)
             want = _straight_profile(comp, advice, names, cut, params.C)
             assert prof.blocks == want, (params, inst, cut)
-            assert prof.good_indices == tuple(b[0] for b in want if b[3])
+            assert prof.good_indices == tuple(b[0] for b in want if b[2])
             assert prof.l_prime == len(prof.good_indices)
 
 
