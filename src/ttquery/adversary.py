@@ -18,7 +18,7 @@ from math import isqrt
 
 from .model import ModelError, apply_oracle
 from .ordered_search import StepInstance
-from .statevec import SparseState, as_rational, inner_product
+from .statevec import as_rational, checked_epsilon, inner_product
 
 TOLERANCE = Fraction(1, 10**9)
 
@@ -71,8 +71,9 @@ def partition_by_advice(computer, advice_fn) -> AdvicePartition:
     )
 
 
-def postquery_state(computer, advice, instance) -> SparseState:
-    """State right after the oracle answers, before the final transform."""
+def postquery_state(computer, advice, instance) -> dict:
+    """State right after the oracle answers, before the final transform:
+    the dict {(list index, answer index, ws): amp} of model.apply_oracle."""
     if computer.M != 1:
         raise PartitionError("single-block states only")
     if (instance.M, instance.n) != (computer.M, computer.n):
@@ -80,9 +81,10 @@ def postquery_state(computer, advice, instance) -> SparseState:
     return apply_oracle(computer, 1, advice, instance.steps)
 
 
-def final_state(computer, advice, instance) -> SparseState:
+def final_state(computer, advice, instance) -> dict:
     """The full pipeline output: final transform applied to the answered state."""
-    return computer.final.apply(postquery_state(computer, advice, instance))
+    state = postquery_state(computer, advice, instance)
+    return computer.final.apply(state, computer.workspace_dim)
 
 
 def sqrt_bracket(x, scale: int = 10**12):
@@ -166,16 +168,17 @@ def zeta(computer, partition: AdvicePartition, epsilon=Fraction(0)) -> ZetaRepor
 
 
 def adversary_bound(N: int, k: int, epsilon) -> Fraction:
-    """Query floor (1 - 2 sqrt(eps (1 - eps))) (N / 2^k - 1).
+    """Query floor (1 - 2 sqrt(eps (1 - eps))) (ceil(N / 2^k) - 1).
 
-    Exact at epsilon = 0. Otherwise returned as a rational within 10^-9
-    of the true value, the one approximate quantity in the package.
+    The selected advice class holds a whole number of steps, at least
+    ceil(N / 2^k) of them and never fewer than one, so the floor is never
+    negative, even when k > n. Exact at epsilon = 0. Otherwise returned
+    as a rational within 10^-9 of the true value, the one approximate
+    quantity in the package.
     """
-    epsilon = as_rational(epsilon)
-    if not 0 <= epsilon < Fraction(1, 2):
-        raise ValueError("epsilon must lie in [0, 1/2)")
+    epsilon = checked_epsilon(epsilon)
     if N < 1 or k < 0:
         raise ValueError("N must be positive and k nonnegative")
     lo, hi = sqrt_bracket(epsilon * (1 - epsilon))
     mid = (lo + hi) / 2
-    return (1 - 2 * mid) * (Fraction(N, 2**k) - 1)
+    return (1 - 2 * mid) * (-(-N // 2**k) - 1)

@@ -50,7 +50,7 @@ from .ordered_search import (
     format_instance,
     rank_of,
 )
-from .statevec import Rational, as_rational, inner_product
+from .statevec import Rational, as_rational, checked_epsilon, inner_product
 
 
 _ZERO = Fraction(0)
@@ -93,12 +93,8 @@ class ErrorParams:
     c: Rational
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", as_rational(self.epsilon))
+        object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon))
         object.__setattr__(self, "c", as_rational(self.c))
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.epsilon >= Fraction(1, 2):
-            raise ValueError("epsilon must be below 1/2")
         if not 0 < self.c < self.d:
             raise ValueError(f"c must lie strictly between 0 and {self.d}")
         # Every weight comparison reads C, so it is derived once here.
@@ -437,7 +433,6 @@ class InequalityReport:
     certified: bool
     c_uv: Fraction | None
     matches_closed_form: bool | None
-    detail: str
 
 
 def _inequality_reports(ctx: EncodingContext):
@@ -450,14 +445,10 @@ def _inequality_reports(ctx: EncodingContext):
     case1 = t**ctx.l < Fraction(2) ** E
     a = 2 * ctx.l * ctx.log_M + ctx.k + 2
     case2 = ctx.p * ctx.p * ctx.C * (ctx.M - ctx.l) > a * a * T
-    details = (
-        f"(T/C)^l = {t**ctx.l} against 2^{E}",
-        f"A^2 T = {a * a * ctx.T} against p^2 C (M-l) = {ctx.p * ctx.p * ctx.C * (ctx.M - ctx.l)}",
-    )
     reports = []
-    for case, certified, cu, detail in zip((1, 2), (case1, case2), c_uv_values(ctx), details):
+    for case, certified, cu in zip((1, 2), (case1, case2), c_uv_values(ctx)):
         matches = None if cu is None else ((T < cu) == certified)
-        reports.append(InequalityReport(case, case1, case2, certified, cu, matches, detail))
+        reports.append(InequalityReport(case, case1, case2, certified, cu, matches))
     return tuple(reports)
 
 
@@ -596,7 +587,6 @@ class LwssResult:
     W: tuple[int, ...]
     m: int
     threshold: Fraction | None
-    pool: tuple[int, ...]
     survivor_sizes: tuple[int, ...]
     crosses: tuple[tuple[int, int, Fraction], ...]
 
@@ -616,9 +606,8 @@ def _round_count(t: Fraction, pool_size: int) -> int:
 
 
 def _select(ctx, computer, advice, bad_prefixes):
-    pool = tuple(sorted(bad_prefixes))
-    m, threshold = ctx.selection_rounds(len(pool))
-    survivors = list(pool)
+    survivors = sorted(bad_prefixes)
+    m, threshold = ctx.selection_rounds(len(survivors))
     picked: list[int] = []
     sizes = [len(survivors)]
     tables = {}
@@ -644,9 +633,7 @@ def _select(ctx, computer, advice, bad_prefixes):
             crosses.append(
                 (a, b, tables[a].get((b, bad_prefixes[b]), _ZERO))
             )
-    return LwssResult(
-        tuple(picked), m, threshold, pool, tuple(sizes), tuple(crosses)
-    )
+    return LwssResult(tuple(picked), m, threshold, tuple(sizes), tuple(crosses))
 
 
 def lwss(computer, advice_fn, instance, prof: GoodBadProfile, ctx: EncodingContext):
@@ -979,9 +966,7 @@ def verify_pigeonhole(ctx, computer, advice_fn, M, n, budget=None) -> Pigeonhole
 class AuditReport:
     """Every exactly checkable scheme invariant, for one instance.
 
-    Selection fields are vacuously true for case 1. length_with_l is the
-    case 2 length formula with l substituted for the good-block count,
-    the form the certifying chain bounds; informational only.
+    Selection fields are vacuously true for case 1.
     """
 
     instance: str
@@ -1000,7 +985,6 @@ class AuditReport:
     selection_m_ok: bool
     distance_ok: bool
     distances: tuple[Fraction, ...]
-    length_with_l: int | None
 
     @property
     def ok(self) -> bool:
@@ -1068,7 +1052,6 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
     sel_distinct = sel_floor = sel_cross = sel_m = True
     distance_ok = True
     distances: tuple = ()
-    length_with_l = None
     if enc.case == 2:
         sel_distinct = len(set(selection.W)) == len(selection.W)
         bad_count = ctx.M - lp
@@ -1093,7 +1076,6 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
                 distance_ok = False
             pending.discard(pivot)
         distances = tuple(distance_values)
-        length_with_l = expected_length(ctx, ctx.l, 2, selected=len(selection.W))
 
     expected = expected_length(
         ctx, lp, enc.case, selected=len(selection.W) if selection else 0
@@ -1115,5 +1097,4 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
         selection_m_ok=sel_m,
         distance_ok=distance_ok,
         distances=distances,
-        length_with_l=length_with_l,
     )

@@ -46,7 +46,7 @@ from .ordered_search import (
     format_instance,
     parse_instance,
 )
-from .statevec import as_rational, rational_str
+from .statevec import as_rational, checked_epsilon, rational_str
 from .subjects import REGISTRY, SubjectError, get_subject, query_count
 
 
@@ -252,10 +252,10 @@ _PASS, _FAIL = "pass", "fail"
 
 def cmd_simulate(cfg: ExperimentConfig) -> Report:
     # epsilon is checked here, not through ErrorParams: c plays no part
-    if cfg.epsilon < 0:
-        raise ConfigError("epsilon must be nonnegative")
-    if cfg.epsilon >= Fraction(1, 2):
-        raise ConfigError("epsilon must be below 1/2")
+    try:
+        checked_epsilon(cfg.epsilon)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     if not 1 <= cfg.p <= cfg.n:
         raise ConfigError("p must lie in [1, n]")
     blocks = cfg.blocks or tuple(range(1, cfg.M + 1))

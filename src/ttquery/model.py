@@ -7,7 +7,10 @@ every word of a list in one shot, giving a post-oracle state keyed by
 rewrites the workspace within each (list index, answer index) fiber, and
 the output is read from the leading workspace cells. The list and answer
 indices only label fibers, so the workspace is the one register with a
-size (statevec.SparseState).
+size. A post-oracle state is the plain dict {(list index, answer index,
+ws): amp} that `apply_oracle` builds from validated terms, so it holds
+cells in the workspace and nonzero Fraction amplitudes by construction;
+the final transform checks each image it writes (FiberFinal).
 
 The oracle takes one threshold per block and answers a word 1 exactly when
 its rank is at or past its block's threshold (_answer_table, the only
@@ -43,13 +46,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ordered_search import StepInstance, eval_G, rank_of
-from .statevec import (
-    DimensionMismatchError,
-    SparseState,
-    as_rational,
-    measure_register,
-    rational_str,
-)
+from .statevec import DimensionMismatchError, as_rational, measure_register, rational_str
 
 
 class QueryWord(NamedTuple):
@@ -145,7 +142,7 @@ def _table_answer(table, steps: Sequence[int]) -> int:
 class FinalTransform:
     """Orthogonal transform applied after the oracle (see FiberFinal)."""
 
-    def apply(self, state: SparseState) -> SparseState:
+    def apply(self, state: Mapping, workspace_dim: int) -> dict:
         raise NotImplementedError
 
 
@@ -158,26 +155,27 @@ class FiberFinal(FinalTransform):
     orthogonal by construction. Collisions on the support of any applied
     state are rejected, which witnesses injectivity on every subspace the
     transform actually touches. Since fn is caller code, an image outside
-    the workspace is rejected too. The amplitudes are the input state's,
-    already checked, and are carried over without a second check.
+    0..workspace_dim - 1 is rejected too. The amplitudes are the input
+    state's, already checked, and are carried over without a second check.
     """
 
     def __init__(self, fn: Callable[[int, int, int], int]):
         self.fn = fn
 
-    def apply(self, state: SparseState) -> SparseState:
+    def apply(self, state: Mapping, workspace_dim: int) -> dict:
         fn = self.fn
-        dim = state.workspace_dim
         out = {}
         for (lidx, aidx, ws), amp in state.items():
             image = fn(lidx, aidx, ws)
-            if not 0 <= image < dim:
-                raise DimensionMismatchError(f"workspace cell {image} outside 0..{dim - 1}")
+            if not 0 <= image < workspace_dim:
+                raise DimensionMismatchError(
+                    f"workspace cell {image} outside 0..{workspace_dim - 1}"
+                )
             new_key = (lidx, aidx, image)
             if new_key in out:
                 raise ModelError(f"final transform collides on {new_key!r}")
             out[new_key] = amp
-        return SparseState._trusted(dim, out)
+        return out
 
 
 class _CachedInput(NamedTuple):
@@ -359,24 +357,23 @@ def _check_thresholds(computer: NonadaptiveComputer, steps: Sequence[int]) -> No
 
 def apply_oracle(
     computer: NonadaptiveComputer, block: int, advice: str, steps: Sequence[int]
-) -> SparseState:
+) -> dict:
     """Answer every list of input (block, advice) by per-block thresholds.
 
     steps holds one threshold per block, each in 1..N+1: an instance's
     steps, or the thresholds a decoder substitutes (see _answer_table).
     Each list's answer index is read from its cached answer table (see
     prequery_state), one entry per queried block, so the cost does not
-    grow with T. The post-oracle state is sized by the workspace alone.
-    The terms were checked when the input was validated, so the state is
-    built from them without checking them again.
+    grow with T. The state is the dict {(list index, answer index, ws):
+    amp}; its cells and amplitudes are the validated input's, nonzero
+    Fractions in the workspace, so they are not checked again.
     """
     _check_thresholds(computer, steps)
     # list indices are distinct per query list, so every key is new
-    amps = {
+    return {
         (lidx, _table_answer(table, steps), ws): amp
         for lidx, table, ws, amp in computer._cached_input(block, advice).terms
     }
-    return SparseState._trusted(computer.workspace_dim, amps)
 
 
 def outcome_to_answer(outcome: int, width: int) -> str:
@@ -415,8 +412,9 @@ def run(
     key = (block, advice, computer._cached_input(block, advice).classes(steps), width)
     dist = computer.runs.get(key)
     if dist is None:
-        final = computer.final.apply(apply_oracle(computer, block, advice, steps))
-        probs = measure_register(final, width)
+        dim = computer.workspace_dim
+        final = computer.final.apply(apply_oracle(computer, block, advice, steps), dim)
+        probs = measure_register(final, dim, width)
         dist = computer.runs[key] = MappingProxyType(
             {outcome_to_answer(outcome, width): prob for outcome, prob in probs.items()}
         )

@@ -106,10 +106,6 @@ def eval_G(instance: StepInstance, block: int, p: int) -> str:
     return instance.step_bits(block)[-p:]
 
 
-def instance_count(M: int, n: int) -> int:
-    return (2**n) ** M
-
-
 def enumerate_instances(
     M: int, n: int, budget: int | None = None
 ) -> Iterator[StepInstance]:

@@ -1,11 +1,16 @@
 """Exact rational post-oracle states.
 
-A state is a sparse map from (list index, answer index, workspace cell)
-keys to rational amplitudes, with norms, inner products, distances and
-measurement of the leading workspace cells. The list and answer indices
-only label the fibers the final transform acts on; the workspace is the
-one register with a size. Nothing here touches floating point: every
-amplitude and probability is a `fractions.Fraction`.
+A state is a plain mapping from (list index, answer index, workspace cell)
+int triples to nonzero rational amplitudes; this module gives their norms,
+inner products, distances and the measurement of the leading workspace
+cells. The list and answer indices only label the fibers the final
+transform acts on; the workspace is the one register with a size, and it
+is read from the computer, not stored in the state. States are checked
+where they are born: the prequery terms they come from when the input is
+validated (model.NonadaptiveComputer.prequery_state), and every image the
+final transform writes (model.FiberFinal), so nothing here checks them
+again. Nothing here touches floating point: every amplitude and
+probability is a `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ Rational = Fraction
 
 
 class DimensionMismatchError(ValueError):
-    """A workspace cell or width does not fit, or two workspaces differ."""
+    """A workspace cell or a measured width does not fit the workspace."""
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -31,6 +36,16 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def checked_epsilon(value: int | str | Fraction) -> Fraction:
+    """An error tolerance as a rational in [0, 1/2), or ValueError."""
+    epsilon = as_rational(value)
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    if epsilon >= Fraction(1, 2):
+        raise ValueError("epsilon must be below 1/2")
+    return epsilon
+
+
 def rational_str(value: Fraction) -> str:
     """Serialize a rational as "p/q", or just "p" for integers."""
     value = as_rational(value)
@@ -39,105 +54,42 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-class SparseState:
-    """Sparse amplitudes of a post-oracle state.
-
-    Keys are (list index, answer index, workspace cell) int triples. Only
-    the workspace is sized: every cell lies in 0..workspace_dim - 1, while
-    the list and answer indices only label fibers and need no bound. Zero
-    amplitudes are dropped on construction, and instances are immutable
-    once built.
-    """
-
-    __slots__ = ("workspace_dim", "amps")
-
-    def __init__(self, workspace_dim: int, amps: Mapping):
-        clean: dict[tuple[int, int, int], Fraction] = {}
-        for key, amp in amps.items():
-            _lidx, _aidx, ws = key
-            if not 0 <= ws < workspace_dim:
-                raise DimensionMismatchError(
-                    f"workspace cell {ws} outside 0..{workspace_dim - 1}"
-                )
-            amp = as_rational(amp)
-            if amp != 0:
-                clean[key] = amp
-        object.__setattr__(self, "workspace_dim", workspace_dim)
-        object.__setattr__(self, "amps", clean)
-
-    @classmethod
-    def _trusted(cls, workspace_dim: int, amps: dict) -> SparseState:
-        """A state over amps taken as they are, with no check.
-
-        Only for states derived from already validated terms: every cell
-        must lie in the workspace and every amplitude must be a nonzero
-        Fraction. The dict becomes the state's own and must not be changed.
-        """
-        state = object.__new__(cls)
-        object.__setattr__(state, "workspace_dim", workspace_dim)
-        object.__setattr__(state, "amps", amps)
-        return state
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseState is immutable")
-
-    def items(self):
-        return self.amps.items()
-
-    def __len__(self) -> int:
-        return len(self.amps)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseState):
-            return NotImplemented
-        return self.workspace_dim == other.workspace_dim and self.amps == other.amps
-
-
-def _require_same_space(a: SparseState, b: SparseState) -> None:
-    if a.workspace_dim != b.workspace_dim:
-        raise DimensionMismatchError(
-            f"workspaces differ: {a.workspace_dim} vs {b.workspace_dim} cells"
-        )
-
-
-def norm_sq(state: SparseState) -> Fraction:
+def norm_sq(state: Mapping) -> Fraction:
     """Sum of squared amplitudes, exactly."""
-    return sum((amp * amp for amp in state.amps.values()), Fraction(0))
+    return sum((amp * amp for amp in state.values()), Fraction(0))
 
 
-def inner_product(a: SparseState, b: SparseState) -> Fraction:
+def inner_product(a: Mapping, b: Mapping) -> Fraction:
     """Real inner product over the shared support."""
-    _require_same_space(a, b)
     small, large = (a, b) if len(a) <= len(b) else (b, a)
     total = Fraction(0)
     for key, amp in small.items():
-        other = large.amps.get(key)
+        other = large.get(key)
         if other is not None:
             total += amp * other
     return total
 
 
-def distance_sq(a: SparseState, b: SparseState) -> Fraction:
+def distance_sq(a: Mapping, b: Mapping) -> Fraction:
     """Squared Euclidean distance between two states."""
-    _require_same_space(a, b)
     return norm_sq(a) + norm_sq(b) - 2 * inner_product(a, b)
 
 
-def measure_register(state: SparseState, width: int) -> dict[int, Fraction]:
+def measure_register(state: Mapping, workspace_dim: int, width: int) -> dict[int, Fraction]:
     """Exact outcome distribution for the first `width` workspace cells.
 
-    The workspace size must be divisible by 2**width; probabilities sum to
+    workspace_dim must be divisible by 2**width; probabilities sum to
     norm_sq(state), which is 1 for unit states.
     """
     if width < 0:
         raise ValueError("width must be non-negative")
     block = 2**width
-    if state.workspace_dim % block != 0:
+    if workspace_dim % block != 0:
         raise DimensionMismatchError(
-            f"workspace of size {state.workspace_dim} cannot be split into "
+            f"workspace of size {workspace_dim} cannot be split into "
             f"{block} outcome blocks"
         )
-    stride = state.workspace_dim // block
+    stride = workspace_dim // block
     probs: dict[int, Fraction] = {}
     for (_lidx, _aidx, ws), amp in state.items():
         outcome = ws // stride

@@ -109,3 +109,14 @@ def test_adversary_bound_near_known_decimal():
 def test_adversary_bound_rejects_bad_epsilon():
     with pytest.raises(ValueError):
         adversary_bound(8, 0, Fraction(1, 2))
+
+
+def test_adversary_bound_is_never_negative_past_n_advice_bits():
+    # the selected class holds ceil(N / 2^k) >= 1 steps, so k > n gives 0
+    for epsilon in (0, Fraction(1, 3)):
+        assert adversary_bound(4, 3, epsilon) == 0
+        assert adversary_bound(1, 5, epsilon) == 0
+    # where 2^k divides N the value is the old N / 2^k - 1 form, exactly
+    lo, hi = sqrt_bracket(Fraction(1, 3) * Fraction(2, 3))
+    for N, k in ((8, 0), (8, 3), (16, 2), (2**12, 5)):
+        assert adversary_bound(N, k, Fraction(1, 3)) == (1 - (lo + hi)) * (Fraction(N, 2**k) - 1)

@@ -72,11 +72,7 @@ def _fresh_inequalities(ctx, prof):
     first, second = c_uv_values(ctx)
     cu = first if case == 1 else second
     matches = None if cu is None else ((Fraction(T) < cu) == certified)
-    if case == 1:
-        detail = f"(T/C)^l = {t**ctx.l} against 2^{E}"
-    else:
-        detail = f"A^2 T = {a * a * T} against p^2 C (M-l) = {ctx.p * ctx.p * ctx.C * (ctx.M - ctx.l)}"
-    return InequalityReport(case, case1, case2, certified, cu, matches, detail)
+    return InequalityReport(case, case1, case2, certified, cu, matches)
 
 
 def _direct_round_verdict(ctx, bad_count, m):

@@ -188,6 +188,13 @@ def test_bounds_reference_upper_is_zero_past_Mn_advice_bits(tmp_path, capsys):
     assert '"reference_upper": 0,' in out
 
 
+def test_bounds_adversary_floor_is_zero_past_n_advice_bits(tmp_path, capsys):
+    # the selected advice class holds at least one step, never N / 2^k < 1
+    cfg = _write(tmp_path, "subject = advised\nM = 2\nn = 2\nk = 3\n")
+    assert main(["bounds", "--config", cfg]) == 0
+    assert "adversary-floor,-,0,\"about 0.0000000000, within 1e-9\"\n" in capsys.readouterr().out
+
+
 def test_lemmas_report_all_pass():
     cfg = ExperimentConfig(M=2, n=2, p=1, subject="probe", k=2, l=2)
     rep = cmd_lemmas(cfg)

@@ -131,11 +131,9 @@ def test_prequery_words_become_query_words():
 
 def test_permutation_final_rejects_collision():
     final = FiberFinal(lambda lidx, aidx, ws: 0)
-    from ttquery.statevec import SparseState
-
-    state = SparseState(2, {(0, 0, 0): "3/5", (0, 0, 1): "4/5"})
+    state = {(0, 0, 0): Fraction(3, 5), (0, 0, 1): Fraction(4, 5)}
     with pytest.raises(ModelError):
-        final.apply(state)
+        final.apply(state, 2)
 
 
 def test_fiber_final_rejects_cell_outside_workspace():

@@ -20,7 +20,7 @@ from ttquery.ordered_search import (
     parse_instance,
     rank_of,
 )
-from ttquery.statevec import SparseState, measure_register, norm_sq
+from ttquery.statevec import measure_register, norm_sq
 from ttquery.subjects import get_subject
 
 widths = st.integers(min_value=1, max_value=6)
@@ -70,8 +70,8 @@ def test_sqrt_bracket_encloses(x):
     st.integers(0, 3),
 )
 def test_measurement_mass_equals_norm(amps, width):
-    state = SparseState(8, {(0, 0, k): v for k, v in amps.items()})
-    probs = measure_register(state, width)
+    state = {(0, 0, k): v for k, v in amps.items() if v != 0}
+    probs = measure_register(state, 8, width)
     assert sum(probs.values(), Fraction(0)) == norm_sq(state)
 
 

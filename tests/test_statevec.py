@@ -4,8 +4,8 @@ import pytest
 
 from ttquery.statevec import (
     DimensionMismatchError,
-    SparseState,
     as_rational,
+    checked_epsilon,
     distance_sq,
     inner_product,
     measure_register,
@@ -32,72 +32,57 @@ def test_rational_str():
     assert rational_str(Fraction(0)) == "0"
 
 
-def test_state_drops_zero_amplitudes():
-    s = SparseState(2, {(0, 0, 0): Fraction(1), (1, 1, 1): Fraction(0)})
-    assert len(s) == 1
-    assert s.amps == {(0, 0, 0): Fraction(1)}
-
-
-def test_state_rejects_cell_outside_workspace():
-    with pytest.raises(DimensionMismatchError):
-        SparseState(2, {(0, 0, 2): Fraction(1)})
-    with pytest.raises(DimensionMismatchError):
-        SparseState(2, {(0, 0, -1): Fraction(1)})
-
-
-def test_state_is_immutable():
-    s = SparseState(2, {(0, 0, 0): Fraction(1)})
-    with pytest.raises(AttributeError):
-        s.workspace_dim = 4
+def test_checked_epsilon_names_the_broken_side():
+    assert checked_epsilon("1/3") == Fraction(1, 3)
+    assert checked_epsilon(0) == 0
+    with pytest.raises(ValueError, match="^epsilon must be nonnegative$"):
+        checked_epsilon(Fraction(-1, 5))
+    with pytest.raises(ValueError, match="^epsilon must be below 1/2$"):
+        checked_epsilon("1/2")
 
 
 def test_list_and_answer_indices_need_no_bound():
+    # only the workspace is sized: huge list and answer indices are labels
     big = (10**40, 2**200, 1)
-    s = SparseState(2, {big: Fraction(1)})
-    assert s.amps == {big: Fraction(1)}
+    s = {big: Fraction(1)}
+    assert norm_sq(s) == 1
+    assert measure_register(s, 2, 1) == {1: Fraction(1)}
 
 
 def test_norm_and_inner_product():
-    a = SparseState(2, {(0, 0, 0): Fraction(3, 5), (0, 0, 1): Fraction(4, 5)})
-    b = SparseState(2, {(0, 0, 0): Fraction(4, 5), (0, 0, 1): Fraction(3, 5)})
+    a = {(0, 0, 0): Fraction(3, 5), (0, 0, 1): Fraction(4, 5)}
+    b = {(0, 0, 0): Fraction(4, 5), (0, 0, 1): Fraction(3, 5)}
     assert norm_sq(a) == 1
     assert inner_product(a, b) == Fraction(24, 25)
 
 
 def test_distance_sq_known_value():
-    a = SparseState(2, {(0, 0, 0): Fraction(1)})
-    b = SparseState(2, {(0, 0, 0): Fraction(3, 5), (0, 0, 1): Fraction(4, 5)})
+    a = {(0, 0, 0): Fraction(1)}
+    b = {(0, 0, 0): Fraction(3, 5), (0, 0, 1): Fraction(4, 5)}
     assert distance_sq(a, b) == Fraction(4, 5)
 
 
-def test_space_mismatch_rejected():
-    a = SparseState(2, {(0, 0, 0): Fraction(1)})
-    b = SparseState(3, {(0, 0, 0): Fraction(1)})
-    with pytest.raises(DimensionMismatchError):
-        inner_product(a, b)
-    with pytest.raises(DimensionMismatchError):
-        distance_sq(a, b)
-
-
 def test_measure_register_groups_leading_split():
-    s = SparseState(
-        4,
-        {(0, 0, 0): Fraction(1, 2), (0, 1, 1): Fraction(1, 2), (1, 0, 2): "-1/2", (1, 1, 3): "1/2"},
-    )
-    probs = measure_register(s, 1)
+    s = {
+        (0, 0, 0): Fraction(1, 2),
+        (0, 1, 1): Fraction(1, 2),
+        (1, 0, 2): Fraction(-1, 2),
+        (1, 1, 3): Fraction(1, 2),
+    }
+    probs = measure_register(s, 4, 1)
     # the leading 2-way split of the workspace separates {0,1} from {2,3}
     assert probs == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
 def test_measure_register_sums_to_norm():
-    s = SparseState(4, {(0, 0, 0): Fraction(3, 5), (0, 0, 2): Fraction(4, 5)})
-    probs = measure_register(s, 2)
+    s = {(0, 0, 0): Fraction(3, 5), (0, 0, 2): Fraction(4, 5)}
+    probs = measure_register(s, 4, 2)
     assert sum(probs.values()) == 1
     assert probs[0] == Fraction(9, 25)
 
 
 def test_measure_register_needs_divisible_workspace():
-    s = SparseState(6, {(0, 0, 0): Fraction(1)})
-    assert measure_register(s, 1) == {0: Fraction(1)}
+    s = {(0, 0, 0): Fraction(1)}
+    assert measure_register(s, 6, 1) == {0: Fraction(1)}
     with pytest.raises(DimensionMismatchError):
-        measure_register(s, 2)
+        measure_register(s, 6, 2)

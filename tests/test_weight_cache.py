@@ -5,13 +5,14 @@ fresh call of the subject's own prequery function, each profile and
 selection against a straight one that compares weights with C and derives
 the round count afresh, the oracle over cached terms and answer tables
 against the oracle that parses and answers every query word on every run,
-each unchecked derived state against the checked constructor, each
-memoized run against the same run without the memo on a freshly built
-computer, each census folded into a sweep against an independent fresh
-encode or a direct recount, and each computer's caches against another
-computer's.
+each state the oracle and the final build unchecked against the checks
+it must meet, each memoized run against the same run without the memo on
+a freshly built computer, each census folded into a sweep against an
+independent fresh encode or a direct recount, and each computer's caches
+against another computer's.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -44,7 +45,7 @@ from ttquery.model import (
     run,
 )
 from ttquery.ordered_search import enumerate_instances, rank_of
-from ttquery.statevec import SparseState, measure_register
+from ttquery.statevec import measure_register
 from ttquery.subjects import (
     PROBE_LIGHT,
     REGISTRY,
@@ -174,7 +175,7 @@ def _straight_select(ctx, comp, advice, bad_prefixes):
         for a_pos, a in enumerate(picked)
         for b in picked[a_pos + 1 :]
     )
-    return LwssResult(tuple(picked), m, threshold, pool, tuple(sizes), crosses)
+    return LwssResult(tuple(picked), m, threshold, tuple(sizes), crosses)
 
 
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
@@ -220,13 +221,14 @@ def _threshold_answers(ranked_words, steps):
 
 
 def _straight_oracle(comp, pre, steps):
-    """The oracle without the term cache: every word parsed on every run."""
+    """The oracle without the term cache: every word parsed on every run,
+    zero amplitudes dropped at the end."""
     amps = {}
     for (words, ws), amp in pre.items():
         ranked = [(w.block, rank_of(w.location)) for w in words]
         key = (list_index(words, comp.M, comp.n), _threshold_answers(ranked, steps), ws)
         amps[key] = amps.get(key, Fraction(0)) + amp
-    return SparseState(comp.workspace_dim, amps)
+    return {key: amp for key, amp in amps.items() if amp != 0}
 
 
 def _every_threshold(M, n):
@@ -262,22 +264,54 @@ def test_cached_oracle_matches_straight_oracle(label, build, M, n, k, p):
             assert apply_oracle(comp, block, advice, steps) == want, (block, advice, steps)
 
 
-@pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
+def _with_zero_terms(comp, adv):
+    """The computer with one zero-amplitude term added to every prequery
+    mapping, on a free cell of one of its lists: validation must drop it."""
+
+    def prequery(block, advice, inner=comp.prequery):
+        amps = dict(inner(block, advice))
+        words = next(iter(amps))[0]
+        free = [ws for ws in range(comp.workspace_dim) if (words, ws) not in amps]
+        amps[(words, free[0])] = Fraction(0)
+        return amps
+
+    return replace(comp, prequery=prequery), adv
+
+
+ZERO_TERMS = (
+    "probe_zero_terms",
+    lambda: _with_zero_terms(*get_subject("probe", 2, 2, 2)),
+    2, 2, 2, 1,
+)
+
+
+@pytest.mark.parametrize(
+    "label, build, M, n, k, p", (*SUBJECTS, ZERO_TERMS), ids=[*IDS, ZERO_TERMS[0]]
+)
 def test_trusted_states_match_checked_construction(label, build, M, n, k, p):
+    # apply_oracle and final.apply build their dicts without checking
+    # them; each must still hold int-triple keys with cells in the
+    # workspace and nonzero Fraction amplitudes, and equal the straight
+    # oracle's state, before and after the fiber permutation
     comp, adv = build()
-    fn = comp.final.fn
+    fn, cells = comp.final.fn, range(comp.workspace_dim)
     inputs = {(b, adv(i)) for i in enumerate_instances(M, n) for b in range(1, M + 1)}
     swept = _swept_thresholds(M, n)
     for block, advice in sorted(inputs):
+        pre = comp.prequery(block, advice)
         for steps in swept:
+            want = _straight_oracle(comp, pre, steps)
             state = apply_oracle(comp, block, advice, steps)
-            assert all(type(a) is Fraction and a != 0 for a in state.amps.values())
-            assert state == SparseState(state.workspace_dim, state.amps)
-            checked = SparseState(
-                state.workspace_dim,
-                {(lidx, aidx, fn(lidx, aidx, ws)): amp for (lidx, aidx, ws), amp in state.items()},
-            )
-            assert comp.final.apply(state) == checked, (block, advice, steps)
+            final = comp.final.apply(state, comp.workspace_dim)
+            for got in (state, final):
+                assert type(got) is dict
+                for key, amp in got.items():
+                    assert type(key) is tuple and len(key) == 3
+                    assert all(type(v) is int for v in key) and key[2] in cells
+                    assert type(amp) is Fraction and amp != 0
+            assert state == want, (block, advice, steps)
+            moved = {(lidx, aidx, fn(lidx, aidx, ws)): amp for (lidx, aidx, ws), amp in want.items()}
+            assert final == moved, (block, advice, steps)
 
 
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
@@ -419,10 +453,11 @@ class _StraightRunner:
         key = (block, advice, answers, width)
         if key not in self.finals:
             amps = {(lidx, aidx, ws): amp for lidx, aidx, ws, amp in answers}
-            final = self.comp.final.apply(SparseState(self.comp.workspace_dim, amps))
+            dim = self.comp.workspace_dim
+            final = self.comp.final.apply(amps, dim)
             self.finals[key] = {
                 outcome_to_answer(outcome, width): prob
-                for outcome, prob in measure_register(final, width).items()
+                for outcome, prob in measure_register(final, dim, width).items()
             }
         return self.finals[key]
 
