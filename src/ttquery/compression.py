@@ -24,14 +24,18 @@ the bad blocks the selection procedure did not pick. The case tag rides
 alongside the bits, not inside them.
 
 Work that does not depend on the instance is done once. The EncodingContext
-derives T / C and the rank width when built, and on first use the two
-inequality reports, the selection's round count m and threshold C / m
-per pool size, and each round-count verdict. The computer keeps, per
-advice string, the weight analyses (weight_analysis), each with a rank map
-from heavy prefix to its index, and the query-mass verdict
-(mass_within_queries). Per instance, encoding and auditing evaluate the
-advice and each step name once, and classify a block by looking its
-prefix up in the rank map rather than comparing its weight with C.
+derives T / C, the rank width, the audit's integer rank limit and its
+distance bound when built, and on first use the two inequality reports,
+the selection's round count m and threshold C / m per pool size, each
+round-count and survivor-floor verdict, and each code layout: the item
+map and doubled good-index field of a (case, good indices, selected
+blocks) key. The computer keeps, per advice string, the weight analyses
+(weight_analysis), each with a rank map from heavy prefix to its index,
+and the query-mass verdict (mass_within_queries). Per instance, the step
+names are formatted once when the StepInstance is built, the advice is
+evaluated once, a block is classified by looking its prefix up in the
+rank map rather than comparing its weight with C, and the encoder only
+joins the field bits into the layout the context holds.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import ceil, isqrt
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -154,12 +158,16 @@ class EncodingContext:
     M must be a power of two so that index fields have integral width.
 
     What depends on the configuration alone is derived here once, not per
-    instance: the ratio t = T / C and the rank width on construction, the
-    two inequality reports on first use (inequality_reports), the
-    selection's round count and threshold on first use per pool size
-    (selection_rounds), and each round-count verdict on first use per
-    (bad-block count, m) (round_count_ok). The context owns these; they
-    are read only.
+    instance. On construction: the ratio t = T / C, the rank width, the
+    rank limit min(ceil(t), 2**width_k), which an integer rank is below
+    exactly when it is below both t and 2**width_k, and the audit's
+    distance bound 4 C. On first use: the two inequality reports
+    (inequality_reports), the selection's round count and threshold per
+    pool size (selection_rounds), each round-count verdict per (bad-block
+    count, m) (round_count_ok), each survivor-floor verdict per (bad-block
+    count, m, survivor sizes) (survivor_floor_ok), and each code layout per
+    (case, good indices, selected blocks) (layout). The context owns these;
+    they are read only.
     """
 
     M: int
@@ -185,8 +193,12 @@ class EncodingContext:
             raise ValueError("l must lie in [1, M]")
         object.__setattr__(self, "_t", Fraction(self.T) / self.C)
         object.__setattr__(self, "_width_k", rank_width(self.T, self.C))
+        object.__setattr__(self, "rank_limit", min(ceil(self._t), 2**self._width_k))
+        object.__setattr__(self, "distance_bound", 4 * self.C)
         object.__setattr__(self, "_rounds", {})
         object.__setattr__(self, "_round_verdicts", {})
+        object.__setattr__(self, "_floor_verdicts", {})
+        object.__setattr__(self, "_layouts", {})
 
     @property
     def N(self) -> int:
@@ -252,6 +264,31 @@ class EncodingContext:
                 )
             self._round_verdicts[key] = verdict
         return verdict
+
+    def survivor_floor_ok(self, bad_count: int, m: int, survivor_sizes) -> bool:
+        """Whether the selection kept at least bad_count - t m i candidates
+        after each round i, evaluated once per (bad_count, m, sizes)."""
+        key = (bad_count, m, survivor_sizes)
+        verdict = self._floor_verdicts.get(key)
+        if verdict is None:
+            verdict = self._floor_verdicts[key] = all(
+                size >= bad_count - self.t * m * i
+                for i, size in enumerate(survivor_sizes)
+            )
+        return verdict
+
+    def layout(self, case: int, good: tuple[int, ...], chosen: tuple[int, ...] = ()):
+        """Item map and doubled good-index field of a code in this case
+        with these good and selected blocks, derived once per key.
+
+        Every field's width is fixed by the context, so the layout does not
+        depend on the field values; see the module docstring.
+        """
+        key = (case, good, chosen)
+        found = self._layouts.get(key)
+        if found is None:
+            found = self._layouts[key] = _layout(self, case, good, chosen)
+        return found
 
 
 def _check_pair(ctx: EncodingContext, computer: NonadaptiveComputer) -> None:
@@ -356,10 +393,11 @@ class BlockProfile(NamedTuple):
 @dataclass(frozen=True)
 class GoodBadProfile:
     blocks: tuple[BlockProfile, ...]
+    good_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def good_indices(self) -> tuple[int, ...]:
-        return tuple(bp.block for bp in self.blocks if bp.good)
+    def __post_init__(self):
+        good = tuple(bp.block for bp in self.blocks if bp.good)
+        object.__setattr__(self, "good_indices", good)
 
     @property
     def l_prime(self) -> int:
@@ -373,20 +411,21 @@ def profile(computer, advice_fn, instance, p, params=DEFAULT_PARAMS) -> GoodBadP
     strictly above C. For good blocks the rank counts heavy prefixes that
     sort strictly below the step's own prefix.
     """
-    names = {i: instance.step_bits(i) for i in range(1, computer.M + 1)}
-    return _profile(computer, advice_fn(instance), names, p, params)
+    return _profile(computer, advice_fn(instance), instance, p, params)
 
 
-def _profile(computer, f, names, p, params) -> GoodBadProfile:
-    """profile for advice string f and step names block -> n-bit name."""
+def _profile(computer, f, instance, p, params) -> GoodBadProfile:
+    """profile for advice string f."""
+    if (instance.M, instance.n) != (computer.M, computer.n):
+        raise ValueError("instance and computer disagree on M or n")
     if not 1 <= p <= computer.n:
         raise ValueError("p must lie in [1, n]")
     cut = computer.n - p
     C = params.C
     out = []
-    for i in range(1, computer.M + 1):
+    for i, name in enumerate(instance.names, 1):
         wa = weight_analysis(computer, i, f, p, C)
-        pre = names[i][:cut]
+        pre = name[:cut]
         # heavy is the analysis's list at threshold C: a rank means w > C
         rank = wa.ranks.get(pre)
         out.append(BlockProfile(i, pre, rank is not None, rank))
@@ -479,19 +518,13 @@ def _field(value: int, width: int) -> str:
     return format(value, f"0{width}b")
 
 
-class _ItemWriter:
-    def __init__(self):
-        self._parts = []
-        self._items = []
-        self._pos = 0
-
-    def put(self, name, bits):
-        self._parts.append(bits)
-        self._items.append((name, self._pos, len(bits)))
-        self._pos += len(bits)
-
-    def build(self, case):
-        return Encoding(case, "".join(self._parts), tuple(self._items))
+def _items(widths) -> tuple[tuple[str, int, int], ...]:
+    """(name, offset, length) items tiling fields of the given (name, width)."""
+    items, pos = [], 0
+    for name, width in widths:
+        items.append((name, pos, width))
+        pos += width
+    return tuple(items)
 
 
 class BitReader:
@@ -673,45 +706,51 @@ def encode(ctx, computer, advice_fn, instance) -> Encoding:
     return _encode(ctx, computer, advice_fn, instance)[0]
 
 
-def _encode(ctx, computer, advice_fn, instance):
-    """Encoding plus its profile, its selection (case 2 only), advice and names.
+def _layout(ctx: EncodingContext, case, good, chosen):
+    """The item map and doubled good-index field that ctx.layout keeps."""
+    good_field = double_bits("".join(_field(i - 1, ctx.log_M) for i in good))
+    widths = [("advice", ctx.k), ("good-indices", len(good_field)), ("separator", 2)]
+    if case == 1:
+        for i in range(1, ctx.M + 1):
+            if i in good:
+                widths += [(f"rank-{i}", ctx.width_k), (f"suffix-{i}", ctx.p)]
+            else:
+                widths.append((f"name-{i}", ctx.n))
+    else:
+        bad = [j for j in range(1, ctx.M + 1) if j not in good]
+        widths += [(f"name-{i}", ctx.n) for i in good]
+        widths += [(f"prefix-{j}", ctx.n - ctx.p) for j in bad]
+        widths += [(f"suffix-{j}", ctx.p) for j in bad if j not in chosen]
+    return _items(widths), good_field
 
-    The advice and every step name are evaluated once here; names maps
-    each block to its step's n-bit name.
+
+def _encode(ctx, computer, advice_fn, instance):
+    """Encoding plus its profile, its selection (case 2 only) and advice.
+
+    The advice is evaluated once here. Only the field bits are computed per
+    instance; the item map comes from the context's layout.
     """
     _check_pair(ctx, computer)
     f = advice_fn(instance)
-    names = {i: instance.step_bits(i) for i in range(1, ctx.M + 1)}
-    prof = _profile(computer, f, names, ctx.p, ctx.params)
+    names = instance.names
+    prof = _profile(computer, f, instance, ctx.p, ctx.params)
     good = prof.good_indices
-    case = 1 if ctx.l <= prof.l_prime else 2
-    w = _ItemWriter()
-    w.put("advice", f)
-    w.put(
-        "good-indices",
-        double_bits("".join(_field(i - 1, ctx.log_M) for i in good)),
-    )
-    w.put("separator", "01")
     cut = ctx.n - ctx.p
-    if case == 1:
-        for bp in prof.blocks:
+    if ctx.l <= len(good):
+        items, good_field = ctx.layout(1, good)
+        parts = [f, good_field, "01"]
+        for bp, name in zip(prof.blocks, names):
             if bp.good:
-                w.put(f"rank-{bp.block}", _field(bp.rank, ctx.width_k))
-                w.put(f"suffix-{bp.block}", names[bp.block][cut:])
+                parts += (_field(bp.rank, ctx.width_k), name[cut:])
             else:
-                w.put(f"name-{bp.block}", names[bp.block])
-        return w.build(1), prof, None, f, names
-    for i in good:
-        w.put(f"name-{i}", names[i])
-    bad = [bp.block for bp in prof.blocks if not bp.good]
-    for j in bad:
-        w.put(f"prefix-{j}", names[j][:cut])
-    sel = _select(ctx, computer, f, {j: names[j][:cut] for j in bad})
-    chosen = set(sel.W)
-    for j in bad:
-        if j not in chosen:
-            w.put(f"suffix-{j}", names[j][cut:])
-    return w.build(2), prof, sel, f, names
+                parts.append(name)
+        return Encoding(1, "".join(parts), items), prof, None, f
+    bad = {bp.block: bp.prefix for bp in prof.blocks if not bp.good}
+    sel = _select(ctx, computer, f, bad)
+    items, good_field = ctx.layout(2, good, sel.W)
+    parts = [f, good_field, "01", *(names[i - 1] for i in good), *bad.values()]
+    parts += [names[j - 1][cut:] for j in bad if j not in sel.W]
+    return Encoding(2, "".join(parts), items), prof, sel, f
 
 
 # ---------------------------------------------------------------------------
@@ -856,14 +895,11 @@ def encode_single(n, k, params, computer, advice_fn, instance) -> Encoding:
     name = instance.step_bits(1)
     cut = n - p
     rank = weight_analysis(computer, 1, f, p, params.C).ranks.get(name[:cut])
-    w = _ItemWriter()
-    w.put("advice", f)
-    if rank is not None:
-        w.put("suffix", name[cut:])
-        w.put("rank", _field(rank, rank_width(computer.T, params.C)))
-        return w.build(1)
-    w.put("prefix", name[:cut])
-    return w.build(2)
+    if rank is None:
+        return Encoding(2, f + name[:cut], _items((("advice", k), ("prefix", cut))))
+    rank_bits = _field(rank, rank_width(computer.T, params.C))
+    items = _items((("advice", k), ("suffix", p), ("rank", len(rank_bits))))
+    return Encoding(1, f + name[cut:] + rank_bits, items)
 
 
 def decode_single(n, k, params, computer, encoding: Encoding) -> StepInstance:
@@ -1027,20 +1063,17 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
     """Check every scheme invariant on one instance.
 
     Only the encoding, profile and selection are per instance. The
-    inequality reports and the round-count verdicts come from the context
-    and the mass check from the computer (see EncodingContext and
+    inequality reports, the rank limit, the distance bound and the
+    round-count and survivor-floor verdicts come from the context and the
+    mass check from the computer (see EncodingContext and
     mass_within_queries). Substitution distances use 2 - 2 <a, b>: both
     post-oracle states are unit vectors, since prequery_state checks norm^2
     = 1 and the oracle maps distinct prequery terms to distinct keys.
     """
-    enc, prof, selection, f, names = _encode(ctx, computer, advice_fn, instance)
+    enc, prof, selection, f = _encode(ctx, computer, advice_fn, instance)
     lp = prof.l_prime
 
-    rank_ok = all(
-        bp.rank < ctx.t and bp.rank < 2**ctx.width_k
-        for bp in prof.blocks
-        if bp.good
-    )
+    rank_ok = all(bp.rank < ctx.rank_limit for bp in prof.blocks if bp.good)
     mass_ok = mass_within_queries(computer, f, ctx.p, ctx.C)
 
     certificate = (
@@ -1055,16 +1088,17 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
     if enc.case == 2:
         sel_distinct = len(set(selection.W)) == len(selection.W)
         bad_count = ctx.M - lp
-        for i, size in enumerate(selection.survivor_sizes):
-            if size < bad_count - ctx.t * selection.m * i:
-                sel_floor = False
+        sel_floor = ctx.survivor_floor_ok(
+            bad_count, selection.m, selection.survivor_sizes
+        )
         if selection.threshold is not None:
             sel_cross = all(v < selection.threshold for (_, _, v) in selection.crosses)
         sel_m = ctx.round_count_ok(bad_count, selection.m)
         distance_values = []
         pending = set(selection.W)
         cut = ctx.n - ctx.p
-        prefix_of = {i: names[i][:cut] for i in names}
+        names = dict(enumerate(instance.names, 1))
+        prefix_of = {i: name[:cut] for i, name in names.items()}
         for pivot in selection.W:
             steps = _substituted_steps(ctx.M, ctx.p, names, prefix_of, pending)
             d = 2 - 2 * inner_product(
@@ -1072,7 +1106,7 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
                 apply_oracle(computer, pivot, f, instance.steps),
             )
             distance_values.append(d)
-            if d > 4 * ctx.C:
+            if d > ctx.distance_bound:
                 distance_ok = False
             pending.discard(pivot)
         distances = tuple(distance_values)

@@ -10,7 +10,8 @@ function returns the last p bits of the step's n-bit name.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterator
 
 
@@ -39,16 +40,24 @@ def rank_of(bits: str) -> int:
 
 @dataclass(frozen=True)
 class StepInstance:
-    """One input to the M-block problem: a step position per block."""
+    """One input to the M-block problem: a step position per block.
+
+    names holds each block's n-bit step name, formatted once here, since
+    every coder and advice function reads them.
+    """
 
     M: int
     n: int
     steps: tuple[int, ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M < 1 or self.n < 1:
             raise ValueError("need M >= 1 and n >= 1")
-        steps = tuple(int(s) for s in self.steps)
+        try:
+            steps = tuple(operator.index(s) for s in self.steps)
+        except TypeError:
+            raise ValueError(f"steps must be integers, got {self.steps!r}") from None
         object.__setattr__(self, "steps", steps)
         if len(steps) != self.M:
             raise ValueError(f"expected {self.M} steps, got {len(steps)}")
@@ -56,6 +65,8 @@ class StepInstance:
         for s in steps:
             if not 1 <= s <= size:
                 raise ValueError(f"step {s} outside 1..{size}")
+        spec = f"0{self.n}b"
+        object.__setattr__(self, "names", tuple(format(s - 1, spec) for s in steps))
 
     @property
     def N(self) -> int:
@@ -68,7 +79,9 @@ class StepInstance:
 
     def step_bits(self, block: int) -> str:
         """n-bit name of the block's step."""
-        return bin_n(self.n, self.step(block))
+        if not 1 <= block <= self.M:
+            raise ValueError(f"block {block} outside 1..{self.M}")
+        return self.names[block - 1]
 
     def literal(self) -> str:
         return format_instance(self)
@@ -83,12 +96,19 @@ def format_instance(instance: StepInstance) -> str:
 
 
 def parse_instance(text: str) -> StepInstance:
-    """Parse a literal like "M=2 n=3 steps=3,7"."""
+    """Parse a literal like "M=2 n=3 steps=3,7".
+
+    Each of M, n and steps must appear exactly once; any other key is refused.
+    """
     fields = {}
     for token in text.split():
         if "=" not in token:
             raise ValueError(f"bad token {token!r} in instance literal")
         key, _, value = token.partition("=")
+        if key not in ("M", "n", "steps"):
+            raise ValueError(f"unknown key {key!r} in instance literal")
+        if key in fields:
+            raise ValueError(f"key {key!r} repeated in instance literal")
         fields[key] = value
     try:
         M = int(fields["M"])

@@ -29,7 +29,7 @@ from .model import (
     list_index,
     no_advice,
 )
-from .ordered_search import StepInstance, bin_n, eval_G
+from .ordered_search import StepInstance, bin_n
 
 
 class SubjectError(ValueError):
@@ -76,8 +76,7 @@ def build_advised(M: int, n: int, k: int):
         return answer_to_outcome(bin_n(n, T + 1 - aidx.bit_count()))
 
     def advice_bits(instance: StepInstance) -> str:
-        parts = [instance.step_bits(b)[:q] for b in range(1, M + 1)]
-        return "".join(parts) + "0" * (k - M * q)
+        return "".join(name[:q] for name in instance.names) + "0" * (k - M * q)
 
     computer = NonadaptiveComputer(
         M=M,
@@ -138,7 +137,7 @@ def build_probe(M: int, n: int):
         }
 
     def advice_bits(instance: StepInstance) -> str:
-        return "".join(eval_G(instance, b, 1) for b in range(1, M + 1))
+        return "".join(name[-1] for name in instance.names)
 
     computer = NonadaptiveComputer(
         M=M,
@@ -228,7 +227,7 @@ def build_neighbor_probe(M: int, n: int):
         }
 
     def advice_bits(instance: StepInstance) -> str:
-        return "".join(eval_G(instance, b, 1) for b in range(1, M + 1))
+        return "".join(name[-1] for name in instance.names)
 
     computer = NonadaptiveComputer(
         M=M,

@@ -42,7 +42,15 @@ _VALUES = {
     "scheme": _mostly(["multi", "single"], ["both"]),
     "budget": _mostly(["256"], ["-1", "0", "7"]),
     "instance": st.sampled_from(
-        ["M=1", "steps=1", "M=1 n=2 steps=x", "M=2 n=1 steps=1", "garbage"]
+        [
+            "M=1",
+            "steps=1",
+            "M=1 n=2 steps=x",
+            "M=2 n=1 steps=1",
+            "garbage",
+            "M=1 n=2 steps=3 bogus=1",
+            "M=2 M=1 n=2 steps=3",
+        ]
     ),
     "blocks": _mostly(["1", "2", "1,2"], ["0", "5", "1,x", ""]),
 }

@@ -452,3 +452,16 @@ def test_advice_evaluated_once_per_encode_and_audit(subject, M, n, k, l):
             calls.clear()
             call(ctx, comp, counted, instance)
             assert len(calls) == 1, (call.__name__, instance, len(calls))
+
+
+@pytest.mark.parametrize("inst", [StepInstance(1, 2, (3,)), StepInstance(2, 3, (3, 5))])
+def test_coder_refuses_an_instance_of_another_shape(inst):
+    comp, adv = get_subject("full", 2, 2, 0)
+    ctx = _ctx(2, 2, 1, 0, comp.T, 1)
+    for call in (
+        lambda: profile(comp, adv, inst, 1),
+        lambda: encode(ctx, comp, adv, inst),
+        lambda: audit_instance(ctx, comp, adv, inst),
+    ):
+        with pytest.raises(ValueError, match="disagree on M or n"):
+            call()

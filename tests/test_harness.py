@@ -261,6 +261,16 @@ def test_cli_exit_two_on_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["M=1 n=2 steps=3 bogus=1", "M=2 M=1 n=2 steps=3"])
+@pytest.mark.parametrize("command", ["simulate", "roundtrip", "lemmas"])
+def test_cli_exit_two_on_instance_literal_with_bad_keys(tmp_path, capsys, command, literal):
+    cfg = _write(tmp_path, f"subject = full\nM = 1\nn = 2\np = 1\ninstance = {literal}\n")
+    assert main([command, "--config", cfg]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and out.err.count("\n") == 1
+
+
 def test_cli_exit_two_on_budget(tmp_path, capsys):
     cfg = _write(tmp_path, "M = 2\nn = 3\nsubject = full\n")
     assert main(["simulate", "--config", cfg, "--budget", "5"]) == 2

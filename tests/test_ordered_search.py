@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from ttquery.model import _answer_table, _table_answer
@@ -58,6 +61,55 @@ def test_parse_rejects_garbage():
         parse_instance("M=2 steps=1,2")
     with pytest.raises(ValueError):
         parse_instance("M=1 n=2 steps=9")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("M=1 n=2 steps=3 bogus=1", "unknown key 'bogus'"),
+        ("M=2 M=1 n=2 steps=3", "key 'M' repeated"),
+        ("M=1 n=2 steps=3 steps=2", "key 'steps' repeated"),
+    ],
+)
+def test_parse_refuses_unknown_and_repeated_keys(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize("step", [2.7, 2.0, "3", Fraction(3), None])
+def test_steps_must_be_integers(step):
+    # a float used to be truncated to an int: 2.7 became step 2
+    with pytest.raises(ValueError, match="steps must be integers"):
+        StepInstance(1, 2, (step,))
+
+
+def _every_small_instance():
+    for M, n in product((1, 2, 3), (1, 2, 3, 4)):
+        yield from enumerate_instances(M, n)
+    yield from enumerate_instances(4, 2)
+
+
+def test_names_are_bin_n_of_each_step():
+    count = 0
+    for inst in _every_small_instance():
+        assert inst.names == tuple(bin_n(inst.n, s) for s in inst.steps), inst
+        for block in range(1, inst.M + 1):
+            assert inst.step_bits(block) == bin_n(inst.n, inst.step(block))
+        count += 1
+    assert count == sum(2 ** (M * n) for M, n in product((1, 2, 3), (1, 2, 3, 4))) + 256
+
+
+def test_names_keep_the_range_errors():
+    inst = StepInstance(2, 3, (3, 6))
+    for block in (0, 3):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            inst.step_bits(block)
+        with pytest.raises(ValueError, match="outside 1..2"):
+            eval_G(inst, block, 1)
+    with pytest.raises(ValueError, match="output width"):
+        eval_G(inst, 1, 4)
+    # names is derived, so it takes no part in equality or the literal
+    assert inst == StepInstance(2, 3, (3, 6)) and repr(inst).count("names") == 0
 
 
 def test_eval_G_is_answer_suffix():

@@ -8,8 +8,10 @@ against the oracle that parses and answers every query word on every run,
 each state the oracle and the final build unchecked against the checks
 it must meet, each memoized run against the same run without the memo on
 a freshly built computer, each census folded into a sweep against an
-independent fresh encode or a direct recount, and each computer's caches
-against another computer's.
+independent fresh encode or a direct recount, each computer's caches
+against another computer's, each code built from the context's layout
+against the former per-item writer, and the audit's integer rank limit and
+memoized survivor floor against the Fraction rules they replace.
 """
 
 from dataclasses import replace
@@ -20,19 +22,24 @@ import pytest
 
 from ttquery.compression import (
     DEFAULT_PARAMS,
+    Encoding,
     EncodingContext,
     ErrorParams,
     LwssResult,
+    _encode,
+    _field,
     _profile,
     _round_count,
     _select,
     _substituted_steps,
     audit_instance,
     census,
+    double_bits,
     encode,
     encode_single,
     lwss,
     profile,
+    rank_width,
     verify_pigeonhole,
     weight_analysis,
 )
@@ -44,7 +51,7 @@ from ttquery.model import (
     outcome_to_answer,
     run,
 )
-from ttquery.ordered_search import enumerate_instances, rank_of
+from ttquery.ordered_search import bin_n, enumerate_instances, rank_of
 from ttquery.statevec import measure_register
 from ttquery.subjects import (
     PROBE_LIGHT,
@@ -148,7 +155,7 @@ def test_profile_matches_straight_classification(label, build, M, n, k, p):
         advice = adv(inst)
         names = {i: inst.step_bits(i) for i in range(1, M + 1)}
         for cut in range(1, n + 1):
-            prof = _profile(comp, advice, names, cut, params)
+            prof = _profile(comp, advice, inst, cut, params)
             want = _straight_profile(comp, advice, names, cut, params.C)
             assert prof.blocks == want, (params, inst, cut)
             assert prof.good_indices == tuple(b[0] for b in want if b[2])
@@ -548,3 +555,163 @@ def test_computers_never_share_cached_entries():
     assert run(second, 1, "01", (1, 1)) == run(first, 1, "01", (1, 1))
     assert first.runs == second.runs
     assert all(first.runs[key] is not second.runs[key] for key in first.runs)
+
+
+# ---------------------------------------------------------------------------
+# Code layouts and the integer audit checks, against the per-item writer and
+# the Fraction rules they replace
+
+
+class _ItemWriter:
+    """The encoder's former per-item writer, kept as the reference."""
+
+    def __init__(self):
+        self.parts, self.items, self.pos = [], [], 0
+
+    def put(self, name, bits):
+        self.parts.append(bits)
+        self.items.append((name, self.pos, len(bits)))
+        self.pos += len(bits)
+
+    def build(self, case):
+        return Encoding(case, "".join(self.parts), tuple(self.items))
+
+
+def _written_encode(ctx, comp, adv, inst):
+    """The former encoder: names from bin_n, every item put one at a time."""
+    f = adv(inst)
+    names = {i: bin_n(ctx.n, inst.steps[i - 1]) for i in range(1, ctx.M + 1)}
+    prof = profile(comp, adv, inst, ctx.p, ctx.params)
+    good = [bp.block for bp in prof.blocks if bp.good]
+    cut = ctx.n - ctx.p
+    w = _ItemWriter()
+    w.put("advice", f)
+    w.put("good-indices", double_bits("".join(_field(i - 1, ctx.log_M) for i in good)))
+    w.put("separator", "01")
+    if ctx.l <= len(good):
+        for bp in prof.blocks:
+            if bp.good:
+                w.put(f"rank-{bp.block}", _field(bp.rank, ctx.width_k))
+                w.put(f"suffix-{bp.block}", names[bp.block][cut:])
+            else:
+                w.put(f"name-{bp.block}", names[bp.block])
+        return w.build(1), prof, None
+    for i in good:
+        w.put(f"name-{i}", names[i])
+    bad = [bp.block for bp in prof.blocks if not bp.good]
+    for j in bad:
+        w.put(f"prefix-{j}", names[j][:cut])
+    sel = _straight_select(ctx, comp, f, {j: names[j][:cut] for j in bad})
+    for j in bad:
+        if j not in sel.W:
+            w.put(f"suffix-{j}", names[j][cut:])
+    return w.build(2), prof, sel
+
+
+def _every_context(comp, M, n, k):
+    for params, l, p in product(
+        PARAMS, range(1, M + 1), range(1, min(n, comp.output_width) + 1)
+    ):
+        yield EncodingContext(M=M, n=n, p=p, k=k, T=comp.T, l=l, params=params)
+
+
+@pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
+def test_layout_encoder_matches_item_writer(label, build, M, n, k, p):
+    comp, adv = build()
+    cases = set()
+    for ctx in _every_context(comp, M, n, k):
+        for inst in enumerate_instances(M, n):
+            enc, prof, sel, f = _encode(ctx, comp, adv, inst)
+            want_enc, want_prof, want_sel = _written_encode(ctx, comp, adv, inst)
+            assert (enc.case, enc.bits, enc.items) == (
+                want_enc.case, want_enc.bits, want_enc.items
+            ), (ctx, inst)
+            assert prof == want_prof and prof.good_indices == want_prof.good_indices
+            assert sel == want_sel and f == adv(inst)
+            chosen = sel.W if sel else ()
+            assert ctx.layout(enc.case, prof.good_indices, chosen)[0] is enc.items
+            cases.add(enc.case)
+    # good blocks abound for full and advised and are scarce where the
+    # queries miss the own block, so the sweep reaches both layouts
+    assert cases == {"full": {1}, "advised": {1}, "probe": {1, 2}, "shortcut": {1, 2}}.get(
+        label, {2}
+    )
+
+
+@pytest.mark.parametrize(
+    "build, n, k",
+    [
+        (lambda: get_subject("full", 1, 3, 0), 3, 0),
+        (lambda: get_subject("advised", 1, 3, 1), 3, 1),
+        (lambda: get_subject("shortcut", 1, 3, 1), 3, 1),
+        (lambda: build_single_query(1, 3), 3, 0),
+    ],
+    ids=["full", "advised", "shortcut", "single_query"],
+)
+def test_single_encoder_matches_item_writer(build, n, k):
+    comp, adv = build()
+    p, cut = k + 1, n - k - 1
+    for params, inst in product(PARAMS, enumerate_instances(1, n)):
+        f, name = adv(inst), bin_n(n, inst.steps[0])
+        rank = weight_analysis(comp, 1, f, p, params.C).ranks.get(name[:cut])
+        w = _ItemWriter()
+        w.put("advice", f)
+        if rank is None:
+            w.put("prefix", name[:cut])
+        else:
+            w.put("suffix", name[cut:])
+            w.put("rank", _field(rank, rank_width(comp.T, params.C)))
+        want = w.build(2 if rank is None else 1)
+        assert encode_single(n, k, params, comp, adv, inst) == want, (params, inst)
+
+
+def test_rank_limit_matches_the_fraction_bounds():
+    # t = T / C is a whole number under DEFAULT_PARAMS (C = 1/256) and
+    # CERT_PARAMS (C = 1/16), and not under EDGE_PARAMS
+    whole = set()
+    for params, T in product(PARAMS, range(0, 40)):
+        ctx = EncodingContext(M=1, n=1, p=1, k=0, T=T, l=1, params=params)
+        assert ctx.distance_bound == 4 * params.C
+        whole.add(ctx.t.denominator == 1)
+        edges = {ctx.rank_limit, 2**ctx.width_k, int(ctx.t)}
+        for rank in {r + d for r in edges for d in range(-2, 3) if r + d >= 0}:
+            want = rank < ctx.t and rank < 2**ctx.width_k
+            assert (rank < ctx.rank_limit) == want, (params, T, rank)
+    assert whole == {True, False}
+
+
+def _direct_floor(ctx, bad_count, m, sizes):
+    return not any(size < bad_count - ctx.t * m * i for i, size in enumerate(sizes))
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=["default", "cert", "edge"])
+def test_survivor_floor_verdict_matches_direct_evaluation(params):
+    # under CERT_PARAMS and T = 1, t = 16: a round may shed 16 m survivors,
+    # and sizes one either side of each bound are tried, each asked twice
+    for T in (1, 2):
+        ctx = EncodingContext(M=64, n=1, p=1, k=0, T=T, l=1, params=params)
+        for bad_count, m in product(range(0, 40, 3), range(3)):
+            step = ctx.t * m
+            near = {max(0, int(bad_count - step * i) + d) for i in range(m + 1) for d in (-1, 0, 1)}
+            for first, *rest in product(sorted(near), repeat=m + 1):
+                sizes = (first, *rest)
+                want = _direct_floor(ctx, bad_count, m, sizes)
+                for _ in range(2):
+                    assert ctx.survivor_floor_ok(bad_count, m, sizes) == want
+
+
+@pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
+def test_audit_integer_checks_match_fraction_rules(label, build, M, n, k, p):
+    comp, adv = build()
+    for ctx in _every_context(comp, M, n, k):
+        for inst in enumerate_instances(M, n):
+            audit = audit_instance(ctx, comp, adv, inst)
+            prof = profile(comp, adv, inst, ctx.p, ctx.params)
+            assert audit.rank_ok == all(
+                bp.rank < ctx.t and bp.rank < 2**ctx.width_k for bp in prof.blocks if bp.good
+            )
+            assert audit.distance_ok == all(d <= 4 * ctx.C for d in audit.distances)
+            if audit.selection is not None:
+                sel = audit.selection
+                want = _direct_floor(ctx, M - prof.l_prime, sel.m, sel.survivor_sizes)
+                assert audit.selection_floor_ok == want
