@@ -12,9 +12,9 @@ width is the only tolerance in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .model import ModelError, apply_oracle
 from .ordered_search import StepInstance
@@ -27,8 +27,7 @@ class PartitionError(ValueError):
     """Partition shape problems, such as a selected class with one step."""
 
 
-@dataclass(frozen=True)
-class AdvicePartition:
+class AdvicePartition(NamedTuple):
     """Steps grouped by advice string, with one large class selected.
 
     classes maps each observed advice string to its steps in increasing
@@ -105,8 +104,7 @@ def sqrt_bracket(x, scale: int = 10**12):
     return Fraction(r, den * scale), Fraction(r + 1, den * scale)
 
 
-@dataclass(frozen=True)
-class ZetaReport:
+class ZetaReport(NamedTuple):
     """Both sides of the overlap sandwich for one advice class.
 
     zeta and the pair overlaps are exact. The structural floor

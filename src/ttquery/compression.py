@@ -31,7 +31,8 @@ round-count and survivor-floor verdict, and each code layout: the item
 map and doubled good-index field of a (case, good indices, selected
 blocks) key. The computer keeps, per advice string, the weight analyses
 (weight_analysis), each with a rank map from heavy prefix to its index,
-and the query-mass verdict (mass_within_queries). Per instance, the step
+the query-mass verdict (mass_within_queries) and the audit distances, one
+per pair of class vectors (audit_instance). Per instance, the step
 names are formatted once when the StepInstance is built, the advice is
 evaluated once, a block is classified by looking its prefix up in the
 rank map rather than comparing its weight with C, and the encoder only
@@ -40,7 +41,6 @@ joins the field bits into the layout the context holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, isqrt
@@ -81,7 +81,6 @@ class LwssExhaustedError(RuntimeError):
 # Error parameters
 
 
-@dataclass(frozen=True)
 class ErrorParams:
     """Error tolerance epsilon and slack c, with the derived threshold.
 
@@ -93,18 +92,14 @@ class ErrorParams:
     identity 2 sqrt(C) + epsilon = 1/2 - c * epsilon holds exactly.
     """
 
-    epsilon: Rational
-    c: Rational
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon))
-        object.__setattr__(self, "c", as_rational(self.c))
+    def __init__(self, epsilon: Rational, c: Rational):
+        self.epsilon = checked_epsilon(epsilon)
+        self.c = as_rational(c)
         if not 0 < self.c < self.d:
             raise ValueError(f"c must lie strictly between 0 and {self.d}")
         # Every weight comparison reads C, so it is derived once here.
-        sqrt_c = (1 - 2 * self.eps_prime) / 4
-        object.__setattr__(self, "_sqrt_C", sqrt_c)
-        object.__setattr__(self, "_C", sqrt_c * sqrt_c)
+        self._sqrt_C = (1 - 2 * self.eps_prime) / 4
+        self._C = self._sqrt_C * self._sqrt_C
 
     @property
     def d(self) -> Fraction:
@@ -151,7 +146,6 @@ def rank_width(T: int, C: Fraction) -> int:
     return ceil_log2(Fraction(T) / C) if T else 0
 
 
-@dataclass(frozen=True)
 class EncodingContext:
     """Shared parameters of one encode/decode configuration.
 
@@ -170,35 +164,32 @@ class EncodingContext:
     they are read only.
     """
 
-    M: int
-    n: int
-    p: int
-    k: int
-    T: int
-    l: int
-    params: ErrorParams = DEFAULT_PARAMS
-
-    def __post_init__(self):
-        if self.M < 1 or self.M & (self.M - 1):
+    def __init__(
+        self, M: int, n: int, p: int, k: int, T: int, l: int,
+        params: ErrorParams = DEFAULT_PARAMS,
+    ):
+        if M < 1 or M & (M - 1):
             raise ValueError("M must be a power of two")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be positive")
-        if not 1 <= self.p <= self.n:
+        if not 1 <= p <= n:
             raise ValueError("p must lie in [1, n]")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("k must be nonnegative")
-        if self.T < 0:
+        if T < 0:
             raise ValueError("T must be nonnegative")
-        if not 1 <= self.l <= self.M:
+        if not 1 <= l <= M:
             raise ValueError("l must lie in [1, M]")
-        object.__setattr__(self, "_t", Fraction(self.T) / self.C)
-        object.__setattr__(self, "_width_k", rank_width(self.T, self.C))
-        object.__setattr__(self, "rank_limit", min(ceil(self._t), 2**self._width_k))
-        object.__setattr__(self, "distance_bound", 4 * self.C)
-        object.__setattr__(self, "_rounds", {})
-        object.__setattr__(self, "_round_verdicts", {})
-        object.__setattr__(self, "_floor_verdicts", {})
-        object.__setattr__(self, "_layouts", {})
+        self.M, self.n, self.p, self.k, self.T, self.l = M, n, p, k, T, l
+        self.params = params
+        self._t = Fraction(T) / self.C
+        self._width_k = rank_width(T, self.C)
+        self.rank_limit = min(ceil(self._t), 2**self._width_k)
+        self.distance_bound = 4 * self.C
+        self._rounds: dict = {}
+        self._round_verdicts: dict = {}
+        self._floor_verdicts: dict = {}
+        self._layouts: dict = {}
 
     @property
     def N(self) -> int:
@@ -327,8 +318,7 @@ def prefix_weights(computer, block, advice, p):
     return acc
 
 
-@dataclass(frozen=True)
-class WeightAnalysis:
+class WeightAnalysis(NamedTuple):
     """Prefix weights of one machine input (block, advice) at cut p.
 
     table maps (j, leading n-p bits) to the summed weight of the 2**p
@@ -345,11 +335,7 @@ class WeightAnalysis:
     own_mass: Fraction
     threshold: Fraction
     heavy: tuple[str, ...]
-    ranks: Mapping[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ranks = {prefix: rank for rank, prefix in enumerate(self.heavy)}
-        object.__setattr__(self, "ranks", MappingProxyType(ranks))
+    ranks: Mapping[str, int]
 
 
 def weight_analysis(computer, block, advice, p, threshold) -> WeightAnalysis:
@@ -374,7 +360,8 @@ def weight_analysis(computer, block, advice, p, threshold) -> WeightAnalysis:
     heavy = tuple(
         sorted(a for (j, a), v in table.items() if j == block and v > threshold)
     )
-    found = WeightAnalysis(table, own_mass, threshold, heavy)
+    ranks = MappingProxyType({prefix: rank for rank, prefix in enumerate(heavy)})
+    found = WeightAnalysis(table, own_mass, threshold, heavy, ranks)
     computer.weight_analyses[key] = found
     return found
 
@@ -390,14 +377,9 @@ class BlockProfile(NamedTuple):
     rank: int | None
 
 
-@dataclass(frozen=True)
-class GoodBadProfile:
+class GoodBadProfile(NamedTuple):
     blocks: tuple[BlockProfile, ...]
-    good_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        good = tuple(bp.block for bp in self.blocks if bp.good)
-        object.__setattr__(self, "good_indices", good)
+    good_indices: tuple[int, ...]
 
     @property
     def l_prime(self) -> int:
@@ -429,7 +411,7 @@ def _profile(computer, f, instance, p, params) -> GoodBadProfile:
         # heavy is the analysis's list at threshold C: a rank means w > C
         rank = wa.ranks.get(pre)
         out.append(BlockProfile(i, pre, rank is not None, rank))
-    return GoodBadProfile(tuple(out))
+    return GoodBadProfile(tuple(out), tuple(bp.block for bp in out if bp.good))
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +434,7 @@ def c_uv_values(ctx: EncodingContext):
     return first, second
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Exact evaluation of the two length-guarantee inequalities.
 
     case1_holds decides (T/C)^l < 2^E with the integer exponent
@@ -560,31 +541,38 @@ class BitReader:
             raise EncodingFormatError("trailing bits after the last field")
 
 
-@dataclass(frozen=True)
 class Encoding:
     """Raw code bits plus the case tag and an item map for audits.
 
     The item map is derivable from the context and never consulted while
     decoding; its offsets must tile the bit string exactly, so
     re-serializing the items reproduces the raw bits by construction.
+    Encodings compare and hash by (case, bits, items).
     """
 
-    case: int
-    bits: str
-    items: tuple[tuple[str, int, int], ...]
+    __slots__ = ("case", "bits", "items")
 
-    def __post_init__(self):
-        if self.case not in (1, 2):
+    def __init__(self, case: int, bits: str, items: tuple[tuple[str, int, int], ...]):
+        if case not in (1, 2):
             raise ValueError("case must be 1 or 2")
-        if set(self.bits) - {"0", "1"}:
+        if set(bits) - {"0", "1"}:
             raise ValueError("bits must be a 0/1 string")
         pos = 0
-        for name, off, length in self.items:
+        for name, off, length in items:
             if off != pos or length < 0:
                 raise ValueError(f"item {name} breaks the contiguous layout")
             pos += length
-        if pos != len(self.bits):
+        if pos != len(bits):
             raise ValueError("items do not cover the bit string")
+        self.case, self.bits, self.items = case, bits, items
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.case, self.bits, self.items) == (other.case, other.bits, other.items)
+
+    def __hash__(self) -> int:
+        return hash((self.case, self.bits, self.items))
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -606,8 +594,7 @@ class Encoding:
 # Selection of lightly queried bad blocks
 
 
-@dataclass(frozen=True)
-class LwssResult:
+class LwssResult(NamedTuple):
     """Outcome of the light-weight step selection over the bad blocks.
 
     W lists the selected blocks in pick order. survivor_sizes records the
@@ -930,8 +917,7 @@ def decode_single(n, k, params, computer, encoding: Encoding) -> StepInstance:
 # Sweep-level verification
 
 
-@dataclass(frozen=True)
-class PigeonholeReport:
+class PigeonholeReport(NamedTuple):
     total: int
     injective: bool
     collisions: tuple[tuple[str, str], ...]
@@ -998,8 +984,7 @@ def verify_pigeonhole(ctx, computer, advice_fn, M, n, budget=None) -> Pigeonhole
 # Per-instance invariant audit
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Every exactly checkable scheme invariant, for one instance.
 
     Selection fields are vacuously true for case 1.
@@ -1068,7 +1053,11 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
     mass check from the computer (see EncodingContext and
     mass_within_queries). Substitution distances use 2 - 2 <a, b>: both
     post-oracle states are unit vectors, since prequery_state checks norm^2
-    = 1 and the oracle maps distinct prequery terms to distinct keys.
+    = 1 and the oracle maps distinct prequery terms to distinct keys. Each
+    state depends on its thresholds only through their class vector (see
+    model._CachedInput.classes), so each distance is computed once per
+    (pivot, advice, substituted class vector, instance class vector) and
+    kept in computer.distances.
     """
     enc, prof, selection, f = _encode(ctx, computer, advice_fn, instance)
     lp = prof.l_prime
@@ -1101,10 +1090,14 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
         prefix_of = {i: name[:cut] for i, name in names.items()}
         for pivot in selection.W:
             steps = _substituted_steps(ctx.M, ctx.p, names, prefix_of, pending)
-            d = 2 - 2 * inner_product(
-                apply_oracle(computer, pivot, f, steps),
-                apply_oracle(computer, pivot, f, instance.steps),
-            )
+            classes = computer._cached_input(pivot, f).classes
+            key = (pivot, f, classes(steps), classes(instance.steps))
+            d = computer.distances.get(key)
+            if d is None:
+                d = computer.distances[key] = 2 - 2 * inner_product(
+                    apply_oracle(computer, pivot, f, steps),
+                    apply_oracle(computer, pivot, f, instance.steps),
+                )
             distance_values.append(d)
             if d > ctx.distance_bound:
                 distance_ok = False

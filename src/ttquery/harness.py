@@ -19,8 +19,8 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .adversary import adversary_bound
 from .compression import (
@@ -66,8 +66,7 @@ _ALL_KEYS = _INT_KEYS + (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     M: int = 1
     n: int = 3
     p: int = 1
@@ -103,7 +102,6 @@ def parse_config(text: str) -> dict:
 
 
 def build_config(raw: dict, **overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig()
     fields: dict = {}
     for key, value in raw.items():
         if key in _INT_KEYS:
@@ -126,7 +124,7 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is not None:
             fields[key] = value
-    cfg = replace(cfg, **fields)
+    cfg = ExperimentConfig(**fields)
     if cfg.M < 1 or cfg.n < 1:
         raise ConfigError("M and n must be at least 1")
     if cfg.scheme not in ("multi", "single"):
@@ -180,8 +178,7 @@ def resolve_subject(cfg: ExperimentConfig):
     return computer, advice_fn
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     name: str
     header: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]

@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -197,7 +196,6 @@ class _CachedInput(NamedTuple):
         return tuple([bisect_left(ranks, steps[j]) for j, ranks in self.bounds])
 
 
-@dataclass
 class NonadaptiveComputer:
     """A truth-table query computer for the M-block problem over n-bit blocks.
 
@@ -216,27 +214,34 @@ class NonadaptiveComputer:
     application reads those terms, so no query word is parsed twice and an
     application costs one table entry per queried block per term. `runs`
     memoizes `run`'s distributions by (block, advice, class vector, width),
-    `weight_analyses` holds the compression coder's weight analyses and
-    `mass_checks` its per-advice query-mass verdicts, all built on first
-    use. These caches belong to this computer alone; the cached mappings,
-    terms, tables, distributions, analyses and verdicts are shared by every
-    caller and must be treated as read only.
+    `weight_analyses` holds the compression coder's weight analyses,
+    `mass_checks` its per-advice query-mass verdicts and `distances` its
+    audit distances by (pivot, advice, substituted class vector, instance
+    class vector), all built on first use. These caches belong to this
+    computer alone; the cached mappings, terms, tables, distributions,
+    analyses, verdicts and distances are shared by every caller and must be
+    treated as read only.
     """
 
-    M: int
-    n: int
-    T: int
-    advice_len: int
-    output_width: int
-    scratch_dim: int
-    prequery: Callable[[int, str], Mapping]
-    final: FiberFinal
-    _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    weight_analyses: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    mass_checks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        M: int,
+        n: int,
+        T: int,
+        advice_len: int,
+        output_width: int,
+        scratch_dim: int,
+        prequery: Callable[[int, str], Mapping],
+        final: FiberFinal,
+    ):
+        self.M, self.n, self.T, self.advice_len = M, n, T, advice_len
+        self.output_width, self.scratch_dim = output_width, scratch_dim
+        self.prequery, self.final = prequery, final
+        self._states: dict = {}
+        self.weight_analyses: dict = {}
+        self.mass_checks: dict = {}
+        self.runs: dict = {}
+        self.distances: dict = {}
 
     @property
     def N(self) -> int:
@@ -328,12 +333,11 @@ class NonadaptiveComputer:
         return self._states[(block, advice)]
 
 
-@dataclass
 class AdviceFunction:
     """Classical advice: a fixed-length bit string per instance."""
 
-    length: int
-    fn: Callable[[StepInstance], str]
+    def __init__(self, length: int, fn: Callable[[StepInstance], str]):
+        self.length, self.fn = length, fn
 
     def __call__(self, instance: StepInstance) -> str:
         bits = self.fn(instance)

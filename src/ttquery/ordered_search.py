@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from typing import Iterator
 
 
@@ -38,35 +37,43 @@ def rank_of(bits: str) -> int:
     return (int(bits, 2) if bits else 0) + 1
 
 
-@dataclass(frozen=True)
 class StepInstance:
     """One input to the M-block problem: a step position per block.
 
     names holds each block's n-bit step name, formatted once here, since
-    every coder and advice function reads them.
+    every coder and advice function reads them. Instances compare and hash
+    by (M, n, steps).
     """
 
-    M: int
-    n: int
-    steps: tuple[int, ...]
-    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("M", "n", "steps", "names")
 
-    def __post_init__(self):
-        if self.M < 1 or self.n < 1:
+    def __init__(self, M: int, n: int, steps: tuple[int, ...]):
+        if M < 1 or n < 1:
             raise ValueError("need M >= 1 and n >= 1")
         try:
-            steps = tuple(operator.index(s) for s in self.steps)
+            self.steps = tuple(operator.index(s) for s in steps)
         except TypeError:
-            raise ValueError(f"steps must be integers, got {self.steps!r}") from None
-        object.__setattr__(self, "steps", steps)
-        if len(steps) != self.M:
-            raise ValueError(f"expected {self.M} steps, got {len(steps)}")
-        size = 2**self.n
-        for s in steps:
+            raise ValueError(f"steps must be integers, got {steps!r}") from None
+        if len(self.steps) != M:
+            raise ValueError(f"expected {M} steps, got {len(self.steps)}")
+        size = 2**n
+        for s in self.steps:
             if not 1 <= s <= size:
                 raise ValueError(f"step {s} outside 1..{size}")
-        spec = f"0{self.n}b"
-        object.__setattr__(self, "names", tuple(format(s - 1, spec) for s in steps))
+        self.M, self.n = M, n
+        spec = f"0{n}b"
+        self.names = tuple(format(s - 1, spec) for s in self.steps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.M, self.n, self.steps) == (other.M, other.n, other.steps)
+
+    def __hash__(self) -> int:
+        return hash((self.M, self.n, self.steps))
+
+    def __repr__(self) -> str:
+        return f"StepInstance(M={self.M!r}, n={self.n!r}, steps={self.steps!r})"
 
     @property
     def N(self) -> int:

@@ -1,10 +1,11 @@
 """Differential tests of the invariants the lemma audit shares across instances.
 
 The inequality reports and round-count verdicts are kept on the encoding
-context, the query-mass verdicts on the computer. Each is checked against a
-straightforward per-instance evaluation, asked twice so that a verdict
-served from a cache is checked as well as the one that filled it, and each
-audit distance against statevec.distance_sq on the same two states. The
+context, the query-mass verdicts and the audit distances on the computer.
+Each is checked against a straightforward per-instance evaluation, asked
+twice so that a verdict served from a cache is checked as well as the one
+that filled it, and each audit distance against statevec.distance_sq and
+against 2 - 2 <a, b> on the same two states, computed afresh. The
 sweeps cover every registry subject at M <= 4 and n <= 3, every l, every
 measured width p and two parameter sets.
 """
@@ -29,7 +30,7 @@ from ttquery.compression import (
 )
 from ttquery.model import apply_oracle
 from ttquery.ordered_search import enumerate_instances
-from ttquery.statevec import distance_sq
+from ttquery.statevec import distance_sq, inner_product
 from ttquery.subjects import get_subject
 
 CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
@@ -168,29 +169,33 @@ def test_cached_mass_verdict_matches_uncached(subject, M, n, k):
 def test_audit_distances_match_distance_sq(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
     checked = 0
-    for ctx in _contexts(comp, M, n, k, (DEFAULT_PARAMS,)):
+    for ctx in _contexts(comp, M, n, k):
         cut = ctx.n - ctx.p
-        for inst in enumerate_instances(M, n):
-            audit = audit_instance(ctx, comp, adv, inst)
-            if audit.case == 1:
-                assert audit.distances == ()
-                continue
-            f = adv(inst)
-            names = {i: inst.step_bits(i) for i in range(1, M + 1)}
-            prefix_of = {i: names[i][:cut] for i in names}
-            pending = set(audit.selection.W)
-            want = []
-            for pivot in audit.selection.W:
-                steps = _substituted_steps(M, ctx.p, names, prefix_of, pending)
-                want.append(
-                    distance_sq(
-                        apply_oracle(comp, pivot, f, steps),
-                        apply_oracle(comp, pivot, f, inst.steps),
-                    )
-                )
-                pending.discard(pivot)
-            assert audit.distances == tuple(want), (ctx, inst)
-            assert all(type(d) is Fraction for d in audit.distances)
-            checked += len(want)
+        # the second pass reads every distance from the computer's memo
+        for _ in range(2):
+            for inst in enumerate_instances(M, n):
+                audit = audit_instance(ctx, comp, adv, inst)
+                if audit.case == 1:
+                    assert audit.distances == ()
+                    continue
+                f = adv(inst)
+                names = {i: inst.step_bits(i) for i in range(1, M + 1)}
+                prefix_of = {i: names[i][:cut] for i in names}
+                pending = set(audit.selection.W)
+                want = []
+                for pivot in audit.selection.W:
+                    steps = _substituted_steps(M, ctx.p, names, prefix_of, pending)
+                    a = apply_oracle(comp, pivot, f, steps)
+                    b = apply_oracle(comp, pivot, f, inst.steps)
+                    want.append(2 - 2 * inner_product(a, b))
+                    assert want[-1] == distance_sq(a, b)
+                    pending.discard(pivot)
+                assert audit.distances == tuple(want), (ctx, inst)
+                assert all(type(d) is Fraction for d in audit.distances)
+                checked += len(want)
+    keys = set(comp.distances)
+    assert all(len(key) == 4 and key[0] in range(1, M + 1) for key in keys)
     if subject == "probe":
-        assert checked
+        assert 0 < len(keys) < checked // 4
+    fresh, _ = get_subject(subject, M, n, k)
+    assert fresh.distances == {}

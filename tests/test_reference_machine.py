@@ -10,7 +10,6 @@ output distributions, overlaps and reports.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -54,7 +53,7 @@ def _inputs(M, k):
 def _reports(cfg):
     runs = [cmd_simulate(cfg), cmd_roundtrip(cfg), cmd_lemmas(cfg), cmd_bounds(cfg)]
     if cfg.M == 1:
-        runs.append(cmd_roundtrip(replace(cfg, scheme="single")))
+        runs.append(cmd_roundtrip(cfg._replace(scheme="single")))
     return [report_csv(r) + report_json(r) for r in runs]
 
 

@@ -7,7 +7,6 @@ came from; only the subject name in the reports differs.
 
 import itertools
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -50,7 +49,7 @@ def _export(name, M, n, k):
 def _reports(cfg):
     runs = [cmd_simulate(cfg), cmd_roundtrip(cfg), cmd_lemmas(cfg), cmd_bounds(cfg)]
     if cfg.M == 1:
-        runs.append(cmd_roundtrip(replace(cfg, scheme="single")))
+        runs.append(cmd_roundtrip(cfg._replace(scheme="single")))
     return [report_csv(r) + report_json(r) for r in runs]
 
 

@@ -14,7 +14,6 @@ against the former per-item writer, and the audit's integer rank limit and
 memoized survivor floor against the Fraction rules they replace.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -45,6 +44,7 @@ from ttquery.compression import (
 )
 from ttquery.harness import ExperimentConfig, cmd_roundtrip
 from ttquery.model import (
+    NonadaptiveComputer,
     _reachable_answers,
     apply_oracle,
     list_index,
@@ -282,7 +282,11 @@ def _with_zero_terms(comp, adv):
         amps[(words, free[0])] = Fraction(0)
         return amps
 
-    return replace(comp, prequery=prequery), adv
+    copy = NonadaptiveComputer(
+        comp.M, comp.n, comp.T, comp.advice_len, comp.output_width, comp.scratch_dim,
+        prequery, comp.final,
+    )
+    return copy, adv
 
 
 ZERO_TERMS = (
