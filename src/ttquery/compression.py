@@ -14,29 +14,30 @@ materialized, comparisons against them happen in squared or exponential
 form.
 
 Encoding layout. Both cases open with the advice string, the good block
-indices in double binary (each bit written twice, indices as ceil(log M)
-bit values in increasing order), and the separator "01". Case 1 then
-walks blocks in order: a good block stores its heavy-prefix rank in a
-fixed-width field followed by the last p bits of its step name, a bad
-block stores the full n-bit name. Case 2 stores full names for good
-blocks, the leading n-p bits for bad blocks, and last-p-bit suffixes for
-the bad blocks the selection procedure did not pick. The case tag rides
-alongside the bits, not inside them.
+indices in double binary (each bit written twice, indices as
+w = ceil(log2 M) bit values in increasing order, so 2w bits per index),
+and the separator "01". Case 1 then walks blocks in order: a good block
+stores its heavy-prefix rank in a fixed-width field followed by the last
+p bits of its step name, a bad block stores the full n-bit name. Case 2
+stores full names for good blocks, the leading n-p bits for bad blocks,
+and last-p-bit suffixes for the bad blocks the selection procedure did
+not pick. The case tag rides alongside the bits, not inside them.
 
 Work that does not depend on the instance is done once. The EncodingContext
-derives T / C, the rank width, the audit's integer rank limit and its
-distance bound when built, and on first use the two inequality reports,
-the selection's round count m and threshold C / m per pool size, each
-round-count and survivor-floor verdict, and each code layout: the item
-map and doubled good-index field of a (case, good indices, selected
-blocks) key. The computer keeps, per advice string, the weight analyses
-(weight_analysis), each with a rank map from heavy prefix to its index,
-the query-mass verdict (mass_within_queries) and the audit distances, one
-per pair of class vectors (audit_instance). Per instance, the step
-names are formatted once when the StepInstance is built, the advice is
-evaluated once, a block is classified by looking its prefix up in the
-rank map rather than comparing its weight with C, and the encoder only
-joins the field bits into the layout the context holds.
+derives T / C, the rank and index widths, the audit's integer rank limit
+and its distance bound when built, and on first use the two inequality
+reports, one Rounds record per pool size (the selection's round count m,
+its threshold C / m, the round-count verdict and the integer survivor
+floors), and each code layout: the item map and doubled good-index field
+of a (case, good indices, selected blocks) key. The computer keeps, per
+advice string, the weight analyses (weight_analysis), each with a rank
+map from heavy prefix to its index, the query-mass verdict
+(mass_within_queries) and the audit distances, one per pair of class
+vectors (audit_instance). Per instance, the step names are formatted once
+when the StepInstance is built, the advice is evaluated once, a block is
+classified by looking its prefix up in the rank map rather than comparing
+its weight with C, and the encoder only joins the field bits into the
+layout the context holds.
 """
 
 from __future__ import annotations
@@ -89,40 +90,25 @@ class ErrorParams:
     inflated error eps_prime = (1 + c) * epsilon stays below 1/2, the
     threshold C = (1 - 2 eps_prime)^2 / 16 is positive, and its square
     root (1 - 2 eps_prime) / 4 is itself rational, so the decoder margin
-    identity 2 sqrt(C) + epsilon = 1/2 - c * epsilon holds exactly.
+    identity 2 sqrt(C) + epsilon = 1/2 - c * epsilon holds exactly; margin
+    is that headroom above 1/2, c * epsilon. Every derived value is set
+    once here.
     """
 
     def __init__(self, epsilon: Rational, c: Rational):
         self.epsilon = checked_epsilon(epsilon)
         self.c = as_rational(c)
+        self.d = 1 / (2 * self.epsilon) - 1 if self.epsilon > 0 else Fraction(1)
         if not 0 < self.c < self.d:
             raise ValueError(f"c must lie strictly between 0 and {self.d}")
-        # Every weight comparison reads C, so it is derived once here.
-        self._sqrt_C = (1 - 2 * self.eps_prime) / 4
-        self._C = self._sqrt_C * self._sqrt_C
-
-    @property
-    def d(self) -> Fraction:
-        if self.epsilon > 0:
-            return 1 / (2 * self.epsilon) - 1
-        return Fraction(1)
-
-    @property
-    def eps_prime(self) -> Fraction:
-        return (1 + self.c) * self.epsilon
+        self.eps_prime = (1 + self.c) * self.epsilon
+        self.sqrt_C = (1 - 2 * self.eps_prime) / 4
+        self._C = self.sqrt_C * self.sqrt_C
+        self.margin = self.c * self.epsilon
 
     @property
     def C(self) -> Fraction:
         return self._C
-
-    @property
-    def sqrt_C(self) -> Fraction:
-        return self._sqrt_C
-
-    @property
-    def margin(self) -> Fraction:
-        """Decoder headroom above 1/2: equals c * epsilon."""
-        return self.c * self.epsilon
 
 
 DEFAULT_PARAMS = ErrorParams(Fraction(1, 3), Fraction(1, 8))
@@ -133,12 +119,8 @@ def ceil_log2(x: Rational) -> int:
     x = as_rational(x)
     if x <= 0:
         raise ValueError("ceil_log2 needs a positive value")
-    w = 0
-    v = Fraction(1)
-    while v < x:
-        v *= 2
-        w += 1
-    return w
+    # 2**w is whole, so 2**w >= x exactly when 2**w >= ceil(x)
+    return (ceil(x) - 1).bit_length()
 
 
 def rank_width(T: int, C: Fraction) -> int:
@@ -146,30 +128,44 @@ def rank_width(T: int, C: Fraction) -> int:
     return ceil_log2(Fraction(T) / C) if T else 0
 
 
+class Rounds(NamedTuple):
+    """The selection's schedule over a pool of bad blocks.
+
+    m is the round count, threshold the weight bound C / m (None when
+    m = 0), m_ok the audit's direct check of m, and floors[i] the least
+    number of candidates the selection may hold after i rounds, the
+    integer ceil(pool - t m i), for i in 0..m.
+    """
+
+    m: int
+    threshold: Fraction | None
+    m_ok: bool
+    floors: tuple[int, ...]
+
+
 class EncodingContext:
     """Shared parameters of one encode/decode configuration.
 
-    M must be a power of two so that index fields have integral width.
+    Index fields are index_width = ceil(log2 M) bits wide, for every
+    M >= 1.
 
     What depends on the configuration alone is derived here once, not per
-    instance. On construction: the ratio t = T / C, the rank width, the
-    rank limit min(ceil(t), 2**width_k), which an integer rank is below
-    exactly when it is below both t and 2**width_k, and the audit's
-    distance bound 4 C. On first use: the two inequality reports
-    (inequality_reports), the selection's round count and threshold per
-    pool size (selection_rounds), each round-count verdict per (bad-block
-    count, m) (round_count_ok), each survivor-floor verdict per (bad-block
-    count, m, survivor sizes) (survivor_floor_ok), and each code layout per
-    (case, good indices, selected blocks) (layout). The context owns these;
-    they are read only.
+    instance. On construction: N = 2**n, the threshold C, the ratio
+    t = T / C, the rank width width_k, the index width, the rank limit
+    min(ceil(t), 2**width_k), which an integer rank is below exactly when
+    it is below both t and 2**width_k, and the audit's distance bound 4 C.
+    On first use: the two inequality reports (inequality_reports), the
+    selection's Rounds record per pool size (rounds), and each code layout
+    per (case, good indices, selected blocks) (layout). The context owns
+    these; they are read only.
     """
 
     def __init__(
         self, M: int, n: int, p: int, k: int, T: int, l: int,
         params: ErrorParams = DEFAULT_PARAMS,
     ):
-        if M < 1 or M & (M - 1):
-            raise ValueError("M must be a power of two")
+        if M < 1:
+            raise ValueError("M must be positive")
         if n < 1:
             raise ValueError("n must be positive")
         if not 1 <= p <= n:
@@ -182,36 +178,15 @@ class EncodingContext:
             raise ValueError("l must lie in [1, M]")
         self.M, self.n, self.p, self.k, self.T, self.l = M, n, p, k, T, l
         self.params = params
-        self._t = Fraction(T) / self.C
-        self._width_k = rank_width(T, self.C)
-        self.rank_limit = min(ceil(self._t), 2**self._width_k)
+        self.N = 2**n
+        self.C = params.C
+        self.t = Fraction(T) / self.C
+        self.width_k = rank_width(T, self.C)
+        self.index_width = (M - 1).bit_length()
+        self.rank_limit = min(ceil(self.t), 2**self.width_k)
         self.distance_bound = 4 * self.C
         self._rounds: dict = {}
-        self._round_verdicts: dict = {}
-        self._floor_verdicts: dict = {}
         self._layouts: dict = {}
-
-    @property
-    def N(self) -> int:
-        return 2**self.n
-
-    @property
-    def log_M(self) -> int:
-        return self.M.bit_length() - 1
-
-    @property
-    def C(self) -> Fraction:
-        return self.params.C
-
-    @property
-    def t(self) -> Fraction:
-        """Ratio T / C, the capacity bound on heavy-prefix ranks."""
-        return self._t
-
-    @property
-    def width_k(self) -> int:
-        """Bit width of the rank field for good blocks."""
-        return self._width_k
 
     @cached_property
     def inequality_reports(self) -> tuple[InequalityReport, InequalityReport]:
@@ -222,51 +197,36 @@ class EncodingContext:
         """
         return _inequality_reports(self)
 
-    def selection_rounds(self, pool_size: int) -> tuple[int, Fraction | None]:
-        """Round count m of a selection over pool_size bad blocks, and its
-        threshold C / m (None when m = 0), derived once per pool size."""
-        found = self._rounds.get(pool_size)
-        if found is None:
-            m = _round_count(self.t, pool_size)
-            found = self._rounds[pool_size] = (m, self.C / m if m else None)
-        return found
+    def rounds(self, pool: int) -> Rounds:
+        """The selection's Rounds record over pool bad blocks, derived once
+        per pool size.
 
-    def round_count_ok(self, bad_count: int, m: int) -> bool:
-        """Whether m is the selection's round count for bad_count bad blocks.
-
-        The round count must be the largest m with the quadratic
-        t m^2 - (t - 1) m - bad_count nonpositive, and flooring keeps
-        C * bad_count <= T * (m + 1)^2; with no queries it must be 0. The
-        verdict is evaluated once per (bad_count, m).
+        m_ok holds when m is the largest m with the quadratic
+        t m^2 - (t - 1) m - pool nonpositive and flooring kept
+        C * pool <= T * (m + 1)^2; with no queries or no bad blocks m must
+        be 0.
         """
-        key = (bad_count, m)
-        verdict = self._round_verdicts.get(key)
-        if verdict is None:
-            if self.T == 0 or not bad_count:
-                verdict = m == 0
+        found = self._rounds.get(pool)
+        if found is None:
+            t = self.t
+            m = _round_count(t, pool)
+            if self.T == 0 or not pool:
+                m_ok = m == 0
             else:
-                t = self.t
-
                 def quad(x):
-                    return t * x * x - (t - 1) * x - bad_count
+                    return t * x * x - (t - 1) * x - pool
 
-                verdict = quad(m) <= 0 < quad(m + 1) and (
-                    self.C * bad_count <= self.T * (m + 1) ** 2
+                m_ok = quad(m) <= 0 < quad(m + 1) and (
+                    self.C * pool <= self.T * (m + 1) ** 2
                 )
-            self._round_verdicts[key] = verdict
-        return verdict
-
-    def survivor_floor_ok(self, bad_count: int, m: int, survivor_sizes) -> bool:
-        """Whether the selection kept at least bad_count - t m i candidates
-        after each round i, evaluated once per (bad_count, m, sizes)."""
-        key = (bad_count, m, survivor_sizes)
-        verdict = self._floor_verdicts.get(key)
-        if verdict is None:
-            verdict = self._floor_verdicts[key] = all(
-                size >= bad_count - self.t * m * i
-                for i, size in enumerate(survivor_sizes)
+            # ceil(pool - t m i) = pool - floor(t m i)
+            floors = tuple(
+                pool - t.numerator * m * i // t.denominator for i in range(m + 1)
             )
-        return verdict
+            found = self._rounds[pool] = Rounds(
+                m, self.C / m if m else None, m_ok, floors
+            )
+        return found
 
     def layout(self, case: int, good: tuple[int, ...], chosen: tuple[int, ...] = ()):
         """Item map and doubled good-index field of a code in this case
@@ -428,8 +388,8 @@ def c_uv_values(ctx: EncodingContext):
     first = None
     if (ctx.k + 2) % ctx.l == 0:
         e = ctx.p + 1 + (ctx.k + 2) // ctx.l
-        first = ctx.C * ctx.N / (ctx.M * ctx.M * Fraction(2) ** e)
-    a = 2 * ctx.l * ctx.log_M + ctx.k + 2
+        first = ctx.C * ctx.N / Fraction(2) ** (2 * ctx.index_width + e)
+    a = 2 * ctx.l * ctx.index_width + ctx.k + 2
     second = ctx.C * (ctx.M - ctx.l) * ctx.p * ctx.p / (a * a)
     return first, second
 
@@ -437,11 +397,12 @@ def c_uv_values(ctx: EncodingContext):
 class InequalityReport(NamedTuple):
     """Exact evaluation of the two length-guarantee inequalities.
 
-    case1_holds decides (T/C)^l < 2^E with the integer exponent
-    E = l(n - p - 1 - 2 log M) - (k + 2); this is the exponential form of
-    the first inequality and is always exactly decidable, so no interval
-    fallback is ever needed. case2_holds decides p^2 C (M - l) > A^2 T
-    with A = 2 l log M + k + 2, the squared form of the second. The
+    With w the index width, case1_holds decides (T/C)^l < 2^E with the
+    integer exponent E = l(n - p - 1 - 2w) - (k + 2); this is the
+    exponential form of the first inequality and is always exactly
+    decidable, so no interval fallback is ever needed. case2_holds decides
+    p^2 C (M - l) > A^2 T with A = 2lw + k + 2, the squared form of the
+    second. The
     applicable one (selected by the instance's good-block count) equals
     the comparison T < c_uv whenever that constant is rational;
     matches_closed_form records the cross-check.
@@ -461,9 +422,9 @@ def _inequality_reports(ctx: EncodingContext):
         raise ValueError("the length guarantee needs at least one query")
     T = Fraction(ctx.T)
     t = ctx.t
-    E = ctx.l * (ctx.n - ctx.p - 1 - 2 * ctx.log_M) - (ctx.k + 2)
+    E = ctx.l * (ctx.n - ctx.p - 1 - 2 * ctx.index_width) - (ctx.k + 2)
     case1 = t**ctx.l < Fraction(2) ** E
-    a = 2 * ctx.l * ctx.log_M + ctx.k + 2
+    a = 2 * ctx.l * ctx.index_width + ctx.k + 2
     case2 = ctx.p * ctx.p * ctx.C * (ctx.M - ctx.l) > a * a * T
     reports = []
     for case, certified, cu in zip((1, 2), (case1, case2), c_uv_values(ctx)):
@@ -627,7 +588,7 @@ def _round_count(t: Fraction, pool_size: int) -> int:
 
 def _select(ctx, computer, advice, bad_prefixes):
     survivors = sorted(bad_prefixes)
-    m, threshold = ctx.selection_rounds(len(survivors))
+    m, threshold, _, _ = ctx.rounds(len(survivors))
     picked: list[int] = []
     sizes = [len(survivors)]
     tables = {}
@@ -677,7 +638,7 @@ def lwss(computer, advice_fn, instance, prof: GoodBadProfile, ctx: EncodingConte
 
 def expected_length(ctx: EncodingContext, l_prime: int, case: int, selected: int = 0) -> int:
     """Item-by-item length total for one encoded instance."""
-    base = ctx.k + 2 * l_prime * ctx.log_M + 2
+    base = ctx.k + 2 * l_prime * ctx.index_width + 2
     if case == 1:
         return base + l_prime * (ctx.width_k + ctx.p) + (ctx.M - l_prime) * ctx.n
     return (
@@ -695,7 +656,7 @@ def encode(ctx, computer, advice_fn, instance) -> Encoding:
 
 def _layout(ctx: EncodingContext, case, good, chosen):
     """The item map and doubled good-index field that ctx.layout keeps."""
-    good_field = double_bits("".join(_field(i - 1, ctx.log_M) for i in good))
+    good_field = double_bits("".join(_field(i - 1, ctx.index_width) for i in good))
     widths = [("advice", ctx.k), ("good-indices", len(good_field)), ("separator", 2)]
     if case == 1:
         for i in range(1, ctx.M + 1):
@@ -763,18 +724,21 @@ def decode(ctx, computer, advice_fn, encoding: Encoding) -> StepInstance:
     r = BitReader(encoding.bits)
     f = r.take(ctx.k)
     raw = r.take_doubled()
-    if ctx.log_M == 0:
+    w = ctx.index_width
+    if w == 0:
         if raw:
             raise EncodingFormatError("index section must be empty when M = 1")
         good = (1,) if encoding.case == 1 else ()
     else:
-        if len(raw) % ctx.log_M:
+        if len(raw) % w:
             raise EncodingFormatError("index section is not a whole number of fields")
         good_list = []
-        for j in range(0, len(raw), ctx.log_M):
-            v = int(raw[j : j + ctx.log_M], 2) + 1
+        for j in range(0, len(raw), w):
+            v = int(raw[j : j + w], 2) + 1
             if good_list and v <= good_list[-1]:
                 raise EncodingFormatError("good indices must strictly increase")
+            if v > ctx.M:
+                raise DecodeError(f"good index {v} names no block of {ctx.M}")
             good_list.append(v)
         good = tuple(good_list)
     if (encoding.case == 1) != (ctx.l <= len(good)):
@@ -1049,15 +1013,15 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
 
     Only the encoding, profile and selection are per instance. The
     inequality reports, the rank limit, the distance bound and the
-    round-count and survivor-floor verdicts come from the context and the
-    mass check from the computer (see EncodingContext and
-    mass_within_queries). Substitution distances use 2 - 2 <a, b>: both
-    post-oracle states are unit vectors, since prequery_state checks norm^2
-    = 1 and the oracle maps distinct prequery terms to distinct keys. Each
-    state depends on its thresholds only through their class vector (see
-    model._CachedInput.classes), so each distance is computed once per
-    (pivot, advice, substituted class vector, instance class vector) and
-    kept in computer.distances.
+    selection's Rounds record (its round-count verdict and integer survivor
+    floors) come from the context and the mass check from the computer (see
+    EncodingContext and mass_within_queries). Substitution distances use
+    2 - 2 <a, b>: both post-oracle states are unit vectors, since
+    prequery_state checks norm^2 = 1 and the oracle maps distinct prequery
+    terms to distinct keys. Each state depends on its thresholds only
+    through their class vector (see model._CachedInput.classes), so each
+    distance is computed once per (pivot, advice, substituted class vector,
+    instance class vector) and kept in computer.distances.
     """
     enc, prof, selection, f = _encode(ctx, computer, advice_fn, instance)
     lp = prof.l_prime
@@ -1076,13 +1040,14 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
     distances: tuple = ()
     if enc.case == 2:
         sel_distinct = len(set(selection.W)) == len(selection.W)
-        bad_count = ctx.M - lp
-        sel_floor = ctx.survivor_floor_ok(
-            bad_count, selection.m, selection.survivor_sizes
+        rounds = ctx.rounds(ctx.M - lp)
+        sizes = selection.survivor_sizes
+        sel_floor = len(sizes) == len(rounds.floors) and all(
+            size >= floor for size, floor in zip(sizes, rounds.floors)
         )
         if selection.threshold is not None:
             sel_cross = all(v < selection.threshold for (_, _, v) in selection.crosses)
-        sel_m = ctx.round_count_ok(bad_count, selection.m)
+        sel_m = selection.m == rounds.m and rounds.m_ok
         distance_values = []
         pending = set(selection.W)
         cut = ctx.n - ctx.p

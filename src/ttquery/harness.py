@@ -55,15 +55,6 @@ class ConfigError(ValueError):
 
 
 _INT_KEYS = ("M", "n", "p", "k", "l", "budget")
-_ALL_KEYS = _INT_KEYS + (
-    "epsilon",
-    "c",
-    "subject",
-    "scheme",
-    "instance",
-    "blocks",
-    "out",
-)
 
 
 class ExperimentConfig(NamedTuple):
@@ -80,6 +71,9 @@ class ExperimentConfig(NamedTuple):
     instance: str | None = None
     blocks: tuple[int, ...] | None = None
     out: str | None = None
+
+
+_ALL_KEYS = ExperimentConfig._fields
 
 
 def parse_config(text: str) -> dict:

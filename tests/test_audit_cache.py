@@ -1,7 +1,7 @@
 """Differential tests of the invariants the lemma audit shares across instances.
 
-The inequality reports and round-count verdicts are kept on the encoding
-context, the query-mass verdicts and the audit distances on the computer.
+The inequality reports and the selection's Rounds records are kept on
+the encoding context, the query-mass verdicts and the audit distances on the computer.
 Each is checked against a straightforward per-instance evaluation, asked
 twice so that a verdict served from a cache is checked as well as the one
 that filled it, and each audit distance against statevec.distance_sq and
@@ -12,15 +12,17 @@ measured width p and two parameter sets.
 
 from fractions import Fraction
 from itertools import product
+from math import ceil
 
 import pytest
 
+from ttquery import compression
 from ttquery.compression import (
     DEFAULT_PARAMS,
     EncodingContext,
     ErrorParams,
     InequalityReport,
-    _round_count,
+    LwssExhaustedError,
     _substituted_steps,
     audit_instance,
     c_uv_values,
@@ -34,6 +36,8 @@ from ttquery.statevec import distance_sq, inner_product
 from ttquery.subjects import get_subject
 
 CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
+_true_round_count = compression._round_count
+_true_rounds = EncodingContext.rounds
 
 # (subject, M, n, k): every registry subject, M <= 4 and n <= 3.
 CONFIGS = (
@@ -64,9 +68,9 @@ def _fresh_inequalities(ctx, prof):
     if T < 1:
         raise ValueError("the length guarantee needs at least one query")
     t = Fraction(T) / ctx.C
-    E = ctx.l * (ctx.n - ctx.p - 1 - 2 * ctx.log_M) - (ctx.k + 2)
+    E = ctx.l * (ctx.n - ctx.p - 1 - 2 * ctx.index_width) - (ctx.k + 2)
     case1 = t**ctx.l < Fraction(2) ** E
-    a = 2 * ctx.l * ctx.log_M + ctx.k + 2
+    a = 2 * ctx.l * ctx.index_width + ctx.k + 2
     case2 = ctx.p * ctx.p * ctx.C * (ctx.M - ctx.l) > a * a * Fraction(T)
     case = 1 if ctx.l <= prof.l_prime else 2
     certified = case1 if case == 1 else case2
@@ -85,6 +89,17 @@ def _direct_round_verdict(ctx, bad_count, m):
         return ctx.t * x * x - (ctx.t - 1) * x - bad_count
 
     return quad(m) <= 0 < quad(m + 1) and ctx.C * bad_count <= ctx.T * (m + 1) ** 2
+
+
+def direct_rounds(ctx, pool):
+    """The Rounds record of a pool, from the Fraction rules: m found by
+    scanning the quadratic, floors as ceil(pool - t m i)."""
+    m = 0
+    if ctx.T and pool:
+        while ctx.t * (m + 1) ** 2 - (ctx.t - 1) * (m + 1) - pool <= 0:
+            m += 1
+    floors = tuple(ceil(pool - ctx.t * m * i) for i in range(m + 1))
+    return (m, ctx.C / m if m else None, _direct_round_verdict(ctx, pool, m), floors)
 
 
 def _direct_mass_ok(comp, advice):
@@ -121,31 +136,69 @@ def test_shared_inequality_report_matches_fresh_computation(subject, M, n, k):
 @pytest.mark.parametrize("subject, M, n, k", CONFIGS, ids=IDS)
 def test_round_count_verdict_matches_direct_evaluation(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
-    checked = wrong = 0
+    case2 = 0
     for ctx in _contexts(comp, M, n, k):
-        # the true round count of every bad-block count first, then wrong
-        # counts for the same bad-block counts, then all of it again from
-        # the filled cache
-        queries = [(bad, _round_count(ctx.t, bad)) for bad in range(M + 1)]
-        queries += [
-            (bad, m + delta)
-            for bad, m in list(queries)
-            for delta in (-1, 1, 2)
-            if m + delta >= 0
-        ]
+        # every bad-block count, asked twice so the memoized record is
+        # checked as well as the one that filled it
         for _ in range(2):
-            for bad, m in queries:
-                want = _direct_round_verdict(ctx, bad, m)
-                assert ctx.round_count_ok(bad, m) == want, (ctx, bad, m)
-                checked += 1
-                wrong += not want
+            for bad in range(M + 1):
+                assert ctx.rounds(bad) == direct_rounds(ctx, bad), (ctx, bad)
+        # the direct verdict rejects the counts next to the true one
+        for bad in range(1, M + 1) if ctx.T else ():
+            m = ctx.rounds(bad).m
+            assert not any(_direct_round_verdict(ctx, bad, w) for w in (m - 1, m + 1) if w >= 0)
         for inst in enumerate_instances(M, n):
             audit = audit_instance(ctx, comp, adv, inst)
             if audit.case == 2:
                 prof = profile(comp, adv, inst, ctx.p, ctx.params)
                 want = _direct_round_verdict(ctx, M - prof.l_prime, audit.selection.m)
                 assert audit.selection_m_ok and want, (ctx, inst)
-    assert checked and wrong
+                case2 += 1
+    assert case2 or subject in ("full", "advised")
+
+
+# probe M=4 n=2 k=4 l=4 under the certifying parameters: every instance
+# with a step outside {1, 2} goes to case 2, with pools of 1 to 4 bad blocks
+
+
+def _case2_audits():
+    """The case-2 audits of the probe sweep; None where the selection ran
+    out of candidates, which a round count past the true one may do."""
+    comp, adv = get_subject("probe", 4, 2, 4)
+    ctx = EncodingContext(M=4, n=2, p=1, k=4, T=comp.T, l=4, params=CERT_PARAMS)
+    audits = []
+    for inst in enumerate_instances(4, 2):
+        try:
+            audit = audit_instance(ctx, comp, adv, inst)
+        except LwssExhaustedError:
+            audit = None
+        if audit is None or audit.case == 2:
+            audits.append(audit)
+    return ctx, audits
+
+
+def test_audit_flags_a_round_count_off_by_one(monkeypatch):
+    ctx, audits = _case2_audits()
+    assert len(audits) == 240 and all(a.ok for a in audits)
+    monkeypatch.setattr(
+        compression, "_round_count", lambda t, pool: _true_round_count(t, pool) + 1
+    )
+    ctx, audits = _case2_audits()
+    assert not any(ctx.rounds(pool).m_ok for pool in range(5))
+    done = [a for a in audits if a is not None]
+    assert done and not any(a.selection_m_ok or a.ok for a in done)
+
+
+def test_audit_flags_survivor_floors_shifted_by_one(monkeypatch):
+    def shifted(self, pool):
+        found = _true_rounds(self, pool)
+        return found._replace(floors=tuple(f + 1 for f in found.floors))
+
+    monkeypatch.setattr(EncodingContext, "rounds", shifted)
+    _, audits = _case2_audits()
+    assert len(audits) == 240
+    assert not any(a.selection_floor_ok or a.ok for a in audits)
+    assert all(a.selection_m_ok for a in audits)
 
 
 @pytest.mark.parametrize("subject, M, n, k", CONFIGS, ids=IDS)

@@ -72,10 +72,34 @@ def test_ceil_log2():
         ceil_log2(0)
 
 
-def test_context_requires_power_of_two_blocks():
-    with pytest.raises(ValueError):
-        _ctx(3, 2, 1, 0, 1, 1)
-    assert _ctx(4, 2, 1, 0, 1, 1).log_M == 2
+def _doubling_ceil_log2(x):
+    """The former doubling loop, kept as the reference."""
+    w, v = 0, Fraction(1)
+    while v < x:
+        v *= 2
+        w += 1
+    return w
+
+
+def test_ceil_log2_matches_doubling_loop():
+    nudges = (Fraction(0), Fraction(1, 3), Fraction(1, 1024), Fraction(5, 7), Fraction(1))
+    values = {Fraction(1, 2**j) for j in range(1, 6)}
+    for j in range(0, 70):
+        for d in nudges:
+            values.update(v for v in (2**j + d, 2**j - d) if v > 0)
+    # rank widths: T / C under the default, certifying and edge thresholds
+    thresholds = (DEFAULT_PARAMS.C, CERT_PARAMS.C, Fraction(4096, 1050625))
+    values.update(Fraction(T) / C for T in range(1, 50) for C in thresholds)
+    for x in values:
+        assert ceil_log2(x) == _doubling_ceil_log2(x), x
+
+
+def test_context_takes_every_positive_block_count():
+    with pytest.raises(ValueError, match="M must be positive"):
+        _ctx(0, 2, 1, 0, 1, 1)
+    for M in range(1, 70):
+        # the index field is the least w with 2**w >= M
+        assert _ctx(M, 2, 1, 0, 1, 1).index_width == _doubling_ceil_log2(M), M
 
 
 # ------------------------------------------------------------------- weights

@@ -121,7 +121,7 @@ def test_encoding_context_by_keyword():
     cert = ErrorParams(Fraction(0), Fraction(1, 2))
     assert EncodingContext(M=1, n=2, p=2, k=0, T=0, l=1, params=cert).params is cert
     cases = (
-        (dict(M=3), "M must be a power of two"),
+        (dict(M=0), "M must be positive"),
         (dict(n=0, p=0), "n must be positive"),
         (dict(p=4), r"p must lie in \[1, n\]"),
         (dict(k=-1), "k must be nonnegative"),

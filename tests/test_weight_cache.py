@@ -11,13 +11,15 @@ a freshly built computer, each census folded into a sweep against an
 independent fresh encode or a direct recount, each computer's caches
 against another computer's, each code built from the context's layout
 against the former per-item writer, and the audit's integer rank limit and
-memoized survivor floor against the Fraction rules they replace.
+integer survivor floors of its Rounds records against the Fraction rules
+they replace.
 """
 
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from test_audit_cache import direct_rounds
 
 from ttquery.compression import (
     DEFAULT_PARAMS,
@@ -590,7 +592,7 @@ def _written_encode(ctx, comp, adv, inst):
     cut = ctx.n - ctx.p
     w = _ItemWriter()
     w.put("advice", f)
-    w.put("good-indices", double_bits("".join(_field(i - 1, ctx.log_M) for i in good)))
+    w.put("good-indices", double_bits("".join(_field(i - 1, ctx.index_width) for i in good)))
     w.put("separator", "01")
     if ctx.l <= len(good):
         for bp in prof.blocks:
@@ -688,20 +690,36 @@ def _direct_floor(ctx, bad_count, m, sizes):
     return not any(size < bad_count - ctx.t * m * i for i, size in enumerate(sizes))
 
 
+def _floor_verdict(rounds, sizes):
+    """The audit's survivor-floor check against a Rounds record."""
+    return len(sizes) == len(rounds.floors) and all(
+        size >= floor for size, floor in zip(sizes, rounds.floors)
+    )
+
+
 @pytest.mark.parametrize("params", PARAMS, ids=["default", "cert", "edge"])
 def test_survivor_floor_verdict_matches_direct_evaluation(params):
-    # under CERT_PARAMS and T = 1, t = 16: a round may shed 16 m survivors,
-    # and sizes one either side of each bound are tried, each asked twice
+    # under CERT_PARAMS and T = 1, t = 16: a round may shed 16 m survivors.
+    # Every pool size of M = 64 is tried, each record asked twice, and the
+    # integer floors are checked against the Fraction rule on sizes one
+    # either side of each bound
+    rounds_seen = set()
     for T in (1, 2):
         ctx = EncodingContext(M=64, n=1, p=1, k=0, T=T, l=1, params=params)
-        for bad_count, m in product(range(0, 40, 3), range(3)):
-            step = ctx.t * m
-            near = {max(0, int(bad_count - step * i) + d) for i in range(m + 1) for d in (-1, 0, 1)}
-            for first, *rest in product(sorted(near), repeat=m + 1):
-                sizes = (first, *rest)
-                want = _direct_floor(ctx, bad_count, m, sizes)
-                for _ in range(2):
-                    assert ctx.survivor_floor_ok(bad_count, m, sizes) == want
+        for pool in range(64):
+            for _ in range(2):
+                assert ctx.rounds(pool) == direct_rounds(ctx, pool), (T, pool)
+            rounds = ctx.rounds(pool)
+            m = rounds.m
+            rounds_seen.add(m)
+            for i, d in product(range(m + 1), (-1, 0, 1)):
+                sizes = list(rounds.floors)
+                sizes[i] = max(0, sizes[i] + d)
+                want = _direct_floor(ctx, pool, m, sizes)
+                assert _floor_verdict(rounds, tuple(sizes)) == want, (T, pool, sizes)
+            assert not _floor_verdict(rounds, rounds.floors[:-1])
+    # t >= 256 under the default and edge thresholds keeps m at most 1
+    assert rounds_seen == ({0, 1, 2} if params is CERT_PARAMS else {0, 1})
 
 
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
@@ -719,3 +737,4 @@ def test_audit_integer_checks_match_fraction_rules(label, build, M, n, k, p):
                 sel = audit.selection
                 want = _direct_floor(ctx, M - prof.l_prime, sel.m, sel.survivor_sizes)
                 assert audit.selection_floor_ok == want
+                assert want == _floor_verdict(ctx.rounds(M - prof.l_prime), sel.survivor_sizes)
