@@ -2,124 +2,10 @@
 
 Everything runs over `fractions.Fraction`; no floats enter any probability,
 weight, or code-length computation.
+
+Names are imported from the modules that define them (`ttquery.model`,
+`ttquery.compression`, `ttquery.adversary`, ...); importing the package
+itself loads none of them.
 """
-
-from .statevec import (
-    Rational,
-    as_rational,
-    distance_sq,
-    inner_product,
-    rational_str,
-)
-from .ordered_search import (
-    BudgetExceededError,
-    StepInstance,
-    bin_n,
-    enumerate_instances,
-    eval_G,
-    format_instance,
-    parse_instance,
-    rank_of,
-)
-from .model import (
-    AdviceFunction,
-    NonadaptiveComputer,
-    QueryWord,
-    advice_from_doc,
-    computer_from_doc,
-    computer_to_doc,
-    error_probability,
-    max_error,
-    no_advice,
-    run,
-    validate_computer,
-)
-from .subjects import REGISTRY, SubjectError, get_subject
-from .compression import (
-    DecodeError,
-    Encoding,
-    EncodingContext,
-    EncodingFormatError,
-    ErrorParams,
-    GoodBadProfile,
-    LwssExhaustedError,
-    LwssResult,
-    audit_instance,
-    c_uv_values,
-    check_inequalities,
-    decode,
-    decode_single,
-    encode,
-    encode_single,
-    expected_length,
-    lwss,
-    profile,
-    single_block_bound,
-    verify_pigeonhole,
-)
-from .adversary import (
-    AdvicePartition,
-    ZetaReport,
-    adversary_bound,
-    final_state,
-    partition_by_advice,
-    zeta,
-)
-
-__all__ = [
-    "AdviceFunction",
-    "AdvicePartition",
-    "BudgetExceededError",
-    "DecodeError",
-    "Encoding",
-    "EncodingContext",
-    "EncodingFormatError",
-    "ErrorParams",
-    "GoodBadProfile",
-    "LwssExhaustedError",
-    "LwssResult",
-    "NonadaptiveComputer",
-    "QueryWord",
-    "REGISTRY",
-    "Rational",
-    "StepInstance",
-    "SubjectError",
-    "ZetaReport",
-    "adversary_bound",
-    "advice_from_doc",
-    "as_rational",
-    "audit_instance",
-    "bin_n",
-    "c_uv_values",
-    "check_inequalities",
-    "computer_from_doc",
-    "computer_to_doc",
-    "decode",
-    "decode_single",
-    "distance_sq",
-    "encode",
-    "encode_single",
-    "enumerate_instances",
-    "error_probability",
-    "eval_G",
-    "expected_length",
-    "final_state",
-    "format_instance",
-    "get_subject",
-    "inner_product",
-    "lwss",
-    "max_error",
-    "no_advice",
-    "parse_instance",
-    "partition_by_advice",
-    "profile",
-    "rank_of",
-    "rational_str",
-    "run",
-    "single_block_bound",
-    "validate_computer",
-    "verify_pigeonhole",
-    "zeta",
-]
 
 __version__ = "0.1.0"

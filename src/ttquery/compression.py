@@ -55,7 +55,7 @@ from .ordered_search import (
     format_instance,
     rank_of,
 )
-from .statevec import Rational, as_rational, checked_epsilon, inner_product
+from .statevec import as_rational, checked_epsilon, inner_product
 
 
 _ZERO = Fraction(0)
@@ -95,7 +95,7 @@ class ErrorParams:
     once here.
     """
 
-    def __init__(self, epsilon: Rational, c: Rational):
+    def __init__(self, epsilon: int | str | Fraction, c: int | str | Fraction):
         self.epsilon = checked_epsilon(epsilon)
         self.c = as_rational(c)
         self.d = 1 / (2 * self.epsilon) - 1 if self.epsilon > 0 else Fraction(1)
@@ -114,7 +114,7 @@ class ErrorParams:
 DEFAULT_PARAMS = ErrorParams(Fraction(1, 3), Fraction(1, 8))
 
 
-def ceil_log2(x: Rational) -> int:
+def ceil_log2(x: int | str | Fraction) -> int:
     """Smallest nonnegative w with 2**w >= x, for positive rational x."""
     x = as_rational(x)
     if x <= 0:
@@ -818,15 +818,16 @@ def _majority(dist):
 
 
 def _single_check(n, k, computer):
+    """The single scheme's preconditions; returns its width p = k + 1."""
     if computer.M != 1:
-        raise ValueError("the single-block scheme needs M = 1")
+        raise ValueError("the single scheme needs M = 1")
     if (n, k) != (computer.n, computer.advice_len):
         raise ValueError("n or k does not match the computer")
     p = k + 1
     if p > n:
-        raise ValueError("needs k + 1 <= n")
+        raise ValueError("the single scheme needs k + 1 <= n")
     if p > computer.output_width:
-        raise ValueError("cannot measure more cells than the computer writes")
+        raise ValueError("the single scheme reads k + 1 cells, more than the subject writes")
     return p
 
 

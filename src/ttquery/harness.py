@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import os
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -30,6 +31,7 @@ from .compression import (
     EncodingFormatError,
     ErrorParams,
     LwssExhaustedError,
+    _single_check,
     audit_instance,
     c_uv_values,
     census,
@@ -136,6 +138,8 @@ def load_config(path: str | None, **overrides) -> ExperimentConfig:
                 raw = parse_config(fh.read())
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config {path} is not UTF-8 text: {e}") from None
     return build_config(raw, **overrides)
 
 
@@ -304,13 +308,11 @@ def _coder(cfg, computer, advice_fn):
             lambda instance: encode(ctx, computer, advice_fn, instance),
             lambda enc: decode(ctx, computer, advice_fn, enc),
         )
-    if cfg.M != 1:
-        raise ConfigError("the single scheme needs M = 1")
+    try:
+        _single_check(cfg.n, cfg.k, computer)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     params = _params(cfg)
-    if cfg.k + 1 > cfg.n:
-        raise ConfigError("the single scheme needs k + 1 <= n")
-    if cfg.k + 1 > computer.output_width:
-        raise ConfigError("the single scheme reads k + 1 cells, more than the subject writes")
     return (
         lambda instance: encode_single(cfg.n, cfg.k, params, computer, advice_fn, instance),
         lambda enc: decode_single(cfg.n, cfg.k, params, computer, enc),
@@ -381,6 +383,25 @@ def _query_count(cfg: ExperimentConfig) -> int:
     return resolve_subject(cfg)[0].T
 
 
+def _about(v: Fraction) -> str:
+    """A bound's note value: ten decimals while it fits a float, eleven
+    significant digits in exponent form past float range."""
+    try:
+        return f"{float(v):.10f}"
+    except OverflowError:
+        return f"{Decimal(v.numerator) / v.denominator:.10e}"
+
+
+def _row(name: str, l: str, v: Fraction | None, note: str) -> tuple[str, ...]:
+    """One bounds row. None is an irrational value; a value past Python's
+    integer digit limit is refused."""
+    try:
+        shown = "irrational exponent" if v is None else rational_str(v)
+    except ValueError as e:
+        raise ConfigError(f"{name} is too long to print: {e}") from None
+    return (name, l, shown, note)
+
+
 def cmd_bounds(cfg: ExperimentConfig) -> Report:
     T = _query_count(cfg)
     params = _params(cfg)
@@ -388,22 +409,13 @@ def cmd_bounds(cfg: ExperimentConfig) -> Report:
     rows = []
     # advice bits past M * n are padding: the window is then one location
     upper = query_count("advised", cfg.M, cfg.n, min(cfg.k, cfg.M * cfg.n))
-    rows.append(("reference-upper", "-", str(upper), "queries of the advised reference machine"))
-    rows.append(("subject-T", "-", str(T), cfg.subject))
+    rows.append(_row("reference-upper", "-", upper, "queries of the advised reference machine"))
+    rows.append(_row("subject-T", "-", T, cfg.subject))
     if cfg.M == 1 and cfg.k + 1 <= cfg.n:
         v = single_block_bound(cfg.n, cfg.k, params)
-        rows.append(
-            ("single-block-floor", "-", rational_str(v), f"about {float(v):.10f}")
-        )
+        rows.append(_row("single-block-floor", "-", v, f"about {_about(v)}"))
     adv = adversary_bound(N, cfg.k, cfg.epsilon)
-    rows.append(
-        (
-            "adversary-floor",
-            "-",
-            rational_str(adv),
-            f"about {float(adv):.10f}, within 1e-9",
-        )
-    )
+    rows.append(_row("adversary-floor", "-", adv, f"about {_about(adv)}, within 1e-9"))
     for l in range(1, cfg.M + 1):
         try:
             ctx = EncodingContext(
@@ -412,11 +424,10 @@ def cmd_bounds(cfg: ExperimentConfig) -> Report:
         except ValueError as e:
             raise ConfigError(str(e)) from None
         few_good, many_bad = c_uv_values(ctx)
-        shown = "irrational exponent" if few_good is None else rational_str(few_good)
-        rows.append(("c-uv-good-branch", str(l), shown, "applies when at least l blocks are good"))
         rows.append(
-            ("c-uv-bad-branch", str(l), rational_str(many_bad), "applies otherwise")
+            _row("c-uv-good-branch", str(l), few_good, "applies when at least l blocks are good")
         )
+        rows.append(_row("c-uv-bad-branch", str(l), many_bad, "applies otherwise"))
     summary = {
         "M": cfg.M,
         "n": cfg.n,

@@ -55,9 +55,6 @@ class QueryWord(NamedTuple):
     location: str
 
 
-QueryList = tuple  # tuple[QueryWord, ...]
-
-
 class ModelError(ValueError):
     """A computer or one of its inputs is malformed."""
 
@@ -91,7 +88,7 @@ def _ranked_index(ranked_words, M: int, n: int) -> int:
     return digits[0] if digits else 0
 
 
-def list_index(words: QueryList, M: int, n: int) -> int:
+def list_index(words: tuple[QueryWord, ...], M: int, n: int) -> int:
     """Lexicographic index of a query list among all lists of its length."""
     for word in words:
         check_word(word, M, n)
@@ -290,7 +287,7 @@ class NonadaptiveComputer:
         clean = {}
         ranks: dict[QueryWord, tuple[int, int]] = {}
         # each list as given -> (its QueryWords, list index, answer table)
-        lists: dict[QueryList, tuple] = {}
+        lists: dict[tuple, tuple] = {}
         terms = []
         for (words, ws), amp in amps.items():
             if len(words) != T:

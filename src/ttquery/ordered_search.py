@@ -75,10 +75,6 @@ class StepInstance:
     def __repr__(self) -> str:
         return f"StepInstance(M={self.M!r}, n={self.n!r}, steps={self.steps!r})"
 
-    @property
-    def N(self) -> int:
-        return 2**self.n
-
     def step(self, block: int) -> int:
         if not 1 <= block <= self.M:
             raise ValueError(f"block {block} outside 1..{self.M}")

@@ -18,8 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-Rational = Fraction
-
 
 class DimensionMismatchError(ValueError):
     """A workspace cell or a measured width does not fit the workspace."""

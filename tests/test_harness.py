@@ -1,5 +1,8 @@
+import csv
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -473,3 +476,82 @@ def test_negative_epsilon_is_refused(tmp_path, capsys, command):
     cfg = _write(tmp_path, "subject = full\nM = 1\nn = 3\np = 3\nepsilon = -1/3\n")
     assert main([command, "--config", cfg]) == 2
     assert "epsilon must be nonnegative" in capsys.readouterr().err
+
+
+# ------------------------------------------- bounds past float range and digits
+
+
+def _bounds_rows(stdout):
+    return list(csv.reader(stdout.split("{", 1)[0].splitlines()[1:]))
+
+
+def test_bounds_notes_are_floats_while_the_values_fit_one(tmp_path):
+    # the last n at which both floors fit a float: the report is the one
+    # earlier versions printed, byte for byte
+    done = _cli_subprocess("bounds", "--config", _write(tmp_path, "subject = full\nM = 1\nn = 1028\n"))
+    assert done.returncode == 0 and done.stderr == ""
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "510e5f55ceb048f192425a5afd6c809baa47aec616cf900f605ad90e28eee2a8"
+    )
+    rows = {row[0]: row for row in _bounds_rows(done.stdout)}
+    single = Fraction(rows["single-block-floor"][2])
+    assert rows["single-block-floor"][3] == f"about {float(single):.10f}"
+
+
+@pytest.mark.parametrize("n", [1029, 1100])
+def test_bounds_past_float_range_prints_every_row(tmp_path, n):
+    done = _cli_subprocess("bounds", "--config", _write(tmp_path, f"subject = full\nM = 1\nn = {n}\n"))
+    assert done.returncode == 0 and done.stderr == ""
+    rows = _bounds_rows(done.stdout)
+    assert [row[0] for row in rows] == [
+        "reference-upper",
+        "subject-T",
+        "single-block-floor",
+        "adversary-floor",
+        "c-uv-good-branch",
+        "c-uv-bad-branch",
+    ]
+    assert rows[0][2] == rows[1][2] == str(2**n - 1)
+    adv = Fraction(rows[3][2])
+    # eleven significant digits of the exact value, past float range
+    about = re.fullmatch(r"about (\d\.\d{10})e\+(\d+), within 1e-9", rows[3][3])
+    mantissa, exponent = Fraction(about[1]), int(about[2])
+    assert exponent >= 308 and abs(mantissa * 10**exponent - adv) <= adv / 10**10
+
+
+@pytest.mark.parametrize(
+    "n, row",
+    [(14284, "adversary-floor"), (14285, "reference-upper"), (20000, "reference-upper")],
+)
+def test_bounds_past_the_digit_limit_exits_two(tmp_path, n, row):
+    done = _cli_subprocess("bounds", "--config", _write(tmp_path, f"subject = full\nM = 1\nn = {n}\n"))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith(f"error: {row} is too long to print: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_config_that_is_not_utf8_exits_two(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"subject = full\nM = 1\nn = 2\n# caf\xe9\n\xff\n")
+    for command in ("simulate", "bounds"):
+        done = _cli_subprocess(command, "--config", str(path))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith(f"error: config {path} is not UTF-8 text: ")
+        assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("subject = full\nM = 2\nn = 2\n", "the single scheme needs M = 1"),
+        ("subject = advised\nM = 1\nn = 2\nk = 2\n", "the single scheme needs k + 1 <= n"),
+        (
+            "subject = probe\nM = 1\nn = 3\nk = 1\n",
+            "the single scheme reads k + 1 cells, more than the subject writes",
+        ),
+    ],
+)
+def test_single_scheme_preconditions_name_the_scheme(tmp_path, capsys, text, message):
+    cfg = _write(tmp_path, text + "scheme = single\n")
+    assert main(["roundtrip", "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -1,13 +1,15 @@
-"""The package's records and what importing the command line loads.
+"""The package's records and what importing the package and its command line loads.
 
-Records are plain classes or typing.NamedTuples, so importing ttquery
-generates no code and does not load dataclasses. These tests pin what
+Records are plain classes or typing.NamedTuples, so importing ttquery.cli
+generates no code and does not load dataclasses; importing the package
+root loads no submodule at all. These tests pin what
 callers rely on: how instances and encodings compare, hash and print,
 which errors the validating constructors raise, that the parameter records
 are built by keyword, and the configuration defaults.
 """
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -36,6 +38,24 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         check=True,
     )
     assert done.stdout == "[]\n", done.stdout
+
+
+def test_package_import_loads_no_submodule_and_states_the_version():
+    # the package root re-exports nothing: names come from their modules
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ttquery; "
+        "print(sorted(m for m in sys.modules if m.startswith('ttquery.'))); "
+        "print(ttquery.__version__)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, SRC],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
+        version = re.search(r'^version = "([^"]+)"$', fh.read(), re.M).group(1)
+    assert done.stdout == f"[]\n{version}\n", done.stdout
 
 
 # ---------------------------------------------------------------- instances
