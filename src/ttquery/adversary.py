@@ -2,10 +2,12 @@
 
 Steps that share an advice string cannot all be told apart cheaply: the
 final states of consecutive steps in one advice class overlap by an
-amount the query count controls. Summing those overlaps gives a quantity
-squeezed between a structural floor, which holds for any machine, and a
-correctness ceiling, which holds when the machine meets its error
-tolerance. Everything except the one square root is exact rational
+amount the query count controls. They are model.overlap's inner products
+of post-oracle states: the final transform permutes the workspace within
+each fiber, so it keeps every inner product. Summing those overlaps gives
+a quantity squeezed between a structural floor, which holds for any
+machine, and a correctness ceiling, which holds when the machine meets its
+error tolerance. Everything except the one square root is exact rational
 arithmetic; that root is bracketed between rationals and the bracket
 width is the only tolerance in this module.
 """
@@ -16,11 +18,12 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .model import ModelError, apply_oracle
+from .model import ModelError, overlap
 from .ordered_search import StepInstance
-from .statevec import as_rational, checked_epsilon, inner_product
+from .statevec import as_rational, checked_epsilon
 
 TOLERANCE = Fraction(1, 10**9)
+_SCALE = 10**12
 
 
 class PartitionError(ValueError):
@@ -33,19 +36,14 @@ class AdvicePartition(NamedTuple):
     classes maps each observed advice string to its steps in increasing
     order. The selected class is the lexicographically smallest advice
     string whose class holds at least N / 2^k steps; one always exists.
+    steps is the selected class's steps.
     """
 
     n: int
     k: int
     classes: tuple[tuple[str, tuple[int, ...]], ...]
     selected: str
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        for d, steps in self.classes:
-            if d == self.selected:
-                return steps
-        raise PartitionError("selected advice string is not a class key")
+    steps: tuple[int, ...]
 
     @property
     def b(self) -> int:
@@ -67,27 +65,12 @@ def partition_by_advice(computer, advice_fn) -> AdvicePartition:
         k=k,
         classes=tuple((d, tuple(v)) for d, v in sorted(classes.items())),
         selected=selected,
+        steps=tuple(classes[selected]),
     )
 
 
-def postquery_state(computer, advice, instance) -> dict:
-    """State right after the oracle answers, before the final transform:
-    the dict {(list index, answer index, ws): amp} of model.apply_oracle."""
-    if computer.M != 1:
-        raise PartitionError("single-block states only")
-    if (instance.M, instance.n) != (computer.M, computer.n):
-        raise ModelError("instance shape disagrees with computer")
-    return apply_oracle(computer, 1, advice, instance.steps)
-
-
-def final_state(computer, advice, instance) -> dict:
-    """The full pipeline output: final transform applied to the answered state."""
-    state = postquery_state(computer, advice, instance)
-    return computer.final.apply(state, computer.workspace_dim)
-
-
-def sqrt_bracket(x, scale: int = 10**12):
-    """Rationals (lo, hi) with lo <= sqrt(x) <= hi and hi - lo <= 1/scale.
+def sqrt_bracket(x):
+    """Rationals (lo, hi) with lo <= sqrt(x) <= hi and hi - lo <= 1/_SCALE.
 
     When x is the square of a rational the bracket collapses to a point,
     so perfect squares (zero included) come back exact.
@@ -100,8 +83,8 @@ def sqrt_bracket(x, scale: int = 10**12):
     if rn * rn == num and rd * rd == den:
         root = Fraction(rn, rd)
         return root, root
-    r = isqrt(num * den * scale * scale)
-    return Fraction(r, den * scale), Fraction(r + 1, den * scale)
+    r = isqrt(num * den * _SCALE * _SCALE)
+    return Fraction(r, den * _SCALE), Fraction(r + 1, den * _SCALE)
 
 
 class ZetaReport(NamedTuple):
@@ -131,18 +114,20 @@ class ZetaReport(NamedTuple):
 
 
 def zeta(computer, partition: AdvicePartition, epsilon=Fraction(0)) -> ZetaReport:
-    """Sum of consecutive final-state overlaps within the selected class."""
+    """Sum of consecutive final-state overlaps within the selected class.
+    A multi-block computer raises PartitionError, one of another n ModelError."""
     epsilon = as_rational(epsilon)
     steps = partition.steps
     b = len(steps)
     if b < 2:
         raise PartitionError("selected class needs at least two steps")
+    if computer.M != 1:
+        raise PartitionError("single-block states only")
+    if partition.n != computer.n:
+        raise ModelError("instance shape disagrees with computer")
     d = partition.selected
-    states = [
-        final_state(computer, d, StepInstance(1, partition.n, (s,))) for s in steps
-    ]
     pairs = tuple(
-        abs(inner_product(states[i], states[i + 1])) for i in range(b - 1)
+        abs(overlap(computer, 1, d, (s,), (t,))) for s, t in zip(steps, steps[1:])
     )
     z = sum(pairs, Fraction(0))
     lower = Fraction(b - 1 - computer.T)

@@ -31,9 +31,10 @@ its threshold C / m, the round-count verdict and the integer survivor
 floors), and each code layout: the item map and doubled good-index field
 of a (case, good indices, selected blocks) key. The computer keeps, per
 advice string, the weight analyses (weight_analysis), each with a rank
-map from heavy prefix to its index, the query-mass verdict
-(mass_within_queries) and the audit distances, one per pair of class
-vectors (audit_instance). Per instance, the step names are formatted once
+map from heavy prefix to its index, and the query-mass verdict
+(mass_within_queries); the audit's substitution distances come from
+model.overlap, which the computer memoizes per pair of class vectors.
+Per instance, the step names are formatted once
 when the StepInstance is built, the advice is evaluated once, a block is
 classified by looking its prefix up in the rank map rather than comparing
 its weight with C, and the encoder only joins the field bits into the
@@ -48,14 +49,9 @@ from math import ceil, isqrt
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .model import NonadaptiveComputer, apply_oracle, run
-from .ordered_search import (
-    StepInstance,
-    enumerate_instances,
-    format_instance,
-    rank_of,
-)
-from .statevec import as_rational, checked_epsilon, inner_product
+from .model import NonadaptiveComputer, overlap, run
+from .ordered_search import StepInstance, enumerate_instances, rank_of
+from .statevec import as_rational, checked_epsilon
 
 
 _ZERO = Fraction(0)
@@ -913,7 +909,7 @@ def census(pairs, full_length: int) -> PigeonholeReport:
     for instance, enc in pairs:
         key = (enc.case, enc.bits)
         if key in seen:
-            collisions.append((format_instance(seen[key]), format_instance(instance)))
+            collisions.append((seen[key].literal(), instance.literal()))
         else:
             seen[key] = instance
         lengths.append(len(enc))
@@ -1016,13 +1012,11 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
     inequality reports, the rank limit, the distance bound and the
     selection's Rounds record (its round-count verdict and integer survivor
     floors) come from the context and the mass check from the computer (see
-    EncodingContext and mass_within_queries). Substitution distances use
-    2 - 2 <a, b>: both post-oracle states are unit vectors, since
-    prequery_state checks norm^2 = 1 and the oracle maps distinct prequery
-    terms to distinct keys. Each state depends on its thresholds only
-    through their class vector (see model._CachedInput.classes), so each
-    distance is computed once per (pivot, advice, substituted class vector,
-    instance class vector) and kept in computer.distances.
+    EncodingContext and mass_within_queries). A pivot's substitution
+    distance is 2 - 2 * model.overlap of its substituted and true
+    post-oracle states, both unit vectors, since prequery_state checks
+    norm^2 = 1 and the oracle maps distinct prequery terms to distinct
+    keys; the computer memoizes each overlap (see model.overlap).
     """
     enc, prof, selection, f = _encode(ctx, computer, advice_fn, instance)
     lp = prof.l_prime
@@ -1056,14 +1050,7 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
         prefix_of = {i: name[:cut] for i, name in names.items()}
         for pivot in selection.W:
             steps = _substituted_steps(ctx.M, ctx.p, names, prefix_of, pending)
-            classes = computer._cached_input(pivot, f).classes
-            key = (pivot, f, classes(steps), classes(instance.steps))
-            d = computer.distances.get(key)
-            if d is None:
-                d = computer.distances[key] = 2 - 2 * inner_product(
-                    apply_oracle(computer, pivot, f, steps),
-                    apply_oracle(computer, pivot, f, instance.steps),
-                )
+            d = 2 - 2 * overlap(computer, pivot, f, steps, instance.steps)
             distance_values.append(d)
             if d > ctx.distance_bound:
                 distance_ok = False
@@ -1074,7 +1061,7 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
         ctx, lp, enc.case, selected=len(selection.W) if selection else 0
     )
     return AuditReport(
-        instance=format_instance(instance),
+        instance=instance.literal(),
         case=enc.case,
         length=len(enc),
         expected=expected,

@@ -42,12 +42,7 @@ from .compression import (
     single_block_bound,
 )
 from .model import advice_from_doc, computer_from_doc, doc_shape, run
-from .ordered_search import (
-    enumerate_instances,
-    eval_G,
-    format_instance,
-    parse_instance,
-)
+from .ordered_search import enumerate_instances, eval_G, parse_instance
 from .statevec import as_rational, checked_epsilon, rational_str
 from .subjects import REGISTRY, SubjectError, get_subject, query_count
 
@@ -155,9 +150,10 @@ def resolve_subject(cfg: ExperimentConfig):
             doc = json.load(fh)
     except OSError as e:
         raise ConfigError(f"subject is neither a built-in name nor a readable file: {e}") from None
-    except ValueError as e:
-        # malformed JSON, bytes that are not UTF-8, or an integer too long
-        # for int() (Python's digit limit)
+    except (ValueError, RecursionError) as e:
+        # malformed JSON, bytes that are not UTF-8, an integer too long for
+        # int() (Python's digit limit), or arrays or objects nested past the
+        # interpreter's recursion limit
         raise ConfigError(f"subject file is not valid JSON: {e}") from None
     # compare the doc's shape with the config before anything is sized from it
     try:
@@ -274,7 +270,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> Report:
             )
             rows.append(
                 (
-                    format_instance(instance),
+                    instance.literal(),
                     str(block),
                     expected,
                     shown,
@@ -320,23 +316,23 @@ def _coder(cfg, computer, advice_fn):
 
 
 def cmd_roundtrip(cfg: ExperimentConfig) -> Report:
-    # The census always covers the whole sweep, also when one instance is run.
+    # The census always covers the whole sweep, also when one instance is
+    # run; each code is made once, and a one-instance run reads its own.
     sweep = enumerate_instances(cfg.M, cfg.n, cfg.budget)
     instances = _instances(cfg)
     computer, advice_fn = resolve_subject(cfg)
     encode_one, decode_one = _coder(cfg, computer, advice_fn)
+    codes = {instance: encode_one(instance) for instance in sweep}
     rows = []
-    pairs = []
     for instance in instances:
-        enc = encode_one(instance)
-        pairs.append((instance, enc))
+        enc = codes[instance]
         try:
             status = _PASS if decode_one(enc) == instance else _FAIL
         except (DecodeError, EncodingFormatError, LwssExhaustedError):
             status = _FAIL
         rows.append(
             (
-                format_instance(instance),
+                instance.literal(),
                 str(enc.case),
                 str(len(enc)),
                 enc.hex,
@@ -344,9 +340,7 @@ def cmd_roundtrip(cfg: ExperimentConfig) -> Report:
                 status,
             )
         )
-    if cfg.instance is not None:
-        pairs = ((instance, encode_one(instance)) for instance in sweep)
-    pig = census(pairs, cfg.M * cfg.n)
+    pig = census(codes.items(), cfg.M * cfg.n)
     passed = sum(1 for row in rows if row[-1] == _PASS)
     summary = {
         "scheme": cfg.scheme,

@@ -27,7 +27,10 @@ list's answer table, workspace cell, amplitude), and `apply_oracle` reads
 only those. A list's answers under a threshold depend only on the
 threshold's class among the ranks the list queries in that block, so each
 answer index is a sum of one table entry per queried block, and `run`
-memoizes each distribution by the input's class vector.
+memoizes each distribution by the input's class vector. `overlap`, the
+inner product of an input's post-oracle states under two threshold vectors,
+is memoized by both class vectors: the lemma audit and the adversary compare
+states only through it.
 
 Output cells are ordered least-significant-bit-first: cell j holds the j-th
 bit from the end of the answer string. Narrower outputs are then prefixes of
@@ -45,7 +48,9 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ordered_search import StepInstance, eval_G, rank_of
-from .statevec import DimensionMismatchError, as_rational, measure_register, rational_str
+from .statevec import (
+    DimensionMismatchError, as_rational, inner_product, measure_register, rational_str,
+)
 
 
 class QueryWord(NamedTuple):
@@ -211,13 +216,13 @@ class NonadaptiveComputer:
     application reads those terms, so no query word is parsed twice and an
     application costs one table entry per queried block per term. `runs`
     memoizes `run`'s distributions by (block, advice, class vector, width),
-    `weight_analyses` holds the compression coder's weight analyses,
-    `mass_checks` its per-advice query-mass verdicts and `distances` its
-    audit distances by (pivot, advice, substituted class vector, instance
-    class vector), all built on first use. These caches belong to this
-    computer alone; the cached mappings, terms, tables, distributions,
-    analyses, verdicts and distances are shared by every caller and must be
-    treated as read only.
+    `overlaps` memoizes `overlap`'s inner products by (block, advice, class
+    vector, class vector), `weight_analyses` holds the compression coder's
+    weight analyses and `mass_checks` its per-advice query-mass verdicts,
+    all built on first use. These caches belong to this computer alone;
+    the cached mappings, terms, tables, distributions, overlaps, analyses
+    and verdicts are shared by every caller and must be treated as read
+    only.
     """
 
     def __init__(
@@ -238,7 +243,7 @@ class NonadaptiveComputer:
         self.weight_analyses: dict = {}
         self.mass_checks: dict = {}
         self.runs: dict = {}
-        self.distances: dict = {}
+        self.overlaps: dict = {}
 
     @property
     def N(self) -> int:
@@ -420,6 +425,35 @@ def run(
             {outcome_to_answer(outcome, width): prob for outcome, prob in probs.items()}
         )
     return dict(dist)
+
+
+def overlap(
+    computer: NonadaptiveComputer,
+    block: int,
+    advice: str,
+    steps_a: Sequence[int],
+    steps_b: Sequence[int],
+) -> Fraction:
+    """Inner product of input (block, advice)'s post-oracle states under
+    thresholds steps_a and steps_b, each checked as apply_oracle checks it.
+
+    Memoized in computer.overlaps by (block, advice, class vector of
+    steps_a, class vector of steps_b; see _CachedInput.classes). Both
+    states are unit vectors, so their squared distance is 2 - 2 * overlap.
+    The final transform permutes the workspace within each fiber, so it
+    keeps every inner product and is not applied.
+    """
+    _check_thresholds(computer, steps_a)
+    _check_thresholds(computer, steps_b)
+    classes = computer._cached_input(block, advice).classes
+    key = (block, advice, classes(steps_a), classes(steps_b))
+    value = computer.overlaps.get(key)
+    if value is None:
+        value = computer.overlaps[key] = inner_product(
+            apply_oracle(computer, block, advice, steps_a),
+            apply_oracle(computer, block, advice, steps_b),
+        )
+    return value
 
 
 def error_probability(

@@ -87,19 +87,13 @@ class StepInstance:
         return self.names[block - 1]
 
     def literal(self) -> str:
-        return format_instance(self)
-
-    def __str__(self) -> str:
-        return self.literal()
-
-
-def format_instance(instance: StepInstance) -> str:
-    steps = ",".join(str(s) for s in instance.steps)
-    return f"M={instance.M} n={instance.n} steps={steps}"
+        """The instance as a literal like "M=2 n=3 steps=3,7" (see parse_instance)."""
+        steps = ",".join(str(s) for s in self.steps)
+        return f"M={self.M} n={self.n} steps={steps}"
 
 
 def parse_instance(text: str) -> StepInstance:
-    """Parse a literal like "M=2 n=3 steps=3,7".
+    """Parse a literal like "M=2 n=3 steps=3,7" (inverse of StepInstance.literal).
 
     Each of M, n and steps must appear exactly once; any other key is refused.
     """

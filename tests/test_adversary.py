@@ -3,17 +3,18 @@ from fractions import Fraction
 import pytest
 
 from ttquery.adversary import (
+    TOLERANCE,
     PartitionError,
+    ZetaReport,
     adversary_bound,
-    final_state,
     partition_by_advice,
-    postquery_state,
     sqrt_bracket,
     zeta,
 )
+from ttquery.model import ModelError, apply_oracle
 from ttquery.ordered_search import StepInstance
 from ttquery.statevec import inner_product
-from ttquery.subjects import get_subject
+from ttquery.subjects import SubjectError, get_subject
 
 
 def test_partition_groups_by_advice_string():
@@ -24,6 +25,7 @@ def test_partition_groups_by_advice_string():
     assert classes["1"] == (5, 6, 7, 8)
     # the lexicographically first class already covers N / 2^k steps
     assert part.selected == "0"
+    assert part.steps == classes["0"]
     assert part.b == 4
 
 
@@ -61,25 +63,75 @@ def test_zeta_frozen_probe_overlap():
     assert rep.structural_ok
 
 
+def _final_state(comp, advice, step):
+    """A one-block step's state after the oracle and the final transform."""
+    state = apply_oracle(comp, 1, advice, (step,))
+    return comp.final.apply(state, comp.workspace_dim)
+
+
+def _reference_zeta(comp, part, epsilon):
+    """zeta from the inner products of full final states, built afresh."""
+    steps, b = part.steps, part.b
+    if b < 2:
+        raise PartitionError("selected class needs at least two steps")
+    states = [_final_state(comp, part.selected, s) for s in steps]
+    pairs = tuple(abs(inner_product(x, y)) for x, y in zip(states, states[1:]))
+    z = sum(pairs, Fraction(0))
+    lower = Fraction(b - 1 - comp.T)
+    _lo, hi = sqrt_bracket(epsilon * (1 - epsilon))
+    cap, upper = 2 * hi + TOLERANCE, 2 * hi * (b - 1)
+    return ZetaReport(
+        zeta=z, b=b, T=comp.T, pairs=pairs, lower_bound=lower,
+        structural_ok=z >= lower, implied_from_zeta=(b - 1) - z, pair_cap=cap,
+        pairs_ok=all(v <= cap for v in pairs), upper_value=upper,
+        upper_ok=z <= upper + TOLERANCE, implied_closed=(1 - 2 * hi) * (b - 1),
+    )
+
+
 @pytest.mark.parametrize(
     "name,k", [("full", 0), ("advised", 1), ("zero", 0), ("probe", 1), ("shortcut", 1)]
 )
 def test_structural_floor_every_subject(name, k):
-    comp, adv = get_subject(name, 1, 3, k)
+    # every n <= 4 the subject takes, at both tolerances, against the
+    # reference built from final states
+    checked = 0
+    for n in range(1, 5):
+        try:
+            comp, adv = get_subject(name, 1, n, k)
+        except SubjectError:
+            continue
+        part = partition_by_advice(comp, adv)
+        for epsilon in (Fraction(0), Fraction(1, 3)):
+            try:
+                want = _reference_zeta(comp, part, epsilon)
+            except PartitionError:
+                with pytest.raises(PartitionError, match="at least two steps"):
+                    zeta(comp, part, epsilon)
+                continue
+            rep = zeta(comp, part, epsilon)
+            assert rep == want, (n, epsilon)
+            assert rep.zeta >= (rep.b - 1) - rep.T
+            assert rep.structural_ok
+            checked += 1
+    assert checked >= 4
+
+
+def test_zeta_refuses_other_shapes():
+    comp, adv = get_subject("advised", 1, 3, 1)
     part = partition_by_advice(comp, adv)
-    rep = zeta(comp, part)
-    assert rep.zeta >= (rep.b - 1) - rep.T
-    assert rep.structural_ok
+    wide, _ = get_subject("advised", 2, 3, 2)
+    with pytest.raises(PartitionError, match="single-block"):
+        zeta(wide, part)
+    narrow, _ = get_subject("advised", 1, 2, 1)
+    with pytest.raises(ModelError, match="shape"):
+        zeta(narrow, part)
 
 
 def test_final_transform_cancels_in_overlaps():
     comp, adv = get_subject("advised", 1, 3, 1)
-    a, b = StepInstance(1, 3, (1,)), StepInstance(1, 3, (2,))
-    advice = adv(a)
-    lhs = inner_product(final_state(comp, advice, a), final_state(comp, advice, b))
-    rhs = inner_product(
-        postquery_state(comp, advice, a), postquery_state(comp, advice, b)
-    )
+    advice = adv(StepInstance(1, 3, (1,)))
+    lhs = inner_product(_final_state(comp, advice, 1), _final_state(comp, advice, 2))
+    rhs = inner_product(apply_oracle(comp, 1, advice, (1,)), apply_oracle(comp, 1, advice, (2,)))
     assert lhs == rhs
 
 

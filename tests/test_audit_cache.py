@@ -1,7 +1,8 @@
 """Differential tests of the invariants the lemma audit shares across instances.
 
 The inequality reports and the selection's Rounds records are kept on
-the encoding context, the query-mass verdicts and the audit distances on the computer.
+the encoding context, the query-mass verdicts and the overlaps behind the
+audit distances (model.overlap) on the computer.
 Each is checked against a straightforward per-instance evaluation, asked
 twice so that a verdict served from a cache is checked as well as the one
 that filled it, and each audit distance against statevec.distance_sq and
@@ -246,9 +247,9 @@ def test_audit_distances_match_distance_sq(subject, M, n, k):
                 assert audit.distances == tuple(want), (ctx, inst)
                 assert all(type(d) is Fraction for d in audit.distances)
                 checked += len(want)
-    keys = set(comp.distances)
+    keys = set(comp.overlaps)
     assert all(len(key) == 4 and key[0] in range(1, M + 1) for key in keys)
     if subject == "probe":
         assert 0 < len(keys) < checked // 4
     fresh, _ = get_subject(subject, M, n, k)
-    assert fresh.distances == {}
+    assert fresh.overlaps == {}

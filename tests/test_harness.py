@@ -410,6 +410,13 @@ def _broken_probe_doc(tmp_path, edit):
     return str(path)
 
 
+def _deep_json(tmp_path, depth=1100):
+    """A subject file of arrays nested past the interpreter's recursion limit."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    return str(path)
+
+
 _PROBE_LAST = "M=2 n=2 steps=4,4"
 _PROBE = "M = 2\nn = 2\nk = 2\np = 1\nsubject = "
 _BROKEN_SUBJECTS = {
@@ -427,6 +434,7 @@ _BROKEN_SUBJECTS = {
     "@list-prequery": lambda tmp: _broken_probe_doc(
         tmp, lambda doc: doc["computer"].update(prequery=[])
     ),
+    "@deep-json": _deep_json,
 }
 
 
@@ -446,6 +454,8 @@ _BROKEN_SUBJECTS = {
         # bounds loads a JSON subject in full, so a malformed one is refused
         ("bounds", "M = 1\nn = 2\np = 2\nsubject = @unit\n"),
         ("bounds", _PROBE + "@dense-final\n"),
+        ("simulate", "M = 1\nn = 2\nsubject = @deep-json\n"),
+        ("bounds", "M = 1\nn = 2\nsubject = @deep-json\n"),
         ("roundtrip", "M = 2\nn = 2\nk = 2\np = 2\nsubject = probe\n"),
         ("lemmas", "M = 2\nn = 2\nk = 2\np = 2\nsubject = probe\n"),
         ("roundtrip", "M = 1\nn = 3\nk = 1\nsubject = probe\nscheme = single\n"),

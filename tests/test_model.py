@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 import pytest
 
@@ -23,12 +25,13 @@ from ttquery.model import (
     max_error,
     no_advice,
     outcome_to_answer,
+    overlap,
     run,
     validate_computer,
 )
 from ttquery.ordered_search import StepInstance, bin_n, enumerate_instances
-from ttquery.statevec import DimensionMismatchError
-from ttquery.subjects import get_subject
+from ttquery.statevec import DimensionMismatchError, inner_product
+from ttquery.subjects import build_neighbor_probe, build_single_query, get_subject
 
 
 def test_output_cells_are_lsb_first():
@@ -251,10 +254,15 @@ def test_run_rejects_bad_width():
 
 @pytest.mark.parametrize("steps", [(), (1, 1), (0,), (6,)])
 def test_apply_oracle_rejects_bad_thresholds(steps):
-    # one threshold per block, each in 1..N+1 (N = 4 here)
+    # one threshold per block, each in 1..N+1 (N = 4 here); overlap checks
+    # both of its vectors the same way, before its memo is read
     comp, _ = get_subject("full", 1, 2, 0)
     with pytest.raises(ModelError, match="thresholds"):
         apply_oracle(comp, 1, "", steps)
+    for a, b in ((steps, (1,)), ((1,), steps)):
+        with pytest.raises(ModelError, match="thresholds"):
+            overlap(comp, 1, "", a, b)
+    assert comp.overlaps == {}
     # N + 1 is the largest threshold: every word is answered 0
     assert all(key[1] == 0 for key, _ in apply_oracle(comp, 1, "", (5,)).items())
 
@@ -263,3 +271,57 @@ def test_error_probability_checks_instance_shape():
     comp, adv = get_subject("full", 1, 2, 0)
     with pytest.raises(ModelError, match="shape"):
         error_probability(comp, adv, 1, StepInstance(1, 3, (5,)), 1)
+
+
+# --------------------------------------------------------------- overlaps
+
+
+def _overlap_subjects():
+    """(label, builder) for every registry subject, the neighbour probe and
+    the single-query machine, at M in {1, 2, 4} and n <= 3."""
+    for M, n in product((1, 2, 4), (1, 2, 3)):
+        for name, k in (("full", 0), ("advised", M), ("zero", 0), ("probe", M), ("shortcut", 1)):
+            if name != "shortcut" or (M == 1 and n >= 2):
+                yield f"{name}-{M}-{n}-{k}", partial(get_subject, name, M, n, k)
+        if M >= 3:
+            yield f"neighbor_probe-{M}-{n}", partial(build_neighbor_probe, M, n)
+        yield f"single_query-{M}-{n}", partial(build_single_query, M, n)
+
+
+OVERLAP_SUBJECTS = tuple(_overlap_subjects())
+
+
+@pytest.mark.parametrize("label, build", OVERLAP_SUBJECTS, ids=[s[0] for s in OVERLAP_SUBJECTS])
+def test_overlap_matches_fresh_inner_products(label, build):
+    comp, _ = build()
+    M, N, dim = comp.M, comp.N, comp.workspace_dim
+    # thresholds 1, 2, N and N + 1 per block; a sample of the pairs, with
+    # every threshold N + 1 against every threshold 1
+    vectors = list(product(sorted({1, 2, N, N + 1}), repeat=M))
+    pairs = list(product(vectors, vectors))
+    rng = random.Random(2003)
+    pairs = rng.sample(pairs, min(len(pairs), 64)) + [((N + 1,) * M, (1,) * M)]
+    keys = set()
+    hits = 0
+    advices = ["".join(bits) for bits in product("01", repeat=comp.advice_len)]
+    for block, advice in product(range(1, M + 1), advices):
+        classes = comp._cached_input(block, advice).classes
+        for a, b in pairs:
+            key = (block, advice, classes(a), classes(b))
+            hit = key in comp.overlaps
+            got = overlap(comp, block, advice, a, b)
+            state_a = apply_oracle(comp, block, advice, a)
+            state_b = apply_oracle(comp, block, advice, b)
+            want = inner_product(state_a, state_b)
+            finals = comp.final.apply(state_a, dim), comp.final.apply(state_b, dim)
+            assert type(got) is Fraction
+            assert got == want == inner_product(*finals), (block, advice, a, b)
+            # a hit, whether from this call's twin or from a vector of the
+            # same classes, is the value the miss stored
+            assert overlap(comp, block, advice, a, b) is got is comp.overlaps[key]
+            hits += hit
+            keys.add(key)
+    assert set(comp.overlaps) == keys
+    assert hits > 0
+    fresh, _ = build()
+    assert fresh.overlaps == {}

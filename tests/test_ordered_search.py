@@ -10,7 +10,6 @@ from ttquery.ordered_search import (
     bin_n,
     enumerate_instances,
     eval_G,
-    format_instance,
     parse_instance,
     rank_of,
 )
@@ -51,7 +50,7 @@ def test_instance_validation():
 
 def test_literal_roundtrip():
     inst = StepInstance(2, 3, (3, 7))
-    text = format_instance(inst)
+    text = inst.literal()
     assert text == "M=2 n=3 steps=3,7"
     assert parse_instance(text) == inst
 

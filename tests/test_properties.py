@@ -13,13 +13,7 @@ from ttquery.compression import (
 )
 from ttquery.adversary import sqrt_bracket
 from ttquery.model import answer_to_outcome, outcome_to_answer
-from ttquery.ordered_search import (
-    StepInstance,
-    bin_n,
-    format_instance,
-    parse_instance,
-    rank_of,
-)
+from ttquery.ordered_search import StepInstance, bin_n, parse_instance, rank_of
 from ttquery.statevec import measure_register, norm_sq
 from ttquery.subjects import get_subject
 
@@ -51,7 +45,7 @@ def test_instance_literal_inverse(M, n, data):
         data.draw(st.integers(1, 2**n), label=f"step{i}") for i in range(M)
     )
     inst = StepInstance(M, n, steps)
-    assert parse_instance(format_instance(inst)) == inst
+    assert parse_instance(inst.literal()) == inst
 
 
 @given(st.fractions(min_value=0, max_value=1000))

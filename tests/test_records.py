@@ -72,7 +72,6 @@ def test_step_instance_equality_hash_and_repr():
     # an instance is not a tuple of its fields
     assert inst != (2, 3, (3, 6)) and (2, 3, (3, 6)) != inst
     assert repr(inst) == "StepInstance(M=2, n=3, steps=(3, 6))"
-    assert str(inst) == "M=2 n=3 steps=3,6"
 
 
 def test_step_instance_validation_errors():
