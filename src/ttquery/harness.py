@@ -318,8 +318,8 @@ def _coder(cfg, computer, advice_fn):
 def cmd_roundtrip(cfg: ExperimentConfig) -> Report:
     # The census always covers the whole sweep, also when one instance is
     # run; each code is made once, and a one-instance run reads its own.
-    sweep = enumerate_instances(cfg.M, cfg.n, cfg.budget)
-    instances = _instances(cfg)
+    sweep = list(enumerate_instances(cfg.M, cfg.n, cfg.budget))
+    instances = sweep if cfg.instance is None else _instances(cfg)
     computer, advice_fn = resolve_subject(cfg)
     encode_one, decode_one = _coder(cfg, computer, advice_fn)
     codes = {instance: encode_one(instance) for instance in sweep}

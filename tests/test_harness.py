@@ -127,6 +127,20 @@ def test_roundtrip_report_single_scheme():
     assert rep.summary["roundtrips"] == "16/16"
 
 
+@pytest.mark.parametrize("instance", [None, "M=2 n=2 steps=3,1"])
+def test_roundtrip_enumerates_its_sweep_once(monkeypatch, instance):
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(args)
+        return enumerate_instances(*args)
+
+    monkeypatch.setattr(harness, "enumerate_instances", counted)
+    rep = cmd_roundtrip(ExperimentConfig(M=2, n=2, p=1, subject="full", instance=instance))
+    assert rep.ok and len(rep.rows) == (16 if instance is None else 1)
+    assert sweeps == [(2, 2, 4096)]
+
+
 def test_bounds_report_values():
     cfg = ExperimentConfig(M=2, n=3, p=1, subject="full")
     rep = cmd_bounds(cfg)

@@ -1,9 +1,10 @@
 """The package's records and what importing the package and its command line loads.
 
 Records are plain classes or typing.NamedTuples, so importing ttquery.cli
-generates no code and does not load dataclasses; importing the package
-root loads no submodule at all. These tests pin what
-callers rely on: how instances and encodings compare, hash and print,
+generates no code and does not load dataclasses; the command line is
+parsed without argparse, so a run loads neither it nor gettext and
+locale; importing the package root loads no submodule at all. These
+tests pin what callers rely on: how instances and encodings compare, hash and print,
 which errors the validating constructors raise, that the parameter records
 are built by keyword, and the configuration defaults.
 """
@@ -38,6 +39,23 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         check=True,
     )
     assert done.stdout == "[]\n", done.stdout
+
+
+def test_cli_run_loads_neither_argparse_nor_gettext_nor_locale():
+    # argparse's gettext and locale lookups cost about 4 ms per process
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from ttquery import cli; "
+        "status = cli.main(['bounds']); "
+        "print(status, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, SRC],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0 []", done.stdout
 
 
 def test_package_import_loads_no_submodule_and_states_the_version():
