@@ -29,16 +29,17 @@ and its distance bound when built, and on first use the two inequality
 reports, one Rounds record per pool size (the selection's round count m,
 its threshold C / m, the round-count verdict and the integer survivor
 floors), and each code layout: the item map and doubled good-index field
-of a (case, good indices, selected blocks) key. The computer keeps, per
-advice string, the weight analyses (weight_analysis), each with a rank
-map from heavy prefix to its index, and the query-mass verdict
-(mass_within_queries); the audit's substitution distances come from
-model.overlap, which the computer memoizes per pair of class vectors.
-Per instance, the step names are formatted once
-when the StepInstance is built, the advice is evaluated once, a block is
-classified by looking its prefix up in the rank map rather than comparing
-its weight with C, and the encoder only joins the field bits into the
-layout the context holds.
+of a (case, good indices, selected blocks) key. A Coder binds a context to
+one computer and its advice function, checks once that they agree, and
+keeps, per advice string, the weight analyses (weight_analysis), each with
+a rank map from heavy prefix to its index, and the query-mass verdict
+(mass_within_queries); every coder function takes the Coder. The audit's
+substitution distances come from model.overlap, which the computer
+memoizes per pair of class vectors. Per instance, the step names are
+formatted once when the StepInstance is built, the advice is evaluated
+once, a block is classified by looking its prefix up in the rank map
+rather than comparing its weight with C, and the encoder only joins the
+field bits into the layout the context holds.
 """
 
 from __future__ import annotations
@@ -238,15 +239,28 @@ class EncodingContext:
         return found
 
 
-def _check_pair(ctx: EncodingContext, computer: NonadaptiveComputer) -> None:
-    if (ctx.M, ctx.n) != (computer.M, computer.n):
-        raise ValueError("context and computer disagree on M or n")
-    if ctx.k != computer.advice_len:
-        raise ValueError("context k does not match the computer's advice length")
-    if ctx.T != computer.T:
-        raise ValueError("context T does not match the computer's query count")
-    if ctx.p > computer.output_width:
-        raise ValueError("cannot measure more cells than the computer writes")
+class Coder:
+    """A fixed machine and its advice, bound to one code context.
+
+    Built once, it checks that ctx agrees with the computer; the coder
+    functions take it and check nothing about the pair again. It owns two
+    caches, filled on first use and read only: analyses (weight_analysis)
+    and mass_checks (mass_within_queries). Coders over one computer share
+    its caches, not these.
+    """
+
+    def __init__(self, ctx: EncodingContext, computer: NonadaptiveComputer, advice_fn):
+        if (ctx.M, ctx.n) != (computer.M, computer.n):
+            raise ValueError("context and computer disagree on M or n")
+        if ctx.k != computer.advice_len:
+            raise ValueError("context k does not match the computer's advice length")
+        if ctx.T != computer.T:
+            raise ValueError("context T does not match the computer's query count")
+        if ctx.p > computer.output_width:
+            raise ValueError("cannot measure more cells than the computer writes")
+        self.ctx, self.computer, self.advice_fn = ctx, computer, advice_fn
+        self.analyses: dict = {}
+        self.mass_checks: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -280,45 +294,31 @@ class WeightAnalysis(NamedTuple):
     table maps (j, leading n-p bits) to the summed weight of the 2**p
     completions, as prefix_weights builds it; own_mass sums the input
     block's own entries. heavy lists, sorted, the input block's own
-    prefixes weighted strictly above threshold (the coder's C), and ranks
-    maps each of them to its index in heavy, so a prefix is heavy exactly
-    when it has a rank. None of this depends on the instance, so one
-    record serves every instance with this advice string. It is shared
-    and read only.
+    prefixes weighted strictly above the coder's C, and ranks maps each of
+    them to its index in heavy, so a prefix is heavy exactly when it has a
+    rank. None of this depends on the instance, so one record serves every
+    instance with this advice string. It is shared and read only.
     """
 
     table: Mapping[tuple[int, str], Fraction]
     own_mass: Fraction
-    threshold: Fraction
     heavy: tuple[str, ...]
     ranks: Mapping[str, int]
 
 
-def weight_analysis(computer, block, advice, p, threshold) -> WeightAnalysis:
-    """The computer's weight analysis of (block, advice) at cut p.
-
-    Built on first use and kept in computer.weight_analyses, keyed by
-    (block, advice, p); later calls at the same threshold return the same
-    record. A call at another threshold keeps the table and own mass and
-    recomputes only the heavy list and its ranks.
-    """
-    key = (block, advice, p)
-    found = computer.weight_analyses.get(key)
-    # the coder passes the same C object every time: identity skips the
-    # Fraction comparison
-    if found is not None and (found.threshold is threshold or found.threshold == threshold):
-        return found
+def weight_analysis(coder: Coder, block, advice) -> WeightAnalysis:
+    """The analysis of (block, advice) at the coder's p and C, kept in coder.analyses."""
+    key = (block, advice)
+    found = coder.analyses.get(key)
     if found is None:
-        table = MappingProxyType(prefix_weights(computer, block, advice, p))
+        ctx = coder.ctx
+        table = MappingProxyType(prefix_weights(coder.computer, block, advice, ctx.p))
         own_mass = sum((v for (j, _), v in table.items() if j == block), Fraction(0))
-    else:
-        table, own_mass = found.table, found.own_mass
-    heavy = tuple(
-        sorted(a for (j, a), v in table.items() if j == block and v > threshold)
-    )
-    ranks = MappingProxyType({prefix: rank for rank, prefix in enumerate(heavy)})
-    found = WeightAnalysis(table, own_mass, threshold, heavy, ranks)
-    computer.weight_analyses[key] = found
+        heavy = tuple(
+            sorted(a for (j, a), v in table.items() if j == block and v > ctx.C)
+        )
+        ranks = MappingProxyType({prefix: rank for rank, prefix in enumerate(heavy)})
+        found = coder.analyses[key] = WeightAnalysis(table, own_mass, heavy, ranks)
     return found
 
 
@@ -342,30 +342,27 @@ class GoodBadProfile(NamedTuple):
         return len(self.good_indices)
 
 
-def profile(computer, advice_fn, instance, p, params=DEFAULT_PARAMS) -> GoodBadProfile:
+def profile(coder: Coder, instance) -> GoodBadProfile:
     """Classify every block by the weight its machine puts on its own step.
 
     A block is good when the weight of its step's leading n-p bits is
     strictly above C. For good blocks the rank counts heavy prefixes that
     sort strictly below the step's own prefix.
     """
-    return _profile(computer, advice_fn(instance), instance, p, params)
+    return _profile(coder, coder.advice_fn(instance), instance)
 
 
-def _profile(computer, f, instance, p, params) -> GoodBadProfile:
+def _profile(coder: Coder, f, instance) -> GoodBadProfile:
     """profile for advice string f."""
+    computer = coder.computer
     if (instance.M, instance.n) != (computer.M, computer.n):
         raise ValueError("instance and computer disagree on M or n")
-    if not 1 <= p <= computer.n:
-        raise ValueError("p must lie in [1, n]")
-    cut = computer.n - p
-    C = params.C
+    cut = computer.n - coder.ctx.p
     out = []
     for i, name in enumerate(instance.names, 1):
-        wa = weight_analysis(computer, i, f, p, C)
         pre = name[:cut]
         # heavy is the analysis's list at threshold C: a rank means w > C
-        rank = wa.ranks.get(pre)
+        rank = weight_analysis(coder, i, f).ranks.get(pre)
         out.append(BlockProfile(i, pre, rank is not None, rank))
     return GoodBadProfile(tuple(out), tuple(bp.block for bp in out if bp.good))
 
@@ -582,9 +579,9 @@ def _round_count(t: Fraction, pool_size: int) -> int:
     return (num - den + isqrt(disc)) // (2 * num)
 
 
-def _select(ctx, computer, advice, bad_prefixes):
+def _select(coder: Coder, advice, bad_prefixes):
     survivors = sorted(bad_prefixes)
-    m, threshold, _, _ = ctx.rounds(len(survivors))
+    m, threshold, _, _ = coder.ctx.rounds(len(survivors))
     picked: list[int] = []
     sizes = [len(survivors)]
     tables = {}
@@ -596,7 +593,7 @@ def _select(ctx, computer, advice, bad_prefixes):
             )
         pivot = candidates[0]
         picked.append(pivot)
-        tbl = weight_analysis(computer, pivot, advice, ctx.p, ctx.C).table
+        tbl = weight_analysis(coder, pivot, advice).table
         tables[pivot] = tbl
         survivors = [
             j
@@ -613,7 +610,7 @@ def _select(ctx, computer, advice, bad_prefixes):
     return LwssResult(tuple(picked), m, threshold, tuple(sizes), tuple(crosses))
 
 
-def lwss(computer, advice_fn, instance, prof: GoodBadProfile, ctx: EncodingContext):
+def lwss(coder: Coder, instance, prof: GoodBadProfile):
     """Pick bad blocks whose steps other picks query only lightly.
 
     Runs m rounds, m being the floored positive root of
@@ -622,10 +619,8 @@ def lwss(computer, advice_fn, instance, prof: GoodBadProfile, ctx: EncodingConte
     smallest remaining candidate and then discards every candidate on
     which the pick's machine run puts prefix weight at or above C/m.
     """
-    _check_pair(ctx, computer)
-    f = advice_fn(instance)
     bad = {bp.block: bp.prefix for bp in prof.blocks if not bp.good}
-    return _select(ctx, computer, f, bad)
+    return _select(coder, coder.advice_fn(instance), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +640,9 @@ def expected_length(ctx: EncodingContext, l_prime: int, case: int, selected: int
     )
 
 
-def encode(ctx, computer, advice_fn, instance) -> Encoding:
+def encode(coder: Coder, instance) -> Encoding:
     """Serialize one instance relative to the machine."""
-    return _encode(ctx, computer, advice_fn, instance)[0]
+    return _encode(coder, instance)[0]
 
 
 def _layout(ctx: EncodingContext, case, good, chosen):
@@ -668,16 +663,16 @@ def _layout(ctx: EncodingContext, case, good, chosen):
     return _items(widths), good_field
 
 
-def _encode(ctx, computer, advice_fn, instance):
+def _encode(coder: Coder, instance):
     """Encoding plus its profile, its selection (case 2 only) and advice.
 
     The advice is evaluated once here. Only the field bits are computed per
     instance; the item map comes from the context's layout.
     """
-    _check_pair(ctx, computer)
-    f = advice_fn(instance)
+    ctx = coder.ctx
+    f = coder.advice_fn(instance)
     names = instance.names
-    prof = _profile(computer, f, instance, ctx.p, ctx.params)
+    prof = _profile(coder, f, instance)
     good = prof.good_indices
     cut = ctx.n - ctx.p
     if ctx.l <= len(good):
@@ -690,7 +685,7 @@ def _encode(ctx, computer, advice_fn, instance):
                 parts.append(name)
         return Encoding(1, "".join(parts), items), prof, None, f
     bad = {bp.block: bp.prefix for bp in prof.blocks if not bp.good}
-    sel = _select(ctx, computer, f, bad)
+    sel = _select(coder, f, bad)
     items, good_field = ctx.layout(2, good, sel.W)
     parts = [f, good_field, "01", *(names[i - 1] for i in good), *bad.values()]
     parts += [names[j - 1][cut:] for j in bad if j not in sel.W]
@@ -701,12 +696,12 @@ def _encode(ctx, computer, advice_fn, instance):
 # Decoders
 
 
-def decode(ctx, computer, advice_fn, encoding: Encoding) -> StepInstance:
+def decode(coder: Coder, encoding: Encoding) -> StepInstance:
     """Reconstruct the instance from its code, using only the machine.
 
-    The advice_fn argument is an optional cross-check template: when
-    given, the decoded instance must map to the advice string recovered
-    from the code. Decoding itself never calls it.
+    The coder's advice function is called once, on the result, as a
+    cross-check: the decoded instance must map to the advice string
+    recovered from the code.
 
     Good blocks are recovered by rerunning the machine's prequery side
     and indexing into its heavy-prefix list. In case 2 the unselected bad
@@ -716,7 +711,7 @@ def decode(ctx, computer, advice_fn, encoding: Encoding) -> StepInstance:
     first rank past its prefix group for each still-pending one) and
     taking the answer whose probability is above 1/2.
     """
-    _check_pair(ctx, computer)
+    ctx, computer = coder.ctx, coder.computer
     r = BitReader(encoding.bits)
     f = r.take(ctx.k)
     raw = r.take_doubled()
@@ -748,7 +743,7 @@ def decode(ctx, computer, advice_fn, encoding: Encoding) -> StepInstance:
                 rank_bits = r.take(ctx.width_k)
                 rank = int(rank_bits, 2) if rank_bits else 0
                 suffix = r.take(ctx.p)
-                heavy = weight_analysis(computer, i, f, ctx.p, ctx.C).heavy
+                heavy = weight_analysis(coder, i, f).heavy
                 if rank >= len(heavy):
                     raise DecodeError(
                         f"block {i} has no heavy prefix at rank {rank}"
@@ -761,7 +756,7 @@ def decode(ctx, computer, advice_fn, encoding: Encoding) -> StepInstance:
             names[i] = r.take(ctx.n)
         bad = [i for i in range(1, ctx.M + 1) if i not in good_set]
         prefixes = {j: r.take(cut) for j in bad}
-        sel = _select(ctx, computer, f, prefixes)
+        sel = _select(coder, f, prefixes)
         chosen = set(sel.W)
         for j in bad:
             if j not in chosen:
@@ -782,7 +777,7 @@ def decode(ctx, computer, advice_fn, encoding: Encoding) -> StepInstance:
     instance = StepInstance(
         ctx.M, ctx.n, tuple(rank_of(names[i]) for i in range(1, ctx.M + 1))
     )
-    if advice_fn is not None and advice_fn(instance) != f:
+    if coder.advice_fn(instance) != f:
         raise DecodeError("decoded instance does not reproduce the advice string")
     return instance
 
@@ -813,18 +808,30 @@ def _majority(dist):
 # Single-block scheme
 
 
-def _single_check(n, k, computer):
+def _single_check(computer):
     """The single scheme's preconditions; returns its width p = k + 1."""
     if computer.M != 1:
         raise ValueError("the single scheme needs M = 1")
-    if (n, k) != (computer.n, computer.advice_len):
-        raise ValueError("n or k does not match the computer")
-    p = k + 1
-    if p > n:
+    p = computer.advice_len + 1
+    if p > computer.n:
         raise ValueError("the single scheme needs k + 1 <= n")
     if p > computer.output_width:
         raise ValueError("the single scheme reads k + 1 cells, more than the subject writes")
     return p
+
+
+def single_coder(computer, advice_fn, params=DEFAULT_PARAMS) -> Coder:
+    """The single scheme's coder: M = 1, p = k + 1 and l = 1."""
+    p = _single_check(computer)
+    ctx = EncodingContext(1, computer.n, p, computer.advice_len, computer.T, 1, params)
+    return Coder(ctx, computer, advice_fn)
+
+
+def _single_ctx(coder: Coder) -> EncodingContext:
+    ctx = coder.ctx
+    if (ctx.M, ctx.p) != (1, ctx.k + 1):
+        raise ValueError("the single scheme needs a coder with M = 1 and p = k + 1")
+    return ctx
 
 
 def single_block_bound(n, k, params=DEFAULT_PARAMS) -> Fraction:
@@ -832,46 +839,46 @@ def single_block_bound(n, k, params=DEFAULT_PARAMS) -> Fraction:
     return params.C * Fraction(2**n, 2 ** (2 * k + 2))
 
 
-def encode_single(n, k, params, computer, advice_fn, instance) -> Encoding:
+def encode_single(coder: Coder, instance) -> Encoding:
     """One-block code: advice, then either suffix plus rank or bare prefix.
 
     The case pivots on whether the machine weights the step's own prefix
     above C at p = k + 1. Case 2 always costs exactly n - 1 bits.
     """
-    p = _single_check(n, k, computer)
-    f = advice_fn(instance)
+    ctx = _single_ctx(coder)
+    k, p, cut = ctx.k, ctx.p, ctx.n - ctx.p
+    f = coder.advice_fn(instance)
     name = instance.step_bits(1)
-    cut = n - p
-    rank = weight_analysis(computer, 1, f, p, params.C).ranks.get(name[:cut])
+    rank = weight_analysis(coder, 1, f).ranks.get(name[:cut])
     if rank is None:
         return Encoding(2, f + name[:cut], _items((("advice", k), ("prefix", cut))))
-    rank_bits = _field(rank, rank_width(computer.T, params.C))
+    rank_bits = _field(rank, ctx.width_k)
     items = _items((("advice", k), ("suffix", p), ("rank", len(rank_bits))))
     return Encoding(1, f + name[cut:] + rank_bits, items)
 
 
-def decode_single(n, k, params, computer, encoding: Encoding) -> StepInstance:
-    p = _single_check(n, k, computer)
+def decode_single(coder: Coder, encoding: Encoding) -> StepInstance:
+    ctx = _single_ctx(coder)
+    p, cut = ctx.p, ctx.n - ctx.p
     r = BitReader(encoding.bits)
-    f = r.take(k)
-    cut = n - p
+    f = r.take(ctx.k)
     if encoding.case == 1:
         suffix = r.take(p)
-        rank_bits = r.take(rank_width(computer.T, params.C))
+        rank_bits = r.take(ctx.width_k)
         rank = int(rank_bits, 2) if rank_bits else 0
-        heavy = weight_analysis(computer, 1, f, p, params.C).heavy
+        heavy = weight_analysis(coder, 1, f).heavy
         if rank >= len(heavy):
             raise DecodeError(f"no heavy prefix at rank {rank}")
         name = heavy[rank] + suffix
     else:
         prefix = r.take(cut)
         steps = _substituted_steps(1, p, {}, {1: prefix}, {1})
-        suffix = _majority(run(computer, 1, f, steps, width=p))
+        suffix = _majority(run(coder.computer, 1, f, steps, width=p))
         if suffix is None:
             raise DecodeError("no outcome wins a strict majority")
         name = prefix + suffix
     r.expect_end()
-    return StepInstance(1, n, (rank_of(name),))
+    return StepInstance(1, ctx.n, (rank_of(name),))
 
 
 # ---------------------------------------------------------------------------
@@ -928,17 +935,11 @@ def census(pairs, full_length: int) -> PigeonholeReport:
     )
 
 
-def verify_pigeonhole(ctx, computer, advice_fn, M, n, budget=None) -> PigeonholeReport:
+def verify_pigeonhole(coder: Coder, budget=None) -> PigeonholeReport:
     """Encode every instance afresh and census the codes."""
-    if (M, n) != (ctx.M, ctx.n):
-        raise ValueError("M or n does not match the context")
-    return census(
-        (
-            (instance, encode(ctx, computer, advice_fn, instance))
-            for instance in enumerate_instances(M, n, budget)
-        ),
-        M * n,
-    )
+    M, n = coder.ctx.M, coder.ctx.n
+    instances = enumerate_instances(M, n, budget)
+    return census(((instance, encode(coder, instance)) for instance in instances), M * n)
 
 
 # ---------------------------------------------------------------------------
@@ -988,41 +989,42 @@ AUDIT_CHECKS = (
 )
 
 
-def mass_within_queries(computer, advice, p, threshold) -> bool:
+def mass_within_queries(coder: Coder, advice) -> bool:
     """Whether every input block's own query mass is at most T, for one advice.
 
-    The verdict reads only the computer and the advice string, so it is
-    kept in computer.mass_checks, keyed by (advice, p), and built from the
-    cached weight analyses on first use.
+    The verdict reads only the machine and the advice string, so it is
+    kept in coder.mass_checks, keyed by advice, and built from the
+    coder's weight analyses on first use.
     """
-    key = (advice, p)
-    verdict = computer.mass_checks.get(key)
+    verdict = coder.mass_checks.get(advice)
     if verdict is None:
-        verdict = computer.mass_checks[key] = all(
-            weight_analysis(computer, i, advice, p, threshold).own_mass <= computer.T
-            for i in range(1, computer.M + 1)
+        ctx = coder.ctx
+        verdict = coder.mass_checks[advice] = all(
+            weight_analysis(coder, i, advice).own_mass <= ctx.T
+            for i in range(1, ctx.M + 1)
         )
     return verdict
 
 
-def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
+def audit_instance(coder: Coder, instance) -> AuditReport:
     """Check every scheme invariant on one instance.
 
     Only the encoding, profile and selection are per instance. The
     inequality reports, the rank limit, the distance bound and the
     selection's Rounds record (its round-count verdict and integer survivor
-    floors) come from the context and the mass check from the computer (see
+    floors) come from the context and the mass check from the coder (see
     EncodingContext and mass_within_queries). A pivot's substitution
     distance is 2 - 2 * model.overlap of its substituted and true
     post-oracle states, both unit vectors, since prequery_state checks
     norm^2 = 1 and the oracle maps distinct prequery terms to distinct
     keys; the computer memoizes each overlap (see model.overlap).
     """
-    enc, prof, selection, f = _encode(ctx, computer, advice_fn, instance)
+    ctx = coder.ctx
+    enc, prof, selection, f = _encode(coder, instance)
     lp = prof.l_prime
 
     rank_ok = all(bp.rank < ctx.rank_limit for bp in prof.blocks if bp.good)
-    mass_ok = mass_within_queries(computer, f, ctx.p, ctx.C)
+    mass_ok = mass_within_queries(coder, f)
 
     certificate = (
         check_inequalities(ctx, prof) if ctx.T >= 1 else None
@@ -1050,7 +1052,7 @@ def audit_instance(ctx, computer, advice_fn, instance) -> AuditReport:
         prefix_of = {i: name[:cut] for i, name in names.items()}
         for pivot in selection.W:
             steps = _substituted_steps(ctx.M, ctx.p, names, prefix_of, pending)
-            d = 2 - 2 * overlap(computer, pivot, f, steps, instance.steps)
+            d = 2 - 2 * overlap(coder.computer, pivot, f, steps, instance.steps)
             distance_values.append(d)
             if d > ctx.distance_bound:
                 distance_ok = False

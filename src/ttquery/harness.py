@@ -21,11 +21,13 @@ import json
 import os
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .adversary import adversary_bound
 from .compression import (
     AUDIT_CHECKS,
+    Coder,
     DecodeError,
     EncodingContext,
     EncodingFormatError,
@@ -40,6 +42,7 @@ from .compression import (
     encode,
     encode_single,
     single_block_bound,
+    single_coder,
 )
 from .model import advice_from_doc, computer_from_doc, doc_shape, run
 from .ordered_search import enumerate_instances, eval_G, parse_instance
@@ -213,16 +216,17 @@ def _params(cfg) -> ErrorParams:
         raise ConfigError(str(e)) from None
 
 
-def _context(cfg, computer) -> EncodingContext:
+def _multi_coder(cfg, computer, advice_fn) -> Coder:
     if cfg.p > computer.output_width:
         raise ConfigError("p exceeds the subject's output width")
     try:
-        return EncodingContext(
+        ctx = EncodingContext(
             M=cfg.M, n=cfg.n, p=cfg.p, k=cfg.k, T=computer.T, l=cfg.l,
             params=_params(cfg),
         )
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    return Coder(ctx, computer, advice_fn)
 
 
 def _instances(cfg):
@@ -249,8 +253,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> Report:
         raise ConfigError(str(e)) from None
     if not 1 <= cfg.p <= cfg.n:
         raise ConfigError("p must lie in [1, n]")
-    blocks = cfg.blocks or tuple(range(1, cfg.M + 1))
-    if any(not 1 <= b <= cfg.M for b in blocks):
+    # the default is a range, so a huge M costs nothing before the budget check
+    blocks = cfg.blocks or range(1, cfg.M + 1)
+    if cfg.blocks and any(not 1 <= b <= cfg.M for b in cfg.blocks):
         raise ConfigError("blocks must lie in [1, M]")
     instances = _instances(cfg)
     computer, advice_fn = resolve_subject(cfg)
@@ -299,20 +304,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> Report:
 def _coder(cfg, computer, advice_fn):
     """Encode and decode functions of the configured scheme for one instance."""
     if cfg.scheme == "multi":
-        ctx = _context(cfg, computer)
-        return (
-            lambda instance: encode(ctx, computer, advice_fn, instance),
-            lambda enc: decode(ctx, computer, advice_fn, enc),
-        )
+        coder = _multi_coder(cfg, computer, advice_fn)
+        return partial(encode, coder), partial(decode, coder)
+    # the scheme's shape is refused before the error parameters are read
     try:
-        _single_check(cfg.n, cfg.k, computer)
+        _single_check(computer)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    params = _params(cfg)
-    return (
-        lambda instance: encode_single(cfg.n, cfg.k, params, computer, advice_fn, instance),
-        lambda enc: decode_single(cfg.n, cfg.k, params, computer, enc),
-    )
+    coder = single_coder(computer, advice_fn, _params(cfg))
+    return partial(encode_single, coder), partial(decode_single, coder)
 
 
 def cmd_roundtrip(cfg: ExperimentConfig) -> Report:
@@ -444,12 +444,11 @@ def cmd_lemmas(cfg: ExperimentConfig) -> Report:
     if cfg.scheme == "single":
         raise ConfigError("lemma audits apply to the multi scheme")
     instances = _instances(cfg)
-    computer, advice_fn = resolve_subject(cfg)
-    ctx = _context(cfg, computer)
+    coder = _multi_coder(cfg, *resolve_subject(cfg))
     rows = []
     failed = 0
     for instance in instances:
-        audit = audit_instance(ctx, computer, advice_fn, instance)
+        audit = audit_instance(coder, instance)
         flags = [getattr(audit, attr) for _, attr in AUDIT_CHECKS]
         if not all(flags):
             failed += 1

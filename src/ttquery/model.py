@@ -30,7 +30,7 @@ answer index is a sum of one table entry per queried block, and `run`
 memoizes each distribution by the input's class vector. `overlap`, the
 inner product of an input's post-oracle states under two threshold vectors,
 is memoized by both class vectors: the lemma audit and the adversary compare
-states only through it.
+states only through it. These three are the computer's only caches.
 
 Output cells are ordered least-significant-bit-first: cell j holds the j-th
 bit from the end of the answer string. Narrower outputs are then prefixes of
@@ -215,14 +215,12 @@ class NonadaptiveComputer:
     amp)` tuple per nonzero term (see _answer_table); every oracle
     application reads those terms, so no query word is parsed twice and an
     application costs one table entry per queried block per term. `runs`
-    memoizes `run`'s distributions by (block, advice, class vector, width),
-    `overlaps` memoizes `overlap`'s inner products by (block, advice, class
-    vector, class vector), `weight_analyses` holds the compression coder's
-    weight analyses and `mass_checks` its per-advice query-mass verdicts,
-    all built on first use. These caches belong to this computer alone;
-    the cached mappings, terms, tables, distributions, overlaps, analyses
-    and verdicts are shared by every caller and must be treated as read
-    only.
+    memoizes `run`'s distributions by (block, advice, class vector, width)
+    and `overlaps` memoizes `overlap`'s inner products by (block, advice,
+    class vector, class vector), all built on first use. These three caches
+    belong to this computer alone and serve every caller, each
+    compression.Coder over it included (a Coder keeps its own weight
+    analyses and mass verdicts); what they hold is read only.
     """
 
     def __init__(
@@ -240,8 +238,6 @@ class NonadaptiveComputer:
         self.output_width, self.scratch_dim = output_width, scratch_dim
         self.prequery, self.final = prequery, final
         self._states: dict = {}
-        self.weight_analyses: dict = {}
-        self.mass_checks: dict = {}
         self.runs: dict = {}
         self.overlaps: dict = {}
 

@@ -14,6 +14,7 @@ import pytest
 from ttquery.adversary import adversary_bound, partition_by_advice, zeta
 from ttquery.compression import (
     DEFAULT_PARAMS,
+    Coder,
     EncodingContext,
     ErrorParams,
     audit_instance,
@@ -25,6 +26,7 @@ from ttquery.compression import (
     expected_length,
     lwss,
     profile,
+    single_coder,
     verify_pigeonhole,
 )
 from ttquery.model import max_error
@@ -73,16 +75,17 @@ def sweeps():
             ctx = EncodingContext(
                 M=M, n=n, p=p, k=k, T=computer.T, l=l, params=DEFAULT_PARAMS
             )
+            coder = Coder(ctx, computer, advice_fn)
             encodings, decoded, audits = {}, {}, {}
             for inst in instances:
-                enc = encode(ctx, computer, advice_fn, inst)
+                enc = encode(coder, inst)
                 encodings[inst] = enc
                 try:
-                    decoded[inst] = decode(ctx, computer, advice_fn, enc)
+                    decoded[inst] = decode(coder, enc)
                 except Exception:
                     decoded[inst] = None
-                audits[inst] = audit_instance(ctx, computer, advice_fn, inst)
-            census = verify_pigeonhole(ctx, computer, advice_fn, M, n)
+                audits[inst] = audit_instance(coder, inst)
+            census = verify_pigeonhole(coder)
             records.append(
                 SweepRecord(
                     f"{name}(M={M},n={n},k={k}) l={l}",
@@ -210,10 +213,11 @@ def test_criterion_5_single_block_scheme(acceptance_log):
     case2_lengths = set()
     for name, k in (("full", 0), ("advised", 1), ("shortcut", 1)):
         comp, adv = get_subject(name, 1, 4, k)
+        coder = single_coder(comp, adv, DEFAULT_PARAMS)
         for inst in enumerate_instances(1, 4, 4096):
-            enc = encode_single(4, k, DEFAULT_PARAMS, comp, adv, inst)
+            enc = encode_single(coder, inst)
             try:
-                back = decode_single(4, k, DEFAULT_PARAMS, comp, enc)
+                back = decode_single(coder, enc)
             except Exception:
                 back = None
             if back != inst:
@@ -275,14 +279,15 @@ def test_criterion_6_adversary_bounds(acceptance_log):
 def _cert_few_good():
     comp, adv = build_single_query(1, 9)
     ctx = EncodingContext(M=1, n=9, p=1, k=0, T=1, l=1, params=CERT_PARAMS)
+    coder = Coder(ctx, comp, adv)
     rows = []
     for s in (1, 2, 5, 300):
         inst = parse_instance(f"M=1 n=9 steps={s}")
-        prof = profile(comp, adv, inst, 1, CERT_PARAMS)
+        prof = profile(coder, inst)
         rep = check_inequalities(ctx, prof)
-        enc = encode(ctx, comp, adv, inst)
-        sel = lwss(comp, adv, inst, prof, ctx)
-        back = decode(ctx, comp, adv, enc) if rep.certified else None
+        enc = encode(coder, inst)
+        sel = lwss(coder, inst, prof)
+        back = decode(coder, enc) if rep.certified else None
         rows.append((inst, prof, rep, enc, sel, back))
     return ctx, rows
 
@@ -290,13 +295,14 @@ def _cert_few_good():
 def _cert_many_bad():
     comp, adv = build_single_query(512, 4)
     ctx = EncodingContext(M=512, n=4, p=4, k=0, T=1, l=1, params=CERT_PARAMS)
+    coder = Coder(ctx, comp, adv)
     rows = []
     for steps in (tuple([3] * 512), tuple((i % 16) + 1 for i in range(512))):
         inst = StepInstance(512, 4, steps)
-        prof = profile(comp, adv, inst, 4, CERT_PARAMS)
+        prof = profile(coder, inst)
         rep = check_inequalities(ctx, prof)
-        enc = encode(ctx, comp, adv, inst)
-        sel = lwss(comp, adv, inst, prof, ctx)
+        enc = encode(coder, inst)
+        sel = lwss(coder, inst, prof)
         rows.append((inst, prof, rep, enc, sel, None))
     return ctx, rows
 

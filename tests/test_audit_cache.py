@@ -1,8 +1,8 @@
 """Differential tests of the invariants the lemma audit shares across instances.
 
 The inequality reports and the selection's Rounds records are kept on
-the encoding context, the query-mass verdicts and the overlaps behind the
-audit distances (model.overlap) on the computer.
+the encoding context, the query-mass verdicts on the coder, and the
+overlaps behind the audit distances (model.overlap) on the computer.
 Each is checked against a straightforward per-instance evaluation, asked
 twice so that a verdict served from a cache is checked as well as the one
 that filled it, and each audit distance against statevec.distance_sq and
@@ -20,6 +20,7 @@ import pytest
 from ttquery import compression
 from ttquery.compression import (
     DEFAULT_PARAMS,
+    Coder,
     EncodingContext,
     ErrorParams,
     InequalityReport,
@@ -119,9 +120,10 @@ def test_shared_inequality_report_matches_fresh_computation(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
     instances = list(enumerate_instances(M, n))
     for ctx in _contexts(comp, M, n, k):
+        coder = Coder(ctx, comp, adv)
         for _ in range(2):
             for inst in instances:
-                prof = profile(comp, adv, inst, ctx.p, ctx.params)
+                prof = profile(coder, inst)
                 if comp.T == 0:
                     with pytest.raises(ValueError):
                         check_inequalities(ctx, prof)
@@ -139,6 +141,7 @@ def test_round_count_verdict_matches_direct_evaluation(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
     case2 = 0
     for ctx in _contexts(comp, M, n, k):
+        coder = Coder(ctx, comp, adv)
         # every bad-block count, asked twice so the memoized record is
         # checked as well as the one that filled it
         for _ in range(2):
@@ -149,9 +152,9 @@ def test_round_count_verdict_matches_direct_evaluation(subject, M, n, k):
             m = ctx.rounds(bad).m
             assert not any(_direct_round_verdict(ctx, bad, w) for w in (m - 1, m + 1) if w >= 0)
         for inst in enumerate_instances(M, n):
-            audit = audit_instance(ctx, comp, adv, inst)
+            audit = audit_instance(coder, inst)
             if audit.case == 2:
-                prof = profile(comp, adv, inst, ctx.p, ctx.params)
+                prof = profile(coder, inst)
                 want = _direct_round_verdict(ctx, M - prof.l_prime, audit.selection.m)
                 assert audit.selection_m_ok and want, (ctx, inst)
                 case2 += 1
@@ -167,10 +170,11 @@ def _case2_audits():
     out of candidates, which a round count past the true one may do."""
     comp, adv = get_subject("probe", 4, 2, 4)
     ctx = EncodingContext(M=4, n=2, p=1, k=4, T=comp.T, l=4, params=CERT_PARAMS)
+    coder = Coder(ctx, comp, adv)
     audits = []
     for inst in enumerate_instances(4, 2):
         try:
-            audit = audit_instance(ctx, comp, adv, inst)
+            audit = audit_instance(coder, inst)
         except LwssExhaustedError:
             audit = None
         if audit is None or audit.case == 2:
@@ -207,16 +211,16 @@ def test_cached_mass_verdict_matches_uncached(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
     advices = ["".join(bits) for bits in product("01", repeat=k)]
     for ctx in _contexts(comp, M, n, k):
+        coder = Coder(ctx, comp, adv)
         for _ in range(2):
             for advice in advices:
-                got = mass_within_queries(comp, advice, ctx.p, ctx.C)
+                got = mass_within_queries(coder, advice)
                 assert got == _direct_mass_ok(comp, advice), (ctx, advice)
         for inst in enumerate_instances(M, n):
-            audit = audit_instance(ctx, comp, adv, inst)
+            audit = audit_instance(coder, inst)
             assert audit.mass_ok == _direct_mass_ok(comp, adv(inst))
-    assert set(comp.mass_checks) <= set(product(advices, range(1, n + 1)))
-    fresh, _ = get_subject(subject, M, n, k)
-    assert fresh.mass_checks == {}
+        assert set(coder.mass_checks) <= set(advices)
+        assert Coder(ctx, comp, adv).mass_checks == {}
 
 
 @pytest.mark.parametrize("subject, M, n, k", CONFIGS, ids=IDS)
@@ -224,11 +228,12 @@ def test_audit_distances_match_distance_sq(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
     checked = 0
     for ctx in _contexts(comp, M, n, k):
+        coder = Coder(ctx, comp, adv)
         cut = ctx.n - ctx.p
         # the second pass reads every distance from the computer's memo
         for _ in range(2):
             for inst in enumerate_instances(M, n):
-                audit = audit_instance(ctx, comp, adv, inst)
+                audit = audit_instance(coder, inst)
                 if audit.case == 1:
                     assert audit.distances == ()
                     continue

@@ -14,6 +14,7 @@ import pytest
 
 from ttquery.compression import (
     DEFAULT_PARAMS,
+    Coder,
     DecodeError,
     Encoding,
     EncodingContext,
@@ -105,16 +106,17 @@ def test_closed_form_at_powers_of_two_is_the_M_squared_form():
 def test_index_past_M_is_a_decode_error(M):
     comp, adv = get_subject("full", M, 1, 0)
     ctx = EncodingContext(M=M, n=1, p=1, k=0, T=comp.T, l=1)
+    coder = Coder(ctx, comp, adv)
     w = ctx.index_width
     for v in range(M, 2**w):
         # block v + 1 does not exist; the fields after the index are unread
         bits = double_bits(_field(v, w)) + "01" + "0" * (M * ctx.n)
         with pytest.raises(DecodeError, match=f"good index {v + 1}"):
-            decode(ctx, comp, adv, Encoding(1, bits, (("code", 0, len(bits)),)))
+            decode(coder, Encoding(1, bits, (("code", 0, len(bits)),)))
         # and after a valid first index
         bits = double_bits(_field(0, w) + _field(v, w)) + "01" + "0" * (M * ctx.n)
         with pytest.raises(DecodeError, match=f"good index {v + 1}"):
-            decode(ctx, comp, adv, Encoding(1, bits, (("code", 0, len(bits)),)))
+            decode(coder, Encoding(1, bits, (("code", 0, len(bits)),)))
     # the real codes of the sweep still decode
     for inst in enumerate_instances(M, 1):
-        assert decode(ctx, comp, adv, encode(ctx, comp, adv, inst)) == inst
+        assert decode(coder, encode(coder, inst)) == inst

@@ -5,6 +5,7 @@ import pytest
 from ttquery.compression import (
     DEFAULT_PARAMS,
     BitReader,
+    Coder,
     DecodeError,
     Encoding,
     EncodingContext,
@@ -15,11 +16,14 @@ from ttquery.compression import (
     ceil_log2,
     check_inequalities,
     decode,
+    decode_single,
     double_bits,
     encode,
+    encode_single,
     expected_length,
     lwss,
     profile,
+    single_coder,
     verify_pigeonhole,
     weight_analysis,
     _substituted_steps,
@@ -39,6 +43,11 @@ CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
 
 def _ctx(M, n, p, k, T, l, params=DEFAULT_PARAMS):
     return EncodingContext(M=M, n=n, p=p, k=k, T=T, l=l, params=params)
+
+
+def _coder(comp, adv, p=1, l=1, params=DEFAULT_PARAMS):
+    """A coder over the subject at cut p, its shape read from the computer."""
+    return Coder(_ctx(comp.M, comp.n, p, comp.advice_len, comp.T, l, params), comp, adv)
 
 
 # ---------------------------------------------------------------- parameters
@@ -111,7 +120,7 @@ def test_weight_is_membership_not_multiplicity():
     inst = StepInstance(1, 4, (8,))
     advice = adv(inst)
     # the list holds T = 12 copies of 0000, and no other word, yet weighs 1
-    table = weight_analysis(comp, 1, advice, 1, DEFAULT_PARAMS.C).table
+    table = weight_analysis(_coder(comp, adv), 1, advice).table
     assert table[(1, "000")] == 1
     assert (1, "001") not in table
 
@@ -119,7 +128,7 @@ def test_weight_is_membership_not_multiplicity():
 def test_weight_p_sums_completions():
     comp, adv = get_subject("full", 1, 2, 0)
     advice = adv(StepInstance(1, 2, (1,)))
-    table = weight_analysis(comp, 1, advice, 1, DEFAULT_PARAMS.C).table
+    table = weight_analysis(_coder(comp, adv), 1, advice).table
     # the full subject queries ranks 1..3, so the "0" prefix holds two of them
     assert table[(1, "0")] == 2
     assert table[(1, "1")] == 1
@@ -127,10 +136,11 @@ def test_weight_p_sums_completions():
 
 def test_own_weight_mass_bounded_by_queries():
     comp, adv = get_subject("probe", 2, 2, 2)
+    coder = _coder(comp, adv)
     for inst in enumerate_instances(2, 2, 100):
         advice = adv(inst)
         for i in (1, 2):
-            wa = weight_analysis(comp, i, advice, 1, DEFAULT_PARAMS.C)
+            wa = weight_analysis(coder, i, advice)
             assert wa.own_mass == sum(
                 wa.table.get((i, prefix), 0) for prefix in ("0", "1")
             )
@@ -139,16 +149,17 @@ def test_own_weight_mass_bounded_by_queries():
 
 def test_profile_probe_goodness():
     comp, adv = get_subject("probe", 2, 3, 2)
-    prof = profile(comp, adv, StepInstance(2, 3, (2, 5)), 1)
+    coder = _coder(comp, adv)
+    prof = profile(coder, StepInstance(2, 3, (2, 5)))
     assert prof.good_indices == (1,)
     assert prof.l_prime == 1
-    prof = profile(comp, adv, StepInstance(2, 3, (1, 2)), 1)
+    prof = profile(coder, StepInstance(2, 3, (1, 2)))
     assert prof.l_prime == 2
 
 
 def test_profile_ranks_count_heavy_prefixes_below():
     comp, adv = get_subject("full", 1, 3, 0)
-    prof = profile(comp, adv, StepInstance(1, 3, (8,)), 1)
+    prof = profile(_coder(comp, adv), StepInstance(1, 3, (8,)))
     entry = prof.blocks[0]
     assert entry.good
     # every 2-bit prefix is heavy for the full subject, step 8 sits last
@@ -161,7 +172,7 @@ def test_profile_ranks_count_heavy_prefixes_below():
 def test_c_uv_frozen_value():
     ctx = _ctx(2, 3, 1, 0, 7, 1)
     comp, adv = get_subject("full", 2, 3, 0)
-    prof = profile(comp, adv, StepInstance(2, 3, (1, 1)), 1)
+    prof = profile(Coder(ctx, comp, adv), StepInstance(2, 3, (1, 1)))
     # two good blocks, l = 1: the instance sits on the first branch
     assert check_inequalities(ctx, prof).c_uv == Fraction(1, 2048)
     first, second = c_uv_values(ctx)
@@ -175,7 +186,7 @@ def test_c_uv_irrational_branch_has_no_value():
     first, second = c_uv_values(ctx)
     assert first is None and second is not None
     comp, adv = get_subject("full", 4, 1, 0)
-    prof = profile(comp, adv, StepInstance(4, 1, (1, 1, 1, 1)), 1)
+    prof = profile(Coder(ctx, comp, adv), StepInstance(4, 1, (1, 1, 1, 1)))
     assert prof.l_prime == 4
     assert check_inequalities(ctx, prof).c_uv is None
 
@@ -183,7 +194,7 @@ def test_c_uv_irrational_branch_has_no_value():
 def test_check_inequalities_still_exact_on_irrational_branch():
     ctx = _ctx(4, 1, 1, 0, 1, 3)
     comp, adv = get_subject("full", 4, 1, 0)
-    prof = profile(comp, adv, StepInstance(4, 1, (1, 1, 1, 1)), 1)
+    prof = profile(Coder(ctx, comp, adv), StepInstance(4, 1, (1, 1, 1, 1)))
     rep = check_inequalities(ctx, prof)
     assert rep.case == 1
     assert rep.c_uv is None and rep.matches_closed_form is None
@@ -193,7 +204,7 @@ def test_check_inequalities_still_exact_on_irrational_branch():
 def test_check_inequalities_needs_a_query():
     ctx = _ctx(2, 2, 1, 0, 0, 1)
     comp, adv = get_subject("zero", 2, 2, 0)
-    prof = profile(comp, adv, StepInstance(2, 2, (1, 1)), 1)
+    prof = profile(Coder(ctx, comp, adv), StepInstance(2, 2, (1, 1)))
     with pytest.raises(ValueError):
         check_inequalities(ctx, prof)
 
@@ -201,7 +212,7 @@ def test_check_inequalities_needs_a_query():
 def test_certified_setup_few_good():
     comp, adv = build_single_query(1, 9)
     ctx = _ctx(1, 9, 1, 0, 1, 1, CERT_PARAMS)
-    prof = profile(comp, adv, parse_instance("M=1 n=9 steps=1"), 1, CERT_PARAMS)
+    prof = profile(Coder(ctx, comp, adv), parse_instance("M=1 n=9 steps=1"))
     rep = check_inequalities(ctx, prof)
     assert rep.case == 1 and rep.certified
     assert rep.matches_closed_form in (True, None)
@@ -211,7 +222,7 @@ def test_certified_setup_many_bad():
     comp, adv = build_single_query(512, 4)
     ctx = _ctx(512, 4, 4, 0, 1, 1, CERT_PARAMS)
     inst = StepInstance(512, 4, tuple([5] * 512))
-    prof = profile(comp, adv, inst, 4, CERT_PARAMS)
+    prof = profile(Coder(ctx, comp, adv), inst)
     assert prof.l_prime == 0
     rep = check_inequalities(ctx, prof)
     assert rep.case == 2 and rep.certified
@@ -269,8 +280,9 @@ def test_lwss_zero_queries_selects_nothing():
     comp, adv = get_subject("zero", 2, 2, 0)
     ctx = _ctx(2, 2, 1, 0, 0, 1)
     inst = StepInstance(2, 2, (1, 2))
-    prof = profile(comp, adv, inst, 1)
-    sel = lwss(comp, adv, inst, prof, ctx)
+    coder = Coder(ctx, comp, adv)
+    prof = profile(coder, inst)
+    sel = lwss(coder, inst, prof)
     assert sel.m == 0 and sel.W == ()
 
 
@@ -278,8 +290,9 @@ def test_lwss_certified_many_bad_frozen_selection():
     comp, adv = build_single_query(512, 4)
     ctx = _ctx(512, 4, 4, 0, 1, 1, CERT_PARAMS)
     inst = StepInstance(512, 4, tuple([3] * 512))
-    prof = profile(comp, adv, inst, 4, CERT_PARAMS)
-    sel = lwss(comp, adv, inst, prof, ctx)
+    coder = Coder(ctx, comp, adv)
+    prof = profile(coder, inst)
+    sel = lwss(coder, inst, prof)
     assert sel.m == 6
     assert sel.W == (1, 3, 5, 7, 9, 11)
     # every recorded cross stays strictly under the admission threshold
@@ -293,7 +306,7 @@ def test_encode_layout_and_length_full():
     comp, adv = get_subject("full", 2, 3, 0)
     ctx = _ctx(2, 3, 1, 0, 7, 1)
     inst = StepInstance(2, 3, (3, 7))
-    enc = encode(ctx, comp, adv, inst)
+    enc = encode(Coder(ctx, comp, adv), inst)
     assert enc.case == 1
     assert len(enc) == 30
     assert enc.items[0][0] == "advice"
@@ -304,57 +317,100 @@ def test_encode_layout_and_length_full():
 
 def test_decode_inverts_encode():
     comp, adv = get_subject("full", 2, 3, 0)
-    ctx = _ctx(2, 3, 1, 0, 7, 1)
+    coder = Coder(_ctx(2, 3, 1, 0, 7, 1), comp, adv)
     for steps in ((1, 1), (3, 7), (8, 2), (5, 5)):
         inst = StepInstance(2, 3, steps)
-        assert decode(ctx, comp, adv, encode(ctx, comp, adv, inst)) == inst
+        assert decode(coder, encode(coder, inst)) == inst
 
 
 def test_decode_runs_the_machine_not_the_advice_table():
     # the advice bits come out of the code itself; the template only cross-checks
     comp, adv = get_subject("probe", 2, 2, 2)
-    ctx = _ctx(2, 2, 1, 2, 1, 2)
+    coder = Coder(_ctx(2, 2, 1, 2, 1, 2), comp, adv)
     inst = StepInstance(2, 2, (1, 4))
-    enc = encode(ctx, comp, adv, inst)
-    assert decode(ctx, comp, adv, enc) == inst
+    enc = encode(coder, inst)
+    assert decode(coder, enc) == inst
 
 
 def test_decode_rejects_flipped_separator():
     comp, adv = get_subject("zero", 2, 2, 0)
-    ctx = _ctx(2, 2, 1, 0, 0, 1)
+    coder = Coder(_ctx(2, 2, 1, 0, 0, 1), comp, adv)
     inst = StepInstance(2, 2, (2, 3))
-    enc = encode(ctx, comp, adv, inst)
+    enc = encode(coder, inst)
     flipped = "10" + enc.bits[2:]
     bad = Encoding(enc.case, flipped, enc.items)
     with pytest.raises(EncodingFormatError):
-        decode(ctx, comp, adv, bad)
+        decode(coder, bad)
 
 
 def test_decode_rejects_truncation():
     comp, adv = get_subject("full", 2, 2, 0)
-    ctx = _ctx(2, 2, 1, 0, 3, 1)
+    coder = Coder(_ctx(2, 2, 1, 0, 3, 1), comp, adv)
     inst = StepInstance(2, 2, (1, 2))
-    enc = encode(ctx, comp, adv, inst)
+    enc = encode(coder, inst)
     bad = Encoding(enc.case, enc.bits[:-1], (("raw", 0, len(enc.bits) - 1),))
     with pytest.raises(EncodingFormatError):
-        decode(ctx, comp, adv, bad)
+        decode(coder, bad)
 
 
 def test_decode_rejects_case_tag_mismatch():
     comp, adv = get_subject("full", 2, 2, 0)
-    ctx = _ctx(2, 2, 1, 0, 3, 1)
+    coder = Coder(_ctx(2, 2, 1, 0, 3, 1), comp, adv)
     inst = StepInstance(2, 2, (1, 2))
-    enc = encode(ctx, comp, adv, inst)
+    enc = encode(coder, inst)
     relabeled = Encoding(2, enc.bits, (("raw", 0, len(enc.bits)),))
     with pytest.raises((DecodeError, EncodingFormatError)):
-        decode(ctx, comp, adv, relabeled)
+        decode(coder, relabeled)
 
 
 def test_context_and_computer_must_agree():
     comp, adv = get_subject("full", 2, 2, 0)
     ctx = _ctx(2, 2, 1, 0, 99, 1)
     with pytest.raises(ValueError):
-        encode(ctx, comp, adv, StepInstance(2, 2, (1, 1)))
+        Coder(ctx, comp, adv)
+
+
+@pytest.mark.parametrize(
+    "subject, M, n, k, ctx_args, message",
+    [
+        ("full", 2, 2, 0, (1, 2, 1, 0, 3, 1), "context and computer disagree on M or n"),
+        ("full", 2, 2, 0, (2, 3, 1, 0, 3, 1), "context and computer disagree on M or n"),
+        ("full", 2, 2, 0, (2, 2, 1, 1, 3, 1), "context k does not match the computer's advice length"),
+        ("full", 2, 2, 0, (2, 2, 1, 0, 4, 1), "context T does not match the computer's query count"),
+        # probe writes one output cell
+        ("probe", 2, 3, 2, (2, 3, 2, 2, 1, 1), "cannot measure more cells than the computer writes"),
+    ],
+    ids=["M", "n", "k", "T", "p"],
+)
+def test_coder_refuses_each_mismatch(subject, M, n, k, ctx_args, message):
+    comp, adv = get_subject(subject, M, n, k)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Coder(_ctx(*ctx_args), comp, adv)
+
+
+@pytest.mark.parametrize(
+    "subject, M, n, k, message",
+    [
+        ("full", 2, 2, 0, "the single scheme needs M = 1"),
+        ("advised", 1, 3, 3, r"the single scheme needs k \+ 1 <= n"),
+        ("probe", 1, 3, 1, r"the single scheme reads k \+ 1 cells, more than the subject writes"),
+    ],
+)
+def test_single_coder_refuses_each_shape(subject, M, n, k, message):
+    comp, adv = get_subject(subject, M, n, k)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        single_coder(comp, adv)
+
+
+@pytest.mark.parametrize("M, n, p", [(2, 2, 1), (1, 3, 2)], ids=["M=2", "p=2"])
+def test_single_scheme_refuses_a_multi_coder(M, n, p):
+    comp, adv = get_subject("full", M, n, 0)
+    multi = _coder(comp, adv, p)
+    inst = StepInstance(M, n, (1,) * M)
+    enc = encode(multi, inst)
+    for call in (lambda: encode_single(multi, inst), lambda: decode_single(multi, enc)):
+        with pytest.raises(ValueError, match="the single scheme needs a coder"):
+            call()
 
 
 # ------------------------------------------------------------------- census
@@ -362,8 +418,7 @@ def test_context_and_computer_must_agree():
 
 def test_verify_pigeonhole_counts():
     comp, adv = get_subject("full", 2, 2, 0)
-    ctx = _ctx(2, 2, 1, 0, 3, 1)
-    rep = verify_pigeonhole(ctx, comp, adv, 2, 2)
+    rep = verify_pigeonhole(Coder(_ctx(2, 2, 1, 0, 3, 1), comp, adv))
     assert rep.ok and rep.injective
     assert rep.total == 16
     assert rep.case1_count == 16 and rep.case2_count == 0
@@ -373,7 +428,7 @@ def test_verify_pigeonhole_counts():
 def test_audit_instance_full_profile():
     comp, adv = get_subject("probe", 2, 3, 2)
     ctx = _ctx(2, 3, 1, 2, 1, 2)
-    audit = audit_instance(ctx, comp, adv, StepInstance(2, 3, (5, 2)))
+    audit = audit_instance(Coder(ctx, comp, adv), StepInstance(2, 3, (5, 2)))
     assert audit.ok
     assert audit.length == audit.expected
     assert all(d <= 4 * ctx.C for d in audit.distances)
@@ -381,8 +436,8 @@ def test_audit_instance_full_profile():
 
 def test_audit_with_no_queries_has_vacuous_certificate():
     comp, adv = get_subject("zero", 2, 2, 0)
-    ctx = _ctx(2, 2, 1, 0, 0, 1)
-    audit = audit_instance(ctx, comp, adv, StepInstance(2, 2, (4, 1)))
+    coder = Coder(_ctx(2, 2, 1, 0, 0, 1), comp, adv)
+    audit = audit_instance(coder, StepInstance(2, 2, (4, 1)))
     assert audit.certificate is None and audit.certificate_ok
     assert audit.ok
 
@@ -469,23 +524,23 @@ def _counting(advice_fn):
 @pytest.mark.parametrize("subject, M, n, k, l", [("probe", 4, 2, 4, 4), ("full", 2, 2, 0, 1)])
 def test_advice_evaluated_once_per_encode_and_audit(subject, M, n, k, l):
     comp, adv = get_subject(subject, M, n, k)
-    ctx = _ctx(M, n, 1, k, comp.T, l)
     counted, calls = _counting(adv)
+    coder = Coder(_ctx(M, n, 1, k, comp.T, l), comp, counted)
     for instance in enumerate_instances(M, n):
         for call in (encode, audit_instance):
             calls.clear()
-            call(ctx, comp, counted, instance)
+            call(coder, instance)
             assert len(calls) == 1, (call.__name__, instance, len(calls))
 
 
 @pytest.mark.parametrize("inst", [StepInstance(1, 2, (3,)), StepInstance(2, 3, (3, 5))])
 def test_coder_refuses_an_instance_of_another_shape(inst):
     comp, adv = get_subject("full", 2, 2, 0)
-    ctx = _ctx(2, 2, 1, 0, comp.T, 1)
+    coder = Coder(_ctx(2, 2, 1, 0, comp.T, 1), comp, adv)
     for call in (
-        lambda: profile(comp, adv, inst, 1),
-        lambda: encode(ctx, comp, adv, inst),
-        lambda: audit_instance(ctx, comp, adv, inst),
+        lambda: profile(coder, inst),
+        lambda: encode(coder, inst),
+        lambda: audit_instance(coder, inst),
     ):
         with pytest.raises(ValueError, match="disagree on M or n"):
             call()

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -378,7 +379,7 @@ def test_cli_usage_error_exits_two():
     assert exc.value.code == 2
 
 
-def _cli_subprocess(*args):
+def _cli_subprocess(*args, **run_options):
     """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -388,6 +389,22 @@ def _cli_subprocess(*args):
         text=True,
         env=env,
         timeout=120,
+        **run_options,
+    )
+
+
+def _one_gigabyte_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_simulate_refuses_a_huge_M_within_one_gigabyte(tmp_path):
+    # the default blocks stay a range, so M = 10^9 reaches the budget check
+    # without first building a tuple of 10^9 block numbers
+    cfg = _write(tmp_path, "subject = full\nM = 1000000000\nn = 1\n")
+    done = _cli_subprocess("simulate", "--config", cfg, preexec_fn=_one_gigabyte_address_space)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (
+        "error: 2^1000000000 instances at M=1000000000, n=1 exceed budget 4096\n"
     )
 
 

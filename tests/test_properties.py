@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from ttquery.compression import (
     DEFAULT_PARAMS,
     BitReader,
+    Coder,
     EncodingContext,
     decode,
     double_bits,
@@ -80,4 +81,5 @@ def test_roundtrip_random_instances(data):
     ctx = EncodingContext(M=2, n=3, p=1, k=k, T=comp.T, l=l, params=DEFAULT_PARAMS)
     steps = (data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8)))
     inst = StepInstance(2, 3, steps)
-    assert decode(ctx, comp, adv, encode(ctx, comp, adv, inst)) == inst
+    coder = Coder(ctx, comp, adv)
+    assert decode(coder, encode(coder, inst)) == inst

@@ -10,6 +10,7 @@ from ttquery.compression import (
     decode_single,
     encode_single,
     single_block_bound,
+    single_coder,
 )
 from ttquery.ordered_search import StepInstance, enumerate_instances
 from ttquery.subjects import get_subject
@@ -17,9 +18,10 @@ from ttquery.subjects import get_subject
 
 def _roundtrip_all(n, k, comp, adv):
     encs = {}
+    coder = single_coder(comp, adv, DEFAULT_PARAMS)
     for inst in enumerate_instances(1, n, 4096):
-        enc = encode_single(n, k, DEFAULT_PARAMS, comp, adv, inst)
-        assert decode_single(n, k, DEFAULT_PARAMS, comp, enc) == inst
+        enc = encode_single(coder, inst)
+        assert decode_single(coder, enc) == inst
         encs[inst] = enc
     return encs
 
@@ -52,29 +54,31 @@ def test_roundtrip_shortcut_exercises_both_cases():
 def test_case1_layout_suffix_before_rank():
     comp, adv = get_subject("advised", 1, 4, 1)
     inst = StepInstance(1, 4, (6,))
-    enc = encode_single(4, 1, DEFAULT_PARAMS, comp, adv, inst)
+    enc = encode_single(single_coder(comp, adv, DEFAULT_PARAMS), inst)
     names = [name for name, _, _ in enc.items]
     assert names == ["advice", "suffix", "rank"]
 
 
 def test_width_is_advice_plus_one():
     comp, adv = get_subject("advised", 1, 3, 2)
+    coder = single_coder(comp, adv, DEFAULT_PARAMS)
     for inst in enumerate_instances(1, 3, 100):
-        enc = encode_single(3, 2, DEFAULT_PARAMS, comp, adv, inst)
-        assert decode_single(3, 2, DEFAULT_PARAMS, comp, enc) == inst
+        enc = encode_single(coder, inst)
+        assert decode_single(coder, enc) == inst
 
 
 def test_single_rejects_oversized_advice():
     comp, adv = get_subject("advised", 1, 3, 3)
     inst = StepInstance(1, 3, (1,))
     with pytest.raises(ValueError):
-        encode_single(3, 3, DEFAULT_PARAMS, comp, adv, inst)
+        encode_single(single_coder(comp, adv, DEFAULT_PARAMS), inst)
 
 
 def test_decode_single_rejects_short_stream():
     comp, adv = get_subject("full", 1, 4, 0)
     inst = StepInstance(1, 4, (9,))
-    enc = encode_single(4, 0, DEFAULT_PARAMS, comp, adv, inst)
+    coder = single_coder(comp, adv, DEFAULT_PARAMS)
+    enc = encode_single(coder, inst)
     bad = Encoding(enc.case, enc.bits[:-2], (("raw", 0, len(enc.bits) - 2),))
     with pytest.raises((DecodeError, EncodingFormatError)):
-        decode_single(4, 0, DEFAULT_PARAMS, comp, bad)
+        decode_single(coder, bad)

@@ -1,4 +1,5 @@
-"""Differential tests of the per-computer caches and the single-pass census.
+"""Differential tests of the coder's and the computer's caches and the
+single-pass census.
 
 Each cached weight analysis is checked against a recomputation from a
 fresh call of the subject's own prequery function, each profile and
@@ -9,7 +10,8 @@ each state the oracle and the final build unchecked against the checks
 it must meet, each memoized run against the same run without the memo on
 a freshly built computer, each census folded into a sweep against an
 independent fresh encode or a direct recount, each computer's caches
-against another computer's, each code built from the context's layout
+against another computer's, each coder's caches against another coder's
+over the same computer, each code built from the context's layout
 against the former per-item writer, and the audit's integer rank limit and
 integer survivor floors of its Rounds records against the Fraction rules
 they replace.
@@ -23,6 +25,7 @@ from test_audit_cache import direct_rounds
 
 from ttquery.compression import (
     DEFAULT_PARAMS,
+    Coder,
     Encoding,
     EncodingContext,
     ErrorParams,
@@ -35,12 +38,15 @@ from ttquery.compression import (
     _substituted_steps,
     audit_instance,
     census,
+    decode,
     double_bits,
     encode,
     encode_single,
     lwss,
+    prefix_weights,
     profile,
     rank_width,
+    single_coder,
     verify_pigeonhole,
     weight_analysis,
 )
@@ -53,7 +59,7 @@ from ttquery.model import (
     outcome_to_answer,
     run,
 )
-from ttquery.ordered_search import bin_n, enumerate_instances, rank_of
+from ttquery.ordered_search import StepInstance, bin_n, enumerate_instances, rank_of
 from ttquery.statevec import measure_register
 from ttquery.subjects import (
     PROBE_LIGHT,
@@ -87,6 +93,14 @@ def _advice_strings(k):
     return ["".join(bits) for bits in product("01", repeat=k)]
 
 
+def _coder(comp, adv, p=1, params=DEFAULT_PARAMS, l=1):
+    """A coder over the subject at cut p, its shape read from the computer."""
+    ctx = EncodingContext(
+        M=comp.M, n=comp.n, p=p, k=comp.advice_len, T=comp.T, l=l, params=params
+    )
+    return Coder(ctx, comp, adv)
+
+
 def _straight_analysis(comp, block, advice, p, threshold):
     """Weight table, heavy list and own mass from the raw prequery function."""
     word_weight = {}
@@ -104,32 +118,37 @@ def _straight_analysis(comp, block, advice, p, threshold):
 
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
 def test_cached_analysis_matches_recomputation(label, build, M, n, k, p):
-    comp, _ = build()
-    for block, advice, cut, params in product(
-        range(1, M + 1), _advice_strings(k), range(1, n + 1), PARAMS
-    ):
-        # consecutive params differ, so each call after the first on an
-        # input recomputes the heavy list and ranks of a kept table
-        wa = weight_analysis(comp, block, advice, cut, params.C)
-        table, heavy, own = _straight_analysis(comp, block, advice, cut, params.C)
-        assert dict(wa.table) == table
-        assert wa.heavy == heavy
-        assert dict(wa.ranks) == {a: i for i, a in enumerate(heavy)}
-        assert wa.own_mass == own
-        assert weight_analysis(comp, block, advice, cut, params.C) is wa
+    comp, adv = build()
+    inputs = list(product(range(1, M + 1), _advice_strings(k)))
+    for cut, params in product(range(1, n + 1), PARAMS):
+        if cut > comp.output_width:
+            # no coder measures past the output; the table is still checked
+            for block, advice in inputs:
+                table = _straight_analysis(comp, block, advice, cut, params.C)[0]
+                assert prefix_weights(comp, block, advice, cut) == table
+            continue
+        coder = _coder(comp, adv, cut, params)
+        for block, advice in inputs:
+            wa = weight_analysis(coder, block, advice)
+            table, heavy, own = _straight_analysis(comp, block, advice, cut, params.C)
+            assert dict(wa.table) == table
+            assert wa.heavy == heavy
+            assert dict(wa.ranks) == {a: i for i, a in enumerate(heavy)}
+            assert wa.own_mass == own
+            assert weight_analysis(coder, block, advice) is wa
 
 
 def test_edge_params_put_a_probe_prefix_exactly_at_the_threshold():
     assert EDGE_PARAMS.C == PROBE_LIGHT**2
-    comp, _ = get_subject("probe", 2, 2, 2)
-    wa = weight_analysis(comp, 1, "01", 1, EDGE_PARAMS.C)
+    comp, adv = get_subject("probe", 2, 2, 2)
+    wa = weight_analysis(_coder(comp, adv, params=EDGE_PARAMS), 1, "01")
     assert wa.table[(1, "1")] == EDGE_PARAMS.C
     assert wa.heavy == ("0",) and dict(wa.ranks) == {"0": 0}
 
 
 def test_cached_analysis_and_state_are_read_only():
-    comp, _ = get_subject("probe", 2, 2, 2)
-    wa = weight_analysis(comp, 1, "01", 1, DEFAULT_PARAMS.C)
+    comp, adv = get_subject("probe", 2, 2, 2)
+    wa = weight_analysis(_coder(comp, adv), 1, "01")
     with pytest.raises(TypeError):
         wa.table[(1, "0")] = Fraction(0)
     with pytest.raises(TypeError):
@@ -153,11 +172,13 @@ def _straight_profile(comp, advice, names, p, C):
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
 def test_profile_matches_straight_classification(label, build, M, n, k, p):
     comp, adv = build()
-    for params, inst in product(PARAMS, enumerate_instances(M, n)):
-        advice = adv(inst)
-        names = {i: inst.step_bits(i) for i in range(1, M + 1)}
-        for cut in range(1, n + 1):
-            prof = _profile(comp, advice, inst, cut, params)
+    # every cut a coder can measure: none measures past the output width
+    for params, cut in product(PARAMS, range(1, min(n, comp.output_width) + 1)):
+        coder = _coder(comp, adv, cut, params)
+        for inst in enumerate_instances(M, n):
+            advice = adv(inst)
+            names = {i: inst.step_bits(i) for i in range(1, M + 1)}
+            prof = _profile(coder, advice, inst)
             want = _straight_profile(comp, advice, names, cut, params.C)
             assert prof.blocks == want, (params, inst, cut)
             assert prof.good_indices == tuple(b[0] for b in want if b[2])
@@ -198,12 +219,13 @@ def test_select_matches_straight_selection(label, build, M, n, k, p):
     ]
     for params in PARAMS:
         ctx = EncodingContext(M=M, n=n, p=p, k=k, T=comp.T, l=M, params=params)
+        coder = Coder(ctx, comp, adv)
         for inst in enumerate_instances(M, n):
             advice = adv(inst)
             for pool in pools:
                 bad = {j: inst.step_bits(j)[: n - p] for j in pool}
                 want = _straight_select(ctx, comp, advice, bad)
-                assert _select(ctx, comp, advice, bad) == want, (params, inst, pool)
+                assert _select(coder, advice, bad) == want, (params, inst, pool)
 
 
 def test_select_matches_straight_selection_over_several_rounds():
@@ -211,13 +233,14 @@ def test_select_matches_straight_selection_over_several_rounds():
     # (t = T / C = 16 here), so 64 blocks; pool sizes rise and then fall,
     # and each size must get its own round count and threshold
     M = 64
-    comp, _ = build_neighbor_probe(M, 1)
+    comp, adv = build_neighbor_probe(M, 1)
     ctx = EncodingContext(M=M, n=1, p=1, k=M, T=comp.T, l=M, params=CERT_PARAMS)
+    coder = Coder(ctx, comp, adv)
     advice = "01" * (M // 2)
     rounds = set()
     for size in [*range(M + 1), *range(M, -1, -1)]:
         bad = {j: "" for j in range(M - size + 1, M + 1)}
-        sel = _select(ctx, comp, advice, bad)
+        sel = _select(coder, advice, bad)
         assert sel == _straight_select(ctx, comp, advice, bad), size
         rounds.add(sel.m)
     assert rounds == {0, 1, 2}
@@ -372,9 +395,10 @@ def test_folded_census_matches_fresh_pigeonhole(label, build, M, n, k, p):
     for l in sorted({1, M}):
         comp, adv = build()
         ctx = _multi_ctx(comp, M, n, k, p, l)
-        pairs = [(i, encode(ctx, comp, adv, i)) for i in enumerate_instances(M, n)]
+        coder = Coder(ctx, comp, adv)
+        pairs = [(i, encode(coder, i)) for i in enumerate_instances(M, n)]
         fresh, fresh_adv = build()
-        assert census(pairs, M * n) == verify_pigeonhole(ctx, fresh, fresh_adv, M, n)
+        assert census(pairs, M * n) == verify_pigeonhole(Coder(ctx, fresh, fresh_adv))
 
 
 @pytest.mark.parametrize(
@@ -386,10 +410,8 @@ def test_single_scheme_census_matches_recount(subject, n, k):
         comp, adv = build_single_query(1, n)
     else:
         comp, adv = get_subject(subject, 1, n, k)
-    pairs = [
-        (i, encode_single(n, k, DEFAULT_PARAMS, comp, adv, i))
-        for i in enumerate_instances(1, n)
-    ]
+    coder = single_coder(comp, adv, DEFAULT_PARAMS)
+    pairs = [(i, encode_single(coder, i)) for i in enumerate_instances(1, n)]
     rep = census(pairs, n)
     codes = [(enc.case, enc.bits) for _, enc in pairs]
     assert rep.total == len(pairs)
@@ -406,7 +428,7 @@ def test_roundtrip_summary_matches_fresh_pigeonhole(subject, M, n, k, p, l):
     cfg = ExperimentConfig(M=M, n=n, p=p, k=k, l=l, subject=subject)
     summary = cmd_roundtrip(cfg).summary
     comp, adv = get_subject(subject, M, n, k)
-    rep = verify_pigeonhole(_multi_ctx(comp, M, n, k, p, l), comp, adv, M, n)
+    rep = verify_pigeonhole(Coder(_multi_ctx(comp, M, n, k, p, l), comp, adv))
     assert summary["injective"] == rep.injective
     assert (summary["case1"], summary["case2"]) == (rep.case1_count, rep.case2_count)
     assert (summary["min_length"], summary["max_length"]) == (rep.min_length, rep.max_length)
@@ -417,13 +439,14 @@ def test_roundtrip_summary_matches_fresh_pigeonhole(subject, M, n, k, p, l):
 def test_audit_reuses_what_a_fresh_profile_and_selection_give(label, build, M, n, k, p):
     comp, adv = build()
     ctx = _multi_ctx(comp, M, n, k, p, M)
+    coder = Coder(ctx, comp, adv)
     for inst in enumerate_instances(M, n):
-        audit = audit_instance(ctx, comp, adv, inst)
-        fresh, fresh_adv = build()
-        prof = profile(fresh, fresh_adv, inst, p)
+        audit = audit_instance(coder, inst)
+        fresh = Coder(ctx, *build())
+        prof = profile(fresh, inst)
         assert audit.case == (1 if ctx.l <= prof.l_prime else 2)
         if audit.case == 2:
-            assert audit.selection == lwss(fresh, fresh_adv, inst, prof, ctx)
+            assert audit.selection == lwss(fresh, inst, prof)
 
 
 def _advice_len(name, M):
@@ -532,8 +555,8 @@ def test_width_is_part_of_the_key():
 
 def test_computers_never_share_cached_entries():
     calls = []
-    first, _ = get_subject("probe", 2, 2, 2)
-    second, _ = get_subject("probe", 2, 2, 2)
+    first, first_adv = get_subject("probe", 2, 2, 2)
+    second, second_adv = get_subject("probe", 2, 2, 2)
     raw = first.prequery
 
     def counted(block, advice):
@@ -541,26 +564,47 @@ def test_computers_never_share_cached_entries():
         return raw(block, advice)
 
     first.prequery = counted
-    a = weight_analysis(first, 1, "01", 1, DEFAULT_PARAMS.C)
+    a = weight_analysis(_coder(first, first_adv), 1, "01")
     run(first, 1, "01", (1, 1))
-    assert second.weight_analyses == {}
+    second_coder = _coder(second, second_adv)
+    assert second_coder.analyses == {}
     assert second._states == {}
     assert second.runs == {}
-    b = weight_analysis(second, 1, "01", 1, DEFAULT_PARAMS.C)
+    b = weight_analysis(second_coder, 1, "01")
     assert a == b and a is not b
     assert first.prequery_state(1, "01") is not second.prequery_state(1, "01")
     first_terms = first._states[(1, "01")].terms
     second_terms = second._states[(1, "01")].terms
     assert first_terms == second_terms and first_terms is not second_terms
     assert all(x is not y for x, y in zip(first_terms, second_terms))
-    # another threshold and a state read of the same input reuse the cached
-    # state, and the new threshold keeps the cached table
-    assert weight_analysis(first, 1, "01", 1, CERT_PARAMS.C).table is a.table
+    # a coder at another threshold and a state read of the same input reuse
+    # the cached state
+    weight_analysis(_coder(first, first_adv, params=CERT_PARAMS), 1, "01")
     first.prequery_state(1, "01")
     assert calls == [(1, "01")]
     assert run(second, 1, "01", (1, 1)) == run(first, 1, "01", (1, 1))
     assert first.runs == second.runs
     assert all(first.runs[key] is not second.runs[key] for key in first.runs)
+
+
+def test_coders_over_one_computer_share_its_caches_but_not_their_analyses():
+    comp, adv = get_subject("probe", 2, 2, 2)
+    one, two = _coder(comp, adv, l=2), _coder(comp, adv, l=2)
+    # a case-2 code: decoding runs the machine on the selected block
+    inst = StepInstance(2, 2, (1, 4))
+    enc = encode(one, inst)
+    assert enc.case == 2 and decode(one, enc) == inst
+    states, runs = dict(comp._states), dict(comp.runs)
+    assert states and runs and one.analyses and two.analyses == {}
+    assert decode(two, encode(two, inst)) == inst
+    # the second coder found every state and run in the computer's caches
+    assert comp._states.keys() == states.keys() and comp.runs.keys() == runs.keys()
+    assert all(comp._states[key] is states[key] for key in states)
+    assert all(comp.runs[key] is runs[key] for key in runs)
+    # and built analyses of its own, equal but not shared
+    assert one.analyses.keys() == two.analyses.keys()
+    for key, wa in one.analyses.items():
+        assert two.analyses[key] == wa and two.analyses[key] is not wa
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +627,12 @@ class _ItemWriter:
         return Encoding(case, "".join(self.parts), tuple(self.items))
 
 
-def _written_encode(ctx, comp, adv, inst):
+def _written_encode(coder, inst):
     """The former encoder: names from bin_n, every item put one at a time."""
-    f = adv(inst)
+    ctx, comp = coder.ctx, coder.computer
+    f = coder.advice_fn(inst)
     names = {i: bin_n(ctx.n, inst.steps[i - 1]) for i in range(1, ctx.M + 1)}
-    prof = profile(comp, adv, inst, ctx.p, ctx.params)
+    prof = profile(coder, inst)
     good = [bp.block for bp in prof.blocks if bp.good]
     cut = ctx.n - ctx.p
     w = _ItemWriter()
@@ -626,9 +671,10 @@ def test_layout_encoder_matches_item_writer(label, build, M, n, k, p):
     comp, adv = build()
     cases = set()
     for ctx in _every_context(comp, M, n, k):
+        coder = Coder(ctx, comp, adv)
         for inst in enumerate_instances(M, n):
-            enc, prof, sel, f = _encode(ctx, comp, adv, inst)
-            want_enc, want_prof, want_sel = _written_encode(ctx, comp, adv, inst)
+            enc, prof, sel, f = _encode(coder, inst)
+            want_enc, want_prof, want_sel = _written_encode(coder, inst)
             assert (enc.case, enc.bits, enc.items) == (
                 want_enc.case, want_enc.bits, want_enc.items
             ), (ctx, inst)
@@ -657,18 +703,21 @@ def test_layout_encoder_matches_item_writer(label, build, M, n, k, p):
 def test_single_encoder_matches_item_writer(build, n, k):
     comp, adv = build()
     p, cut = k + 1, n - k - 1
-    for params, inst in product(PARAMS, enumerate_instances(1, n)):
-        f, name = adv(inst), bin_n(n, inst.steps[0])
-        rank = weight_analysis(comp, 1, f, p, params.C).ranks.get(name[:cut])
-        w = _ItemWriter()
-        w.put("advice", f)
-        if rank is None:
-            w.put("prefix", name[:cut])
-        else:
-            w.put("suffix", name[cut:])
-            w.put("rank", _field(rank, rank_width(comp.T, params.C)))
-        want = w.build(2 if rank is None else 1)
-        assert encode_single(n, k, params, comp, adv, inst) == want, (params, inst)
+    for params in PARAMS:
+        coder = single_coder(comp, adv, params)
+        assert coder.ctx.p == p
+        for inst in enumerate_instances(1, n):
+            f, name = adv(inst), bin_n(n, inst.steps[0])
+            rank = weight_analysis(coder, 1, f).ranks.get(name[:cut])
+            w = _ItemWriter()
+            w.put("advice", f)
+            if rank is None:
+                w.put("prefix", name[:cut])
+            else:
+                w.put("suffix", name[cut:])
+                w.put("rank", _field(rank, rank_width(comp.T, params.C)))
+            want = w.build(2 if rank is None else 1)
+            assert encode_single(coder, inst) == want, (params, inst)
 
 
 def test_rank_limit_matches_the_fraction_bounds():
@@ -726,9 +775,10 @@ def test_survivor_floor_verdict_matches_direct_evaluation(params):
 def test_audit_integer_checks_match_fraction_rules(label, build, M, n, k, p):
     comp, adv = build()
     for ctx in _every_context(comp, M, n, k):
+        coder = Coder(ctx, comp, adv)
         for inst in enumerate_instances(M, n):
-            audit = audit_instance(ctx, comp, adv, inst)
-            prof = profile(comp, adv, inst, ctx.p, ctx.params)
+            audit = audit_instance(coder, inst)
+            prof = profile(coder, inst)
             assert audit.rank_ok == all(
                 bp.rank < ctx.t and bp.rank < 2**ctx.width_k for bp in prof.blocks if bp.good
             )
