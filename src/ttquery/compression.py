@@ -29,10 +29,11 @@ and its distance bound when built, and on first use the two inequality
 reports, one Rounds record per pool size (the selection's round count m,
 its threshold C / m, the round-count verdict and the integer survivor
 floors), and each code layout: the item map and doubled good-index field
-of a (case, good indices, selected blocks) key. A Coder binds a context to
-one computer and its advice function, checks once that they agree, and
-keeps, per advice string, the weight analyses (weight_analysis), each with
-a rank map from heavy prefix to its index, and the query-mass verdict
+of a (case, good indices, selected blocks) key. A Coder is one computer
+and its advice function at a given p, l and error parameters; its context
+reads M, n, k and T from the computer. It keeps, per advice string, the
+weight analyses (weight_analysis), each with a rank map from heavy
+prefix to its index, and the query-mass verdict
 (mass_within_queries); every coder function takes the Coder. The audit's
 substitution distances come from model.overlap, which the computer
 memoizes per pair of class vectors. Per instance, the step names are
@@ -240,25 +241,22 @@ class EncodingContext:
 
 
 class Coder:
-    """A fixed machine and its advice, bound to one code context.
+    """A fixed machine and its advice, coding at width p and threshold l.
 
-    Built once, it checks that ctx agrees with the computer; the coder
-    functions take it and check nothing about the pair again. It owns two
-    caches, filled on first use and read only: analyses (weight_analysis)
-    and mass_checks (mass_within_queries). Coders over one computer share
-    its caches, not these.
+    Its context ctx reads M, n, k and T from the computer, so the two
+    cannot disagree; only a p wider than the computer's output is refused.
+    It owns two caches, filled on first use and read only: analyses
+    (weight_analysis) and mass_checks (mass_within_queries). Coders over
+    one computer share its caches, not these.
     """
 
-    def __init__(self, ctx: EncodingContext, computer: NonadaptiveComputer, advice_fn):
-        if (ctx.M, ctx.n) != (computer.M, computer.n):
-            raise ValueError("context and computer disagree on M or n")
-        if ctx.k != computer.advice_len:
-            raise ValueError("context k does not match the computer's advice length")
-        if ctx.T != computer.T:
-            raise ValueError("context T does not match the computer's query count")
-        if ctx.p > computer.output_width:
+    def __init__(self, computer: NonadaptiveComputer, advice_fn, p, l, params=DEFAULT_PARAMS):
+        if p > computer.output_width:
             raise ValueError("cannot measure more cells than the computer writes")
-        self.ctx, self.computer, self.advice_fn = ctx, computer, advice_fn
+        self.ctx = EncodingContext(
+            computer.M, computer.n, p, computer.advice_len, computer.T, l, params
+        )
+        self.computer, self.advice_fn = computer, advice_fn
         self.analyses: dict = {}
         self.mass_checks: dict = {}
 
@@ -763,16 +761,13 @@ def decode(coder: Coder, encoding: Encoding) -> StepInstance:
                 names[j] = prefixes[j] + r.take(ctx.p)
         prefix_of = {i: names[i][:cut] for i in good}
         prefix_of.update(prefixes)
-        pending = set(sel.W)
-        for pivot in sel.W:
-            steps = _substituted_steps(ctx.M, ctx.p, names, prefix_of, pending)
+        for pivot, steps in _pivot_walk(ctx, sel.W, names, prefix_of):
             suffix = _majority(run(computer, pivot, f, steps, width=ctx.p))
             if suffix is None:
                 raise DecodeError(
                     f"no outcome for block {pivot} wins a strict majority"
                 )
             names[pivot] = prefix_of[pivot] + suffix
-            pending.discard(pivot)
     r.expect_end()
     instance = StepInstance(
         ctx.M, ctx.n, tuple(rank_of(names[i]) for i in range(1, ctx.M + 1))
@@ -799,6 +794,15 @@ def _substituted_steps(M, p, names, prefix_of, pending) -> tuple[int, ...]:
     )
 
 
+def _pivot_walk(ctx: EncodingContext, W, names, prefix_of):
+    """Each pick in order with the steps it is recovered under; a pick turns
+    known, its name read from names, only once the caller is done with it."""
+    pending = set(W)
+    for pivot in W:
+        yield pivot, _substituted_steps(ctx.M, ctx.p, names, prefix_of, pending)
+        pending.discard(pivot)
+
+
 def _majority(dist):
     """The answer whose probability is above 1/2, or None."""
     return next((a for a, prob in dist.items() if prob > _HALF), None)
@@ -822,9 +826,7 @@ def _single_check(computer):
 
 def single_coder(computer, advice_fn, params=DEFAULT_PARAMS) -> Coder:
     """The single scheme's coder: M = 1, p = k + 1 and l = 1."""
-    p = _single_check(computer)
-    ctx = EncodingContext(1, computer.n, p, computer.advice_len, computer.T, 1, params)
-    return Coder(ctx, computer, advice_fn)
+    return Coder(computer, advice_fn, _single_check(computer), 1, params)
 
 
 def _single_ctx(coder: Coder) -> EncodingContext:
@@ -1032,8 +1034,7 @@ def audit_instance(coder: Coder, instance) -> AuditReport:
     certified = certificate.certified if certificate else False
     certificate_ok = (not certified) or len(enc) < ctx.M * ctx.n
 
-    sel_distinct = sel_floor = sel_cross = sel_m = True
-    distance_ok = True
+    sel_distinct = sel_floor = sel_cross = sel_m = distance_ok = True
     distances: tuple = ()
     if enc.case == 2:
         sel_distinct = len(set(selection.W)) == len(selection.W)
@@ -1045,19 +1046,14 @@ def audit_instance(coder: Coder, instance) -> AuditReport:
         if selection.threshold is not None:
             sel_cross = all(v < selection.threshold for (_, _, v) in selection.crosses)
         sel_m = selection.m == rounds.m and rounds.m_ok
-        distance_values = []
-        pending = set(selection.W)
         cut = ctx.n - ctx.p
         names = dict(enumerate(instance.names, 1))
         prefix_of = {i: name[:cut] for i, name in names.items()}
-        for pivot in selection.W:
-            steps = _substituted_steps(ctx.M, ctx.p, names, prefix_of, pending)
-            d = 2 - 2 * overlap(coder.computer, pivot, f, steps, instance.steps)
-            distance_values.append(d)
-            if d > ctx.distance_bound:
-                distance_ok = False
-            pending.discard(pivot)
-        distances = tuple(distance_values)
+        distances = tuple(
+            2 - 2 * overlap(coder.computer, pivot, f, steps, instance.steps)
+            for pivot, steps in _pivot_walk(ctx, selection.W, names, prefix_of)
+        )
+        distance_ok = all(d <= ctx.distance_bound for d in distances)
 
     expected = expected_length(
         ctx, lp, enc.case, selected=len(selection.W) if selection else 0

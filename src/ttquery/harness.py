@@ -220,13 +220,9 @@ def _multi_coder(cfg, computer, advice_fn) -> Coder:
     if cfg.p > computer.output_width:
         raise ConfigError("p exceeds the subject's output width")
     try:
-        ctx = EncodingContext(
-            M=cfg.M, n=cfg.n, p=cfg.p, k=cfg.k, T=computer.T, l=cfg.l,
-            params=_params(cfg),
-        )
+        return Coder(computer, advice_fn, cfg.p, cfg.l, _params(cfg))
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    return Coder(ctx, computer, advice_fn)
 
 
 def _instances(cfg):
@@ -397,6 +393,8 @@ def _row(name: str, l: str, v: Fraction | None, note: str) -> tuple[str, ...]:
 
 
 def cmd_bounds(cfg: ExperimentConfig) -> Report:
+    if cfg.M > cfg.budget:
+        raise ConfigError(f"bounds rows for l = 1..M at M={cfg.M} exceed budget {cfg.budget}")
     T = _query_count(cfg)
     params = _params(cfg)
     N = 2**cfg.n

@@ -5,9 +5,7 @@ reference algorithm (advised, with full as its k = 0 case) is errorless
 and meets the known query counts; the others shape their queries to
 reach specific branches of the encoding machinery: zero makes no queries
 at all, probe keeps its own step's prefix group almost unqueried,
-shortcut mixes duplicate query lists with a sparse location pattern, and
-the two helpers at the bottom aim their single query at a neighboring
-block.
+and shortcut mixes duplicate query lists with a sparse location pattern.
 
 Every final transform here is either the identity or an XOR of a fixed
 value per fiber into the workspace cell block, which is an involution on
@@ -204,69 +202,6 @@ def build_shortcut(n: int):
         final=_xor_final(target),
     )
     return computer, AdviceFunction(1, advice_bits)
-
-
-def build_neighbor_probe(M: int, n: int):
-    """Probe variant querying the next two blocks instead of its own.
-
-    Answers still come from the advice bit, so the error stays zero, but
-    every block is bad on every instance and the cross-block weights are
-    the nonzero values the selection audits need to see.
-    """
-    if M < 3:
-        raise SubjectError("neighbor probe needs M >= 3")
-    loc = bin_n(n, 1)
-
-    def prequery(block, advice):
-        out = int(advice[block - 1])
-        first = block % M + 1
-        second = first % M + 1
-        return {
-            ((QueryWord(first, loc),), out): PROBE_HEAVY,
-            ((QueryWord(second, loc),), out): PROBE_LIGHT,
-        }
-
-    def advice_bits(instance: StepInstance) -> str:
-        return "".join(name[-1] for name in instance.names)
-
-    computer = NonadaptiveComputer(
-        M=M,
-        n=n,
-        T=1,
-        advice_len=M,
-        output_width=1,
-        scratch_dim=1,
-        prequery=prequery,
-        final=_identity_final(),
-    )
-    return computer, AdviceFunction(M, advice_bits)
-
-
-def build_single_query(M: int, n: int):
-    """One deterministic query: location 1 of the cyclically next block.
-
-    With M = 1 that is the input block itself, which makes steps 1 and 2
-    good and everything else bad. No advice, no output logic: the final
-    transform is the identity, so the machine is wrong almost everywhere.
-    Used to drive the encoder into sparse-weight regimes.
-    """
-    loc = bin_n(n, 1)
-
-    def prequery(block, advice):
-        words = (QueryWord(block % M + 1, loc),)
-        return {(words, 0): Fraction(1)}
-
-    computer = NonadaptiveComputer(
-        M=M,
-        n=n,
-        T=1,
-        advice_len=0,
-        output_width=n,
-        scratch_dim=1,
-        prequery=prequery,
-        final=_identity_final(),
-    )
-    return computer, no_advice()
 
 
 REGISTRY = ("full", "advised", "zero", "probe", "shortcut")

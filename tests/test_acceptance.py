@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from machines import build_single_query
 
 from ttquery.adversary import adversary_bound, partition_by_advice, zeta
 from ttquery.compression import (
@@ -31,7 +32,7 @@ from ttquery.compression import (
 )
 from ttquery.model import max_error
 from ttquery.ordered_search import StepInstance, enumerate_instances, parse_instance
-from ttquery.subjects import build_single_query, get_subject
+from ttquery.subjects import get_subject
 
 CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
 
@@ -72,10 +73,7 @@ def sweeps():
         computer, advice_fn = get_subject(name, M, n, k)
         instances = list(enumerate_instances(M, n, 4096))
         for l in (1, M):
-            ctx = EncodingContext(
-                M=M, n=n, p=p, k=k, T=computer.T, l=l, params=DEFAULT_PARAMS
-            )
-            coder = Coder(ctx, computer, advice_fn)
+            coder = Coder(computer, advice_fn, p, l, DEFAULT_PARAMS)
             encodings, decoded, audits = {}, {}, {}
             for inst in instances:
                 enc = encode(coder, inst)
@@ -89,7 +87,7 @@ def sweeps():
             records.append(
                 SweepRecord(
                     f"{name}(M={M},n={n},k={k}) l={l}",
-                    ctx,
+                    coder.ctx,
                     computer,
                     advice_fn,
                     instances,
@@ -278,8 +276,8 @@ def test_criterion_6_adversary_bounds(acceptance_log):
 
 def _cert_few_good():
     comp, adv = build_single_query(1, 9)
-    ctx = EncodingContext(M=1, n=9, p=1, k=0, T=1, l=1, params=CERT_PARAMS)
-    coder = Coder(ctx, comp, adv)
+    coder = Coder(comp, adv, 1, 1, CERT_PARAMS)
+    ctx = coder.ctx
     rows = []
     for s in (1, 2, 5, 300):
         inst = parse_instance(f"M=1 n=9 steps={s}")
@@ -294,8 +292,8 @@ def _cert_few_good():
 
 def _cert_many_bad():
     comp, adv = build_single_query(512, 4)
-    ctx = EncodingContext(M=512, n=4, p=4, k=0, T=1, l=1, params=CERT_PARAMS)
-    coder = Coder(ctx, comp, adv)
+    coder = Coder(comp, adv, 4, 1, CERT_PARAMS)
+    ctx = coder.ctx
     rows = []
     for steps in (tuple([3] * 512), tuple((i % 16) + 1 for i in range(512))):
         inst = StepInstance(512, 4, steps)

@@ -57,11 +57,12 @@ CONFIGS = (
 IDS = ["{}-{}-{}-{}".format(*c) for c in CONFIGS]
 
 
-def _contexts(comp, M, n, k, params_list=(DEFAULT_PARAMS, CERT_PARAMS)):
+def _coders(comp, adv):
     for l, p, params in product(
-        range(1, M + 1), range(1, min(n, comp.output_width) + 1), params_list
+        range(1, comp.M + 1), range(1, min(comp.n, comp.output_width) + 1),
+        (DEFAULT_PARAMS, CERT_PARAMS),
     ):
-        yield EncodingContext(M=M, n=n, p=p, k=k, T=comp.T, l=l, params=params)
+        yield Coder(comp, adv, p, l, params)
 
 
 def _fresh_inequalities(ctx, prof):
@@ -119,8 +120,8 @@ def _direct_mass_ok(comp, advice):
 def test_shared_inequality_report_matches_fresh_computation(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
     instances = list(enumerate_instances(M, n))
-    for ctx in _contexts(comp, M, n, k):
-        coder = Coder(ctx, comp, adv)
+    for coder in _coders(comp, adv):
+        ctx = coder.ctx
         for _ in range(2):
             for inst in instances:
                 prof = profile(coder, inst)
@@ -140,8 +141,8 @@ def test_shared_inequality_report_matches_fresh_computation(subject, M, n, k):
 def test_round_count_verdict_matches_direct_evaluation(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
     case2 = 0
-    for ctx in _contexts(comp, M, n, k):
-        coder = Coder(ctx, comp, adv)
+    for coder in _coders(comp, adv):
+        ctx = coder.ctx
         # every bad-block count, asked twice so the memoized record is
         # checked as well as the one that filled it
         for _ in range(2):
@@ -169,8 +170,7 @@ def _case2_audits():
     """The case-2 audits of the probe sweep; None where the selection ran
     out of candidates, which a round count past the true one may do."""
     comp, adv = get_subject("probe", 4, 2, 4)
-    ctx = EncodingContext(M=4, n=2, p=1, k=4, T=comp.T, l=4, params=CERT_PARAMS)
-    coder = Coder(ctx, comp, adv)
+    coder = Coder(comp, adv, 1, 4, CERT_PARAMS)
     audits = []
     for inst in enumerate_instances(4, 2):
         try:
@@ -179,7 +179,7 @@ def _case2_audits():
             audit = None
         if audit is None or audit.case == 2:
             audits.append(audit)
-    return ctx, audits
+    return coder.ctx, audits
 
 
 def test_audit_flags_a_round_count_off_by_one(monkeypatch):
@@ -210,8 +210,8 @@ def test_audit_flags_survivor_floors_shifted_by_one(monkeypatch):
 def test_cached_mass_verdict_matches_uncached(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
     advices = ["".join(bits) for bits in product("01", repeat=k)]
-    for ctx in _contexts(comp, M, n, k):
-        coder = Coder(ctx, comp, adv)
+    for coder in _coders(comp, adv):
+        ctx = coder.ctx
         for _ in range(2):
             for advice in advices:
                 got = mass_within_queries(coder, advice)
@@ -220,15 +220,15 @@ def test_cached_mass_verdict_matches_uncached(subject, M, n, k):
             audit = audit_instance(coder, inst)
             assert audit.mass_ok == _direct_mass_ok(comp, adv(inst))
         assert set(coder.mass_checks) <= set(advices)
-        assert Coder(ctx, comp, adv).mass_checks == {}
+        assert Coder(comp, adv, ctx.p, ctx.l, ctx.params).mass_checks == {}
 
 
 @pytest.mark.parametrize("subject, M, n, k", CONFIGS, ids=IDS)
 def test_audit_distances_match_distance_sq(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
     checked = 0
-    for ctx in _contexts(comp, M, n, k):
-        coder = Coder(ctx, comp, adv)
+    for coder in _coders(comp, adv):
+        ctx = coder.ctx
         cut = ctx.n - ctx.p
         # the second pass reads every distance from the computer's memo
         for _ in range(2):

@@ -105,8 +105,8 @@ def test_closed_form_at_powers_of_two_is_the_M_squared_form():
 @pytest.mark.parametrize("M", [3, 5, 6, 7])
 def test_index_past_M_is_a_decode_error(M):
     comp, adv = get_subject("full", M, 1, 0)
-    ctx = EncodingContext(M=M, n=1, p=1, k=0, T=comp.T, l=1)
-    coder = Coder(ctx, comp, adv)
+    coder = Coder(comp, adv, 1, 1)
+    ctx = coder.ctx
     w = ctx.index_width
     for v in range(M, 2**w):
         # block v + 1 does not exist; the fields after the index are unread

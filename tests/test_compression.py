@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from machines import build_neighbor_probe, build_single_query
 
 from ttquery.compression import (
     DEFAULT_PARAMS,
@@ -30,24 +32,9 @@ from ttquery.compression import (
 )
 from ttquery.model import AdviceFunction
 from ttquery.ordered_search import StepInstance, enumerate_instances, parse_instance, rank_of
-from ttquery.subjects import (
-    build_neighbor_probe,
-    build_probe,
-    build_shortcut,
-    build_single_query,
-    get_subject,
-)
+from ttquery.subjects import REGISTRY, SubjectError, build_probe, build_shortcut, get_subject
 
 CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
-
-
-def _ctx(M, n, p, k, T, l, params=DEFAULT_PARAMS):
-    return EncodingContext(M=M, n=n, p=p, k=k, T=T, l=l, params=params)
-
-
-def _coder(comp, adv, p=1, l=1, params=DEFAULT_PARAMS):
-    """A coder over the subject at cut p, its shape read from the computer."""
-    return Coder(_ctx(comp.M, comp.n, p, comp.advice_len, comp.T, l, params), comp, adv)
 
 
 # ---------------------------------------------------------------- parameters
@@ -105,10 +92,10 @@ def test_ceil_log2_matches_doubling_loop():
 
 def test_context_takes_every_positive_block_count():
     with pytest.raises(ValueError, match="M must be positive"):
-        _ctx(0, 2, 1, 0, 1, 1)
+        EncodingContext(0, 2, 1, 0, 1, 1)
     for M in range(1, 70):
         # the index field is the least w with 2**w >= M
-        assert _ctx(M, 2, 1, 0, 1, 1).index_width == _doubling_ceil_log2(M), M
+        assert EncodingContext(M, 2, 1, 0, 1, 1).index_width == _doubling_ceil_log2(M), M
 
 
 # ------------------------------------------------------------------- weights
@@ -120,7 +107,7 @@ def test_weight_is_membership_not_multiplicity():
     inst = StepInstance(1, 4, (8,))
     advice = adv(inst)
     # the list holds T = 12 copies of 0000, and no other word, yet weighs 1
-    table = weight_analysis(_coder(comp, adv), 1, advice).table
+    table = weight_analysis(Coder(comp, adv, 1, 1), 1, advice).table
     assert table[(1, "000")] == 1
     assert (1, "001") not in table
 
@@ -128,7 +115,7 @@ def test_weight_is_membership_not_multiplicity():
 def test_weight_p_sums_completions():
     comp, adv = get_subject("full", 1, 2, 0)
     advice = adv(StepInstance(1, 2, (1,)))
-    table = weight_analysis(_coder(comp, adv), 1, advice).table
+    table = weight_analysis(Coder(comp, adv, 1, 1), 1, advice).table
     # the full subject queries ranks 1..3, so the "0" prefix holds two of them
     assert table[(1, "0")] == 2
     assert table[(1, "1")] == 1
@@ -136,7 +123,7 @@ def test_weight_p_sums_completions():
 
 def test_own_weight_mass_bounded_by_queries():
     comp, adv = get_subject("probe", 2, 2, 2)
-    coder = _coder(comp, adv)
+    coder = Coder(comp, adv, 1, 1)
     for inst in enumerate_instances(2, 2, 100):
         advice = adv(inst)
         for i in (1, 2):
@@ -149,7 +136,7 @@ def test_own_weight_mass_bounded_by_queries():
 
 def test_profile_probe_goodness():
     comp, adv = get_subject("probe", 2, 3, 2)
-    coder = _coder(comp, adv)
+    coder = Coder(comp, adv, 1, 1)
     prof = profile(coder, StepInstance(2, 3, (2, 5)))
     assert prof.good_indices == (1,)
     assert prof.l_prime == 1
@@ -159,7 +146,7 @@ def test_profile_probe_goodness():
 
 def test_profile_ranks_count_heavy_prefixes_below():
     comp, adv = get_subject("full", 1, 3, 0)
-    prof = profile(_coder(comp, adv), StepInstance(1, 3, (8,)))
+    prof = profile(Coder(comp, adv, 1, 1), StepInstance(1, 3, (8,)))
     entry = prof.blocks[0]
     assert entry.good
     # every 2-bit prefix is heavy for the full subject, step 8 sits last
@@ -170,9 +157,10 @@ def test_profile_ranks_count_heavy_prefixes_below():
 
 
 def test_c_uv_frozen_value():
-    ctx = _ctx(2, 3, 1, 0, 7, 1)
     comp, adv = get_subject("full", 2, 3, 0)
-    prof = profile(Coder(ctx, comp, adv), StepInstance(2, 3, (1, 1)))
+    coder = Coder(comp, adv, 1, 1)
+    ctx = coder.ctx
+    prof = profile(coder, StepInstance(2, 3, (1, 1)))
     # two good blocks, l = 1: the instance sits on the first branch
     assert check_inequalities(ctx, prof).c_uv == Fraction(1, 2048)
     first, second = c_uv_values(ctx)
@@ -182,49 +170,50 @@ def test_c_uv_frozen_value():
 
 def test_c_uv_irrational_branch_has_no_value():
     # l = 3 does not divide k + 2 = 2, so the good-branch constant is irrational
-    ctx = _ctx(4, 1, 1, 0, 1, 3)
+    comp, adv = get_subject("full", 4, 1, 0)
+    coder = Coder(comp, adv, 1, 3)
+    ctx = coder.ctx
     first, second = c_uv_values(ctx)
     assert first is None and second is not None
-    comp, adv = get_subject("full", 4, 1, 0)
-    prof = profile(Coder(ctx, comp, adv), StepInstance(4, 1, (1, 1, 1, 1)))
+    prof = profile(coder, StepInstance(4, 1, (1, 1, 1, 1)))
     assert prof.l_prime == 4
     assert check_inequalities(ctx, prof).c_uv is None
 
 
 def test_check_inequalities_still_exact_on_irrational_branch():
-    ctx = _ctx(4, 1, 1, 0, 1, 3)
     comp, adv = get_subject("full", 4, 1, 0)
-    prof = profile(Coder(ctx, comp, adv), StepInstance(4, 1, (1, 1, 1, 1)))
-    rep = check_inequalities(ctx, prof)
+    coder = Coder(comp, adv, 1, 3)
+    prof = profile(coder, StepInstance(4, 1, (1, 1, 1, 1)))
+    rep = check_inequalities(coder.ctx, prof)
     assert rep.case == 1
     assert rep.c_uv is None and rep.matches_closed_form is None
     assert isinstance(rep.case1_holds, bool)
 
 
 def test_check_inequalities_needs_a_query():
-    ctx = _ctx(2, 2, 1, 0, 0, 1)
     comp, adv = get_subject("zero", 2, 2, 0)
-    prof = profile(Coder(ctx, comp, adv), StepInstance(2, 2, (1, 1)))
+    coder = Coder(comp, adv, 1, 1)
+    prof = profile(coder, StepInstance(2, 2, (1, 1)))
     with pytest.raises(ValueError):
-        check_inequalities(ctx, prof)
+        check_inequalities(coder.ctx, prof)
 
 
 def test_certified_setup_few_good():
     comp, adv = build_single_query(1, 9)
-    ctx = _ctx(1, 9, 1, 0, 1, 1, CERT_PARAMS)
-    prof = profile(Coder(ctx, comp, adv), parse_instance("M=1 n=9 steps=1"))
-    rep = check_inequalities(ctx, prof)
+    coder = Coder(comp, adv, 1, 1, CERT_PARAMS)
+    prof = profile(coder, parse_instance("M=1 n=9 steps=1"))
+    rep = check_inequalities(coder.ctx, prof)
     assert rep.case == 1 and rep.certified
     assert rep.matches_closed_form in (True, None)
 
 
 def test_certified_setup_many_bad():
     comp, adv = build_single_query(512, 4)
-    ctx = _ctx(512, 4, 4, 0, 1, 1, CERT_PARAMS)
+    coder = Coder(comp, adv, 4, 1, CERT_PARAMS)
     inst = StepInstance(512, 4, tuple([5] * 512))
-    prof = profile(Coder(ctx, comp, adv), inst)
+    prof = profile(coder, inst)
     assert prof.l_prime == 0
-    rep = check_inequalities(ctx, prof)
+    rep = check_inequalities(coder.ctx, prof)
     assert rep.case == 2 and rep.certified
 
 
@@ -278,9 +267,8 @@ def test_encoding_hex_pads_to_nibble():
 
 def test_lwss_zero_queries_selects_nothing():
     comp, adv = get_subject("zero", 2, 2, 0)
-    ctx = _ctx(2, 2, 1, 0, 0, 1)
     inst = StepInstance(2, 2, (1, 2))
-    coder = Coder(ctx, comp, adv)
+    coder = Coder(comp, adv, 1, 1)
     prof = profile(coder, inst)
     sel = lwss(coder, inst, prof)
     assert sel.m == 0 and sel.W == ()
@@ -288,9 +276,8 @@ def test_lwss_zero_queries_selects_nothing():
 
 def test_lwss_certified_many_bad_frozen_selection():
     comp, adv = build_single_query(512, 4)
-    ctx = _ctx(512, 4, 4, 0, 1, 1, CERT_PARAMS)
     inst = StepInstance(512, 4, tuple([3] * 512))
-    coder = Coder(ctx, comp, adv)
+    coder = Coder(comp, adv, 4, 1, CERT_PARAMS)
     prof = profile(coder, inst)
     sel = lwss(coder, inst, prof)
     assert sel.m == 6
@@ -304,20 +291,20 @@ def test_lwss_certified_many_bad_frozen_selection():
 
 def test_encode_layout_and_length_full():
     comp, adv = get_subject("full", 2, 3, 0)
-    ctx = _ctx(2, 3, 1, 0, 7, 1)
+    coder = Coder(comp, adv, 1, 1)
     inst = StepInstance(2, 3, (3, 7))
-    enc = encode(Coder(ctx, comp, adv), inst)
+    enc = encode(coder, inst)
     assert enc.case == 1
     assert len(enc) == 30
     assert enc.items[0][0] == "advice"
     names = [name for name, _, _ in enc.items]
     assert "separator" in names
-    assert len(enc) == expected_length(ctx, 2, 1)
+    assert len(enc) == expected_length(coder.ctx, 2, 1)
 
 
 def test_decode_inverts_encode():
     comp, adv = get_subject("full", 2, 3, 0)
-    coder = Coder(_ctx(2, 3, 1, 0, 7, 1), comp, adv)
+    coder = Coder(comp, adv, 1, 1)
     for steps in ((1, 1), (3, 7), (8, 2), (5, 5)):
         inst = StepInstance(2, 3, steps)
         assert decode(coder, encode(coder, inst)) == inst
@@ -326,7 +313,7 @@ def test_decode_inverts_encode():
 def test_decode_runs_the_machine_not_the_advice_table():
     # the advice bits come out of the code itself; the template only cross-checks
     comp, adv = get_subject("probe", 2, 2, 2)
-    coder = Coder(_ctx(2, 2, 1, 2, 1, 2), comp, adv)
+    coder = Coder(comp, adv, 1, 2)
     inst = StepInstance(2, 2, (1, 4))
     enc = encode(coder, inst)
     assert decode(coder, enc) == inst
@@ -334,7 +321,7 @@ def test_decode_runs_the_machine_not_the_advice_table():
 
 def test_decode_rejects_flipped_separator():
     comp, adv = get_subject("zero", 2, 2, 0)
-    coder = Coder(_ctx(2, 2, 1, 0, 0, 1), comp, adv)
+    coder = Coder(comp, adv, 1, 1)
     inst = StepInstance(2, 2, (2, 3))
     enc = encode(coder, inst)
     flipped = "10" + enc.bits[2:]
@@ -345,7 +332,7 @@ def test_decode_rejects_flipped_separator():
 
 def test_decode_rejects_truncation():
     comp, adv = get_subject("full", 2, 2, 0)
-    coder = Coder(_ctx(2, 2, 1, 0, 3, 1), comp, adv)
+    coder = Coder(comp, adv, 1, 1)
     inst = StepInstance(2, 2, (1, 2))
     enc = encode(coder, inst)
     bad = Encoding(enc.case, enc.bits[:-1], (("raw", 0, len(enc.bits) - 1),))
@@ -355,7 +342,7 @@ def test_decode_rejects_truncation():
 
 def test_decode_rejects_case_tag_mismatch():
     comp, adv = get_subject("full", 2, 2, 0)
-    coder = Coder(_ctx(2, 2, 1, 0, 3, 1), comp, adv)
+    coder = Coder(comp, adv, 1, 1)
     inst = StepInstance(2, 2, (1, 2))
     enc = encode(coder, inst)
     relabeled = Encoding(2, enc.bits, (("raw", 0, len(enc.bits)),))
@@ -363,29 +350,45 @@ def test_decode_rejects_case_tag_mismatch():
         decode(coder, relabeled)
 
 
-def test_context_and_computer_must_agree():
-    comp, adv = get_subject("full", 2, 2, 0)
-    ctx = _ctx(2, 2, 1, 0, 99, 1)
-    with pytest.raises(ValueError):
-        Coder(ctx, comp, adv)
+def _machines():
+    """Every registry subject at every shape it takes with M <= 4 and
+    n <= 3, and the two test machines at the same sizes."""
+    for M, n in product(range(1, 5), range(1, 4)):
+        for name, k in product(REGISTRY, range(M * n + 1)):
+            try:
+                yield get_subject(name, M, n, k)
+            except SubjectError:
+                pass
+        if M >= 3:
+            yield build_neighbor_probe(M, n)
+        yield build_single_query(M, n)
+
+
+def test_coder_context_holds_the_machine_shape_and_the_given_p_l_params():
+    built = 0
+    for comp, adv in _machines():
+        for p, l, params in product(
+            range(1, comp.output_width + 1), {1, comp.M}, (DEFAULT_PARAMS, CERT_PARAMS)
+        ):
+            ctx = Coder(comp, adv, p, l, params).ctx
+            assert (ctx.M, ctx.n, ctx.k, ctx.T) == (comp.M, comp.n, comp.advice_len, comp.T)
+            assert (ctx.p, ctx.l) == (p, l) and ctx.params is params
+            built += 1
+    assert built
 
 
 @pytest.mark.parametrize(
-    "subject, M, n, k, ctx_args, message",
+    "subject, M, n, k, p, l, message",
     [
-        ("full", 2, 2, 0, (1, 2, 1, 0, 3, 1), "context and computer disagree on M or n"),
-        ("full", 2, 2, 0, (2, 3, 1, 0, 3, 1), "context and computer disagree on M or n"),
-        ("full", 2, 2, 0, (2, 2, 1, 1, 3, 1), "context k does not match the computer's advice length"),
-        ("full", 2, 2, 0, (2, 2, 1, 0, 4, 1), "context T does not match the computer's query count"),
         # probe writes one output cell
-        ("probe", 2, 3, 2, (2, 3, 2, 2, 1, 1), "cannot measure more cells than the computer writes"),
+        ("probe", 2, 3, 2, 2, 1, "cannot measure more cells than the computer writes"),
     ],
-    ids=["M", "n", "k", "T", "p"],
+    ids=["p"],
 )
-def test_coder_refuses_each_mismatch(subject, M, n, k, ctx_args, message):
+def test_coder_refuses_each_mismatch(subject, M, n, k, p, l, message):
     comp, adv = get_subject(subject, M, n, k)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        Coder(_ctx(*ctx_args), comp, adv)
+        Coder(comp, adv, p, l)
 
 
 @pytest.mark.parametrize(
@@ -405,7 +408,7 @@ def test_single_coder_refuses_each_shape(subject, M, n, k, message):
 @pytest.mark.parametrize("M, n, p", [(2, 2, 1), (1, 3, 2)], ids=["M=2", "p=2"])
 def test_single_scheme_refuses_a_multi_coder(M, n, p):
     comp, adv = get_subject("full", M, n, 0)
-    multi = _coder(comp, adv, p)
+    multi = Coder(comp, adv, p, 1)
     inst = StepInstance(M, n, (1,) * M)
     enc = encode(multi, inst)
     for call in (lambda: encode_single(multi, inst), lambda: decode_single(multi, enc)):
@@ -418,7 +421,7 @@ def test_single_scheme_refuses_a_multi_coder(M, n, p):
 
 def test_verify_pigeonhole_counts():
     comp, adv = get_subject("full", 2, 2, 0)
-    rep = verify_pigeonhole(Coder(_ctx(2, 2, 1, 0, 3, 1), comp, adv))
+    rep = verify_pigeonhole(Coder(comp, adv, 1, 1))
     assert rep.ok and rep.injective
     assert rep.total == 16
     assert rep.case1_count == 16 and rep.case2_count == 0
@@ -427,16 +430,16 @@ def test_verify_pigeonhole_counts():
 
 def test_audit_instance_full_profile():
     comp, adv = get_subject("probe", 2, 3, 2)
-    ctx = _ctx(2, 3, 1, 2, 1, 2)
-    audit = audit_instance(Coder(ctx, comp, adv), StepInstance(2, 3, (5, 2)))
+    coder = Coder(comp, adv, 1, 2)
+    audit = audit_instance(coder, StepInstance(2, 3, (5, 2)))
     assert audit.ok
     assert audit.length == audit.expected
-    assert all(d <= 4 * ctx.C for d in audit.distances)
+    assert all(d <= 4 * coder.ctx.C for d in audit.distances)
 
 
 def test_audit_with_no_queries_has_vacuous_certificate():
     comp, adv = get_subject("zero", 2, 2, 0)
-    coder = Coder(_ctx(2, 2, 1, 0, 0, 1), comp, adv)
+    coder = Coder(comp, adv, 1, 1)
     audit = audit_instance(coder, StepInstance(2, 2, (4, 1)))
     assert audit.certificate is None and audit.certificate_ok
     assert audit.ok
@@ -525,7 +528,7 @@ def _counting(advice_fn):
 def test_advice_evaluated_once_per_encode_and_audit(subject, M, n, k, l):
     comp, adv = get_subject(subject, M, n, k)
     counted, calls = _counting(adv)
-    coder = Coder(_ctx(M, n, 1, k, comp.T, l), comp, counted)
+    coder = Coder(comp, counted, 1, l)
     for instance in enumerate_instances(M, n):
         for call in (encode, audit_instance):
             calls.clear()
@@ -536,7 +539,7 @@ def test_advice_evaluated_once_per_encode_and_audit(subject, M, n, k, l):
 @pytest.mark.parametrize("inst", [StepInstance(1, 2, (3,)), StepInstance(2, 3, (3, 5))])
 def test_coder_refuses_an_instance_of_another_shape(inst):
     comp, adv = get_subject("full", 2, 2, 0)
-    coder = Coder(_ctx(2, 2, 1, 0, comp.T, 1), comp, adv)
+    coder = Coder(comp, adv, 1, 1)
     for call in (
         lambda: profile(coder, inst),
         lambda: encode(coder, inst),

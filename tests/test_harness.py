@@ -213,6 +213,27 @@ def test_bounds_adversary_floor_is_zero_past_n_advice_bits(tmp_path, capsys):
     assert "adversary-floor,-,0,\"about 0.0000000000, within 1e-9\"\n" in capsys.readouterr().out
 
 
+def test_bounds_refuses_an_M_past_the_budget_before_reading_the_subject(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("subject read for bounds past the budget")
+
+    cfg = _write(tmp_path, "subject = full\nM = 4\nn = 1\n")
+    with monkeypatch.context() as m:
+        m.setattr(harness, "query_count", refuse)
+        assert main(["bounds", "--config", cfg, "--budget", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: bounds rows for l = 1..M at M=4 exceed budget 3\n"
+    )
+    # at M = budget every l still gets its two rows
+    assert main(["bounds", "--config", cfg, "--budget", "4"]) == 0
+    rows = [line.split(",")[:2] for line in capsys.readouterr().out.splitlines()]
+    assert [row for row in rows if row[0].startswith("c-uv-")] == [
+        [name, str(l)] for l in range(1, 5) for name in ("c-uv-good-branch", "c-uv-bad-branch")
+    ]
+
+
 def test_lemmas_report_all_pass():
     cfg = ExperimentConfig(M=2, n=2, p=1, subject="probe", k=2, l=2)
     rep = cmd_lemmas(cfg)

@@ -4,6 +4,7 @@ from functools import partial
 from itertools import product
 
 import pytest
+from machines import build_neighbor_probe, build_single_query
 
 from ttquery.model import (
     AdviceFunction,
@@ -31,7 +32,7 @@ from ttquery.model import (
 )
 from ttquery.ordered_search import StepInstance, bin_n, enumerate_instances
 from ttquery.statevec import DimensionMismatchError, inner_product
-from ttquery.subjects import build_neighbor_probe, build_single_query, get_subject
+from ttquery.subjects import get_subject
 
 
 def test_output_cells_are_lsb_first():

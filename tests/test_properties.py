@@ -7,7 +7,6 @@ from ttquery.compression import (
     DEFAULT_PARAMS,
     BitReader,
     Coder,
-    EncodingContext,
     decode,
     double_bits,
     encode,
@@ -78,8 +77,7 @@ def test_roundtrip_random_instances(data):
     )
     comp, adv = get_subject(name, 2, 3, k)
     l = data.draw(st.integers(1, 2), label="l")
-    ctx = EncodingContext(M=2, n=3, p=1, k=k, T=comp.T, l=l, params=DEFAULT_PARAMS)
     steps = (data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8)))
     inst = StepInstance(2, 3, steps)
-    coder = Coder(ctx, comp, adv)
+    coder = Coder(comp, adv, 1, l, DEFAULT_PARAMS)
     assert decode(coder, encode(coder, inst)) == inst

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from machines import build_neighbor_probe, build_single_query
 
 from ttquery.model import max_error, run
 from ttquery.ordered_search import StepInstance, enumerate_instances
@@ -10,8 +11,6 @@ from ttquery.subjects import (
     PROBE_LIGHT,
     REGISTRY,
     SubjectError,
-    build_neighbor_probe,
-    build_single_query,
     get_subject,
     query_count,
 )

@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from machines import build_neighbor_probe, build_single_query
 from test_audit_cache import direct_rounds
 
 from ttquery.compression import (
@@ -64,8 +65,6 @@ from ttquery.statevec import measure_register
 from ttquery.subjects import (
     PROBE_LIGHT,
     REGISTRY,
-    build_neighbor_probe,
-    build_single_query,
     get_subject,
 )
 
@@ -91,14 +90,6 @@ IDS = [s[0] for s in SUBJECTS]
 
 def _advice_strings(k):
     return ["".join(bits) for bits in product("01", repeat=k)]
-
-
-def _coder(comp, adv, p=1, params=DEFAULT_PARAMS, l=1):
-    """A coder over the subject at cut p, its shape read from the computer."""
-    ctx = EncodingContext(
-        M=comp.M, n=comp.n, p=p, k=comp.advice_len, T=comp.T, l=l, params=params
-    )
-    return Coder(ctx, comp, adv)
 
 
 def _straight_analysis(comp, block, advice, p, threshold):
@@ -127,7 +118,7 @@ def test_cached_analysis_matches_recomputation(label, build, M, n, k, p):
                 table = _straight_analysis(comp, block, advice, cut, params.C)[0]
                 assert prefix_weights(comp, block, advice, cut) == table
             continue
-        coder = _coder(comp, adv, cut, params)
+        coder = Coder(comp, adv, cut, 1, params)
         for block, advice in inputs:
             wa = weight_analysis(coder, block, advice)
             table, heavy, own = _straight_analysis(comp, block, advice, cut, params.C)
@@ -141,14 +132,14 @@ def test_cached_analysis_matches_recomputation(label, build, M, n, k, p):
 def test_edge_params_put_a_probe_prefix_exactly_at_the_threshold():
     assert EDGE_PARAMS.C == PROBE_LIGHT**2
     comp, adv = get_subject("probe", 2, 2, 2)
-    wa = weight_analysis(_coder(comp, adv, params=EDGE_PARAMS), 1, "01")
+    wa = weight_analysis(Coder(comp, adv, 1, 1, EDGE_PARAMS), 1, "01")
     assert wa.table[(1, "1")] == EDGE_PARAMS.C
     assert wa.heavy == ("0",) and dict(wa.ranks) == {"0": 0}
 
 
 def test_cached_analysis_and_state_are_read_only():
     comp, adv = get_subject("probe", 2, 2, 2)
-    wa = weight_analysis(_coder(comp, adv), 1, "01")
+    wa = weight_analysis(Coder(comp, adv, 1, 1), 1, "01")
     with pytest.raises(TypeError):
         wa.table[(1, "0")] = Fraction(0)
     with pytest.raises(TypeError):
@@ -174,7 +165,7 @@ def test_profile_matches_straight_classification(label, build, M, n, k, p):
     comp, adv = build()
     # every cut a coder can measure: none measures past the output width
     for params, cut in product(PARAMS, range(1, min(n, comp.output_width) + 1)):
-        coder = _coder(comp, adv, cut, params)
+        coder = Coder(comp, adv, cut, 1, params)
         for inst in enumerate_instances(M, n):
             advice = adv(inst)
             names = {i: inst.step_bits(i) for i in range(1, M + 1)}
@@ -218,8 +209,8 @@ def test_select_matches_straight_selection(label, build, M, n, k, p):
         [i for i in range(1, M + 1) if mask >> (i - 1) & 1] for mask in range(2**M)
     ]
     for params in PARAMS:
-        ctx = EncodingContext(M=M, n=n, p=p, k=k, T=comp.T, l=M, params=params)
-        coder = Coder(ctx, comp, adv)
+        coder = Coder(comp, adv, p, M, params)
+        ctx = coder.ctx
         for inst in enumerate_instances(M, n):
             advice = adv(inst)
             for pool in pools:
@@ -234,8 +225,8 @@ def test_select_matches_straight_selection_over_several_rounds():
     # and each size must get its own round count and threshold
     M = 64
     comp, adv = build_neighbor_probe(M, 1)
-    ctx = EncodingContext(M=M, n=1, p=1, k=M, T=comp.T, l=M, params=CERT_PARAMS)
-    coder = Coder(ctx, comp, adv)
+    coder = Coder(comp, adv, 1, M, CERT_PARAMS)
+    ctx = coder.ctx
     advice = "01" * (M // 2)
     rounds = set()
     for size in [*range(M + 1), *range(M, -1, -1)]:
@@ -386,19 +377,14 @@ def test_cached_terms_are_immutable_int_tuples(label, build, M, n, k, p):
                 assert len(shares) == len(ranks) + 1 and shares[-1] == 0
 
 
-def _multi_ctx(comp, M, n, k, p, l):
-    return EncodingContext(M=M, n=n, p=p, k=k, T=comp.T, l=l)
-
-
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
 def test_folded_census_matches_fresh_pigeonhole(label, build, M, n, k, p):
     for l in sorted({1, M}):
         comp, adv = build()
-        ctx = _multi_ctx(comp, M, n, k, p, l)
-        coder = Coder(ctx, comp, adv)
+        coder = Coder(comp, adv, p, l)
         pairs = [(i, encode(coder, i)) for i in enumerate_instances(M, n)]
         fresh, fresh_adv = build()
-        assert census(pairs, M * n) == verify_pigeonhole(Coder(ctx, fresh, fresh_adv))
+        assert census(pairs, M * n) == verify_pigeonhole(Coder(fresh, fresh_adv, p, l))
 
 
 @pytest.mark.parametrize(
@@ -428,7 +414,7 @@ def test_roundtrip_summary_matches_fresh_pigeonhole(subject, M, n, k, p, l):
     cfg = ExperimentConfig(M=M, n=n, p=p, k=k, l=l, subject=subject)
     summary = cmd_roundtrip(cfg).summary
     comp, adv = get_subject(subject, M, n, k)
-    rep = verify_pigeonhole(Coder(_multi_ctx(comp, M, n, k, p, l), comp, adv))
+    rep = verify_pigeonhole(Coder(comp, adv, p, l))
     assert summary["injective"] == rep.injective
     assert (summary["case1"], summary["case2"]) == (rep.case1_count, rep.case2_count)
     assert (summary["min_length"], summary["max_length"]) == (rep.min_length, rep.max_length)
@@ -438,13 +424,12 @@ def test_roundtrip_summary_matches_fresh_pigeonhole(subject, M, n, k, p, l):
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
 def test_audit_reuses_what_a_fresh_profile_and_selection_give(label, build, M, n, k, p):
     comp, adv = build()
-    ctx = _multi_ctx(comp, M, n, k, p, M)
-    coder = Coder(ctx, comp, adv)
+    coder = Coder(comp, adv, p, M)
     for inst in enumerate_instances(M, n):
         audit = audit_instance(coder, inst)
-        fresh = Coder(ctx, *build())
+        fresh = Coder(*build(), p, M)
         prof = profile(fresh, inst)
-        assert audit.case == (1 if ctx.l <= prof.l_prime else 2)
+        assert audit.case == (1 if M <= prof.l_prime else 2)
         if audit.case == 2:
             assert audit.selection == lwss(fresh, inst, prof)
 
@@ -564,9 +549,9 @@ def test_computers_never_share_cached_entries():
         return raw(block, advice)
 
     first.prequery = counted
-    a = weight_analysis(_coder(first, first_adv), 1, "01")
+    a = weight_analysis(Coder(first, first_adv, 1, 1), 1, "01")
     run(first, 1, "01", (1, 1))
-    second_coder = _coder(second, second_adv)
+    second_coder = Coder(second, second_adv, 1, 1)
     assert second_coder.analyses == {}
     assert second._states == {}
     assert second.runs == {}
@@ -579,7 +564,7 @@ def test_computers_never_share_cached_entries():
     assert all(x is not y for x, y in zip(first_terms, second_terms))
     # a coder at another threshold and a state read of the same input reuse
     # the cached state
-    weight_analysis(_coder(first, first_adv, params=CERT_PARAMS), 1, "01")
+    weight_analysis(Coder(first, first_adv, 1, 1, CERT_PARAMS), 1, "01")
     first.prequery_state(1, "01")
     assert calls == [(1, "01")]
     assert run(second, 1, "01", (1, 1)) == run(first, 1, "01", (1, 1))
@@ -589,7 +574,7 @@ def test_computers_never_share_cached_entries():
 
 def test_coders_over_one_computer_share_its_caches_but_not_their_analyses():
     comp, adv = get_subject("probe", 2, 2, 2)
-    one, two = _coder(comp, adv, l=2), _coder(comp, adv, l=2)
+    one, two = Coder(comp, adv, 1, 2), Coder(comp, adv, 1, 2)
     # a case-2 code: decoding runs the machine on the selected block
     inst = StepInstance(2, 2, (1, 4))
     enc = encode(one, inst)
@@ -659,19 +644,19 @@ def _written_encode(coder, inst):
     return w.build(2), prof, sel
 
 
-def _every_context(comp, M, n, k):
+def _every_coder(comp, adv):
     for params, l, p in product(
-        PARAMS, range(1, M + 1), range(1, min(n, comp.output_width) + 1)
+        PARAMS, range(1, comp.M + 1), range(1, min(comp.n, comp.output_width) + 1)
     ):
-        yield EncodingContext(M=M, n=n, p=p, k=k, T=comp.T, l=l, params=params)
+        yield Coder(comp, adv, p, l, params)
 
 
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
 def test_layout_encoder_matches_item_writer(label, build, M, n, k, p):
     comp, adv = build()
     cases = set()
-    for ctx in _every_context(comp, M, n, k):
-        coder = Coder(ctx, comp, adv)
+    for coder in _every_coder(comp, adv):
+        ctx = coder.ctx
         for inst in enumerate_instances(M, n):
             enc, prof, sel, f = _encode(coder, inst)
             want_enc, want_prof, want_sel = _written_encode(coder, inst)
@@ -774,8 +759,8 @@ def test_survivor_floor_verdict_matches_direct_evaluation(params):
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
 def test_audit_integer_checks_match_fraction_rules(label, build, M, n, k, p):
     comp, adv = build()
-    for ctx in _every_context(comp, M, n, k):
-        coder = Coder(ctx, comp, adv)
+    for coder in _every_coder(comp, adv):
+        ctx = coder.ctx
         for inst in enumerate_instances(M, n):
             audit = audit_instance(coder, inst)
             prof = profile(coder, inst)
