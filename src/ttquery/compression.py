@@ -41,6 +41,10 @@ formatted once when the StepInstance is built, the advice is evaluated
 once, a block is classified by looking its prefix up in the rank map
 rather than comparing its weight with C, and the encoder only joins the
 field bits into the layout the context holds.
+
+The single-block scheme (M = 1, p = k + 1, l = 1) only lays out bits its own
+way: it classifies through the profile, which refuses an instance of another
+shape, and its decoder shares decode's rank read-back and majority recovery.
 """
 
 from __future__ import annotations
@@ -709,7 +713,7 @@ def decode(coder: Coder, encoding: Encoding) -> StepInstance:
     first rank past its prefix group for each still-pending one) and
     taking the answer whose probability is above 1/2.
     """
-    ctx, computer = coder.ctx, coder.computer
+    ctx = coder.ctx
     r = BitReader(encoding.bits)
     f = r.take(ctx.k)
     raw = r.take_doubled()
@@ -739,14 +743,7 @@ def decode(coder: Coder, encoding: Encoding) -> StepInstance:
         for i in range(1, ctx.M + 1):
             if i in good_set:
                 rank_bits = r.take(ctx.width_k)
-                rank = int(rank_bits, 2) if rank_bits else 0
-                suffix = r.take(ctx.p)
-                heavy = weight_analysis(coder, i, f).heavy
-                if rank >= len(heavy):
-                    raise DecodeError(
-                        f"block {i} has no heavy prefix at rank {rank}"
-                    )
-                names[i] = heavy[rank] + suffix
+                names[i] = _heavy_name(coder, i, f, rank_bits, r.take(ctx.p))
             else:
                 names[i] = r.take(ctx.n)
     else:
@@ -762,12 +759,7 @@ def decode(coder: Coder, encoding: Encoding) -> StepInstance:
         prefix_of = {i: names[i][:cut] for i in good}
         prefix_of.update(prefixes)
         for pivot, steps in _pivot_walk(ctx, sel.W, names, prefix_of):
-            suffix = _majority(run(computer, pivot, f, steps, width=ctx.p))
-            if suffix is None:
-                raise DecodeError(
-                    f"no outcome for block {pivot} wins a strict majority"
-                )
-            names[pivot] = prefix_of[pivot] + suffix
+            names[pivot] = prefix_of[pivot] + _majority_suffix(coder, pivot, f, steps)
     r.expect_end()
     instance = StepInstance(
         ctx.M, ctx.n, tuple(rank_of(names[i]) for i in range(1, ctx.M + 1))
@@ -803,9 +795,24 @@ def _pivot_walk(ctx: EncodingContext, W, names, prefix_of):
         pending.discard(pivot)
 
 
-def _majority(dist):
-    """The answer whose probability is above 1/2, or None."""
-    return next((a for a, prob in dist.items() if prob > _HALF), None)
+def _heavy_name(coder: Coder, block, advice, rank_bits, suffix) -> str:
+    """A good block's name: the heavy prefix its rank field names, then its
+    stored suffix."""
+    rank = int(rank_bits, 2) if rank_bits else 0
+    heavy = weight_analysis(coder, block, advice).heavy
+    if rank >= len(heavy):
+        raise DecodeError(f"block {block} has no heavy prefix at rank {rank}")
+    return heavy[rank] + suffix
+
+
+def _majority_suffix(coder: Coder, block, advice, steps) -> str:
+    """A selected block's last p bits: the answer the machine, run on it
+    under the substituted thresholds steps, gives with probability above 1/2."""
+    dist = run(coder.computer, block, advice, steps, width=coder.ctx.p)
+    suffix = next((a for a, prob in dist.items() if prob > _HALF), None)
+    if suffix is None:
+        raise DecodeError(f"no outcome for block {block} wins a strict majority")
+    return suffix
 
 
 # ---------------------------------------------------------------------------
@@ -848,37 +855,28 @@ def encode_single(coder: Coder, instance) -> Encoding:
     above C at p = k + 1. Case 2 always costs exactly n - 1 bits.
     """
     ctx = _single_ctx(coder)
-    k, p, cut = ctx.k, ctx.p, ctx.n - ctx.p
+    k, cut = ctx.k, ctx.n - ctx.p
     f = coder.advice_fn(instance)
-    name = instance.step_bits(1)
-    rank = weight_analysis(coder, 1, f).ranks.get(name[:cut])
-    if rank is None:
-        return Encoding(2, f + name[:cut], _items((("advice", k), ("prefix", cut))))
-    rank_bits = _field(rank, ctx.width_k)
-    items = _items((("advice", k), ("suffix", p), ("rank", len(rank_bits))))
-    return Encoding(1, f + name[cut:] + rank_bits, items)
+    bp = _profile(coder, f, instance).blocks[0]
+    if not bp.good:
+        return Encoding(2, f + bp.prefix, _items((("advice", k), ("prefix", cut))))
+    rank_bits = _field(bp.rank, ctx.width_k)
+    items = _items((("advice", k), ("suffix", ctx.p), ("rank", len(rank_bits))))
+    return Encoding(1, f + instance.names[0][cut:] + rank_bits, items)
 
 
 def decode_single(coder: Coder, encoding: Encoding) -> StepInstance:
+    """Reconstruct the one step from its code, as decode does a block's."""
     ctx = _single_ctx(coder)
-    p, cut = ctx.p, ctx.n - ctx.p
     r = BitReader(encoding.bits)
     f = r.take(ctx.k)
     if encoding.case == 1:
-        suffix = r.take(p)
-        rank_bits = r.take(ctx.width_k)
-        rank = int(rank_bits, 2) if rank_bits else 0
-        heavy = weight_analysis(coder, 1, f).heavy
-        if rank >= len(heavy):
-            raise DecodeError(f"no heavy prefix at rank {rank}")
-        name = heavy[rank] + suffix
+        suffix = r.take(ctx.p)
+        name = _heavy_name(coder, 1, f, r.take(ctx.width_k), suffix)
     else:
-        prefix = r.take(cut)
-        steps = _substituted_steps(1, p, {}, {1: prefix}, {1})
-        suffix = _majority(run(coder.computer, 1, f, steps, width=p))
-        if suffix is None:
-            raise DecodeError("no outcome wins a strict majority")
-        name = prefix + suffix
+        prefix = r.take(ctx.n - ctx.p)
+        steps = _substituted_steps(1, ctx.p, {}, {1: prefix}, {1})
+        name = prefix + _majority_suffix(coder, 1, f, steps)
     r.expect_end()
     return StepInstance(1, ctx.n, (rank_of(name),))
 

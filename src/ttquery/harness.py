@@ -42,7 +42,6 @@ from .compression import (
     encode,
     encode_single,
     single_block_bound,
-    single_coder,
 )
 from .model import advice_from_doc, computer_from_doc, doc_shape, run
 from .ordered_search import enumerate_instances, eval_G, parse_instance
@@ -302,12 +301,12 @@ def _coder(cfg, computer, advice_fn):
     if cfg.scheme == "multi":
         coder = _multi_coder(cfg, computer, advice_fn)
         return partial(encode, coder), partial(decode, coder)
-    # the scheme's shape is refused before the error parameters are read
+    # the scheme's shape is checked once, before the error parameters are read
     try:
-        _single_check(computer)
+        p = _single_check(computer)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    coder = single_coder(computer, advice_fn, _params(cfg))
+    coder = Coder(computer, advice_fn, p, 1, _params(cfg))
     return partial(encode_single, coder), partial(decode_single, coder)
 
 

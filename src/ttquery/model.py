@@ -49,7 +49,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ordered_search import StepInstance, eval_G, rank_of
 from .statevec import (
-    DimensionMismatchError, as_rational, inner_product, measure_register, rational_str,
+    DimensionMismatchError, as_rational, inner_product, measure_register, norm_sq,
+    rational_str,
 )
 
 
@@ -316,9 +317,9 @@ class NonadaptiveComputer:
             qlist, lidx, table = listed
             clean[(qlist, ws)] = amp
             terms.append((lidx, table, ws, amp))
-        norm_sq = sum((a * a for a in clean.values()), Fraction(0))
-        if norm_sq != 1:
-            raise ModelError(f"prequery norm^2 is {rational_str(norm_sq)}")
+        total = norm_sq(clean)
+        if total != 1:
+            raise ModelError(f"prequery norm^2 is {rational_str(total)}")
         # ranks holds every distinct (block, rank) pair the input queries
         union: dict[int, list[int]] = {}
         for word_block, rank in sorted(ranks.values()):

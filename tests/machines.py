@@ -1,7 +1,9 @@
-"""Two machines, for tests only, that query a neighbouring block.
+"""Three machines, for tests only, that no built-in subject can stand in for.
 
-No command builds them; the coder tests and criterion 7's certification
-runs use them to reach weight profiles the built-in subjects do not.
+No command builds them. The coder tests and criterion 7's certification
+runs use the two that query a neighbouring block to reach weight profiles
+the built-in subjects do not; the decoder tests use the even split to see
+a selected block that no outcome wins.
 """
 
 from fractions import Fraction
@@ -67,6 +69,32 @@ def build_single_query(M: int, n: int):
         T=1,
         advice_len=0,
         output_width=n,
+        scratch_dim=1,
+        prequery=prequery,
+        final=_identity_final(),
+    )
+    return computer, no_advice()
+
+
+def build_even_split(n: int):
+    """M = 1, one query of location 1, and four terms of amplitude 1/2 that
+    write the four 2-cell outputs.
+
+    Every threshold gives each output probability 1/4, so no answer, on one
+    cell or two, wins a strict majority. Only prefixes of location 1 are
+    heavy.
+    """
+    words = (QueryWord(1, bin_n(n, 1)),)
+
+    def prequery(block, advice):
+        return {(words, ws): Fraction(1, 2) for ws in range(4)}
+
+    computer = NonadaptiveComputer(
+        M=1,
+        n=n,
+        T=1,
+        advice_len=0,
+        output_width=2,
         scratch_dim=1,
         prequery=prequery,
         final=_identity_final(),

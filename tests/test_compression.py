@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from machines import build_neighbor_probe, build_single_query
+from machines import build_even_split, build_neighbor_probe, build_single_query
 
 from ttquery.compression import (
     DEFAULT_PARAMS,
@@ -414,6 +414,41 @@ def test_single_scheme_refuses_a_multi_coder(M, n, p):
     for call in (lambda: encode_single(multi, inst), lambda: decode_single(multi, enc)):
         with pytest.raises(ValueError, match="the single scheme needs a coder"):
             call()
+
+
+def _scheme_coder(scheme, comp, adv):
+    """The scheme's coder at p = 1 and l = 1, with its decoder."""
+    if scheme == "single":
+        return single_coder(comp, adv), decode_single
+    return Coder(comp, adv, 1, 1), decode
+
+
+@pytest.mark.parametrize(
+    "scheme, bits",
+    # multi: no advice, no good indices, separator, rank, suffix;
+    # single: no advice, suffix, rank
+    [("multi", "01" + "1" * 11 + "0"), ("single", "0" + "1" * 11)],
+    ids=["multi", "single"],
+)
+def test_decoders_refuse_a_rank_past_the_heavy_list(scheme, bits):
+    comp, adv = get_subject("full", 1, 3, 0)
+    coder, decode_one = _scheme_coder(scheme, comp, adv)
+    assert coder.ctx.width_k == 11
+    assert len(weight_analysis(coder, 1, "").heavy) < 2047
+    enc = Encoding(1, bits, (("raw", 0, len(bits)),))
+    with pytest.raises(DecodeError, match="^block 1 has no heavy prefix at rank 2047$"):
+        decode_one(coder, enc)
+
+
+@pytest.mark.parametrize("scheme", ["multi", "single"])
+def test_decoders_refuse_a_selected_block_without_a_majority(scheme):
+    comp, adv = build_even_split(3)
+    coder, decode_one = _scheme_coder(scheme, comp, adv)
+    # step 8 is 111, whose prefix location 1 (000) does not share
+    enc = (encode if scheme == "multi" else encode_single)(coder, StepInstance(1, 3, (8,)))
+    assert enc.case == 2
+    with pytest.raises(DecodeError, match="^no outcome for block 1 wins a strict majority$"):
+        decode_one(coder, enc)
 
 
 # ------------------------------------------------------------------- census

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ttquery import harness, subjects
+from ttquery import compression, harness, subjects
 from ttquery.cli import main
 from ttquery.harness import (
     ConfigError,
@@ -617,3 +617,21 @@ def test_single_scheme_preconditions_name_the_scheme(tmp_path, capsys, text, mes
     cfg = _write(tmp_path, text + "scheme = single\n")
     assert main(["roundtrip", "--config", cfg]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_single_roundtrip_checks_its_shape_once_before_the_error_parameters(
+    tmp_path, capsys, monkeypatch
+):
+    checked, check = [], compression._single_check
+
+    def counted(computer):
+        checked.append(computer)
+        return check(computer)
+
+    for module in (harness, compression):
+        monkeypatch.setattr(module, "_single_check", counted)
+    rep = cmd_roundtrip(ExperimentConfig(M=1, n=4, k=1, subject="shortcut", scheme="single"))
+    assert rep.ok and len(checked) == 1
+    text = "subject = advised\nM = 1\nn = 2\nk = 2\nepsilon = 2\nscheme = single\n"
+    assert main(["roundtrip", "--config", _write(tmp_path, text)]) == 2
+    assert capsys.readouterr() == ("", "error: the single scheme needs k + 1 <= n\n")

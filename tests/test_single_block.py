@@ -82,3 +82,13 @@ def test_decode_single_rejects_short_stream():
     bad = Encoding(enc.case, enc.bits[:-2], (("raw", 0, len(enc.bits) - 2),))
     with pytest.raises((DecodeError, EncodingFormatError)):
         decode_single(coder, bad)
+
+
+@pytest.mark.parametrize(
+    "inst", [StepInstance(2, 4, (5, 9)), StepInstance(1, 3, (5,))], ids=["M=2", "n=3"]
+)
+def test_encode_single_refuses_an_instance_of_another_shape(inst):
+    comp, adv = get_subject("full", 1, 4, 0)
+    coder = single_coder(comp, adv, DEFAULT_PARAMS)
+    with pytest.raises(ValueError, match=r"^instance and computer disagree on M or n$"):
+        encode_single(coder, inst)
