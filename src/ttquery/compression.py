@@ -31,16 +31,17 @@ its threshold C / m, the round-count verdict and the integer survivor
 floors), and each code layout: the item map and doubled good-index field
 of a (case, good indices, selected blocks) key. A Coder is one computer
 and its advice function at a given p, l and error parameters; its context
-reads M, n, k and T from the computer. It keeps, per advice string, the
-weight analyses (weight_analysis), each with a rank map from heavy
-prefix to its index, and the query-mass verdict
-(mass_within_queries); every coder function takes the Coder. The audit's
-substitution distances come from model.overlap, which the computer
-memoizes per pair of class vectors. Per instance, the step names are
-formatted once when the StepInstance is built, the advice is evaluated
-once, a block is classified by looking its prefix up in the rank map
-rather than comparing its weight with C, and the encoder only joins the
-field bits into the layout the context holds.
+reads M, n, k and T from the computer. It owns one cache: per (block,
+advice) the weight analysis (weight_analysis), with a rank map from heavy
+prefix to its index and the block's query-mass verdict. Every coder
+function takes the Coder. The audit's substitution distances come from
+model.overlap, which the computer memoizes per pair of class vectors. Per
+instance, the step names are formatted once when the StepInstance is
+built, profile evaluates the advice once and the profile carries it, a
+block is classified by looking its prefix up in the rank map rather than
+comparing its weight with C, and the encoder only joins the field bits
+into the layout the context holds. Both decoders end in one check: the
+decoded instance must reproduce the advice string its code carries.
 
 The single-block scheme (M = 1, p = k + 1, l = 1) only lays out bits its own
 way: it classifies through the profile, which refuses an instance of another
@@ -249,9 +250,8 @@ class Coder:
 
     Its context ctx reads M, n, k and T from the computer, so the two
     cannot disagree; only a p wider than the computer's output is refused.
-    It owns two caches, filled on first use and read only: analyses
-    (weight_analysis) and mass_checks (mass_within_queries). Coders over
-    one computer share its caches, not these.
+    It owns one cache, analyses (weight_analysis), filled on first use and
+    read only. Coders over one computer share its caches, not this one.
     """
 
     def __init__(self, computer: NonadaptiveComputer, advice_fn, p, l, params=DEFAULT_PARAMS):
@@ -262,7 +262,6 @@ class Coder:
         )
         self.computer, self.advice_fn = computer, advice_fn
         self.analyses: dict = {}
-        self.mass_checks: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -272,21 +271,15 @@ class Coder:
 # duplicate copies of the word the list holds.
 
 
-def _weight_table(computer, block, advice):
+def prefix_weights(computer, block, advice, p):
+    """Map (j, leading n-p bits) -> summed weight over the 2**p completions."""
+    cut = computer.n - p
     acc: dict = {}
     for (words, _ws), amp in computer.prequery_state(block, advice).items():
         sq = amp * amp
         for w in set(words):
-            acc[w] = acc.get(w, Fraction(0)) + sq
-    return acc
-
-
-def prefix_weights(computer, block, advice, p):
-    """Map (j, leading n-p bits) -> summed weight over the 2**p completions."""
-    acc: dict = {}
-    for w, v in _weight_table(computer, block, advice).items():
-        key = (w.block, w.location[: len(w.location) - p])
-        acc[key] = acc.get(key, Fraction(0)) + v
+            key = (w.block, w.location[:cut])
+            acc[key] = acc.get(key, _ZERO) + sq
     return acc
 
 
@@ -295,15 +288,17 @@ class WeightAnalysis(NamedTuple):
 
     table maps (j, leading n-p bits) to the summed weight of the 2**p
     completions, as prefix_weights builds it; own_mass sums the input
-    block's own entries. heavy lists, sorted, the input block's own
-    prefixes weighted strictly above the coder's C, and ranks maps each of
-    them to its index in heavy, so a prefix is heavy exactly when it has a
-    rank. None of this depends on the instance, so one record serves every
-    instance with this advice string. It is shared and read only.
+    block's own entries and mass_ok is the verdict own_mass <= T. heavy
+    lists, sorted, the input block's own prefixes weighted strictly above
+    the coder's C, and ranks maps each of them to its index in heavy, so a
+    prefix is heavy exactly when it has a rank. None of this depends on the
+    instance, so one record serves every instance with this advice string.
+    It is shared and read only.
     """
 
     table: Mapping[tuple[int, str], Fraction]
     own_mass: Fraction
+    mass_ok: bool
     heavy: tuple[str, ...]
     ranks: Mapping[str, int]
 
@@ -320,7 +315,9 @@ def weight_analysis(coder: Coder, block, advice) -> WeightAnalysis:
             sorted(a for (j, a), v in table.items() if j == block and v > ctx.C)
         )
         ranks = MappingProxyType({prefix: rank for rank, prefix in enumerate(heavy)})
-        found = coder.analyses[key] = WeightAnalysis(table, own_mass, heavy, ranks)
+        found = coder.analyses[key] = WeightAnalysis(
+            table, own_mass, own_mass <= ctx.T, heavy, ranks
+        )
     return found
 
 
@@ -336,6 +333,9 @@ class BlockProfile(NamedTuple):
 
 
 class GoodBadProfile(NamedTuple):
+    """An instance's advice string and each block's classification under it."""
+
+    advice: str
     blocks: tuple[BlockProfile, ...]
     good_indices: tuple[int, ...]
 
@@ -347,18 +347,15 @@ class GoodBadProfile(NamedTuple):
 def profile(coder: Coder, instance) -> GoodBadProfile:
     """Classify every block by the weight its machine puts on its own step.
 
-    A block is good when the weight of its step's leading n-p bits is
-    strictly above C. For good blocks the rank counts heavy prefixes that
-    sort strictly below the step's own prefix.
+    The instance's M and n are checked first, then its advice is evaluated
+    once and kept on the profile. A block is good when the weight of its
+    step's leading n-p bits is strictly above C. For good blocks the rank
+    counts heavy prefixes that sort strictly below the step's own prefix.
     """
-    return _profile(coder, coder.advice_fn(instance), instance)
-
-
-def _profile(coder: Coder, f, instance) -> GoodBadProfile:
-    """profile for advice string f."""
     computer = coder.computer
     if (instance.M, instance.n) != (computer.M, computer.n):
         raise ValueError("instance and computer disagree on M or n")
+    f = coder.advice_fn(instance)
     cut = computer.n - coder.ctx.p
     out = []
     for i, name in enumerate(instance.names, 1):
@@ -366,7 +363,7 @@ def _profile(coder: Coder, f, instance) -> GoodBadProfile:
         # heavy is the analysis's list at threshold C: a rank means w > C
         rank = weight_analysis(coder, i, f).ranks.get(pre)
         out.append(BlockProfile(i, pre, rank is not None, rank))
-    return GoodBadProfile(tuple(out), tuple(bp.block for bp in out if bp.good))
+    return GoodBadProfile(f, tuple(out), tuple(bp.block for bp in out if bp.good))
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +609,8 @@ def _select(coder: Coder, advice, bad_prefixes):
     return LwssResult(tuple(picked), m, threshold, tuple(sizes), tuple(crosses))
 
 
-def lwss(coder: Coder, instance, prof: GoodBadProfile):
-    """Pick bad blocks whose steps other picks query only lightly.
+def lwss(coder: Coder, prof: GoodBadProfile):
+    """Pick the profile's bad blocks whose steps other picks query lightly.
 
     Runs m rounds, m being the floored positive root of
     (T/C) m^2 - (T/C - 1) m - (number of bad blocks) = 0, except that a
@@ -622,7 +619,7 @@ def lwss(coder: Coder, instance, prof: GoodBadProfile):
     which the pick's machine run puts prefix weight at or above C/m.
     """
     bad = {bp.block: bp.prefix for bp in prof.blocks if not bp.good}
-    return _select(coder, coder.advice_fn(instance), bad)
+    return _select(coder, prof.advice, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -666,16 +663,15 @@ def _layout(ctx: EncodingContext, case, good, chosen):
 
 
 def _encode(coder: Coder, instance):
-    """Encoding plus its profile, its selection (case 2 only) and advice.
+    """Encoding plus its profile and its selection (case 2 only).
 
-    The advice is evaluated once here. Only the field bits are computed per
-    instance; the item map comes from the context's layout.
+    Only the field bits are computed per instance; the advice comes from
+    the profile and the item map from the context's layout.
     """
     ctx = coder.ctx
-    f = coder.advice_fn(instance)
     names = instance.names
-    prof = _profile(coder, f, instance)
-    good = prof.good_indices
+    prof = profile(coder, instance)
+    f, good = prof.advice, prof.good_indices
     cut = ctx.n - ctx.p
     if ctx.l <= len(good):
         items, good_field = ctx.layout(1, good)
@@ -685,13 +681,13 @@ def _encode(coder: Coder, instance):
                 parts += (_field(bp.rank, ctx.width_k), name[cut:])
             else:
                 parts.append(name)
-        return Encoding(1, "".join(parts), items), prof, None, f
+        return Encoding(1, "".join(parts), items), prof, None
     bad = {bp.block: bp.prefix for bp in prof.blocks if not bp.good}
     sel = _select(coder, f, bad)
     items, good_field = ctx.layout(2, good, sel.W)
     parts = [f, good_field, "01", *(names[i - 1] for i in good), *bad.values()]
     parts += [names[j - 1][cut:] for j in bad if j not in sel.W]
-    return Encoding(2, "".join(parts), items), prof, sel, f
+    return Encoding(2, "".join(parts), items), prof, sel
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +699,7 @@ def decode(coder: Coder, encoding: Encoding) -> StepInstance:
 
     The coder's advice function is called once, on the result, as a
     cross-check: the decoded instance must map to the advice string
-    recovered from the code.
+    recovered from the code (see _decoded).
 
     Good blocks are recovered by rerunning the machine's prequery side
     and indexing into its heavy-prefix list. In case 2 the unselected bad
@@ -761,6 +757,12 @@ def decode(coder: Coder, encoding: Encoding) -> StepInstance:
         for pivot, steps in _pivot_walk(ctx, sel.W, names, prefix_of):
             names[pivot] = prefix_of[pivot] + _majority_suffix(coder, pivot, f, steps)
     r.expect_end()
+    return _decoded(coder, names, f)
+
+
+def _decoded(coder: Coder, names, f) -> StepInstance:
+    """The instance named by names, refused unless its advice string is f."""
+    ctx = coder.ctx
     instance = StepInstance(
         ctx.M, ctx.n, tuple(rank_of(names[i]) for i in range(1, ctx.M + 1))
     )
@@ -856,8 +858,8 @@ def encode_single(coder: Coder, instance) -> Encoding:
     """
     ctx = _single_ctx(coder)
     k, cut = ctx.k, ctx.n - ctx.p
-    f = coder.advice_fn(instance)
-    bp = _profile(coder, f, instance).blocks[0]
+    prof = profile(coder, instance)
+    f, bp = prof.advice, prof.blocks[0]
     if not bp.good:
         return Encoding(2, f + bp.prefix, _items((("advice", k), ("prefix", cut))))
     rank_bits = _field(bp.rank, ctx.width_k)
@@ -878,7 +880,7 @@ def decode_single(coder: Coder, encoding: Encoding) -> StepInstance:
         steps = _substituted_steps(1, ctx.p, {}, {1: prefix}, {1})
         name = prefix + _majority_suffix(coder, 1, f, steps)
     r.expect_end()
-    return StepInstance(1, ctx.n, (rank_of(name),))
+    return _decoded(coder, {1: name}, f)
 
 
 # ---------------------------------------------------------------------------
@@ -935,10 +937,10 @@ def census(pairs, full_length: int) -> PigeonholeReport:
     )
 
 
-def verify_pigeonhole(coder: Coder, budget=None) -> PigeonholeReport:
+def verify_pigeonhole(coder: Coder) -> PigeonholeReport:
     """Encode every instance afresh and census the codes."""
     M, n = coder.ctx.M, coder.ctx.n
-    instances = enumerate_instances(M, n, budget)
+    instances = enumerate_instances(M, n)
     return census(((instance, encode(coder, instance)) for instance in instances), M * n)
 
 
@@ -992,18 +994,11 @@ AUDIT_CHECKS = (
 def mass_within_queries(coder: Coder, advice) -> bool:
     """Whether every input block's own query mass is at most T, for one advice.
 
-    The verdict reads only the machine and the advice string, so it is
-    kept in coder.mass_checks, keyed by advice, and built from the
-    coder's weight analyses on first use.
+    Each block's verdict is its weight analysis's mass_ok.
     """
-    verdict = coder.mass_checks.get(advice)
-    if verdict is None:
-        ctx = coder.ctx
-        verdict = coder.mass_checks[advice] = all(
-            weight_analysis(coder, i, advice).own_mass <= ctx.T
-            for i in range(1, ctx.M + 1)
-        )
-    return verdict
+    return all(
+        weight_analysis(coder, i, advice).mass_ok for i in range(1, coder.ctx.M + 1)
+    )
 
 
 def audit_instance(coder: Coder, instance) -> AuditReport:
@@ -1012,16 +1007,17 @@ def audit_instance(coder: Coder, instance) -> AuditReport:
     Only the encoding, profile and selection are per instance. The
     inequality reports, the rank limit, the distance bound and the
     selection's Rounds record (its round-count verdict and integer survivor
-    floors) come from the context and the mass check from the coder (see
-    EncodingContext and mass_within_queries). A pivot's substitution
-    distance is 2 - 2 * model.overlap of its substituted and true
-    post-oracle states, both unit vectors, since prequery_state checks
-    norm^2 = 1 and the oracle maps distinct prequery terms to distinct
-    keys; the computer memoizes each overlap (see model.overlap).
+    floors) come from the context, the advice from the profile and the mass
+    verdicts from the weight analyses (see EncodingContext and
+    mass_within_queries). A pivot's substitution distance is
+    2 - 2 * model.overlap of its substituted and true post-oracle states,
+    both unit vectors, since prequery_state checks norm^2 = 1 and the
+    oracle maps distinct prequery terms to distinct keys; the computer
+    memoizes each overlap (see model.overlap).
     """
     ctx = coder.ctx
-    enc, prof, selection, f = _encode(coder, instance)
-    lp = prof.l_prime
+    enc, prof, selection = _encode(coder, instance)
+    f, lp = prof.advice, prof.l_prime
 
     rank_ok = all(bp.rank < ctx.rank_limit for bp in prof.blocks if bp.good)
     mass_ok = mass_within_queries(coder, f)

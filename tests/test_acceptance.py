@@ -284,7 +284,7 @@ def _cert_few_good():
         prof = profile(coder, inst)
         rep = check_inequalities(ctx, prof)
         enc = encode(coder, inst)
-        sel = lwss(coder, inst, prof)
+        sel = lwss(coder, prof)
         back = decode(coder, enc) if rep.certified else None
         rows.append((inst, prof, rep, enc, sel, back))
     return ctx, rows
@@ -300,7 +300,7 @@ def _cert_many_bad():
         prof = profile(coder, inst)
         rep = check_inequalities(ctx, prof)
         enc = encode(coder, inst)
-        sel = lwss(coder, inst, prof)
+        sel = lwss(coder, prof)
         rows.append((inst, prof, rep, enc, sel, None))
     return ctx, rows
 

@@ -1,8 +1,9 @@
 """Differential tests of the invariants the lemma audit shares across instances.
 
 The inequality reports and the selection's Rounds records are kept on
-the encoding context, the query-mass verdicts on the coder, and the
-overlaps behind the audit distances (model.overlap) on the computer.
+the encoding context, the query-mass verdicts on the coder's weight
+analyses, and the overlaps behind the audit distances (model.overlap) on
+the computer.
 Each is checked against a straightforward per-instance evaluation, asked
 twice so that a verdict served from a cache is checked as well as the one
 that filled it, and each audit distance against statevec.distance_sq and
@@ -219,8 +220,6 @@ def test_cached_mass_verdict_matches_uncached(subject, M, n, k):
         for inst in enumerate_instances(M, n):
             audit = audit_instance(coder, inst)
             assert audit.mass_ok == _direct_mass_ok(comp, adv(inst))
-        assert set(coder.mass_checks) <= set(advices)
-        assert Coder(comp, adv, ctx.p, ctx.l, ctx.params).mass_checks == {}
 
 
 @pytest.mark.parametrize("subject, M, n, k", CONFIGS, ids=IDS)

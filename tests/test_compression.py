@@ -270,7 +270,7 @@ def test_lwss_zero_queries_selects_nothing():
     inst = StepInstance(2, 2, (1, 2))
     coder = Coder(comp, adv, 1, 1)
     prof = profile(coder, inst)
-    sel = lwss(coder, inst, prof)
+    sel = lwss(coder, prof)
     assert sel.m == 0 and sel.W == ()
 
 
@@ -279,7 +279,7 @@ def test_lwss_certified_many_bad_frozen_selection():
     inst = StepInstance(512, 4, tuple([3] * 512))
     coder = Coder(comp, adv, 4, 1, CERT_PARAMS)
     prof = profile(coder, inst)
-    sel = lwss(coder, inst, prof)
+    sel = lwss(coder, prof)
     assert sel.m == 6
     assert sel.W == (1, 3, 5, 7, 9, 11)
     # every recorded cross stays strictly under the admission threshold
@@ -440,6 +440,26 @@ def test_decoders_refuse_a_rank_past_the_heavy_list(scheme, bits):
         decode_one(coder, enc)
 
 
+@pytest.mark.parametrize(
+    "scheme, bits",
+    # steps=1's case-1 codes on shortcut M=1 n=4 k=1 with the advice bit,
+    # 0 for that instance, flipped to 1
+    [("multi", "1010000000000000"), ("single", "100000000000000")],
+    ids=["multi", "single"],
+)
+def test_decoders_refuse_a_code_whose_decoded_step_does_not_reproduce_its_advice(scheme, bits):
+    comp, adv = get_subject("shortcut", 1, 4, 1)
+    coder, decode_one = _scheme_coder(scheme, comp, adv)
+    encode_one = encode if scheme == "multi" else encode_single
+    inst = StepInstance(1, 4, (1,))
+    assert adv(inst) == "0" and encode_one(coder, inst).bits == "0" + bits[1:]
+    enc = Encoding(1, bits, (("raw", 0, len(bits)),))
+    with pytest.raises(
+        DecodeError, match="^decoded instance does not reproduce the advice string$"
+    ):
+        decode_one(coder, enc)
+
+
 @pytest.mark.parametrize("scheme", ["multi", "single"])
 def test_decoders_refuse_a_selected_block_without_a_majority(scheme):
     comp, adv = build_even_split(3)
@@ -559,16 +579,40 @@ def _counting(advice_fn):
     return AdviceFunction(advice_fn.length, fn), calls
 
 
-@pytest.mark.parametrize("subject, M, n, k, l", [("probe", 4, 2, 4, 4), ("full", 2, 2, 0, 1)])
-def test_advice_evaluated_once_per_encode_and_audit(subject, M, n, k, l):
+@pytest.mark.parametrize(
+    "subject, M, n, k, l, scheme",
+    [
+        ("probe", 4, 2, 4, 4, "multi"),
+        ("full", 2, 2, 0, 1, "multi"),
+        ("shortcut", 1, 4, 1, 1, "single"),
+    ],
+)
+def test_advice_evaluated_once_per_encode_audit_and_decode(subject, M, n, k, l, scheme):
     comp, adv = get_subject(subject, M, n, k)
     counted, calls = _counting(adv)
-    coder = Coder(comp, counted, 1, l)
+    if scheme == "single":
+        coder, encode_one, decode_one = single_coder(comp, counted), encode_single, decode_single
+    else:
+        coder, encode_one, decode_one = Coder(comp, counted, 1, l), encode, decode
+    cases = set()
     for instance in enumerate_instances(M, n):
-        for call in (encode, audit_instance):
+        enc, prof = encode_one(coder, instance), profile(coder, instance)
+        cases.add(enc.case)
+        for call, arg, want in (
+            (encode_one, instance, 1),
+            (audit_instance, instance, 1),
+            (decode_one, enc, 1),
+            (lwss, prof, 0),
+        ):
             calls.clear()
-            call(coder, instance)
-            assert len(calls) == 1, (call.__name__, instance, len(calls))
+            call(coder, arg)
+            assert len(calls) == want, (call.__name__, instance, len(calls))
+    # probe at l = M reaches the selection
+    assert subject != "probe" or 2 in cases
+    calls.clear()
+    with pytest.raises(ValueError, match="disagree on M or n"):
+        encode_one(coder, StepInstance(M, n + 1, (1,) * M))
+    assert not calls
 
 
 @pytest.mark.parametrize("inst", [StepInstance(1, 2, (3,)), StepInstance(2, 3, (3, 5))])

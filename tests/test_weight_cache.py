@@ -33,7 +33,6 @@ from ttquery.compression import (
     LwssResult,
     _encode,
     _field,
-    _profile,
     _round_count,
     _select,
     _substituted_steps,
@@ -125,7 +124,7 @@ def test_cached_analysis_matches_recomputation(label, build, M, n, k, p):
             assert dict(wa.table) == table
             assert wa.heavy == heavy
             assert dict(wa.ranks) == {a: i for i, a in enumerate(heavy)}
-            assert wa.own_mass == own
+            assert wa.own_mass == own and wa.mass_ok == (own <= comp.T)
             assert weight_analysis(coder, block, advice) is wa
 
 
@@ -169,9 +168,9 @@ def test_profile_matches_straight_classification(label, build, M, n, k, p):
         for inst in enumerate_instances(M, n):
             advice = adv(inst)
             names = {i: inst.step_bits(i) for i in range(1, M + 1)}
-            prof = _profile(coder, advice, inst)
+            prof = profile(coder, inst)
             want = _straight_profile(comp, advice, names, cut, params.C)
-            assert prof.blocks == want, (params, inst, cut)
+            assert prof.advice == advice and prof.blocks == want, (params, inst, cut)
             assert prof.good_indices == tuple(b[0] for b in want if b[2])
             assert prof.l_prime == len(prof.good_indices)
 
@@ -431,7 +430,7 @@ def test_audit_reuses_what_a_fresh_profile_and_selection_give(label, build, M, n
         prof = profile(fresh, inst)
         assert audit.case == (1 if M <= prof.l_prime else 2)
         if audit.case == 2:
-            assert audit.selection == lwss(fresh, inst, prof)
+            assert audit.selection == lwss(fresh, prof)
 
 
 def _advice_len(name, M):
@@ -658,13 +657,13 @@ def test_layout_encoder_matches_item_writer(label, build, M, n, k, p):
     for coder in _every_coder(comp, adv):
         ctx = coder.ctx
         for inst in enumerate_instances(M, n):
-            enc, prof, sel, f = _encode(coder, inst)
+            enc, prof, sel = _encode(coder, inst)
             want_enc, want_prof, want_sel = _written_encode(coder, inst)
             assert (enc.case, enc.bits, enc.items) == (
                 want_enc.case, want_enc.bits, want_enc.items
             ), (ctx, inst)
             assert prof == want_prof and prof.good_indices == want_prof.good_indices
-            assert sel == want_sel and f == adv(inst)
+            assert sel == want_sel and prof.advice == adv(inst)
             chosen = sel.W if sel else ()
             assert ctx.layout(enc.case, prof.good_indices, chosen)[0] is enc.items
             cases.add(enc.case)
