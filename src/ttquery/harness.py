@@ -45,7 +45,7 @@ from .compression import (
 )
 from .model import advice_from_doc, computer_from_doc, doc_shape, run
 from .ordered_search import enumerate_instances, eval_G, parse_instance
-from .statevec import as_rational, checked_epsilon, rational_str
+from .statevec import ZERO, as_rational, checked_epsilon, rational_str
 from .subjects import REGISTRY, SubjectError, get_subject, query_count
 
 
@@ -257,13 +257,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> Report:
     if cfg.p > computer.output_width:
         raise ConfigError("p exceeds the subject's output width")
     rows = []
-    max_error = Fraction(0)
+    max_error = ZERO
     for instance in instances:
         f = advice_fn(instance)
         for block in blocks:
             dist = run(computer, block, f, instance.steps, width=cfg.p)
             expected = eval_G(instance, block, cfg.p)
-            error = 1 - dist.get(expected, Fraction(0))
+            error = 1 - dist.get(expected, ZERO)
             max_error = max(max_error, error)
             shown = " ".join(
                 f"{a}:{rational_str(pr)}" for a, pr in sorted(dist.items())

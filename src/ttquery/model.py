@@ -23,14 +23,20 @@ plain mapping {(words, ws): amp}. Query words carry n-bit location strings,
 which is also how documents store them. Each word is parsed once: the one
 pass that validates a mapping (see NonadaptiveComputer.prequery_state)
 caches, with the read-only mapping, its oracle terms (list index, the
-list's answer table, workspace cell, amplitude), and `apply_oracle` reads
-only those. A list's answers under a threshold depend only on the
-threshold's class among the ranks the list queries in that block, so each
-answer index is a sum of one table entry per queried block, and `run`
-memoizes each distribution by the input's class vector. `overlap`, the
-inner product of an input's post-oracle states under two threshold vectors,
-is memoized by both class vectors: the lemma audit and the adversary compare
-states only through it. These three are the computer's only caches.
+list's answer table, workspace cell, amplitude, squared amplitude), and
+`apply_oracle` and `run` read only those. A list's answers under a
+threshold depend only on the threshold's class among the ranks the list
+queries in that block, so each answer index is a sum of one table entry
+per queried block, and `run` memoizes each distribution by the input's
+class vector. A run that misses its memo is one pass over the cached
+terms: each term's answer index, its image under the final transform and
+its outcome cell, into which its cached square is added. `apply_oracle`,
+`FiberFinal.apply` and `statevec.measure_register` build the same run one
+state at a time; they are the reference path that the tests compare
+memoized runs against. `overlap`, the inner product of an input's post-oracle states under two
+threshold vectors, is memoized by both class vectors: the lemma audit and
+the adversary compare states only through it. These three are the
+computer's only caches.
 
 Output cells are ordered least-significant-bit-first: cell j holds the j-th
 bit from the end of the answer string. Narrower outputs are then prefixes of
@@ -49,8 +55,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ordered_search import StepInstance, eval_G, rank_of
 from .statevec import (
-    DimensionMismatchError, as_rational, inner_product, measure_register, norm_sq,
-    rational_str,
+    ZERO, DimensionMismatchError, as_rational, inner_product, rational_str,
 )
 
 
@@ -142,7 +147,16 @@ def _table_answer(table, steps: Sequence[int]) -> int:
 
 
 class FinalTransform:
-    """Orthogonal transform applied after the oracle (see FiberFinal)."""
+    """Orthogonal transform applied after the oracle (see FiberFinal).
+
+    `place` moves one cell and `apply` a whole post-oracle state; `run`
+    calls `place` for each cell of a run that misses its memo.
+    """
+
+    def place(
+        self, lidx: int, aidx: int, ws: int, workspace_dim: int, taken: set
+    ) -> tuple:
+        raise NotImplementedError
 
     def apply(self, state: Mapping, workspace_dim: int) -> dict:
         raise NotImplementedError
@@ -157,35 +171,51 @@ class FiberFinal(FinalTransform):
     orthogonal by construction. Collisions on the support of any applied
     state are rejected, which witnesses injectivity on every subspace the
     transform actually touches. Since fn is caller code, an image outside
-    0..workspace_dim - 1 is rejected too. The amplitudes are the input
-    state's, already checked, and are carried over without a second check.
+    0..workspace_dim - 1 is rejected too. Both rules are stated once, in
+    `place`, which `apply` and `run` call for every cell they move. The
+    amplitudes are the input state's, already checked, and are carried
+    over without a second check.
     """
 
     def __init__(self, fn: Callable[[int, int, int], int]):
         self.fn = fn
 
+    def place(
+        self, lidx: int, aidx: int, ws: int, workspace_dim: int, taken: set
+    ) -> tuple:
+        """Key (lidx, aidx, image) that cell ws of fiber (lidx, aidx) moves to.
+
+        taken holds the keys placed so far on one state's support; the new
+        key is added to it. Raises DimensionMismatchError if the image lies
+        outside the workspace, and ModelError if the key is already taken.
+        """
+        image = self.fn(lidx, aidx, ws)
+        if not 0 <= image < workspace_dim:
+            raise DimensionMismatchError(
+                f"workspace cell {image} outside 0..{workspace_dim - 1}"
+            )
+        key = (lidx, aidx, image)
+        if key in taken:
+            raise ModelError(f"final transform collides on {key!r}")
+        taken.add(key)
+        return key
+
     def apply(self, state: Mapping, workspace_dim: int) -> dict:
-        fn = self.fn
-        out = {}
-        for (lidx, aidx, ws), amp in state.items():
-            image = fn(lidx, aidx, ws)
-            if not 0 <= image < workspace_dim:
-                raise DimensionMismatchError(
-                    f"workspace cell {image} outside 0..{workspace_dim - 1}"
-                )
-            new_key = (lidx, aidx, image)
-            if new_key in out:
-                raise ModelError(f"final transform collides on {new_key!r}")
-            out[new_key] = amp
-        return out
+        taken: set = set()
+        return {
+            self.place(lidx, aidx, ws, workspace_dim, taken): amp
+            for (lidx, aidx, ws), amp in state.items()
+        }
 
 
 class _CachedInput(NamedTuple):
     """A validated prequery mapping and its oracle terms (see prequery_state).
 
-    amps is the read-only mapping of the input's nonzero terms. bounds
-    holds one (block - 1, ranks) pair per block the input queries, ranks
-    being the sorted union of the ranks its lists query there.
+    amps is the read-only mapping of the input's nonzero terms, and terms
+    holds one (list index, answer table, ws, amp, amp * amp) tuple per
+    nonzero term, in the mapping's order. bounds holds one (block - 1,
+    ranks) pair per block the input queries, ranks being the sorted union
+    of the ranks its lists query there.
     """
 
     amps: Mapping
@@ -213,12 +243,13 @@ class NonadaptiveComputer:
     `prequery` must be a pure function of (block, advice): it is called at
     most once per pair. `prequery_state` validates each mapping and keeps
     it together with its oracle terms, one `(list_index, answer_table, ws,
-    amp)` tuple per nonzero term (see _answer_table); every oracle
-    application reads those terms, so no query word is parsed twice and an
-    application costs one table entry per queried block per term. `runs`
-    memoizes `run`'s distributions by (block, advice, class vector, width)
-    and `overlaps` memoizes `overlap`'s inner products by (block, advice,
-    class vector, class vector), all built on first use. These three caches
+    amp, square)` tuple per nonzero term (see _answer_table); every oracle
+    application and every run reads those terms, so no query word is parsed
+    and no amplitude squared twice, and an application costs one table
+    entry per queried block per term. `runs` memoizes `run`'s distributions
+    by (block, advice, class vector, width) and `overlaps` memoizes
+    `overlap`'s inner products by (block, advice, class vector, class
+    vector), all built on first use. These three caches
     belong to this computer alone and serve every caller, each
     compression.Coder over it included (a Coder keeps its own weight
     analyses and mass verdicts); what they hold is read only.
@@ -282,8 +313,9 @@ class NonadaptiveComputer:
         workspace; its amplitude is made rational and a zero term is
         dropped unread. Each new nonzero list's words become QueryWords,
         each distinct word is checked and ranked once, and the list's
-        index and answer table are built once. The squared norm of what is
-        left must be exactly 1.
+        index and answer table are built once. Each nonzero amplitude is
+        squared once, and the squares, kept with the terms for `run`, must
+        sum to exactly 1.
         """
         M, n, T, ws_dim = self.M, self.n, self.T, self.workspace_dim
         clean = {}
@@ -291,6 +323,7 @@ class NonadaptiveComputer:
         # each list as given -> (its QueryWords, list index, answer table)
         lists: dict[tuple, tuple] = {}
         terms = []
+        total = ZERO
         for (words, ws), amp in amps.items():
             if len(words) != T:
                 raise ModelError(f"a query list has {len(words)} words, but T = {T}")
@@ -316,8 +349,9 @@ class NonadaptiveComputer:
                 )
             qlist, lidx, table = listed
             clean[(qlist, ws)] = amp
-            terms.append((lidx, table, ws, amp))
-        total = norm_sq(clean)
+            square = amp * amp
+            total += square
+            terms.append((lidx, table, ws, amp, square))
         if total != 1:
             raise ModelError(f"prequery norm^2 is {rational_str(total)}")
         # ranks holds every distinct (block, rank) pair the input queries
@@ -375,7 +409,7 @@ def apply_oracle(
     # list indices are distinct per query list, so every key is new
     return {
         (lidx, _table_answer(table, steps), ws): amp
-        for lidx, table, ws, amp in computer._cached_input(block, advice).terms
+        for lidx, table, ws, amp, _square in computer._cached_input(block, advice).terms
     }
 
 
@@ -401,9 +435,16 @@ def run(
     Runs are memoized on the computer, keyed by (block, advice, class
     vector, width): thresholds with the same class vector give the same
     post-oracle state (see _CachedInput.classes), so each distinct one is
-    built, transformed and measured once. The width and the thresholds are
-    checked before every lookup, and every call gets its own copy of the
-    distribution.
+    run once. The width and the thresholds are checked before every
+    lookup, and every call gets its own copy of the distribution.
+
+    A miss is one pass over the input's cached terms: each term's answer
+    index comes from its answer table, its image from the final's
+    `place`, which checks the image range and collisions as
+    `FiberFinal.apply` does, and its outcome is the image's cell block,
+    into which the term's cached square is added. No state dict is built;
+    `measure_register(final.apply(apply_oracle(...)))` is the reference
+    path that gives the same distribution.
     """
     if width is None:
         width = computer.output_width
@@ -412,12 +453,19 @@ def run(
             f"cannot read {width} cells from a {computer.output_width}-cell output"
         )
     _check_thresholds(computer, steps)
-    key = (block, advice, computer._cached_input(block, advice).classes(steps), width)
+    cached = computer._cached_input(block, advice)
+    key = (block, advice, cached.classes(steps), width)
     dist = computer.runs.get(key)
     if dist is None:
-        dim = computer.workspace_dim
-        final = computer.final.apply(apply_oracle(computer, block, advice, steps), dim)
-        probs = measure_register(final, dim, width)
+        place, dim = computer.final.place, computer.workspace_dim
+        stride = dim // 2**width
+        taken: set = set()
+        probs: dict[int, Fraction] = {}
+        for lidx, table, ws, _amp, square in cached.terms:
+            placed = place(lidx, _table_answer(table, steps), ws, dim, taken)
+            outcome = placed[2] // stride
+            prob = probs.get(outcome)
+            probs[outcome] = square if prob is None else prob + square
         dist = computer.runs[key] = MappingProxyType(
             {outcome_to_answer(outcome, width): prob for outcome, prob in probs.items()}
         )
@@ -466,7 +514,7 @@ def error_probability(
     advice = advice_fn(instance)
     dist = run(computer, block, advice, instance.steps, width=p)
     correct = eval_G(instance, block, p)
-    return Fraction(1) - dist.get(correct, Fraction(0))
+    return 1 - dist.get(correct, ZERO)
 
 
 def max_error(
@@ -538,7 +586,7 @@ def computer_to_doc(
                 ]
             )
         table[f"{block}|{advice}"] = rows
-        for lidx, answer_table, _ws, _amp in cached.terms:
+        for lidx, answer_table, *_cell in cached.terms:
             lists[lidx] = answer_table
     identity = list(range(computer.workspace_dim))
     fn = computer.final.fn

@@ -11,12 +11,21 @@ validated (model.NonadaptiveComputer.prequery_state), and every image the
 final transform writes (model.FiberFinal), so nothing here checks them
 again. Nothing here touches floating point: every amplitude and
 probability is a `fractions.Fraction`.
+
+model.run does not build states: a run that misses its memo is one pass
+over the input's cached terms, which adds each term's cached square into
+its outcome. measure_register, applied to model.FiberFinal.apply's state,
+is the reference path that the tests compare those runs against.
+model.overlap takes inner_product of the oracle's states.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping
+
+
+ZERO = Fraction(0)
 
 
 class DimensionMismatchError(ValueError):

@@ -117,8 +117,8 @@ def test_zero_terms_are_dropped_unchecked():
     )
     amps = comp.prequery_state(1, "")
     assert dict(amps) == {(good, 0): Fraction(1)}
-    assert [(ws, amp) for _lidx, _table, ws, amp in comp._cached_input(1, "").terms] == [
-        (0, Fraction(1))
+    assert [(ws, amp, sq) for _lidx, _table, ws, amp, sq in comp._cached_input(1, "").terms] == [
+        (0, Fraction(1), Fraction(1))
     ]
     assert run(comp, 1, "", (1,)) == {"0": Fraction(1)}
     long_zero = _one_block_computer({(good, 0): Fraction(1), (good * 2, 0): 0}, n=2)
@@ -140,14 +140,40 @@ def test_permutation_final_rejects_collision():
         final.apply(state, 2)
 
 
+def _same_refusal(comp, steps, error_type):
+    """The error that run raises, checked to be the one that the reference
+    path final.apply raises on the oracle's state, in type and message;
+    the refused run leaves nothing in the memo."""
+    state = apply_oracle(comp, 1, "", steps)
+    with pytest.raises(error_type) as applied:
+        comp.final.apply(state, comp.workspace_dim)
+    with pytest.raises(error_type) as ran:
+        run(comp, 1, "", steps)
+    assert type(ran.value) is type(applied.value)
+    assert str(ran.value) == str(applied.value)
+    assert comp.runs == {}
+    return ran.value
+
+
+def test_run_rejects_collision_as_apply_does():
+    # two cells of one fiber sent to one image: run makes no state for
+    # final.apply to refuse, so it checks each image it places itself
+    words = (QueryWord(1, "1"),)
+    comp = _one_block_computer({(words, 0): Fraction(3, 5), (words, 1): Fraction(4, 5)})
+    comp.final = FiberFinal(lambda lidx, aidx, ws: 0)
+    error = _same_refusal(comp, (1,), ModelError)
+    assert type(error) is ModelError
+    assert str(error) == "final transform collides on (1, 1, 0)"
+
+
 def test_fiber_final_rejects_cell_outside_workspace():
     # the post-oracle state is built unchecked, so the final checks each image
     for sign in (1, -1):
         comp, _ = get_subject("full", 1, 2, 0)
         dim = comp.workspace_dim
         comp.final = FiberFinal(lambda lidx, aidx, ws: ws + sign * dim)
-        with pytest.raises(DimensionMismatchError):
-            run(comp, 1, "", (3,))
+        error = _same_refusal(comp, (3,), DimensionMismatchError)
+        assert str(error).endswith("outside 0..3")
 
 
 def test_full_query_worked_example():

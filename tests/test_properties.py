@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -12,7 +13,16 @@ from ttquery.compression import (
     encode,
 )
 from ttquery.adversary import sqrt_bracket
-from ttquery.model import answer_to_outcome, outcome_to_answer
+from ttquery.model import (
+    FiberFinal,
+    NonadaptiveComputer,
+    QueryWord,
+    answer_to_outcome,
+    apply_oracle,
+    list_index,
+    outcome_to_answer,
+    run,
+)
 from ttquery.ordered_search import StepInstance, bin_n, parse_instance, rank_of
 from ttquery.statevec import measure_register, norm_sq
 from ttquery.subjects import get_subject
@@ -81,3 +91,60 @@ def test_roundtrip_random_instances(data):
     inst = StepInstance(2, 3, steps)
     coder = Coder(comp, adv, 1, l, DEFAULT_PARAMS)
     assert decode(coder, encode(coder, inst)) == inst
+
+
+# every unit-norm choice of 1 to 4 amplitudes from {1, 3/5, 4/5, 1/2}, up to sign
+UNIT_AMPLITUDES = ((Fraction(1),), (Fraction(3, 5), Fraction(4, 5)), (Fraction(1, 2),) * 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_pass_runs_match_the_reference_path(data):
+    # run's one pass over cached terms against the state-by-state path
+    # (oracle state, final.apply, measure_register) on a random machine
+    # with a scratch register and an XOR per fiber as its final
+    M, n, T = (data.draw(st.integers(1, 2), label=name) for name in ("M", "n", "T"))
+    output_width = data.draw(st.integers(1, n), label="output width")
+    scratch = data.draw(st.sampled_from([2, 4]), label="scratch")
+    dim = 2**output_width * scratch
+    words = [QueryWord(b, bin_n(n, r)) for b in range(1, M + 1) for r in range(1, 2**n + 1)]
+    cell = st.tuples(st.tuples(*[st.sampled_from(words)] * T), st.integers(0, dim - 1))
+    amps = data.draw(st.sampled_from(UNIT_AMPLITUDES), label="amplitudes")
+    first = data.draw(cell, label="first cell")
+    cells = [first]
+    if len(amps) > 1:
+        # the low cell bit is a scratch bit, so an XOR per fiber sends these
+        # two cells of one fiber into one outcome at every width
+        cells.append((first[0], first[1] ^ 1))
+        cells += data.draw(
+            st.lists(
+                cell.filter(lambda c: c not in cells),
+                min_size=len(amps) - 2,
+                max_size=len(amps) - 2,
+                unique=True,
+            ),
+            label="other cells",
+        )
+    signs = data.draw(
+        st.lists(st.sampled_from([1, -1]), min_size=len(amps), max_size=len(amps)), label="signs"
+    )
+    prequery = {c: sign * amp for c, sign, amp in zip(cells, signs, amps)}
+    fibers = sorted({(list_index(qlist, M, n), aidx) for qlist, _ws in cells for aidx in range(2**T)})
+    xors = data.draw(
+        st.lists(st.integers(0, dim - 1), min_size=len(fibers), max_size=len(fibers)),
+        label="xors",
+    )
+    xor = dict(zip(fibers, xors))
+    comp = NonadaptiveComputer(
+        M, n, T, 0, output_width, scratch,
+        lambda block, advice: prequery,
+        FiberFinal(lambda lidx, aidx, ws: ws ^ xor[(lidx, aidx)]),
+    )
+    for block, steps in product(range(1, M + 1), product(range(1, 2**n + 2), repeat=M)):
+        state = comp.final.apply(apply_oracle(comp, block, "", steps), dim)
+        for width in range(1, output_width + 1):
+            want = {
+                outcome_to_answer(outcome, width): prob
+                for outcome, prob in measure_register(state, dim, width).items()
+            }
+            assert run(comp, block, "", steps, width) == want, (block, steps, width)

@@ -8,7 +8,7 @@ the round count afresh, the oracle over cached terms and answer tables
 against the oracle that parses and answers every query word on every run,
 each state the oracle and the final build unchecked against the checks
 it must meet, each memoized run against the same run without the memo on
-a freshly built computer, each census folded into a sweep against an
+a freshly built computer, built-in or loaded from its exported doc, each census folded into a sweep against an
 independent fresh encode or a direct recount, each computer's caches
 against another computer's, each coder's caches against another coder's
 over the same computer, each code built from the context's layout
@@ -55,6 +55,8 @@ from ttquery.model import (
     NonadaptiveComputer,
     _reachable_answers,
     apply_oracle,
+    computer_from_doc,
+    computer_to_doc,
     list_index,
     outcome_to_answer,
     run,
@@ -344,7 +346,7 @@ def test_trusted_states_match_checked_construction(label, build, M, n, k, p):
 def test_reachable_answers_match_every_threshold(label, build, M, n, k, p):
     comp, _ = build()
     for block, advice in product(range(1, M + 1), _advice_strings(k)):
-        tables = {lidx: table for lidx, table, _ws, _amp in comp._cached_input(block, advice).terms}
+        tables = {lidx: table for lidx, table, *_cell in comp._cached_input(block, advice).terms}
         for words, _ws in comp.prequery(block, advice):
             ranked = [(w.block, rank_of(w.location)) for w in words]
             brute = {_threshold_answers(ranked, s) for s in _every_threshold(M, n)}
@@ -362,9 +364,11 @@ def test_cached_terms_are_immutable_int_tuples(label, build, M, n, k, p):
         lists = {list_index(words, M, n): words for words, _ws in pre}
         for term in cached.terms:
             assert type(term) is tuple
-            lidx, table, ws, amp = term
+            lidx, table, ws, amp, square = term
             words = lists[lidx]
             assert pre[(words, ws)] == amp
+            # the square that run adds and the norm check sums
+            assert type(square) is Fraction and square == amp * amp
             # one (block - 1, ranks, shares) triple per queried block, in
             # block order, over the list's sorted distinct ranks there
             assert type(table) is tuple
@@ -500,13 +504,28 @@ def _memo_sweep(M, n, k, adv):
             yield block, advice, instance.steps
 
 
+def _loaded(comp, k):
+    """The computer loaded from its exported doc over every input: its
+    final is a fiber table, and every fiber the table omits keeps the
+    identity."""
+    inputs = list(product(range(1, comp.M + 1), _advice_strings(k)))
+    return computer_from_doc(computer_to_doc(comp, inputs))
+
+
 @pytest.mark.parametrize(
-    "name, M, n", MEMO_CASES, ids=[f"{c[0]}-M{c[1]}-n{c[2]}" for c in MEMO_CASES]
+    "name, M, n, from_doc",
+    [
+        pytest.param(*case, from_doc, id=f"{case[0]}-M{case[1]}-n{case[2]}" + "-doc" * from_doc)
+        for from_doc in (False, True)
+        for case in MEMO_CASES
+    ],
 )
-def test_memoized_runs_match_unmemoized_runs(name, M, n):
+def test_memoized_runs_match_unmemoized_runs(name, M, n, from_doc):
     k = _advice_len(name, M)
     comp, adv = get_subject(name, M, n, k)
     fresh, _ = get_subject(name, M, n, k)
+    if from_doc:
+        comp, fresh = _loaded(comp, k), _loaded(fresh, k)
     straight = _StraightRunner(fresh)
     for block, advice, steps in _memo_sweep(M, n, k, adv):
         answers = straight.answers(block, advice, steps)
