@@ -31,17 +31,21 @@ its threshold C / m, the round-count verdict and the integer survivor
 floors), and each code layout: the item map and doubled good-index field
 of a (case, good indices, selected blocks) key. A Coder is one computer
 and its advice function at a given p, l and error parameters; its context
-reads M, n, k and T from the computer. It owns one cache: per (block,
+reads M, n, k and T from the computer. It owns two caches: per (block,
 advice) the weight analysis (weight_analysis), with a rank map from heavy
-prefix to its index and the block's query-mass verdict. Every coder
-function takes the Coder. The audit's substitution distances come from
-model.overlap, which the computer memoizes per pair of class vectors. Per
-instance, the step names are formatted once when the StepInstance is
-built, profile evaluates the advice once and the profile carries it, a
-block is classified by looking its prefix up in the rank map rather than
-comparing its weight with C, and the encoder only joins the field bits
-into the layout the context holds. Both decoders end in one check: the
-decoded instance must reproduce the advice string its code carries.
+prefix to its index and the block's query-mass verdict, and per (advice,
+bad prefixes) the selection (_select), which the encoder, the decoder and
+the audit all read, so a decoder reuses the selection its encoder made.
+Prefix weights are summed from the computer's cached oracle terms, whose
+amplitudes are already squared. Every coder function takes the Coder.
+The audit's substitution distances come from model.overlap, which the
+computer memoizes per pair of class vectors. Per instance, the step names
+are formatted once when the StepInstance is built, profile evaluates the
+advice once and the profile carries it, a block is classified by looking
+its prefix up in the rank map rather than comparing its weight with C,
+and the encoder only joins the field bits into the layout the context
+holds. Both decoders end in one check: the decoded instance must
+reproduce the advice string its code carries.
 
 The single-block scheme (M = 1, p = k + 1, l = 1) only lays out bits its own
 way: it classifies through the profile, which refuses an instance of another
@@ -62,7 +66,6 @@ from .statevec import as_rational, checked_epsilon
 
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 
 class EncodingFormatError(ValueError):
@@ -250,8 +253,11 @@ class Coder:
 
     Its context ctx reads M, n, k and T from the computer, so the two
     cannot disagree; only a p wider than the computer's output is refused.
-    It owns one cache, analyses (weight_analysis), filled on first use and
-    read only. Coders over one computer share its caches, not this one.
+    It owns two caches, filled on first use and read only: analyses
+    (weight_analysis), and selections, the selection of each (advice, bad
+    prefixes) pair (_select), which the decoder, the encoder and the audit
+    all read, so a code's decoder reuses its encoder's selection. Coders
+    over one computer share its caches, not these.
     """
 
     def __init__(self, computer: NonadaptiveComputer, advice_fn, p, l, params=DEFAULT_PARAMS):
@@ -262,6 +268,7 @@ class Coder:
         )
         self.computer, self.advice_fn = computer, advice_fn
         self.analyses: dict = {}
+        self.selections: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +279,20 @@ class Coder:
 
 
 def prefix_weights(computer, block, advice, p):
-    """Map (j, leading n-p bits) -> summed weight over the 2**p completions."""
+    """Map (j, leading n-p bits) -> summed weight over the 2**p completions.
+
+    Read from the input's cached oracle terms: a term's answer table holds
+    each distinct (block, rank) word of its list once, and the term carries
+    its amplitude already squared.
+    """
     cut = computer.n - p
+    spec = f"0{cut}b"
     acc: dict = {}
-    for (words, _ws), amp in computer.prequery_state(block, advice).items():
-        sq = amp * amp
-        for w in set(words):
-            key = (w.block, w.location[:cut])
-            acc[key] = acc.get(key, _ZERO) + sq
+    for _lidx, table, _ws, _amp, square in computer._cached_input(block, advice).terms:
+        for j, ranks, _shares in table:
+            for rank in ranks:
+                key = (j + 1, format((rank - 1) >> p, spec) if cut else "")
+                acc[key] = acc.get(key, _ZERO) + square
     return acc
 
 
@@ -579,6 +592,12 @@ def _round_count(t: Fraction, pool_size: int) -> int:
 
 
 def _select(coder: Coder, advice, bad_prefixes):
+    """The selection over bad_prefixes, {block: prefix} in block order,
+    kept in coder.selections (see lwss)."""
+    key = (advice, tuple(bad_prefixes.items()))
+    found = coder.selections.get(key)
+    if found is not None:
+        return found
     survivors = sorted(bad_prefixes)
     m, threshold, _, _ = coder.ctx.rounds(len(survivors))
     picked: list[int] = []
@@ -594,10 +613,11 @@ def _select(coder: Coder, advice, bad_prefixes):
         picked.append(pivot)
         tbl = weight_analysis(coder, pivot, advice).table
         tables[pivot] = tbl
+        # a prefix the table lacks weighs 0, below the positive threshold
         survivors = [
             j
             for j in survivors
-            if tbl.get((j, bad_prefixes[j]), _ZERO) < threshold
+            if (w := tbl.get((j, bad_prefixes[j]))) is None or w < threshold
         ]
         sizes.append(len(survivors))
     crosses = []
@@ -606,7 +626,10 @@ def _select(coder: Coder, advice, bad_prefixes):
             crosses.append(
                 (a, b, tables[a].get((b, bad_prefixes[b]), _ZERO))
             )
-    return LwssResult(tuple(picked), m, threshold, tuple(sizes), tuple(crosses))
+    found = coder.selections[key] = LwssResult(
+        tuple(picked), m, threshold, tuple(sizes), tuple(crosses)
+    )
+    return found
 
 
 def lwss(coder: Coder, prof: GoodBadProfile):
@@ -811,7 +834,9 @@ def _majority_suffix(coder: Coder, block, advice, steps) -> str:
     """A selected block's last p bits: the answer the machine, run on it
     under the substituted thresholds steps, gives with probability above 1/2."""
     dist = run(coder.computer, block, advice, steps, width=coder.ctx.p)
-    suffix = next((a for a, prob in dist.items() if prob > _HALF), None)
+    suffix = next(
+        (a for a, prob in dist.items() if 2 * prob.numerator > prob.denominator), None
+    )
     if suffix is None:
         raise DecodeError(f"no outcome for block {block} wins a strict majority")
     return suffix

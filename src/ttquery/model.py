@@ -77,7 +77,7 @@ class MissingEntryError(ModelError):
 def check_word(word: QueryWord, M: int, n: int) -> None:
     if not 1 <= word.block <= M:
         raise ModelError(f"block {word.block} outside 1..{M}")
-    if len(word.location) != n or any(b not in "01" for b in word.location):
+    if len(word.location) != n or word.location.strip("01"):
         raise ModelError(f"bad location {word.location!r} for n={n}")
 
 
@@ -195,9 +195,11 @@ class FiberFinal(FinalTransform):
                 f"workspace cell {image} outside 0..{workspace_dim - 1}"
             )
         key = (lidx, aidx, image)
-        if key in taken:
-            raise ModelError(f"final transform collides on {key!r}")
+        # one hash of the key: a collision leaves the set's size unchanged
+        size = len(taken)
         taken.add(key)
+        if len(taken) == size:
+            raise ModelError(f"final transform collides on {key!r}")
         return key
 
     def apply(self, state: Mapping, workspace_dim: int) -> dict:
@@ -252,7 +254,7 @@ class NonadaptiveComputer:
     vector), all built on first use. These three caches
     belong to this computer alone and serve every caller, each
     compression.Coder over it included (a Coder keeps its own weight
-    analyses and mass verdicts); what they hold is read only.
+    analyses and selections); what they hold is read only.
     """
 
     def __init__(
@@ -374,7 +376,7 @@ class AdviceFunction:
 
     def __call__(self, instance: StepInstance) -> str:
         bits = self.fn(instance)
-        if len(bits) != self.length or any(b not in "01" for b in bits):
+        if len(bits) != self.length or bits.strip("01"):
             raise ModelError(f"advice {bits!r} is not a {self.length}-bit string")
         return bits
 
@@ -743,7 +745,7 @@ def advice_from_doc(doc: Mapping) -> AdviceFunction:
         if (
             not isinstance(bits, str)
             or len(bits) != length
-            or any(b not in "01" for b in bits)
+            or bits.strip("01")
         ):
             raise ModelError(
                 f"advice {bits!r} for {literal!r} is not a {length}-bit string"

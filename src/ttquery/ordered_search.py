@@ -32,7 +32,7 @@ def bin_n(width: int, rank: int) -> str:
 
 def rank_of(bits: str) -> int:
     """Inverse of bin_n: the 1-based lexicographic rank of a bit string."""
-    if bits and any(b not in "01" for b in bits):
+    if bits.strip("01"):
         raise ValueError(f"not a bit string: {bits!r}")
     return (int(bits, 2) if bits else 0) + 1
 
@@ -51,7 +51,7 @@ class StepInstance:
         if M < 1 or n < 1:
             raise ValueError("need M >= 1 and n >= 1")
         try:
-            self.steps = tuple(operator.index(s) for s in steps)
+            self.steps = tuple(map(operator.index, steps))
         except TypeError:
             raise ValueError(f"steps must be integers, got {steps!r}") from None
         if len(self.steps) != M:
