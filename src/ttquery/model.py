@@ -4,13 +4,10 @@ A computer fixes its whole query list up front: the prequery state is a
 superposition of (query list, workspace) basis terms. The oracle answers
 every word of a list in one shot, giving a post-oracle state keyed by
 (list index, answer index, workspace cell); a final orthogonal transform
-rewrites the workspace within each (list index, answer index) fiber, and
-the output is read from the leading workspace cells. The list and answer
-indices only label fibers, so the workspace is the one register with a
-size. A post-oracle state is the plain dict {(list index, answer index,
-ws): amp} that `apply_oracle` builds from validated terms, so it holds
-cells in the workspace and nonzero Fraction amplitudes by construction;
-the final transform checks each image it writes (FiberFinal).
+permutes the workspace within each (list index, answer index) fiber
+(FiberFinal), and the output is read from the leading workspace cells.
+The list and answer indices only label fibers, so the workspace is the
+one register with a size.
 
 The oracle takes one threshold per block and answers a word 1 exactly when
 its rank is at or past its block's threshold (_answer_table, the only
@@ -23,20 +20,23 @@ plain mapping {(words, ws): amp}. Query words carry n-bit location strings,
 which is also how documents store them. Each word is parsed once: the one
 pass that validates a mapping (see NonadaptiveComputer.prequery_state)
 caches, with the read-only mapping, its oracle terms (list index, the
-list's answer table, workspace cell, amplitude, squared amplitude), and
-`apply_oracle` and `run` read only those. A list's answers under a
-threshold depend only on the threshold's class among the ranks the list
-queries in that block, so each answer index is a sum of one table entry
-per queried block, and `run` memoizes each distribution by the input's
-class vector. A run that misses its memo is one pass over the cached
-terms: each term's answer index, its image under the final transform and
-its outcome cell, into which its cached square is added. `apply_oracle`,
-`FiberFinal.apply` and `statevec.measure_register` build the same run one
-state at a time; they are the reference path that the tests compare
-memoized runs against. `overlap`, the inner product of an input's post-oracle states under two
-threshold vectors, is memoized by both class vectors: the lemma audit and
-the adversary compare states only through it. These three are the
-computer's only caches.
+list's answer table, workspace cell, amplitude, squared amplitude). A
+list's answers under a threshold depend only on the threshold's class
+among the ranks the list queries in that block, so each answer index is a
+sum of one table entry per queried block.
+
+`run` and `overlap` are the library's one way to read a run, and neither
+builds a state: each is one pass over an input's cached terms. Distinct
+terms keep distinct (list index, ws) cells and the answer register starts
+fresh, so every term lands in a cell of its own, and the final permutes
+within fibers, so it keeps each term's square: a run is the
+|amp|^2-mixture of its terms. `run` adds each term's square into the
+outcome cell of its image under the final; `overlap`, the inner product
+of an input's post-oracle states under two threshold vectors, adds the
+squares of the terms whose answer index the two vectors agree on. Each is
+memoized by class vectors; the lemma audit and the adversary compare
+states only through `overlap`. These two memos and the validated inputs
+are the computer's only caches.
 
 Output cells are ordered least-significant-bit-first: cell j holds the j-th
 bit from the end of the answer string. Narrower outputs are then prefixes of
@@ -53,10 +53,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .ordered_search import StepInstance, eval_G, rank_of
-from .statevec import (
-    ZERO, DimensionMismatchError, as_rational, inner_product, rational_str,
-)
+from .ordered_search import StepInstance, rank_of
+from .statevec import ZERO, DimensionMismatchError, as_rational, rational_str
 
 
 class QueryWord(NamedTuple):
@@ -146,35 +144,17 @@ def _table_answer(table, steps: Sequence[int]) -> int:
     return answers
 
 
-class FinalTransform:
-    """Orthogonal transform applied after the oracle (see FiberFinal).
-
-    `place` moves one cell and `apply` a whole post-oracle state; `run`
-    calls `place` for each cell of a run that misses its memo.
-    """
-
-    def place(
-        self, lidx: int, aidx: int, ws: int, workspace_dim: int, taken: set
-    ) -> tuple:
-        raise NotImplementedError
-
-    def apply(self, state: Mapping, workspace_dim: int) -> dict:
-        raise NotImplementedError
-
-
-class FiberFinal(FinalTransform):
-    """Final transform that permutes the workspace within each fiber.
+class FiberFinal:
+    """The final transform: a permutation of the workspace within each fiber.
 
     A fiber is one (list index, answer index) pair. `fn(list_index,
     answer_index, ws)` names the image of workspace cell ws; it must be a
     bijection on the workspace of every fiber, which makes the transform
-    orthogonal by construction. Collisions on the support of any applied
-    state are rejected, which witnesses injectivity on every subspace the
-    transform actually touches. Since fn is caller code, an image outside
+    orthogonal by construction. Collisions on the support of any run are
+    rejected, which witnesses injectivity on every subspace the transform
+    actually touches. Since fn is caller code, an image outside
     0..workspace_dim - 1 is rejected too. Both rules are stated once, in
-    `place`, which `apply` and `run` call for every cell they move. The
-    amplitudes are the input state's, already checked, and are carried
-    over without a second check.
+    `place`, which `run` calls for every cell it moves.
     """
 
     def __init__(self, fn: Callable[[int, int, int], int]):
@@ -185,7 +165,7 @@ class FiberFinal(FinalTransform):
     ) -> tuple:
         """Key (lidx, aidx, image) that cell ws of fiber (lidx, aidx) moves to.
 
-        taken holds the keys placed so far on one state's support; the new
+        taken holds the keys placed so far on one run's support; the new
         key is added to it. Raises DimensionMismatchError if the image lies
         outside the workspace, and ModelError if the key is already taken.
         """
@@ -201,13 +181,6 @@ class FiberFinal(FinalTransform):
         if len(taken) == size:
             raise ModelError(f"final transform collides on {key!r}")
         return key
-
-    def apply(self, state: Mapping, workspace_dim: int) -> dict:
-        taken: set = set()
-        return {
-            self.place(lidx, aidx, ws, workspace_dim, taken): amp
-            for (lidx, aidx, ws), amp in state.items()
-        }
 
 
 class _CachedInput(NamedTuple):
@@ -245,11 +218,11 @@ class NonadaptiveComputer:
     `prequery` must be a pure function of (block, advice): it is called at
     most once per pair. `prequery_state` validates each mapping and keeps
     it together with its oracle terms, one `(list_index, answer_table, ws,
-    amp, square)` tuple per nonzero term (see _answer_table); every oracle
-    application and every run reads those terms, so no query word is parsed
-    and no amplitude squared twice, and an application costs one table
-    entry per queried block per term. `runs` memoizes `run`'s distributions
-    by (block, advice, class vector, width) and `overlaps` memoizes
+    amp, square)` tuple per nonzero term (see _answer_table); every run
+    and every overlap reads those terms, so no query word is parsed and no
+    amplitude squared twice, and a term's answer index costs one table
+    entry per queried block. `runs` memoizes `run`'s distributions by
+    (block, advice, class vector, width) and `overlaps` memoizes
     `overlap`'s inner products by (block, advice, class vector, class
     vector), all built on first use. These three caches
     belong to this computer alone and serve every caller, each
@@ -386,33 +359,16 @@ def no_advice() -> AdviceFunction:
 
 
 def _check_thresholds(computer: NonadaptiveComputer, steps: Sequence[int]) -> None:
-    """One threshold per block, each in 1..N+1, or ModelError."""
+    """One threshold per block, each in 1..N+1, or ModelError.
+
+    The thresholds are an instance's steps, or those a decoder or an audit
+    substitutes (see _answer_table).
+    """
     N = computer.N
     if len(steps) != computer.M or min(steps) < 1 or max(steps) > N + 1:
         raise ModelError(
             f"thresholds {tuple(steps)!r} are not {computer.M} values in 1..{N + 1}"
         )
-
-
-def apply_oracle(
-    computer: NonadaptiveComputer, block: int, advice: str, steps: Sequence[int]
-) -> dict:
-    """Answer every list of input (block, advice) by per-block thresholds.
-
-    steps holds one threshold per block, each in 1..N+1: an instance's
-    steps, or the thresholds a decoder substitutes (see _answer_table).
-    Each list's answer index is read from its cached answer table (see
-    prequery_state), one entry per queried block, so the cost does not
-    grow with T. The state is the dict {(list index, answer index, ws):
-    amp}; its cells and amplitudes are the validated input's, nonzero
-    Fractions in the workspace, so they are not checked again.
-    """
-    _check_thresholds(computer, steps)
-    # list indices are distinct per query list, so every key is new
-    return {
-        (lidx, _table_answer(table, steps), ws): amp
-        for lidx, table, ws, amp, _square in computer._cached_input(block, advice).terms
-    }
 
 
 def outcome_to_answer(outcome: int, width: int) -> str:
@@ -433,20 +389,20 @@ def run(
 ) -> dict[str, Fraction]:
     """Exact distribution over answer strings read from the output cells.
 
-    The oracle answers by the per-block thresholds steps (see apply_oracle).
-    Runs are memoized on the computer, keyed by (block, advice, class
-    vector, width): thresholds with the same class vector give the same
+    The oracle answers by the per-block thresholds steps. Runs are
+    memoized on the computer, keyed by (block, advice, class vector,
+    width): thresholds with the same class vector give the same
     post-oracle state (see _CachedInput.classes), so each distinct one is
     run once. The width and the thresholds are checked before every
     lookup, and every call gets its own copy of the distribution.
 
-    A miss is one pass over the input's cached terms: each term's answer
-    index comes from its answer table, its image from the final's
-    `place`, which checks the image range and collisions as
-    `FiberFinal.apply` does, and its outcome is the image's cell block,
-    into which the term's cached square is added. No state dict is built;
-    `measure_register(final.apply(apply_oracle(...)))` is the reference
-    path that gives the same distribution.
+    A run is the |amp|^2-mixture of its terms, which holds because the
+    answer register is fresh and the final permutes within fibers. So a
+    miss is one pass over the input's cached terms and builds no state:
+    each term's answer index comes from its answer table, its image from
+    the final's `place`, which checks the image range and collisions, and
+    its outcome is the image's cell block, into which the term's cached
+    square is added.
     """
     if width is None:
         width = computer.output_width
@@ -482,70 +438,33 @@ def overlap(
     steps_b: Sequence[int],
 ) -> Fraction:
     """Inner product of input (block, advice)'s post-oracle states under
-    thresholds steps_a and steps_b, each checked as apply_oracle checks it.
+    thresholds steps_a and steps_b, each checked as `run` checks its own.
 
-    Memoized in computer.overlaps by (block, advice, class vector of
-    steps_a, class vector of steps_b; see _CachedInput.classes). Both
-    states are unit vectors, so their squared distance is 2 - 2 * overlap.
-    The final transform permutes the workspace within each fiber, so it
-    keeps every inner product and is not applied.
+    A run is the |amp|^2-mixture of its terms, which holds because the
+    answer register is fresh and the final permutes within fibers. So the
+    final keeps every inner product and is not applied, and the two states
+    share a cell exactly where a term's answer index is the same under both
+    vectors: a miss is one pass over the input's cached terms, summing the
+    squares of those terms. Memoized in computer.overlaps by (block,
+    advice, class vector of steps_a, class vector of steps_b; see
+    _CachedInput.classes). Both states are unit vectors, so their squared
+    distance is 2 - 2 * overlap.
     """
     _check_thresholds(computer, steps_a)
     _check_thresholds(computer, steps_b)
-    classes = computer._cached_input(block, advice).classes
-    key = (block, advice, classes(steps_a), classes(steps_b))
+    cached = computer._cached_input(block, advice)
+    key = (block, advice, cached.classes(steps_a), cached.classes(steps_b))
     value = computer.overlaps.get(key)
     if value is None:
-        value = computer.overlaps[key] = inner_product(
-            apply_oracle(computer, block, advice, steps_a),
-            apply_oracle(computer, block, advice, steps_b),
+        value = computer.overlaps[key] = sum(
+            (
+                square
+                for _lidx, table, _ws, _amp, square in cached.terms
+                if _table_answer(table, steps_a) == _table_answer(table, steps_b)
+            ),
+            ZERO,
         )
     return value
-
-
-def error_probability(
-    computer: NonadaptiveComputer,
-    advice_fn: AdviceFunction,
-    p: int,
-    instance: StepInstance,
-    block: int,
-) -> Fraction:
-    """1 minus the probability mass on the correct last-p-bits answer."""
-    if (instance.M, instance.n) != (computer.M, computer.n):
-        raise ModelError("instance shape disagrees with computer")
-    advice = advice_fn(instance)
-    dist = run(computer, block, advice, instance.steps, width=p)
-    correct = eval_G(instance, block, p)
-    return 1 - dist.get(correct, ZERO)
-
-
-def max_error(
-    computer: NonadaptiveComputer,
-    advice_fn: AdviceFunction,
-    p: int,
-    instances,
-    blocks: Sequence[int] | None = None,
-) -> Fraction:
-    """Worst-case error over the given instances and blocks."""
-    if blocks is None:
-        blocks = range(1, computer.M + 1)
-    worst = None
-    for instance in instances:
-        for block in blocks:
-            err = error_probability(computer, advice_fn, p, instance, block)
-            if worst is None or err > worst:
-                worst = err
-    if worst is None:
-        raise ModelError("no instances supplied")
-    return worst
-
-
-def validate_computer(
-    computer: NonadaptiveComputer, pairs: Sequence[tuple[int, str]]
-) -> None:
-    """Build, and so validate, the prequery mappings of the given inputs."""
-    for block, advice in pairs:
-        computer.prequery_state(block, advice)
 
 
 def _reachable_answers(table) -> set[int]:
@@ -687,7 +606,9 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
     """Load a computer from its serialized form (inverse of computer_to_doc).
 
     The output width p may not exceed n, which every built-in meets; it is
-    checked before the workspace is sized from it.
+    checked before the workspace is sized from it. Every tabulated input's
+    prequery mapping is built, and so validated, before the computer is
+    returned.
     """
     M, n, advice_len = doc_shape(doc)
     T = _doc_int(doc["T"], "T", 0)
@@ -726,7 +647,8 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
         prequery=prequery,
         final=_final_from_doc(doc["final"], output_width, scratch_dim),
     )
-    validate_computer(computer, list(table))
+    for block, advice in table:
+        computer.prequery_state(block, advice)
     return computer
 
 

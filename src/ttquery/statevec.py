@@ -1,28 +1,19 @@
-"""Exact rational post-oracle states.
+"""Exact rationals: parsing, printing and the error tolerance.
 
-A state is a plain mapping from (list index, answer index, workspace cell)
-int triples to nonzero rational amplitudes; this module gives their norms,
-inner products, distances and the measurement of the leading workspace
-cells. The list and answer indices only label the fibers the final
-transform acts on; the workspace is the one register with a size, and it
-is read from the computer, not stored in the state. States are checked
-where they are born: the prequery terms they come from when the input is
-validated (model.NonadaptiveComputer.prequery_state), and every image the
-final transform writes (model.FiberFinal), so nothing here checks them
-again. Nothing here touches floating point: every amplitude and
-probability is a `fractions.Fraction`.
-
-model.run does not build states: a run that misses its memo is one pass
-over the input's cached terms, which adds each term's cached square into
-its outcome. measure_register, applied to model.FiberFinal.apply's state,
-is the reference path that the tests compare those runs against.
-model.overlap takes inner_product of the oracle's states.
+Every amplitude and probability is a `fractions.Fraction`; nothing here
+touches floating point. A post-oracle state is keyed by (list index,
+answer index, workspace cell); the workspace is the one register with a
+size, and DimensionMismatchError names a cell outside it. The library
+builds no state: model.run and model.overlap each read a run in one pass
+over an input's cached terms (see model). The state-by-state path that
+builds states, applies the final to them and measures or compares them is
+kept in tests/reference.py, as the reference that the tests compare those
+two against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
 
 
 ZERO = Fraction(0)
@@ -59,46 +50,3 @@ def rational_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def norm_sq(state: Mapping) -> Fraction:
-    """Sum of squared amplitudes, exactly."""
-    return sum((amp * amp for amp in state.values()), Fraction(0))
-
-
-def inner_product(a: Mapping, b: Mapping) -> Fraction:
-    """Real inner product over the shared support."""
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    total = Fraction(0)
-    for key, amp in small.items():
-        other = large.get(key)
-        if other is not None:
-            total += amp * other
-    return total
-
-
-def distance_sq(a: Mapping, b: Mapping) -> Fraction:
-    """Squared Euclidean distance between two states."""
-    return norm_sq(a) + norm_sq(b) - 2 * inner_product(a, b)
-
-
-def measure_register(state: Mapping, workspace_dim: int, width: int) -> dict[int, Fraction]:
-    """Exact outcome distribution for the first `width` workspace cells.
-
-    workspace_dim must be divisible by 2**width; probabilities sum to
-    norm_sq(state), which is 1 for unit states.
-    """
-    if width < 0:
-        raise ValueError("width must be non-negative")
-    block = 2**width
-    if workspace_dim % block != 0:
-        raise DimensionMismatchError(
-            f"workspace of size {workspace_dim} cannot be split into "
-            f"{block} outcome blocks"
-        )
-    stride = workspace_dim // block
-    probs: dict[int, Fraction] = {}
-    for (_lidx, _aidx, ws), amp in state.items():
-        outcome = ws // stride
-        probs[outcome] = probs.get(outcome, Fraction(0)) + amp * amp
-    return probs

@@ -30,7 +30,7 @@ from ttquery.compression import (
     single_coder,
     verify_pigeonhole,
 )
-from ttquery.model import max_error
+from reference import max_error
 from ttquery.ordered_search import StepInstance, enumerate_instances, parse_instance
 from ttquery.subjects import get_subject
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from reference import apply_oracle, final_apply, inner_product
 
 from ttquery.adversary import (
     TOLERANCE,
@@ -11,9 +12,8 @@ from ttquery.adversary import (
     sqrt_bracket,
     zeta,
 )
-from ttquery.model import ModelError, apply_oracle
+from ttquery.model import ModelError
 from ttquery.ordered_search import StepInstance
-from ttquery.statevec import inner_product
 from ttquery.subjects import SubjectError, get_subject
 
 
@@ -66,7 +66,7 @@ def test_zeta_frozen_probe_overlap():
 def _final_state(comp, advice, step):
     """A one-block step's state after the oracle and the final transform."""
     state = apply_oracle(comp, 1, advice, (step,))
-    return comp.final.apply(state, comp.workspace_dim)
+    return final_apply(comp.final, state, comp.workspace_dim)
 
 
 def _reference_zeta(comp, part, epsilon):

@@ -6,7 +6,7 @@ analyses, and the overlaps behind the audit distances (model.overlap) on
 the computer.
 Each is checked against a straightforward per-instance evaluation, asked
 twice so that a verdict served from a cache is checked as well as the one
-that filled it, and each audit distance against statevec.distance_sq and
+that filled it, and each audit distance against reference.distance_sq and
 against 2 - 2 <a, b> on the same two states, computed afresh. The
 sweeps cover every registry subject at M <= 4 and n <= 3, every l, every
 measured width p and two parameter sets.
@@ -17,6 +17,7 @@ from itertools import product
 from math import ceil
 
 import pytest
+from reference import apply_oracle, distance_sq, inner_product
 
 from ttquery import compression
 from ttquery.compression import (
@@ -33,9 +34,7 @@ from ttquery.compression import (
     mass_within_queries,
     profile,
 )
-from ttquery.model import apply_oracle
 from ttquery.ordered_search import enumerate_instances
-from ttquery.statevec import distance_sq, inner_product
 from ttquery.subjects import get_subject
 
 CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))

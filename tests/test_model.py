@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 from machines import build_neighbor_probe, build_single_query
+from reference import apply_oracle, error_probability, final_apply, inner_product, max_error
 
 from ttquery.model import (
     AdviceFunction,
@@ -18,20 +19,16 @@ from ttquery.model import (
     advice_from_doc,
     advice_to_doc,
     answer_to_outcome,
-    apply_oracle,
     computer_from_doc,
     computer_to_doc,
-    error_probability,
     list_index,
-    max_error,
     no_advice,
     outcome_to_answer,
     overlap,
     run,
-    validate_computer,
 )
 from ttquery.ordered_search import StepInstance, bin_n, enumerate_instances
-from ttquery.statevec import DimensionMismatchError, inner_product
+from ttquery.statevec import DimensionMismatchError
 from ttquery.subjects import get_subject
 
 
@@ -137,16 +134,16 @@ def test_permutation_final_rejects_collision():
     final = FiberFinal(lambda lidx, aidx, ws: 0)
     state = {(0, 0, 0): Fraction(3, 5), (0, 0, 1): Fraction(4, 5)}
     with pytest.raises(ModelError):
-        final.apply(state, 2)
+        final_apply(final, state, 2)
 
 
 def _same_refusal(comp, steps, error_type):
     """The error that run raises, checked to be the one that the reference
-    path final.apply raises on the oracle's state, in type and message;
+    path final_apply raises on the oracle's state, in type and message;
     the refused run leaves nothing in the memo."""
     state = apply_oracle(comp, 1, "", steps)
     with pytest.raises(error_type) as applied:
-        comp.final.apply(state, comp.workspace_dim)
+        final_apply(comp.final, state, comp.workspace_dim)
     with pytest.raises(error_type) as ran:
         run(comp, 1, "", steps)
     assert type(ran.value) is type(applied.value)
@@ -157,7 +154,7 @@ def _same_refusal(comp, steps, error_type):
 
 def test_run_rejects_collision_as_apply_does():
     # two cells of one fiber sent to one image: run makes no state for
-    # final.apply to refuse, so it checks each image it places itself
+    # final_apply to refuse, so it checks each image it places itself
     words = (QueryWord(1, "1"),)
     comp = _one_block_computer({(words, 0): Fraction(3, 5), (words, 1): Fraction(4, 5)})
     comp.final = FiberFinal(lambda lidx, aidx, ws: 0)
@@ -200,7 +197,8 @@ def test_error_probability_and_max_error():
 
 def test_validate_computer_checks_norm():
     comp, _ = get_subject("full", 2, 2, 0)
-    validate_computer(comp, [(1, ""), (2, "")])
+    for block in (1, 2):
+        comp.prequery_state(block, "")
 
 
 def test_run_rejects_non_unit_prequery_state():
@@ -340,7 +338,7 @@ def test_overlap_matches_fresh_inner_products(label, build):
             state_a = apply_oracle(comp, block, advice, a)
             state_b = apply_oracle(comp, block, advice, b)
             want = inner_product(state_a, state_b)
-            finals = comp.final.apply(state_a, dim), comp.final.apply(state_b, dim)
+            finals = final_apply(comp.final, state_a, dim), final_apply(comp.final, state_b, dim)
             assert type(got) is Fraction
             assert got == want == inner_product(*finals), (block, advice, a, b)
             # a hit, whether from this call's twin or from a vector of the

@@ -3,6 +3,7 @@ from itertools import product
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from reference import apply_oracle, final_apply, inner_product, measure_register, norm_sq
 
 from ttquery.compression import (
     DEFAULT_PARAMS,
@@ -18,13 +19,12 @@ from ttquery.model import (
     NonadaptiveComputer,
     QueryWord,
     answer_to_outcome,
-    apply_oracle,
     list_index,
     outcome_to_answer,
+    overlap,
     run,
 )
 from ttquery.ordered_search import StepInstance, bin_n, parse_instance, rank_of
-from ttquery.statevec import measure_register, norm_sq
 from ttquery.subjects import get_subject
 
 widths = st.integers(min_value=1, max_value=6)
@@ -100,9 +100,10 @@ UNIT_AMPLITUDES = ((Fraction(1),), (Fraction(3, 5), Fraction(4, 5)), (Fraction(1
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_one_pass_runs_match_the_reference_path(data):
-    # run's one pass over cached terms against the state-by-state path
-    # (oracle state, final.apply, measure_register) on a random machine
-    # with a scratch register and an XOR per fiber as its final
+    # run's and overlap's one pass over cached terms against the
+    # state-by-state path (oracle state, final_apply, measure_register, and
+    # inner_product of two oracle states) on a random machine with a
+    # scratch register and an XOR per fiber as its final
     M, n, T = (data.draw(st.integers(1, 2), label=name) for name in ("M", "n", "T"))
     output_width = data.draw(st.integers(1, n), label="output width")
     scratch = data.draw(st.sampled_from([2, 4]), label="scratch")
@@ -140,11 +141,17 @@ def test_one_pass_runs_match_the_reference_path(data):
         lambda block, advice: prequery,
         FiberFinal(lambda lidx, aidx, ws: ws ^ xor[(lidx, aidx)]),
     )
-    for block, steps in product(range(1, M + 1), product(range(1, 2**n + 2), repeat=M)):
-        state = comp.final.apply(apply_oracle(comp, block, "", steps), dim)
-        for width in range(1, output_width + 1):
-            want = {
-                outcome_to_answer(outcome, width): prob
-                for outcome, prob in measure_register(state, dim, width).items()
-            }
-            assert run(comp, block, "", steps, width) == want, (block, steps, width)
+    vectors = list(product(range(1, 2**n + 2), repeat=M))
+    for block in range(1, M + 1):
+        states = {steps: apply_oracle(comp, block, "", steps) for steps in vectors}
+        for steps, state in states.items():
+            final = final_apply(comp.final, state, dim)
+            for width in range(1, output_width + 1):
+                want = {
+                    outcome_to_answer(outcome, width): prob
+                    for outcome, prob in measure_register(final, dim, width).items()
+                }
+                assert run(comp, block, "", steps, width) == want, (block, steps, width)
+        for a, b in product(vectors, repeat=2):
+            want = inner_product(states[a], states[b])
+            assert overlap(comp, block, "", a, b) == want, (block, a, b)

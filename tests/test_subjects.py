@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 from machines import build_neighbor_probe, build_single_query
+from reference import max_error
 
-from ttquery.model import max_error, run
+from ttquery.model import run
 from ttquery.ordered_search import StepInstance, enumerate_instances
 from ttquery.subjects import (
     PROBE_HEAVY,

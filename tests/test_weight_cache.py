@@ -22,6 +22,7 @@ from itertools import product
 
 import pytest
 from machines import build_neighbor_probe, build_single_query
+from reference import apply_oracle, final_apply, measure_register
 from test_audit_cache import direct_rounds
 
 from ttquery.compression import (
@@ -54,7 +55,6 @@ from ttquery.harness import ExperimentConfig, cmd_roundtrip
 from ttquery.model import (
     NonadaptiveComputer,
     _reachable_answers,
-    apply_oracle,
     computer_from_doc,
     computer_to_doc,
     list_index,
@@ -62,7 +62,6 @@ from ttquery.model import (
     run,
 )
 from ttquery.ordered_search import StepInstance, bin_n, enumerate_instances, rank_of
-from ttquery.statevec import measure_register
 from ttquery.subjects import (
     PROBE_LIGHT,
     REGISTRY,
@@ -317,7 +316,7 @@ ZERO_TERMS = (
     "label, build, M, n, k, p", (*SUBJECTS, ZERO_TERMS), ids=[*IDS, ZERO_TERMS[0]]
 )
 def test_trusted_states_match_checked_construction(label, build, M, n, k, p):
-    # apply_oracle and final.apply build their dicts without checking
+    # apply_oracle and final_apply build their dicts without checking
     # them; each must still hold int-triple keys with cells in the
     # workspace and nonzero Fraction amplitudes, and equal the straight
     # oracle's state, before and after the fiber permutation
@@ -330,7 +329,7 @@ def test_trusted_states_match_checked_construction(label, build, M, n, k, p):
         for steps in swept:
             want = _straight_oracle(comp, pre, steps)
             state = apply_oracle(comp, block, advice, steps)
-            final = comp.final.apply(state, comp.workspace_dim)
+            final = final_apply(comp.final, state, comp.workspace_dim)
             for got in (state, final):
                 assert type(got) is dict
                 for key, amp in got.items():
@@ -478,7 +477,7 @@ class _StraightRunner:
         if key not in self.finals:
             amps = {(lidx, aidx, ws): amp for lidx, aidx, ws, amp in answers}
             dim = self.comp.workspace_dim
-            final = self.comp.final.apply(amps, dim)
+            final = final_apply(self.comp.final, amps, dim)
             self.finals[key] = {
                 outcome_to_answer(outcome, width): prob
                 for outcome, prob in measure_register(final, dim, width).items()
