@@ -36,8 +36,11 @@ advice) the weight analysis (weight_analysis), with a rank map from heavy
 prefix to its index and the block's query-mass verdict, and per (advice,
 bad prefixes) the selection (_select), which the encoder, the decoder and
 the audit all read, so a decoder reuses the selection its encoder made.
-Prefix weights are summed from the computer's cached oracle terms, whose
-amplitudes are already squared. Every coder function takes the Coder.
+An analysis is built once per input block and distinct prequery mapping
+(the computer's input ordinal), and the advice strings whose mappings are
+equal share it. Prefix weights are summed from the computer's cached
+oracle terms, whose amplitudes are already squared. Every coder function
+takes the Coder.
 The audit's substitution distances come from model.overlap, which the
 computer memoizes per pair of class vectors. Per instance, the step names
 are formatted once when the StepInstance is built, profile evaluates the
@@ -254,10 +257,13 @@ class Coder:
     Its context ctx reads M, n, k and T from the computer, so the two
     cannot disagree; only a p wider than the computer's output is refused.
     It owns two caches, filled on first use and read only: analyses
-    (weight_analysis), and selections, the selection of each (advice, bad
-    prefixes) pair (_select), which the decoder, the encoder and the audit
-    all read, so a code's decoder reuses its encoder's selection. Coders
-    over one computer share its caches, not these.
+    (weight_analysis), keyed by (block, advice), whose values are built
+    once per (block, input ordinal) and kept in _shared_analyses too, so
+    advice strings with equal mappings share one; and selections, the
+    selection of each (advice, bad prefixes) pair (_select), which the
+    decoder, the encoder and the audit all read, so a code's decoder
+    reuses its encoder's selection. Coders over one computer share its
+    caches, not these.
     """
 
     def __init__(self, computer: NonadaptiveComputer, advice_fn, p, l, params=DEFAULT_PARAMS):
@@ -268,6 +274,7 @@ class Coder:
         )
         self.computer, self.advice_fn = computer, advice_fn
         self.analyses: dict = {}
+        self._shared_analyses: dict = {}
         self.selections: dict = {}
 
 
@@ -288,7 +295,7 @@ def prefix_weights(computer, block, advice, p):
     cut = computer.n - p
     spec = f"0{cut}b"
     acc: dict = {}
-    for _lidx, table, _ws, _amp, square in computer._cached_input(block, advice).terms:
+    for _lidx, table, _ws, square in computer._cached_input(block, advice).terms:
         for j, ranks, _shares in table:
             for rank in ranks:
                 key = (j + 1, format((rank - 1) >> p, spec) if cut else "")
@@ -305,7 +312,8 @@ class WeightAnalysis(NamedTuple):
     lists, sorted, the input block's own prefixes weighted strictly above
     the coder's C, and ranks maps each of them to its index in heavy, so a
     prefix is heavy exactly when it has a rank. None of this depends on the
-    instance, so one record serves every instance with this advice string.
+    instance, so one record serves every instance with this advice string,
+    and every advice string that gives the block an equal prequery mapping.
     It is shared and read only.
     """
 
@@ -317,20 +325,30 @@ class WeightAnalysis(NamedTuple):
 
 
 def weight_analysis(coder: Coder, block, advice) -> WeightAnalysis:
-    """The analysis of (block, advice) at the coder's p and C, kept in coder.analyses."""
+    """The analysis of (block, advice) at the coder's p and C, kept in coder.analyses.
+
+    The table depends only on the input's prequery mapping, but heavy and
+    the mass are read from the input block's own entries, so a miss takes
+    the analysis of (block, input ordinal), built on first use: blocks
+    that share a mapping keep analyses of their own.
+    """
     key = (block, advice)
     found = coder.analyses.get(key)
     if found is None:
-        ctx = coder.ctx
-        table = MappingProxyType(prefix_weights(coder.computer, block, advice, ctx.p))
-        own_mass = sum((v for (j, _), v in table.items() if j == block), Fraction(0))
-        heavy = tuple(
-            sorted(a for (j, a), v in table.items() if j == block and v > ctx.C)
-        )
-        ranks = MappingProxyType({prefix: rank for rank, prefix in enumerate(heavy)})
-        found = coder.analyses[key] = WeightAnalysis(
-            table, own_mass, own_mass <= ctx.T, heavy, ranks
-        )
+        shared = (block, coder.computer._cached_input(block, advice).ordinal)
+        found = coder._shared_analyses.get(shared)
+        if found is None:
+            ctx = coder.ctx
+            table = MappingProxyType(prefix_weights(coder.computer, block, advice, ctx.p))
+            own_mass = sum((v for (j, _), v in table.items() if j == block), Fraction(0))
+            heavy = tuple(
+                sorted(a for (j, a), v in table.items() if j == block and v > ctx.C)
+            )
+            ranks = MappingProxyType({prefix: rank for rank, prefix in enumerate(heavy)})
+            found = coder._shared_analyses[shared] = WeightAnalysis(
+                table, own_mass, own_mass <= ctx.T, heavy, ranks
+            )
+        coder.analyses[key] = found
     return found
 
 

@@ -20,10 +20,15 @@ plain mapping {(words, ws): amp}. Query words carry n-bit location strings,
 which is also how documents store them. Each word is parsed once: the one
 pass that validates a mapping (see NonadaptiveComputer.prequery_state)
 caches, with the read-only mapping, its oracle terms (list index, the
-list's answer table, workspace cell, amplitude, squared amplitude). A
-list's answers under a threshold depend only on the threshold's class
-among the ranks the list queries in that block, so each answer index is a
-sum of one table entry per queried block.
+list's answer table, workspace cell, squared amplitude). A list's answers
+under a threshold depend only on the threshold's class among the ranks
+the list queries in that block, so each answer index is a sum of one
+table entry per queried block.
+
+Inputs are shared by mapping. An advice string is read in part by each
+block's machine, so many (block, advice) pairs return equal mappings;
+each distinct mapping is validated once and numbered by its ordinal, and
+every pair that returns it reads the one validated input.
 
 `run` and `overlap` are the library's one way to read a run, and neither
 builds a state: each is one pass over an input's cached terms. Distinct
@@ -34,9 +39,10 @@ within fibers, so it keeps each term's square: a run is the
 outcome cell of its image under the final; `overlap`, the inner product
 of an input's post-oracle states under two threshold vectors, adds the
 squares of the terms whose answer index the two vectors agree on. Each is
-memoized by class vectors; the lemma audit and the adversary compare
-states only through `overlap`. These two memos and the validated inputs
-are the computer's only caches.
+memoized by input ordinal and class vectors, so pairs that share a
+mapping share their runs and overlaps too; the lemma audit and the
+adversary compare states only through `overlap`. These two memos and the
+validated inputs are the computer's only caches.
 
 Output cells are ordered least-significant-bit-first: cell j holds the j-th
 bit from the end of the answer string. Narrower outputs are then prefixes of
@@ -187,15 +193,19 @@ class _CachedInput(NamedTuple):
     """A validated prequery mapping and its oracle terms (see prequery_state).
 
     amps is the read-only mapping of the input's nonzero terms, and terms
-    holds one (list index, answer table, ws, amp, amp * amp) tuple per
-    nonzero term, in the mapping's order. bounds holds one (block - 1,
-    ranks) pair per block the input queries, ranks being the sorted union
-    of the ranks its lists query there.
+    holds one (list index, answer table, ws, amp * amp) tuple per nonzero
+    term, in the mapping's order. bounds holds one (block - 1, ranks) pair
+    per block the input queries, ranks being the sorted union of the ranks
+    its lists query there. ordinal is the input's index among the
+    computer's distinct inputs; every (block, advice) pair whose mapping
+    equals this one reads this record, and the run and overlap memos are
+    keyed by its ordinal.
     """
 
     amps: Mapping
     terms: tuple
     bounds: tuple
+    ordinal: int
 
     def classes(self, steps: Sequence[int]) -> tuple:
         """Class vector of thresholds steps: the oracle's answer to every
@@ -216,18 +226,19 @@ class NonadaptiveComputer:
 
     The computer caches what it derives from its prequery mappings, so
     `prequery` must be a pure function of (block, advice): it is called at
-    most once per pair. `prequery_state` validates each mapping and keeps
-    it together with its oracle terms, one `(list_index, answer_table, ws,
-    amp, square)` tuple per nonzero term (see _answer_table); every run
-    and every overlap reads those terms, so no query word is parsed and no
-    amplitude squared twice, and a term's answer index costs one table
-    entry per queried block. `runs` memoizes `run`'s distributions by
-    (block, advice, class vector, width) and `overlaps` memoizes
-    `overlap`'s inner products by (block, advice, class vector, class
-    vector), all built on first use. These three caches
-    belong to this computer alone and serve every caller, each
-    compression.Coder over it included (a Coder keeps its own weight
-    analyses and selections); what they hold is read only.
+    most once per pair. `prequery_state` validates each distinct mapping
+    once and keeps it together with its oracle terms, one `(list_index,
+    answer_table, ws, square)` tuple per nonzero term (see _answer_table),
+    as one input with an ordinal; pairs whose mappings are equal share
+    that input. Every run and every overlap reads those terms, so no query
+    word is parsed and no amplitude squared twice, and a term's answer
+    index costs one table entry per queried block. `runs` memoizes `run`'s
+    distributions by (ordinal, class vector, width) and `overlaps`
+    memoizes `overlap`'s inner products by (ordinal, class vector, class
+    vector), all built on first use, so pairs that share an input share
+    these too. These caches belong to this computer alone and serve every
+    caller, each compression.Coder over it included (a Coder keeps its own
+    weight analyses and selections); what they hold is read only.
     """
 
     def __init__(
@@ -244,7 +255,10 @@ class NonadaptiveComputer:
         self.M, self.n, self.T, self.advice_len = M, n, T, advice_len
         self.output_width, self.scratch_dim = output_width, scratch_dim
         self.prequery, self.final = prequery, final
+        # (block, advice) -> its input; the mapping's items -> its input
         self._states: dict = {}
+        self._inputs: dict = {}
+        self._ordinals = itertools.count()
         self.runs: dict = {}
         self.overlaps: dict = {}
 
@@ -261,7 +275,11 @@ class NonadaptiveComputer:
 
         Every error names the input as `prequery input (block, advice)`.
         See _validated for the checks; the read-only mapping of the nonzero
-        terms is cached with the input's oracle terms under the same key.
+        terms is cached with the input's oracle terms. A mapping equal to
+        one already validated, item by item and in order, is not validated
+        again: the pair reads that input. Only a valid, hashable mapping is
+        kept for sharing, so a malformed one raises for every pair that
+        returns it.
         """
         cached = self._states.get((block, advice))
         if cached is None:
@@ -275,9 +293,18 @@ class NonadaptiveComputer:
                 )
             amps = self.prequery(block, advice)
             try:
-                cached = self._validated(amps)
-            except ModelError as e:
-                raise ModelError(f"{where}: {e}") from None
+                key = tuple(amps.items())
+                cached = self._inputs.get(key)
+            except TypeError:
+                # an unhashable mapping is validated, and shared with no pair
+                key = None
+            if cached is None:
+                try:
+                    cached = self._validated(amps)
+                except ModelError as e:
+                    raise ModelError(f"{where}: {e}") from None
+                if key is not None:
+                    self._inputs[key] = cached
             self._states[(block, advice)] = cached
         return cached.amps
 
@@ -290,7 +317,7 @@ class NonadaptiveComputer:
         each distinct word is checked and ranked once, and the list's
         index and answer table are built once. Each nonzero amplitude is
         squared once, and the squares, kept with the terms for `run`, must
-        sum to exactly 1.
+        sum to exactly 1. A valid mapping takes the computer's next ordinal.
         """
         M, n, T, ws_dim = self.M, self.n, self.T, self.workspace_dim
         clean = {}
@@ -326,7 +353,7 @@ class NonadaptiveComputer:
             clean[(qlist, ws)] = amp
             square = amp * amp
             total += square
-            terms.append((lidx, table, ws, amp, square))
+            terms.append((lidx, table, ws, square))
         if total != 1:
             raise ModelError(f"prequery norm^2 is {rational_str(total)}")
         # ranks holds every distinct (block, rank) pair the input queries
@@ -334,7 +361,9 @@ class NonadaptiveComputer:
         for word_block, rank in sorted(ranks.values()):
             union.setdefault(word_block - 1, []).append(rank)
         bounds = tuple((j, tuple(union_ranks)) for j, union_ranks in union.items())
-        return _CachedInput(MappingProxyType(clean), tuple(terms), bounds)
+        return _CachedInput(
+            MappingProxyType(clean), tuple(terms), bounds, next(self._ordinals)
+        )
 
     def _cached_input(self, block: int, advice: str) -> _CachedInput:
         self.prequery_state(block, advice)
@@ -390,11 +419,12 @@ def run(
     """Exact distribution over answer strings read from the output cells.
 
     The oracle answers by the per-block thresholds steps. Runs are
-    memoized on the computer, keyed by (block, advice, class vector,
+    memoized on the computer, keyed by (input ordinal, class vector,
     width): thresholds with the same class vector give the same
-    post-oracle state (see _CachedInput.classes), so each distinct one is
-    run once. The width and the thresholds are checked before every
-    lookup, and every call gets its own copy of the distribution.
+    post-oracle state (see _CachedInput.classes), and pairs with equal
+    mappings share one input, so each distinct run is made once. The
+    width and the thresholds are checked before every lookup, and every
+    call gets its own copy of the distribution.
 
     A run is the |amp|^2-mixture of its terms, which holds because the
     answer register is fresh and the final permutes within fibers. So a
@@ -412,14 +442,14 @@ def run(
         )
     _check_thresholds(computer, steps)
     cached = computer._cached_input(block, advice)
-    key = (block, advice, cached.classes(steps), width)
+    key = (cached.ordinal, cached.classes(steps), width)
     dist = computer.runs.get(key)
     if dist is None:
         place, dim = computer.final.place, computer.workspace_dim
         stride = dim // 2**width
         taken: set = set()
         probs: dict[int, Fraction] = {}
-        for lidx, table, ws, _amp, square in cached.terms:
+        for lidx, table, ws, square in cached.terms:
             placed = place(lidx, _table_answer(table, steps), ws, dim, taken)
             outcome = placed[2] // stride
             prob = probs.get(outcome)
@@ -445,21 +475,21 @@ def overlap(
     final keeps every inner product and is not applied, and the two states
     share a cell exactly where a term's answer index is the same under both
     vectors: a miss is one pass over the input's cached terms, summing the
-    squares of those terms. Memoized in computer.overlaps by (block,
-    advice, class vector of steps_a, class vector of steps_b; see
-    _CachedInput.classes). Both states are unit vectors, so their squared
-    distance is 2 - 2 * overlap.
+    squares of those terms. Memoized in computer.overlaps by (input
+    ordinal, class vector of steps_a, class vector of steps_b; see
+    _CachedInput.classes), so pairs with equal mappings share it. Both
+    states are unit vectors, so their squared distance is 2 - 2 * overlap.
     """
     _check_thresholds(computer, steps_a)
     _check_thresholds(computer, steps_b)
     cached = computer._cached_input(block, advice)
-    key = (block, advice, cached.classes(steps_a), cached.classes(steps_b))
+    key = (cached.ordinal, cached.classes(steps_a), cached.classes(steps_b))
     value = computer.overlaps.get(key)
     if value is None:
         value = computer.overlaps[key] = sum(
             (
                 square
-                for _lidx, table, _ws, _amp, square in cached.terms
+                for _lidx, table, _ws, square in cached.terms
                 if _table_answer(table, steps_a) == _table_answer(table, steps_b)
             ),
             ZERO,

@@ -1,9 +1,10 @@
-"""Three machines, for tests only, that no built-in subject can stand in for.
+"""Four machines, for tests only, that no built-in subject can stand in for.
 
 No command builds them. The coder tests and criterion 7's certification
 runs use the two that query a neighbouring block to reach weight profiles
 the built-in subjects do not; the decoder tests use the even split to see
-a selected block that no outcome wins.
+a selected block that no outcome wins; the input-sharing tests use the
+shared query to see two blocks that share a mapping but not its analysis.
 """
 
 from fractions import Fraction
@@ -95,6 +96,33 @@ def build_even_split(n: int):
         T=1,
         advice_len=0,
         output_width=2,
+        scratch_dim=1,
+        prequery=prequery,
+        final=_identity_final(),
+    )
+    return computer, no_advice()
+
+
+def build_shared_query(n: int):
+    """M = 3: input blocks 1 and 2 both query location 1 of block 1, and
+    block 3 queries location 1 of its own block.
+
+    Blocks 1 and 2 return one mapping, so the computer validates it once,
+    but the query weighs block 1's own prefix and none of block 2's: the
+    two blocks' weight analyses differ. No advice, and the identity final.
+    """
+    loc = bin_n(n, 1)
+
+    def prequery(block, advice):
+        words = (QueryWord(1 if block < 3 else 3, loc),)
+        return {(words, 0): Fraction(1)}
+
+    computer = NonadaptiveComputer(
+        M=3,
+        n=n,
+        T=1,
+        advice_len=0,
+        output_width=n,
         scratch_dim=1,
         prequery=prequery,
         final=_identity_final(),

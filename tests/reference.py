@@ -36,13 +36,15 @@ def apply_oracle(
     Each list's answer index is read from its cached answer table. The
     state is the dict {(list index, answer index, ws): amp}; its cells and
     amplitudes are the validated input's, nonzero Fractions in the
-    workspace, so they are not checked again.
+    workspace, so they are not checked again. The input holds one term per
+    entry of its mapping, in the same order, so the two are zipped.
     """
     _check_thresholds(computer, steps)
+    cached = computer._cached_input(block, advice)
     # list indices are distinct per query list, so every key is new
     return {
         (lidx, _table_answer(table, steps), ws): amp
-        for lidx, table, ws, amp, _square in computer._cached_input(block, advice).terms
+        for (lidx, table, ws, _square), amp in zip(cached.terms, cached.amps.values())
     }
 
 

@@ -251,7 +251,8 @@ def test_audit_distances_match_distance_sq(subject, M, n, k):
                 assert all(type(d) is Fraction for d in audit.distances)
                 checked += len(want)
     keys = set(comp.overlaps)
-    assert all(len(key) == 4 and key[0] in range(1, M + 1) for key in keys)
+    ordinals = {cached.ordinal for cached in comp._states.values()}
+    assert all(len(key) == 3 and key[0] in ordinals for key in keys)
     if subject == "probe":
         assert 0 < len(keys) < checked // 4
     fresh, _ = get_subject(subject, M, n, k)

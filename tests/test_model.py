@@ -114,8 +114,8 @@ def test_zero_terms_are_dropped_unchecked():
     )
     amps = comp.prequery_state(1, "")
     assert dict(amps) == {(good, 0): Fraction(1)}
-    assert [(ws, amp, sq) for _lidx, _table, ws, amp, sq in comp._cached_input(1, "").terms] == [
-        (0, Fraction(1), Fraction(1))
+    assert [(ws, sq) for _lidx, _table, ws, sq in comp._cached_input(1, "").terms] == [
+        (0, Fraction(1))
     ]
     assert run(comp, 1, "", (1,)) == {"0": Fraction(1)}
     long_zero = _one_block_computer({(good, 0): Fraction(1), (good * 2, 0): 0}, n=2)
@@ -330,9 +330,9 @@ def test_overlap_matches_fresh_inner_products(label, build):
     hits = 0
     advices = ["".join(bits) for bits in product("01", repeat=comp.advice_len)]
     for block, advice in product(range(1, M + 1), advices):
-        classes = comp._cached_input(block, advice).classes
+        cached = comp._cached_input(block, advice)
         for a, b in pairs:
-            key = (block, advice, classes(a), classes(b))
+            key = (cached.ordinal, cached.classes(a), cached.classes(b))
             hit = key in comp.overlaps
             got = overlap(comp, block, advice, a, b)
             state_a = apply_oracle(comp, block, advice, a)

@@ -361,11 +361,12 @@ def test_cached_terms_are_immutable_int_tuples(label, build, M, n, k, p):
         assert cached.amps is pre
         assert type(cached.terms) is tuple and len(cached.terms) == len(pre)
         lists = {list_index(words, M, n): words for words, _ws in pre}
-        for term in cached.terms:
+        # one term per entry of the mapping, in the mapping's order
+        for term, (key, amp) in zip(cached.terms, pre.items()):
             assert type(term) is tuple
-            lidx, table, ws, amp, square = term
+            lidx, table, ws, square = term
             words = lists[lidx]
-            assert pre[(words, ws)] == amp
+            assert (words, ws) == key
             # the square that run adds and the norm check sums
             assert type(square) is Fraction and square == amp * amp
             # one (block - 1, ranks, shares) triple per queried block, in
