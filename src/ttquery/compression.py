@@ -31,24 +31,27 @@ its threshold C / m, the round-count verdict and the integer survivor
 floors), and each code layout: the item map and doubled good-index field
 of a (case, good indices, selected blocks) key. A Coder is one computer
 and its advice function at a given p, l and error parameters; its context
-reads M, n, k and T from the computer. It owns two caches: per (block,
-advice) the weight analysis (weight_analysis), with a rank map from heavy
-prefix to its index and the block's query-mass verdict, and per (advice,
-bad prefixes) the selection (_select), which the encoder, the decoder and
-the audit all read, so a decoder reuses the selection its encoder made.
-An analysis is built once per input block and distinct prequery mapping
-(the computer's input ordinal), and the advice strings whose mappings are
+reads M, n, k and T from the computer. It owns two caches: per advice
+string a record of the M blocks' weight analyses (weight_analysis), each
+with a rank map from heavy prefix to its index and the block's query-mass
+verdict, and per (advice, bad prefixes) the selection (_select), which
+the encoder, the decoder and the audit all read, so a decoder reuses the
+selection its encoder made. A record's slot is filled on first use, and
+an analysis is built once per input block and distinct prequery mapping
+(the computer's input ordinal), so the advice strings whose mappings are
 equal share it. Prefix weights are summed from the computer's cached
 oracle terms, whose amplitudes are already squared. Every coder function
 takes the Coder.
 The audit's substitution distances come from model.overlap, which the
 computer memoizes per pair of class vectors. Per instance, the step names
-are formatted once when the StepInstance is built, profile evaluates the
-advice once and the profile carries it, a block is classified by looking
-its prefix up in the rank map rather than comparing its weight with C,
-and the encoder only joins the field bits into the layout the context
-holds. Both decoders end in one check: the decoded instance must
-reproduce the advice string its code carries.
+are formatted once: the sweep and both decoders build instances from
+names they already hold (StepInstance._named). profile evaluates the
+advice once, reads the advice's record once, and the profile carries the
+advice; a block is classified by looking its prefix up in the rank map
+rather than comparing its weight with C, and the encoder only joins the
+field bits into the layout the context holds. Both decoders end in one
+check: the decoded instance must reproduce the advice string its code
+carries.
 
 The single-block scheme (M = 1, p = k + 1, l = 1) only lays out bits its own
 way: it classifies through the profile, which refuses an instance of another
@@ -64,7 +67,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .model import NonadaptiveComputer, overlap, run
-from .ordered_search import StepInstance, enumerate_instances, rank_of
+from .ordered_search import StepInstance, enumerate_instances
 from .statevec import as_rational, checked_epsilon
 
 
@@ -256,14 +259,15 @@ class Coder:
 
     Its context ctx reads M, n, k and T from the computer, so the two
     cannot disagree; only a p wider than the computer's output is refused.
-    It owns two caches, filled on first use and read only: analyses
-    (weight_analysis), keyed by (block, advice), whose values are built
-    once per (block, input ordinal) and kept in _shared_analyses too, so
-    advice strings with equal mappings share one; and selections, the
-    selection of each (advice, bad prefixes) pair (_select), which the
-    decoder, the encoder and the audit all read, so a code's decoder
-    reuses its encoder's selection. Coders over one computer share its
-    caches, not these.
+    It owns two caches, filled on first use and read only: analyses, keyed
+    by advice string, each entry a list of M slots holding the blocks'
+    WeightAnalysis in block order, a slot filled when its block is first
+    read (weight_analysis); the analyses are built once per (block, input
+    ordinal) and kept in _shared_analyses too, so advice strings with equal
+    mappings share one. And selections, the selection of each (advice, bad
+    prefixes) pair (_select), which the decoder, the encoder and the audit
+    all read, so a code's decoder reuses its encoder's selection. Coders
+    over one computer share its caches, not these.
     """
 
     def __init__(self, computer: NonadaptiveComputer, advice_fn, p, l, params=DEFAULT_PARAMS):
@@ -325,30 +329,49 @@ class WeightAnalysis(NamedTuple):
 
 
 def weight_analysis(coder: Coder, block, advice) -> WeightAnalysis:
-    """The analysis of (block, advice) at the coder's p and C, kept in coder.analyses.
+    """The analysis of (block, advice) at the coder's p and C: the block's
+    slot of the advice's record in coder.analyses, filled on first use.
+
+    A block outside 1..M has no slot; its read goes to the computer, which
+    refuses it with a ModelError that names the input.
+    """
+    record = _record(coder, advice)
+    found = record[block - 1] if 1 <= block <= len(record) else None
+    return found or _analysis(coder, record, block, advice)
+
+
+def _record(coder: Coder, advice) -> list:
+    """The advice's record in coder.analyses, made with M empty slots on
+    first read."""
+    record = coder.analyses.get(advice)
+    if record is None:
+        record = coder.analyses[advice] = [None] * coder.ctx.M
+    return record
+
+
+def _analysis(coder: Coder, record, block, advice) -> WeightAnalysis:
+    """Fill block's slot of the advice's record, and return it.
 
     The table depends only on the input's prequery mapping, but heavy and
-    the mass are read from the input block's own entries, so a miss takes
+    the mass are read from the input block's own entries, so the slot takes
     the analysis of (block, input ordinal), built on first use: blocks
-    that share a mapping keep analyses of their own.
+    that share a mapping keep analyses of their own. Only this block's
+    input is built, and the computer checks block and advice first.
     """
-    key = (block, advice)
-    found = coder.analyses.get(key)
+    shared = (block, coder.computer._cached_input(block, advice).ordinal)
+    found = coder._shared_analyses.get(shared)
     if found is None:
-        shared = (block, coder.computer._cached_input(block, advice).ordinal)
-        found = coder._shared_analyses.get(shared)
-        if found is None:
-            ctx = coder.ctx
-            table = MappingProxyType(prefix_weights(coder.computer, block, advice, ctx.p))
-            own_mass = sum((v for (j, _), v in table.items() if j == block), Fraction(0))
-            heavy = tuple(
-                sorted(a for (j, a), v in table.items() if j == block and v > ctx.C)
-            )
-            ranks = MappingProxyType({prefix: rank for rank, prefix in enumerate(heavy)})
-            found = coder._shared_analyses[shared] = WeightAnalysis(
-                table, own_mass, own_mass <= ctx.T, heavy, ranks
-            )
-        coder.analyses[key] = found
+        ctx = coder.ctx
+        table = MappingProxyType(prefix_weights(coder.computer, block, advice, ctx.p))
+        own_mass = sum((v for (j, _), v in table.items() if j == block), Fraction(0))
+        heavy = tuple(
+            sorted(a for (j, a), v in table.items() if j == block and v > ctx.C)
+        )
+        ranks = MappingProxyType({prefix: rank for rank, prefix in enumerate(heavy)})
+        found = coder._shared_analyses[shared] = WeightAnalysis(
+            table, own_mass, own_mass <= ctx.T, heavy, ranks
+        )
+    record[block - 1] = found
     return found
 
 
@@ -379,20 +402,22 @@ def profile(coder: Coder, instance) -> GoodBadProfile:
     """Classify every block by the weight its machine puts on its own step.
 
     The instance's M and n are checked first, then its advice is evaluated
-    once and kept on the profile. A block is good when the weight of its
-    step's leading n-p bits is strictly above C. For good blocks the rank
-    counts heavy prefixes that sort strictly below the step's own prefix.
+    once and kept on the profile, and the advice's record of analyses is
+    read once. A block is good when the weight of its step's leading n-p
+    bits is strictly above C. For good blocks the rank counts heavy
+    prefixes that sort strictly below the step's own prefix.
     """
     computer = coder.computer
     if (instance.M, instance.n) != (computer.M, computer.n):
         raise ValueError("instance and computer disagree on M or n")
     f = coder.advice_fn(instance)
     cut = computer.n - coder.ctx.p
+    record = _record(coder, f)
     out = []
     for i, name in enumerate(instance.names, 1):
         pre = name[:cut]
         # heavy is the analysis's list at threshold C: a rank means w > C
-        rank = weight_analysis(coder, i, f).ranks.get(pre)
+        rank = (record[i - 1] or _analysis(coder, record, i, f)).ranks.get(pre)
         out.append(BlockProfile(i, pre, rank is not None, rank))
     return GoodBadProfile(f, tuple(out), tuple(bp.block for bp in out if bp.good))
 
@@ -539,7 +564,7 @@ class Encoding:
     def __init__(self, case: int, bits: str, items: tuple[tuple[str, int, int], ...]):
         if case not in (1, 2):
             raise ValueError("case must be 1 or 2")
-        if set(bits) - {"0", "1"}:
+        if bits.strip("01"):
             raise ValueError("bits must be a 0/1 string")
         pos = 0
         for name, off, length in items:
@@ -621,6 +646,7 @@ def _select(coder: Coder, advice, bad_prefixes):
     picked: list[int] = []
     sizes = [len(survivors)]
     tables = {}
+    record = _record(coder, advice)
     for _ in range(m):
         candidates = [j for j in survivors if j not in picked]
         if not candidates:
@@ -629,13 +655,16 @@ def _select(coder: Coder, advice, bad_prefixes):
             )
         pivot = candidates[0]
         picked.append(pivot)
-        tbl = weight_analysis(coder, pivot, advice).table
+        tbl = (record[pivot - 1] or _analysis(coder, record, pivot, advice)).table
         tables[pivot] = tbl
-        # a prefix the table lacks weighs 0, below the positive threshold
+        # w < threshold, cross-multiplied; a prefix the table lacks weighs
+        # 0, below the positive threshold
+        tn, td = threshold.numerator, threshold.denominator
         survivors = [
             j
             for j in survivors
-            if (w := tbl.get((j, bad_prefixes[j]))) is None or w < threshold
+            if (w := tbl.get((j, bad_prefixes[j]))) is None
+            or w.numerator * td < tn * w.denominator
         ]
         sizes.append(len(survivors))
     crosses = []
@@ -802,10 +831,19 @@ def decode(coder: Coder, encoding: Encoding) -> StepInstance:
 
 
 def _decoded(coder: Coder, names, f) -> StepInstance:
-    """The instance named by names, refused unless its advice string is f."""
+    """The instance named by names, refused unless its advice string is f.
+
+    Every name is an n-bit 0/1 string by construction. Encoding refuses
+    bits other than 0 and 1, and every field has a fixed width, so a name
+    is one n-bit field, or a heavy prefix or stored prefix (n - p bits)
+    joined to a stored or measured suffix (p bits). So the instance is
+    built from the names as they are (StepInstance._named), each step read
+    back as int(name, 2) + 1.
+    """
     ctx = coder.ctx
-    instance = StepInstance(
-        ctx.M, ctx.n, tuple(rank_of(names[i]) for i in range(1, ctx.M + 1))
+    held = tuple(names[i] for i in range(1, ctx.M + 1))
+    instance = StepInstance._named(
+        ctx.M, ctx.n, tuple(int(name, 2) + 1 for name in held), held
     )
     if coder.advice_fn(instance) != f:
         raise DecodeError("decoded instance does not reproduce the advice string")
@@ -819,12 +857,13 @@ def _substituted_steps(M, p, names, prefix_of, pending) -> tuple[int, ...]:
     up to its prefix group, the 2**p steps sharing its leading n-p bits; it
     answers by the first rank past that group, so its words are answered 1
     exactly when their prefix sorts after the block's. For the last group
-    that threshold is N + 1.
+    that threshold is N + 1. A known name is an n-bit 0/1 string, read as
+    its rank int(name, 2) + 1 (see _decoded).
     """
     return tuple(
         (int(prefix_of[i] or "0", 2) + 1) * 2**p + 1
         if i in pending
-        else rank_of(names[i])
+        else int(names[i], 2) + 1
         for i in range(1, M + 1)
     )
 
@@ -1037,10 +1076,13 @@ AUDIT_CHECKS = (
 def mass_within_queries(coder: Coder, advice) -> bool:
     """Whether every input block's own query mass is at most T, for one advice.
 
-    Each block's verdict is its weight analysis's mass_ok.
+    Each block's verdict is its weight analysis's mass_ok, read from the
+    advice's record.
     """
+    record = _record(coder, advice)
     return all(
-        weight_analysis(coder, i, advice).mass_ok for i in range(1, coder.ctx.M + 1)
+        (wa or _analysis(coder, record, i, advice)).mass_ok
+        for i, wa in enumerate(record, 1)
     )
 
 

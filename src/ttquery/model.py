@@ -79,6 +79,8 @@ class MissingEntryError(ModelError):
 
 
 def check_word(word: QueryWord, M: int, n: int) -> None:
+    if isinstance(word.block, bool) or not isinstance(word.block, int):
+        raise ModelError(f"word block {word.block!r} is not an integer")
     if not 1 <= word.block <= M:
         raise ModelError(f"block {word.block} outside 1..{M}")
     if len(word.location) != n or word.location.strip("01"):
@@ -214,6 +216,22 @@ class _CachedInput(NamedTuple):
         return tuple([bisect_left(ranks, steps[j]) for j, ranks in self.bounds])
 
 
+def _exact_items(amps: Mapping) -> tuple:
+    """A prequery mapping's items, each with the types of its amplitude,
+    workspace cell and word fields beside it.
+
+    Equal values of other types compare and hash alike (1 == 1.0 == True),
+    but the checks refuse some of those types, so two mappings share an
+    input only when they are equal with every type the same. Raises
+    TypeError for a mapping that is not hashable this way.
+    """
+    chain = itertools.chain.from_iterable
+    return tuple(
+        (words, ws, amp, type(amp), type(ws), tuple(map(type, chain(words))))
+        for (words, ws), amp in amps.items()
+    )
+
+
 class NonadaptiveComputer:
     """A truth-table query computer for the M-block problem over n-bit blocks.
 
@@ -255,7 +273,7 @@ class NonadaptiveComputer:
         self.M, self.n, self.T, self.advice_len = M, n, T, advice_len
         self.output_width, self.scratch_dim = output_width, scratch_dim
         self.prequery, self.final = prequery, final
-        # (block, advice) -> its input; the mapping's items -> its input
+        # (block, advice) -> its input; the mapping's exact items -> its input
         self._states: dict = {}
         self._inputs: dict = {}
         self._ordinals = itertools.count()
@@ -276,10 +294,12 @@ class NonadaptiveComputer:
         Every error names the input as `prequery input (block, advice)`.
         See _validated for the checks; the read-only mapping of the nonzero
         terms is cached with the input's oracle terms. A mapping equal to
-        one already validated, item by item and in order, is not validated
-        again: the pair reads that input. Only a valid, hashable mapping is
-        kept for sharing, so a malformed one raises for every pair that
-        returns it.
+        one already validated, item by item and in order, with every
+        amplitude, workspace cell and word field of the same type (see
+        _exact_items), is not validated again: the pair reads that input.
+        Only a valid, hashable mapping is kept for sharing, so a malformed
+        one raises for every pair that returns it, whichever pair asks
+        first.
         """
         cached = self._states.get((block, advice))
         if cached is None:
@@ -293,7 +313,7 @@ class NonadaptiveComputer:
                 )
             amps = self.prequery(block, advice)
             try:
-                key = tuple(amps.items())
+                key = _exact_items(amps)
                 cached = self._inputs.get(key)
             except TypeError:
                 # an unhashable mapping is validated, and shared with no pair

@@ -42,7 +42,8 @@ class StepInstance:
 
     names holds each block's n-bit step name, formatted once here, since
     every coder and advice function reads them. Instances compare and hash
-    by (M, n, steps).
+    by (M, n, steps). The constructor checks everything; _named builds an
+    instance from steps and names its caller already holds.
     """
 
     __slots__ = ("M", "n", "steps", "names")
@@ -63,6 +64,14 @@ class StepInstance:
         self.M, self.n = M, n
         spec = f"0{n}b"
         self.names = tuple(format(s - 1, spec) for s in self.steps)
+
+    @classmethod
+    def _named(cls, M: int, n: int, steps: tuple[int, ...], names: tuple[str, ...]):
+        """An instance from M int steps in 1..2**n and their n-bit names,
+        which the caller vouches for: nothing is checked or formatted."""
+        instance = cls.__new__(cls)
+        instance.M, instance.n, instance.steps, instance.names = M, n, steps, names
+        return instance
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -129,15 +138,30 @@ def enumerate_instances(
     """All instances in lexicographic step order, guarded by a count budget.
 
     The budget is checked when the sweep is requested, not when it is first
-    iterated. There are 2**(M*n) instances, so a sweep with M*n at or past
-    the budget's bit length is refused without computing that count.
+    iterated; nothing else is done then. There are 2**(M*n) instances, so a
+    sweep with M*n at or past the budget's bit length is refused without
+    computing that count. Iterating the sweep formats the N step names once,
+    into a table, and builds each instance from its steps and their names
+    in that table (StepInstance._named), so no name is formatted twice.
     """
     if budget is not None and M * n >= budget.bit_length():
         raise BudgetExceededError(
             f"2^{M * n} instances at M={M}, n={n} exceed budget {budget}"
         )
+    return _sweep(M, n)
+
+
+def _sweep(M: int, n: int) -> Iterator[StepInstance]:
+    if M < 1 or n < 1:
+        raise ValueError("need M >= 1 and n >= 1")
+    # both products run in the same lexicographic order, steps beside names
     size = 2**n
-    return (
-        StepInstance(M, n, steps)
-        for steps in itertools.product(range(1, size + 1), repeat=M)
+    spec = f"0{n}b"
+    table = [format(rank, spec) for rank in range(size)]
+    yield from map(
+        StepInstance._named,
+        itertools.repeat(M),
+        itertools.repeat(n),
+        itertools.product(range(1, size + 1), repeat=M),
+        itertools.product(table, repeat=M),
     )

@@ -3,14 +3,18 @@
 A computer validates each distinct prequery mapping once, and every
 (block, advice) pair that returns an equal mapping reads that one input:
 its oracle terms, and its runs and overlaps, which are memoized by the
-input's ordinal. A coder keeps one weight analysis per (block, ordinal).
+input's ordinal. A coder keeps one weight analysis per (block, ordinal),
+and per advice string a record of M slots that point at them.
 Every value read through a shared input is checked against a fresh
 computer that has seen only that input, over every registry subject at
 M <= 3 and n <= 3, built-in and loaded from its exported doc. The counts
-of distinct inputs are checked on four sweeps, and the errors of a
-malformed mapping met after a valid one.
+of distinct inputs and the filled slots are checked on four sweeps, and
+the errors of a malformed mapping met after a valid one, of a mapping
+equal to a valid one but typed otherwise, in either order, and of a
+block outside the record.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -140,11 +144,21 @@ def test_distinct_inputs_are_validated_and_weighed_once(name, M, n, k, distinct,
         same = one.ordinal == two.ordinal
         assert (one is two) == same
         assert (raw(*pair) == raw(*other)) == same, (pair, other)
-    # one analysis, and one prefix-weight table, per (block, ordinal)
+    # one analysis, and one prefix-weight table, per (block, ordinal); the
+    # filled slots of the per-advice records are exactly the inputs read
     assert set(weighed.values()) == {1}
-    assert len(coder.analyses) == len(inputs)
-    assert len({id(wa) for wa in coder.analyses.values()}) == len(weighed)
+    filled = {
+        (block, advice): wa
+        for advice, record in coder.analyses.items()
+        for block, wa in enumerate(record, 1)
+        if wa is not None
+    }
+    assert filled.keys() == set(inputs)
+    assert len({id(wa) for wa in filled.values()}) == len(weighed)
     assert set(weighed) == {(block, cached[(block, advice)].ordinal) for block, advice in inputs}
+    assert set(coder._shared_analyses) == set(weighed)
+    for (block, advice), wa in filled.items():
+        assert wa is coder._shared_analyses[(block, cached[(block, advice)].ordinal)]
 
 
 def test_blocks_that_share_a_mapping_keep_their_own_analyses():
@@ -167,6 +181,70 @@ def test_blocks_that_share_a_mapping_keep_their_own_analyses():
         overlap(comp, block, "", a, b)
     assert {key[0] for key in comp.runs} == {one.ordinal}
     assert len(comp.runs) == 2 and len(comp.overlaps) == 4
+
+
+def test_reading_one_block_on_a_fresh_coder_builds_only_its_input():
+    comp, adv = get_subject("probe", 3, 2, 3)
+    raw, calls = comp.prequery, Counter()
+
+    def counted(block, advice):
+        calls[(block, advice)] += 1
+        return raw(block, advice)
+
+    comp.prequery = counted
+    coder = Coder(comp, adv, 1, 1)
+    wa = weight_analysis(coder, 2, "010")
+    assert calls == Counter({(2, "010"): 1})
+    assert comp._states.keys() == {(2, "010")}
+    assert coder.analyses == {"010": [None, wa, None]}
+    assert weight_analysis(coder, 2, "010") is wa and len(calls) == 1
+
+
+@pytest.mark.parametrize("filled", [False, True], ids=["fresh", "filled"])
+def test_blocks_outside_the_record_raise_the_model_error(filled):
+    # block 0 must not read the record's last slot, nor block M + 1 fall off it
+    comp, adv = get_subject("probe", 3, 2, 3)
+    coder = Coder(comp, adv, 1, 1)
+    if filled:
+        for block in (1, 2, 3):
+            weight_analysis(coder, block, "010")
+    record = list(coder.analyses.get("010", [None] * 3))
+    for block in (0, 4):
+        message = re.escape(f"prequery input ({block}, '010'): input block {block} outside 1..3")
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            weight_analysis(coder, block, "010")
+    assert coder.analyses.get("010", [None] * 3) == record
+
+
+_ONE_WORD = (QueryWord(1, "1"),)
+
+
+@pytest.mark.parametrize(
+    "other, error, message",
+    [
+        ({(_ONE_WORD, 0): 1.0}, TypeError, r"cannot interpret 1\.0 as a rational"),
+        ({(((1.0, "1"),), 0): Fraction(1)}, ModelError, r"word block 1\.0 is not an integer"),
+        ({(((True, "1"),), 0): Fraction(1)}, ModelError, r"word block True is not an integer"),
+    ],
+    ids=["float-amplitude", "float-block", "bool-block"],
+)
+@pytest.mark.parametrize("other_first", [False, True], ids=["valid-first", "other-first"])
+def test_an_equal_mapping_of_other_types_is_refused_in_either_order(
+    other, error, message, other_first
+):
+    # {(w, 0): Fraction(1)} equals and hashes like each `other`, but may not share its input
+    valid = {(_ONE_WORD, 0): Fraction(1)}
+    first, second = (other, valid) if other_first else (valid, other)
+    comp = _two_block_computer(lambda block, advice: first if block == 1 else second)
+    other_block = 1 if other_first else 2
+    for block in (1, 2):
+        if block == other_block:
+            prefix = "" if error is TypeError else re.escape(f"prequery input ({block}, '0'): ")
+            with pytest.raises(error, match=f"^{prefix}{message}$"):
+                comp.prequery_state(block, "0")
+        else:
+            assert comp.prequery_state(block, "0") == valid
+    assert len(comp._inputs) == 1 and list(comp._states) == [(3 - other_block, "0")]
 
 
 def _two_block_computer(prequery):

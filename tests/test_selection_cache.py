@@ -5,7 +5,8 @@ Every selection a coder keeps is checked against a fresh selection on a
 coder whose cache is empty, and every code against a decoder whose cache is
 empty, over every registry subject at M <= 3 and n <= 3, built-in and
 loaded from its exported doc. prefix_weights is checked against the former
-QueryWord-based sum, kept here as the reference. The bit-string checks are
+QueryWord-based sum, kept here as the reference, and every selection
+against the Fraction-comparing selection it replaced. The bit-string checks are
 checked against the generator checks they replace, and the decoder's
 majority test against an outcome at exactly 1/2.
 """
@@ -20,6 +21,7 @@ from machines import build_even_split
 from ttquery.compression import (
     Coder,
     DecodeError,
+    LwssResult,
     _majority_suffix,
     _select,
     audit_instance,
@@ -28,6 +30,7 @@ from ttquery.compression import (
     lwss,
     prefix_weights,
     profile,
+    weight_analysis,
 )
 from ttquery.model import (
     AdviceFunction,
@@ -87,6 +90,28 @@ def _coders(comp, M, n):
     ]
 
 
+def _fraction_select(coder, advice, bad_prefixes):
+    """The selection as it was written with Fraction comparisons, kept as
+    the reference for _select's cross-multiplied survivor test."""
+    survivors = sorted(bad_prefixes)
+    m, threshold, _, _ = coder.ctx.rounds(len(survivors))
+    picked, sizes, tables = [], [len(survivors)], {}
+    for _ in range(m):
+        pivot = next(j for j in survivors if j not in picked)
+        picked.append(pivot)
+        tables[pivot] = weight_analysis(coder, pivot, advice).table
+        survivors = [
+            j for j in survivors if tables[pivot].get((j, bad_prefixes[j]), Fraction(0)) < threshold
+        ]
+        sizes.append(len(survivors))
+    crosses = tuple(
+        (a, b, tables[a].get((b, bad_prefixes[b]), Fraction(0)))
+        for pos, a in enumerate(picked)
+        for b in picked[pos + 1 :]
+    )
+    return LwssResult(tuple(picked), m, threshold, tuple(sizes), crosses)
+
+
 @pytest.mark.parametrize("name, M, n, from_doc", PARAMS)
 def test_cached_selections_match_fresh_selections(name, M, n, from_doc):
     comp, adv = _subject(name, M, n, from_doc)
@@ -99,6 +124,7 @@ def test_cached_selections_match_fresh_selections(name, M, n, from_doc):
             fresh.selections.clear()
             again = _select(fresh, advice, dict(bad))
             assert again == sel and again is not sel, (p, l, advice, bad)
+            assert _fraction_select(fresh, advice, dict(bad)) == sel, (p, l, advice, bad)
         for inst, enc in codes.items():
             assert decode(coder, enc) == inst
             if enc.case == 2:

@@ -604,10 +604,12 @@ def test_coders_over_one_computer_share_its_caches_but_not_their_analyses():
     assert comp._states.keys() == states.keys() and comp.runs.keys() == runs.keys()
     assert all(comp._states[key] is states[key] for key in states)
     assert all(comp.runs[key] is runs[key] for key in runs)
-    # and built analyses of its own, equal but not shared
+    # and built analyses of its own, equal but not shared, slot by slot
     assert one.analyses.keys() == two.analyses.keys()
-    for key, wa in one.analyses.items():
-        assert two.analyses[key] == wa and two.analyses[key] is not wa
+    for advice, record in one.analyses.items():
+        assert two.analyses[advice] == record
+        for mine, theirs in zip(record, two.analyses[advice]):
+            assert mine is theirs is None or mine is not theirs
 
 
 # ---------------------------------------------------------------------------
