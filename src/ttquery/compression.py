@@ -68,10 +68,7 @@ from typing import Mapping, NamedTuple
 
 from .model import NonadaptiveComputer, overlap, run
 from .ordered_search import StepInstance, enumerate_instances
-from .statevec import as_rational, checked_epsilon
-
-
-_ZERO = Fraction(0)
+from .statevec import ZERO, as_rational, checked_epsilon
 
 
 class EncodingFormatError(ValueError):
@@ -95,32 +92,25 @@ class LwssExhaustedError(RuntimeError):
 
 
 class ErrorParams:
-    """Error tolerance epsilon and slack c, with the derived threshold.
+    """Error tolerance epsilon and slack c, with the threshold C they fix.
 
     Requires 0 <= epsilon and 0 < c < d(epsilon), where d is 1/(2 eps) - 1
     for positive epsilon and 1 for epsilon = 0. Under those constraints the
-    inflated error eps_prime = (1 + c) * epsilon stays below 1/2, the
-    threshold C = (1 - 2 eps_prime)^2 / 16 is positive, and its square
-    root (1 - 2 eps_prime) / 4 is itself rational, so the decoder margin
-    identity 2 sqrt(C) + epsilon = 1/2 - c * epsilon holds exactly; margin
-    is that headroom above 1/2, c * epsilon. Every derived value is set
-    once here.
+    inflated error eps' = (1 + c) * epsilon stays below 1/2, and the
+    threshold C = (1 - 2 eps')^2 / 16 is positive. C is chosen so that its
+    square root (1 - 2 eps') / 4 is rational and the decoder's margin
+    identity 2 sqrt(C) + epsilon = 1/2 - c * epsilon holds exactly: a
+    selected block's right answer keeps headroom c * epsilon above 1/2.
+    epsilon, c and C are the only attributes, each set once here.
     """
 
     def __init__(self, epsilon: int | str | Fraction, c: int | str | Fraction):
         self.epsilon = checked_epsilon(epsilon)
         self.c = as_rational(c)
-        self.d = 1 / (2 * self.epsilon) - 1 if self.epsilon > 0 else Fraction(1)
-        if not 0 < self.c < self.d:
-            raise ValueError(f"c must lie strictly between 0 and {self.d}")
-        self.eps_prime = (1 + self.c) * self.epsilon
-        self.sqrt_C = (1 - 2 * self.eps_prime) / 4
-        self._C = self.sqrt_C * self.sqrt_C
-        self.margin = self.c * self.epsilon
-
-    @property
-    def C(self) -> Fraction:
-        return self._C
+        d = 1 / (2 * self.epsilon) - 1 if self.epsilon > 0 else Fraction(1)
+        if not 0 < self.c < d:
+            raise ValueError(f"c must lie strictly between 0 and {d}")
+        self.C = ((1 - 2 * (1 + self.c) * self.epsilon) / 4) ** 2
 
 
 DEFAULT_PARAMS = ErrorParams(Fraction(1, 3), Fraction(1, 8))
@@ -189,7 +179,6 @@ class EncodingContext:
         if not 1 <= l <= M:
             raise ValueError("l must lie in [1, M]")
         self.M, self.n, self.p, self.k, self.T, self.l = M, n, p, k, T, l
-        self.params = params
         self.N = 2**n
         self.C = params.C
         self.t = Fraction(T) / self.C
@@ -299,11 +288,11 @@ def prefix_weights(computer, block, advice, p):
     cut = computer.n - p
     spec = f"0{cut}b"
     acc: dict = {}
-    for _lidx, table, _ws, square in computer._cached_input(block, advice).terms:
+    for _lidx, table, _ws, square in computer.prequery_state(block, advice).terms:
         for j, ranks, _shares in table:
             for rank in ranks:
                 key = (j + 1, format((rank - 1) >> p, spec) if cut else "")
-                acc[key] = acc.get(key, _ZERO) + square
+                acc[key] = acc.get(key, ZERO) + square
     return acc
 
 
@@ -358,12 +347,12 @@ def _analysis(coder: Coder, record, block, advice) -> WeightAnalysis:
     that share a mapping keep analyses of their own. Only this block's
     input is built, and the computer checks block and advice first.
     """
-    shared = (block, coder.computer._cached_input(block, advice).ordinal)
+    shared = (block, coder.computer.prequery_state(block, advice).ordinal)
     found = coder._shared_analyses.get(shared)
     if found is None:
         ctx = coder.ctx
         table = MappingProxyType(prefix_weights(coder.computer, block, advice, ctx.p))
-        own_mass = sum((v for (j, _), v in table.items() if j == block), Fraction(0))
+        own_mass = sum((v for (j, _), v in table.items() if j == block), ZERO)
         heavy = tuple(
             sorted(a for (j, a), v in table.items() if j == block and v > ctx.C)
         )
@@ -610,12 +599,11 @@ class LwssResult(NamedTuple):
     candidate-set size entering each round and after the last one.
     crosses holds (earlier pivot, later pivot, weight) rows so audits can
     recheck that every later pick stayed under the threshold when the
-    earlier pivot's weights were examined.
+    earlier pivot's weights were examined. The schedule it ran, m rounds
+    at threshold C / m, is the context's Rounds record for the pool.
     """
 
     W: tuple[int, ...]
-    m: int
-    threshold: Fraction | None
     survivor_sizes: tuple[int, ...]
     crosses: tuple[tuple[int, int, Fraction], ...]
 
@@ -671,11 +659,9 @@ def _select(coder: Coder, advice, bad_prefixes):
     for a_pos, a in enumerate(picked):
         for b in picked[a_pos + 1 :]:
             crosses.append(
-                (a, b, tables[a].get((b, bad_prefixes[b]), _ZERO))
+                (a, b, tables[a].get((b, bad_prefixes[b]), ZERO))
             )
-    found = coder.selections[key] = LwssResult(
-        tuple(picked), m, threshold, tuple(sizes), tuple(crosses)
-    )
+    found = coder.selections[key] = LwssResult(tuple(picked), tuple(sizes), tuple(crosses))
     return found
 
 
@@ -752,11 +738,11 @@ def _encode(coder: Coder, instance):
             else:
                 parts.append(name)
         return Encoding(1, "".join(parts), items), prof, None
-    bad = {bp.block: bp.prefix for bp in prof.blocks if not bp.good}
-    sel = _select(coder, f, bad)
+    sel = lwss(coder, prof)
     items, good_field = ctx.layout(2, good, sel.W)
-    parts = [f, good_field, "01", *(names[i - 1] for i in good), *bad.values()]
-    parts += [names[j - 1][cut:] for j in bad if j not in sel.W]
+    bad = [bp for bp in prof.blocks if not bp.good]
+    parts = [f, good_field, "01", *(names[i - 1] for i in good), *(bp.prefix for bp in bad)]
+    parts += [names[bp.block - 1][cut:] for bp in bad if bp.block not in sel.W]
     return Encoding(2, "".join(parts), items), prof, sel
 
 
@@ -1091,10 +1077,11 @@ def audit_instance(coder: Coder, instance) -> AuditReport:
 
     Only the encoding, profile and selection are per instance. The
     inequality reports, the rank limit, the distance bound and the
-    selection's Rounds record (its round-count verdict and integer survivor
-    floors) come from the context, the advice from the profile and the mass
-    verdicts from the weight analyses (see EncodingContext and
-    mass_within_queries). A pivot's substitution distance is
+    selection's schedule, its Rounds record, come from the context, the
+    advice from the profile and the mass verdicts from the weight analyses
+    (see EncodingContext and mass_within_queries). The selection must pick
+    the schedule's m blocks, stay at or above its floors and keep its cross
+    weights below its threshold. A pivot's substitution distance is
     2 - 2 * model.overlap of its substituted and true post-oracle states,
     both unit vectors, since prequery_state checks norm^2 = 1 and the
     oracle maps distinct prequery terms to distinct keys; the computer
@@ -1122,9 +1109,9 @@ def audit_instance(coder: Coder, instance) -> AuditReport:
         sel_floor = len(sizes) == len(rounds.floors) and all(
             size >= floor for size, floor in zip(sizes, rounds.floors)
         )
-        if selection.threshold is not None:
-            sel_cross = all(v < selection.threshold for (_, _, v) in selection.crosses)
-        sel_m = selection.m == rounds.m and rounds.m_ok
+        if rounds.threshold is not None:
+            sel_cross = all(v < rounds.threshold for (_, _, v) in selection.crosses)
+        sel_m = len(selection.W) == rounds.m and rounds.m_ok
         cut = ctx.n - ctx.p
         names = dict(enumerate(instance.names, 1))
         prefix_of = {i: name[:cut] for i, name in names.items()}

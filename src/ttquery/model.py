@@ -19,11 +19,12 @@ A prequery function returns its (block, advice) input's superposition as a
 plain mapping {(words, ws): amp}. Query words carry n-bit location strings,
 which is also how documents store them. Each word is parsed once: the one
 pass that validates a mapping (see NonadaptiveComputer.prequery_state)
-caches, with the read-only mapping, its oracle terms (list index, the
-list's answer table, workspace cell, squared amplitude). A list's answers
-under a threshold depend only on the threshold's class among the ranks
-the list queries in that block, so each answer index is a sum of one
-table entry per queried block.
+makes a MachineInput, which holds the read-only mapping and its oracle
+terms (list index, the list's answer table, workspace cell, squared
+amplitude); `prequery_state` is the one way to read an input. A list's
+answers under a threshold depend only on the threshold's class among the
+ranks the list queries in that block, so each answer index is a sum of
+one table entry per queried block.
 
 Inputs are shared by mapping. An advice string is read in part by each
 block's machine, so many (block, advice) pairs return equal mappings;
@@ -60,7 +61,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ordered_search import StepInstance, rank_of
-from .statevec import ZERO, DimensionMismatchError, as_rational, rational_str
+from .statevec import ZERO, as_rational, rational_str
 
 
 class QueryWord(NamedTuple):
@@ -83,8 +84,9 @@ def check_word(word: QueryWord, M: int, n: int) -> None:
         raise ModelError(f"word block {word.block!r} is not an integer")
     if not 1 <= word.block <= M:
         raise ModelError(f"block {word.block} outside 1..{M}")
-    if len(word.location) != n or word.location.strip("01"):
-        raise ModelError(f"bad location {word.location!r} for n={n}")
+    location = word.location
+    if not isinstance(location, str) or len(location) != n or location.strip("01"):
+        raise ModelError(f"bad location {location!r} for n={n}")
 
 
 def _ranked_index(ranked_words, M: int, n: int) -> int:
@@ -174,14 +176,12 @@ class FiberFinal:
         """Key (lidx, aidx, image) that cell ws of fiber (lidx, aidx) moves to.
 
         taken holds the keys placed so far on one run's support; the new
-        key is added to it. Raises DimensionMismatchError if the image lies
-        outside the workspace, and ModelError if the key is already taken.
+        key is added to it. Raises ModelError if the image lies outside the
+        workspace or the key is already taken.
         """
         image = self.fn(lidx, aidx, ws)
         if not 0 <= image < workspace_dim:
-            raise DimensionMismatchError(
-                f"workspace cell {image} outside 0..{workspace_dim - 1}"
-            )
+            raise ModelError(f"workspace cell {image} outside 0..{workspace_dim - 1}")
         key = (lidx, aidx, image)
         # one hash of the key: a collision leaves the set's size unchanged
         size = len(taken)
@@ -191,17 +191,17 @@ class FiberFinal:
         return key
 
 
-class _CachedInput(NamedTuple):
-    """A validated prequery mapping and its oracle terms (see prequery_state).
+class MachineInput(NamedTuple):
+    """A validated prequery mapping and its oracle terms (prequery_state).
 
-    amps is the read-only mapping of the input's nonzero terms, and terms
-    holds one (list index, answer table, ws, amp * amp) tuple per nonzero
-    term, in the mapping's order. bounds holds one (block - 1, ranks) pair
-    per block the input queries, ranks being the sorted union of the ranks
-    its lists query there. ordinal is the input's index among the
-    computer's distinct inputs; every (block, advice) pair whose mapping
-    equals this one reads this record, and the run and overlap memos are
-    keyed by its ordinal.
+    amps is the read-only mapping {(QueryWords, ws): Fraction} of the
+    input's nonzero terms, and terms holds one (list index, answer table,
+    ws, amp * amp) tuple per nonzero term, in the mapping's order. bounds
+    holds one (block - 1, ranks) pair per block the input queries, ranks
+    being the sorted union of the ranks its lists query there. ordinal is
+    the input's index among the computer's distinct inputs; every (block,
+    advice) pair whose mapping equals this one reads this record, and the
+    run and overlap memos are keyed by its ordinal.
     """
 
     amps: Mapping
@@ -232,6 +232,16 @@ def _exact_items(amps: Mapping) -> tuple:
     )
 
 
+def _amplitude(amp) -> Fraction:
+    """An int (not a bool), a Fraction or a "p/q" string, made rational."""
+    try:
+        if not isinstance(amp, bool):
+            return as_rational(amp)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise ModelError(f"amplitude {amp!r} is not an int, a Fraction or a 'p/q' string")
+
+
 class NonadaptiveComputer:
     """A truth-table query computer for the M-block problem over n-bit blocks.
 
@@ -245,13 +255,13 @@ class NonadaptiveComputer:
     The computer caches what it derives from its prequery mappings, so
     `prequery` must be a pure function of (block, advice): it is called at
     most once per pair. `prequery_state` validates each distinct mapping
-    once and keeps it together with its oracle terms, one `(list_index,
+    once and returns it together with its oracle terms, one `(list_index,
     answer_table, ws, square)` tuple per nonzero term (see _answer_table),
-    as one input with an ordinal; pairs whose mappings are equal share
-    that input. Every run and every overlap reads those terms, so no query
-    word is parsed and no amplitude squared twice, and a term's answer
-    index costs one table entry per queried block. `runs` memoizes `run`'s
-    distributions by (ordinal, class vector, width) and `overlaps`
+    as one MachineInput with an ordinal; pairs whose mappings are equal
+    share that input. Every run and every overlap reads those terms, so no
+    query word is parsed and no amplitude squared twice, and a term's
+    answer index costs one table entry per queried block. `runs` memoizes
+    `run`'s distributions by (ordinal, class vector, width) and `overlaps`
     memoizes `overlap`'s inner products by (ordinal, class vector, class
     vector), all built on first use, so pairs that share an input share
     these too. These caches belong to this computer alone and serve every
@@ -288,15 +298,15 @@ class NonadaptiveComputer:
     def workspace_dim(self) -> int:
         return 2**self.output_width * self.scratch_dim
 
-    def prequery_state(self, block: int, advice: str) -> Mapping:
-        """The validated prequery mapping of (block, advice), built once.
+    def prequery_state(self, block: int, advice: str) -> MachineInput:
+        """The validated input of (block, advice), built once.
 
         Every error names the input as `prequery input (block, advice)`.
-        See _validated for the checks; the read-only mapping of the nonzero
-        terms is cached with the input's oracle terms. A mapping equal to
-        one already validated, item by item and in order, with every
-        amplitude, workspace cell and word field of the same type (see
-        _exact_items), is not validated again: the pair reads that input.
+        See _validated for the checks; the input holds the read-only
+        mapping of the nonzero terms, as .amps, and its oracle terms. A
+        mapping equal to one already validated, item by item and in order,
+        with every amplitude, workspace cell and word field of the same type
+        (see _exact_items), is not validated again: the pair reads that input.
         Only a valid, hashable mapping is kept for sharing, so a malformed
         one raises for every pair that returns it, whichever pair asks
         first.
@@ -326,18 +336,19 @@ class NonadaptiveComputer:
                 if key is not None:
                     self._inputs[key] = cached
             self._states[(block, advice)] = cached
-        return cached.amps
+        return cached
 
-    def _validated(self, amps: Mapping) -> _CachedInput:
+    def _validated(self, amps: Mapping) -> MachineInput:
         """Check a prequery mapping and derive its oracle terms, in one pass.
 
-        Every term's list must have T words and its cell must lie in the
-        workspace; its amplitude is made rational and a zero term is
-        dropped unread. Each new nonzero list's words become QueryWords,
-        each distinct word is checked and ranked once, and the list's
-        index and answer table are built once. Each nonzero amplitude is
-        squared once, and the squares, kept with the terms for `run`, must
-        sum to exactly 1. A valid mapping takes the computer's next ordinal.
+        Every term's list must have T words, its cell must be an int, not a
+        bool, in the workspace, and its amplitude is made rational (see
+        _amplitude); a zero term is dropped unread. Each new nonzero list's
+        words, (block, location) pairs, become QueryWords, each distinct
+        word is checked and ranked once, and the list's index and answer
+        table are built once. Each nonzero amplitude is squared once, and
+        the squares, kept with the terms for `run`, must sum to exactly 1.
+        A valid mapping takes the computer's next ordinal.
         """
         M, n, T, ws_dim = self.M, self.n, self.T, self.workspace_dim
         clean = {}
@@ -349,14 +360,20 @@ class NonadaptiveComputer:
         for (words, ws), amp in amps.items():
             if len(words) != T:
                 raise ModelError(f"a query list has {len(words)} words, but T = {T}")
+            if isinstance(ws, bool) or not isinstance(ws, int):
+                raise ModelError(f"workspace cell {ws!r} is not an integer")
             if not 0 <= ws < ws_dim:
                 raise ModelError(f"workspace index {ws} outside 0..{ws_dim - 1}")
-            amp = as_rational(amp)
+            amp = _amplitude(amp)
             if amp == 0:
                 continue
             listed = lists.get(words)
             if listed is None:
-                qlist = tuple(QueryWord(*w) for w in words)
+                try:
+                    qlist = tuple(QueryWord(*w) for w in words)
+                except TypeError:
+                    bad = "a word that is not a (block, location) pair"
+                    raise ModelError(f"query list {words!r} holds {bad}") from None
                 ranked = []
                 for word in qlist:
                     pair = ranks.get(word)
@@ -381,13 +398,9 @@ class NonadaptiveComputer:
         for word_block, rank in sorted(ranks.values()):
             union.setdefault(word_block - 1, []).append(rank)
         bounds = tuple((j, tuple(union_ranks)) for j, union_ranks in union.items())
-        return _CachedInput(
+        return MachineInput(
             MappingProxyType(clean), tuple(terms), bounds, next(self._ordinals)
         )
-
-    def _cached_input(self, block: int, advice: str) -> _CachedInput:
-        self.prequery_state(block, advice)
-        return self._states[(block, advice)]
 
 
 class AdviceFunction:
@@ -441,7 +454,7 @@ def run(
     The oracle answers by the per-block thresholds steps. Runs are
     memoized on the computer, keyed by (input ordinal, class vector,
     width): thresholds with the same class vector give the same
-    post-oracle state (see _CachedInput.classes), and pairs with equal
+    post-oracle state (see MachineInput.classes), and pairs with equal
     mappings share one input, so each distinct run is made once. The
     width and the thresholds are checked before every lookup, and every
     call gets its own copy of the distribution.
@@ -461,7 +474,7 @@ def run(
             f"cannot read {width} cells from a {computer.output_width}-cell output"
         )
     _check_thresholds(computer, steps)
-    cached = computer._cached_input(block, advice)
+    cached = computer.prequery_state(block, advice)
     key = (cached.ordinal, cached.classes(steps), width)
     dist = computer.runs.get(key)
     if dist is None:
@@ -497,12 +510,12 @@ def overlap(
     vectors: a miss is one pass over the input's cached terms, summing the
     squares of those terms. Memoized in computer.overlaps by (input
     ordinal, class vector of steps_a, class vector of steps_b; see
-    _CachedInput.classes), so pairs with equal mappings share it. Both
+    MachineInput.classes), so pairs with equal mappings share it. Both
     states are unit vectors, so their squared distance is 2 - 2 * overlap.
     """
     _check_thresholds(computer, steps_a)
     _check_thresholds(computer, steps_b)
-    cached = computer._cached_input(block, advice)
+    cached = computer.prequery_state(block, advice)
     key = (cached.ordinal, cached.classes(steps_a), cached.classes(steps_b))
     value = computer.overlaps.get(key)
     if value is None:
@@ -539,12 +552,14 @@ def computer_to_doc(
     The final transform is stored as per-fiber workspace permutations over
     the fibers the tabulated prequery mappings can reach (see
     _reachable_answers); fibers the transform leaves fixed are omitted. A
-    fiber whose images are not a permutation of the workspace is rejected.
+    fiber is keyed "L,A", its list index L in hex, which has no digit
+    limit, and its answer index A in decimal. A fiber whose images are not
+    a permutation of the workspace is rejected.
     """
     table = {}
     lists = {}
     for block, advice in inputs:
-        cached = computer._cached_input(block, advice)
+        cached = computer.prequery_state(block, advice)
         rows = []
         for (words, ws), amp in sorted(
             cached.amps.items(), key=lambda kv: (kv[0][1], kv[0][0])
@@ -568,7 +583,7 @@ def computer_to_doc(
             if sorted(images) != identity:
                 raise ModelError(f"fiber {lidx},{aidx} is not a workspace permutation")
             if images != identity:
-                fiber_table[f"{lidx},{aidx}"] = images
+                fiber_table[f"{lidx:#x},{aidx}"] = images
     return {
         "M": computer.M,
         "n": computer.n,
@@ -643,7 +658,9 @@ def _final_from_doc(final_doc, output_width: int, scratch_dim: int) -> FiberFina
             )
         if sorted(images) != list(range(ws_dim)):
             raise ModelError(f"fiber {key} is not a workspace permutation")
-        fiber_map[(int(lidx_text), int(aidx_text))] = images
+        # a list index is hex, as computer_to_doc writes it, or decimal in older docs
+        lidx = int(lidx_text, 16) if lidx_text.startswith("0x") else int(lidx_text)
+        fiber_map[(lidx, int(aidx_text))] = images
 
     def fn(lidx, aidx, ws):
         images = fiber_map.get((lidx, aidx))

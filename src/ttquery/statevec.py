@@ -1,14 +1,10 @@
 """Exact rationals: parsing, printing and the error tolerance.
 
-Every amplitude and probability is a `fractions.Fraction`; nothing here
-touches floating point. A post-oracle state is keyed by (list index,
-answer index, workspace cell); the workspace is the one register with a
-size, and DimensionMismatchError names a cell outside it. The library
-builds no state: model.run and model.overlap each read a run in one pass
-over an input's cached terms (see model). The state-by-state path that
-builds states, applies the final to them and measures or compares them is
-kept in tests/reference.py, as the reference that the tests compare those
-two against.
+Every amplitude, probability, weight and threshold in the library is a
+`fractions.Fraction`; nothing here touches floating point. as_rational
+reads an int, a Fraction or a "p/q" string, rational_str prints one back
+as "p/q" (or "p" for an integer), and checked_epsilon states the rule for
+an error tolerance, a rational in [0, 1/2).
 """
 
 from __future__ import annotations
@@ -17,10 +13,6 @@ from fractions import Fraction
 
 
 ZERO = Fraction(0)
-
-
-class DimensionMismatchError(ValueError):
-    """A workspace cell or a measured width does not fit the workspace."""
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:

@@ -25,7 +25,7 @@ from ttquery.model import (
     run,
 )
 from ttquery.ordered_search import StepInstance, eval_G
-from ttquery.statevec import ZERO, DimensionMismatchError
+from ttquery.statevec import ZERO
 
 
 def apply_oracle(
@@ -40,7 +40,7 @@ def apply_oracle(
     entry of its mapping, in the same order, so the two are zipped.
     """
     _check_thresholds(computer, steps)
-    cached = computer._cached_input(block, advice)
+    cached = computer.prequery_state(block, advice)
     # list indices are distinct per query list, so every key is new
     return {
         (lidx, _table_answer(table, steps), ws): amp
@@ -89,7 +89,7 @@ def measure_register(state: Mapping, workspace_dim: int, width: int) -> dict[int
         raise ValueError("width must be non-negative")
     block = 2**width
     if workspace_dim % block != 0:
-        raise DimensionMismatchError(
+        raise ModelError(
             f"workspace of size {workspace_dim} cannot be split into "
             f"{block} outcome blocks"
         )

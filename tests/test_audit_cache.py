@@ -156,7 +156,9 @@ def test_round_count_verdict_matches_direct_evaluation(subject, M, n, k):
             audit = audit_instance(coder, inst)
             if audit.case == 2:
                 prof = profile(coder, inst)
-                want = _direct_round_verdict(ctx, M - prof.l_prime, audit.selection.m)
+                m = ctx.rounds(M - prof.l_prime).m
+                assert len(audit.selection.W) == m, (ctx, inst)
+                want = _direct_round_verdict(ctx, M - prof.l_prime, m)
                 assert audit.selection_m_ok and want, (ctx, inst)
                 case2 += 1
     assert case2 or subject in ("full", "advised")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 from machines import build_even_split, build_neighbor_probe, build_single_query
@@ -40,16 +41,27 @@ CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
 # ---------------------------------------------------------------- parameters
 
 
+def _rational_sqrt(value):
+    """The square root of a rational whose root is rational."""
+    root = Fraction(isqrt(value.numerator), isqrt(value.denominator))
+    assert root * root == value
+    return root
+
+
 def test_default_params_threshold():
-    assert DEFAULT_PARAMS.eps_prime == Fraction(3, 8)
-    assert DEFAULT_PARAMS.C == Fraction(1, 256)
-    assert DEFAULT_PARAMS.sqrt_C == Fraction(1, 16)
+    # eps' = (1 + c) eps = 3/8, and C = ((1 - 2 eps') / 4)^2
+    params = DEFAULT_PARAMS
+    assert vars(params).keys() == {"epsilon", "c", "C"}
+    assert (1 + params.c) * params.epsilon == Fraction(3, 8)
+    assert params.C == Fraction(1, 256)
+    assert _rational_sqrt(params.C) == Fraction(1, 16)
 
 
 def test_margin_identity():
+    # 2 sqrt(C) + eps = 1/2 - c eps, with sqrt(C) rational
     for params in (DEFAULT_PARAMS, CERT_PARAMS, ErrorParams("1/4", "1/3")):
-        lhs = 2 * params.sqrt_C + params.epsilon
-        assert lhs == Fraction(1, 2) - params.margin
+        lhs = 2 * _rational_sqrt(params.C) + params.epsilon
+        assert lhs == Fraction(1, 2) - params.c * params.epsilon
 
 
 def test_params_reject_large_slack():
@@ -271,7 +283,7 @@ def test_lwss_zero_queries_selects_nothing():
     coder = Coder(comp, adv, 1, 1)
     prof = profile(coder, inst)
     sel = lwss(coder, prof)
-    assert sel.m == 0 and sel.W == ()
+    assert coder.ctx.rounds(2 - prof.l_prime).m == 0 and sel.W == ()
 
 
 def test_lwss_certified_many_bad_frozen_selection():
@@ -280,10 +292,11 @@ def test_lwss_certified_many_bad_frozen_selection():
     coder = Coder(comp, adv, 4, 1, CERT_PARAMS)
     prof = profile(coder, inst)
     sel = lwss(coder, prof)
-    assert sel.m == 6
+    rounds = coder.ctx.rounds(512 - prof.l_prime)
+    assert rounds.m == 6
     assert sel.W == (1, 3, 5, 7, 9, 11)
     # every recorded cross stays strictly under the admission threshold
-    assert all(wt < sel.threshold for _, _, wt in sel.crosses)
+    assert all(wt < rounds.threshold for _, _, wt in sel.crosses)
 
 
 # ------------------------------------------------------------ encode, decode
@@ -372,7 +385,7 @@ def test_coder_context_holds_the_machine_shape_and_the_given_p_l_params():
         ):
             ctx = Coder(comp, adv, p, l, params).ctx
             assert (ctx.M, ctx.n, ctx.k, ctx.T) == (comp.M, comp.n, comp.advice_len, comp.T)
-            assert (ctx.p, ctx.l) == (p, l) and ctx.params is params
+            assert (ctx.p, ctx.l) == (p, l) and ctx.C == params.C
             built += 1
     assert built
 
@@ -548,7 +561,7 @@ def test_substituted_steps_match_closure_rule(name, M, n):
         w
         for block in range(1, M + 1)
         for a in range(2**k)
-        for (qlist, _ws) in comp.prequery_state(block, format(a, f"0{k}b") if k else "")
+        for (qlist, _ws) in comp.prequery_state(block, format(a, f"0{k}b") if k else "").amps
         for w in qlist
     }
     checked = 0

@@ -10,8 +10,8 @@ computer that has seen only that input, over every registry subject at
 M <= 3 and n <= 3, built-in and loaded from its exported doc. The counts
 of distinct inputs and the filled slots are checked on four sweeps, and
 the errors of a malformed mapping met after a valid one, of a mapping
-equal to a valid one but typed otherwise, in either order, and of a
-block outside the record.
+equal to a valid one but typed otherwise, and of a malformed amplitude
+or word, each in either order, and of a block outside the record.
 """
 
 import re
@@ -71,7 +71,7 @@ def _computer(name, M, n, inputs, from_doc):
 
 def _one_per_class(comp, block, advice, vectors):
     """{class vector: the first and the last threshold vector of that class}."""
-    classes = comp._cached_input(block, advice).classes
+    classes = comp.prequery_state(block, advice).classes
     found: dict = {}
     for steps in vectors:
         first, _last = found.get(classes(steps), (steps, None))
@@ -88,7 +88,7 @@ def test_shared_inputs_read_as_inputs_seen_alone(name, M, n, from_doc):
     vectors = list(product(range(1, N + 2), repeat=M))
     for block, advice in inputs:
         fresh, _ = _computer(name, M, n, [(block, advice)], from_doc)
-        assert shared.prequery_state(block, advice) == fresh.prequery_state(block, advice)
+        assert shared.prequery_state(block, advice).amps == fresh.prequery_state(block, advice).amps
         for steps, width in product(vectors, widths):
             got = run(shared, block, advice, steps, width)
             assert got == run(fresh, block, advice, steps, width), (block, advice, steps, width)
@@ -105,7 +105,7 @@ def test_shared_inputs_read_as_inputs_seen_alone(name, M, n, from_doc):
             got = weight_analysis(coders[p], block, advice)
             assert got == weight_analysis(Coder(fresh, adv, p, 1), block, advice), (block, advice, p)
     # the pairs that share a mapping share its runs and overlaps
-    ordinals = {shared._cached_input(block, advice).ordinal for block, advice in inputs}
+    ordinals = {shared.prequery_state(block, advice).ordinal for block, advice in inputs}
     assert {key[0] for key in shared.runs} == ordinals == {key[0] for key in shared.overlaps}
 
 
@@ -125,7 +125,7 @@ def test_distinct_inputs_are_validated_and_weighed_once(name, M, n, k, distinct,
     weighed = Counter()
 
     def counted_weights(computer, block, advice, p):
-        weighed[(block, computer._cached_input(block, advice).ordinal)] += 1
+        weighed[(block, computer.prequery_state(block, advice).ordinal)] += 1
         return prefix_weights(computer, block, advice, p)
 
     monkeypatch.setattr(compression, "prefix_weights", counted_weights)
@@ -138,7 +138,7 @@ def test_distinct_inputs_are_validated_and_weighed_once(name, M, n, k, distinct,
     # prequery is called once per pair; only the distinct mappings are kept
     assert calls == Counter(inputs)
     assert len(comp._inputs) == distinct
-    cached = {pair: comp._cached_input(*pair) for pair in inputs}
+    cached = {pair: comp.prequery_state(*pair) for pair in inputs}
     assert sorted({c.ordinal for c in cached.values()}) == list(range(distinct))
     for (pair, one), (other, two) in product(cached.items(), cached.items()):
         same = one.ordinal == two.ordinal
@@ -163,7 +163,7 @@ def test_distinct_inputs_are_validated_and_weighed_once(name, M, n, k, distinct,
 
 def test_blocks_that_share_a_mapping_keep_their_own_analyses():
     comp, adv = build_shared_query(2)
-    one, two, three = (comp._cached_input(block, "") for block in (1, 2, 3))
+    one, two, three = (comp.prequery_state(block, "") for block in (1, 2, 3))
     assert one is two and one.ordinal != three.ordinal
     coder = Coder(comp, adv, 1, 1)
     first, second = weight_analysis(coder, 1, ""), weight_analysis(coder, 2, "")
@@ -217,33 +217,74 @@ def test_blocks_outside_the_record_raise_the_model_error(filled):
 
 
 _ONE_WORD = (QueryWord(1, "1"),)
+_VALID = {(_ONE_WORD, 0): Fraction(1)}
+
+
+def _not_rational(amp):
+    return re.escape(f"amplitude {amp!r} is not an int, a Fraction or a 'p/q' string")
 
 
 @pytest.mark.parametrize(
-    "other, error, message",
+    "valid, other, message",
     [
-        ({(_ONE_WORD, 0): 1.0}, TypeError, r"cannot interpret 1\.0 as a rational"),
-        ({(((1.0, "1"),), 0): Fraction(1)}, ModelError, r"word block 1\.0 is not an integer"),
-        ({(((True, "1"),), 0): Fraction(1)}, ModelError, r"word block True is not an integer"),
+        (_VALID, {(_ONE_WORD, 0): 1.0}, _not_rational(1.0)),
+        (_VALID, {(_ONE_WORD, 0): 1 + 0j}, _not_rational(1 + 0j)),
+        (_VALID, {(_ONE_WORD, 0): True}, _not_rational(True)),
+        (_VALID, {(_ONE_WORD, 0.0): Fraction(1)}, r"workspace cell 0\.0 is not an integer"),
+        (
+            {(_ONE_WORD, 1): Fraction(1)},
+            {(_ONE_WORD, True): Fraction(1)},
+            r"workspace cell True is not an integer",
+        ),
+        (_VALID, {(((1.0, "1"),), 0): Fraction(1)}, r"word block 1\.0 is not an integer"),
+        (_VALID, {(((True, "1"),), 0): Fraction(1)}, r"word block True is not an integer"),
     ],
-    ids=["float-amplitude", "float-block", "bool-block"],
+    ids=[
+        "float-amplitude", "complex-amplitude", "bool-amplitude", "float-cell",
+        "bool-cell", "float-block", "bool-block",
+    ],
 )
 @pytest.mark.parametrize("other_first", [False, True], ids=["valid-first", "other-first"])
 def test_an_equal_mapping_of_other_types_is_refused_in_either_order(
-    other, error, message, other_first
+    valid, other, message, other_first
 ):
-    # {(w, 0): Fraction(1)} equals and hashes like each `other`, but may not share its input
-    valid = {(_ONE_WORD, 0): Fraction(1)}
+    # `valid` equals and hashes like `other`, but may not share its input
+    assert valid == other and hash(tuple(valid.items())) == hash(tuple(other.items()))
+    _refused_beside(valid, other, message, other_first)
+
+
+@pytest.mark.parametrize(
+    "other, message",
+    [
+        ({(_ONE_WORD, 0): "x"}, _not_rational("x")),
+        ({(_ONE_WORD, 0): "1/0"}, _not_rational("1/0")),
+        (
+            {(((5,),), 0): Fraction(1)},
+            re.escape("query list ((5,),) holds a word that is not a (block, location) pair"),
+        ),
+        ({(((1, 1),), 0): Fraction(1)}, r"bad location 1 for n=1"),
+    ],
+    ids=["word-amplitude", "zero-denominator", "one-field-word", "int-location"],
+)
+@pytest.mark.parametrize("other_first", [False, True], ids=["valid-first", "other-first"])
+def test_a_malformed_amplitude_or_word_is_refused_in_either_order(other, message, other_first):
+    _refused_beside(_VALID, other, message, other_first)
+
+
+def _refused_beside(valid, other, message, other_first):
+    """Block 1 returns one mapping and block 2 the other: the malformed one
+    raises a ModelError that names its input, the valid one is read, and
+    only the valid one is kept, whichever is asked first."""
     first, second = (other, valid) if other_first else (valid, other)
     comp = _two_block_computer(lambda block, advice: first if block == 1 else second)
     other_block = 1 if other_first else 2
     for block in (1, 2):
         if block == other_block:
-            prefix = "" if error is TypeError else re.escape(f"prequery input ({block}, '0'): ")
-            with pytest.raises(error, match=f"^{prefix}{message}$"):
+            prefix = re.escape(f"prequery input ({block}, '0'): ")
+            with pytest.raises(ModelError, match=f"^{prefix}{message}$"):
                 comp.prequery_state(block, "0")
         else:
-            assert comp.prequery_state(block, "0") == valid
+            assert comp.prequery_state(block, "0").amps == valid
     assert len(comp._inputs) == 1 and list(comp._states) == [(3 - other_block, "0")]
 
 
@@ -271,8 +312,8 @@ def test_a_malformed_mapping_after_a_valid_one_names_its_own_input():
     assert calls[(2, "1")] == 2
     assert len(comp._inputs) == 1 and (2, "1") not in comp._states
     # a valid pair after the refusal still shares the one valid input
-    assert comp._cached_input(1, "1") is comp._cached_input(1, "0")
-    assert comp._cached_input(1, "0").ordinal == 0
+    assert comp.prequery_state(1, "1") is comp.prequery_state(1, "0")
+    assert comp.prequery_state(1, "0").ordinal == 0
 
 
 class _Unhashable(Fraction):
@@ -282,7 +323,7 @@ class _Unhashable(Fraction):
 def test_an_unhashable_mapping_is_validated_for_each_pair():
     words = (QueryWord(1, "1"),)
     comp = _two_block_computer(lambda block, advice: {(words, 0): _Unhashable(1)})
-    first, second = comp._cached_input(1, "0"), comp._cached_input(2, "0")
+    first, second = comp.prequery_state(1, "0"), comp.prequery_state(2, "0")
     assert first is not second and first.ordinal != second.ordinal
     assert comp._inputs == {}
     assert run(comp, 1, "0", (1, 1)) == run(comp, 2, "0", (1, 1)) == {"0": Fraction(1)}

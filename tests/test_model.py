@@ -28,7 +28,6 @@ from ttquery.model import (
     run,
 )
 from ttquery.ordered_search import StepInstance, bin_n, enumerate_instances
-from ttquery.statevec import DimensionMismatchError
 from ttquery.subjects import get_subject
 
 
@@ -112,9 +111,9 @@ def test_zero_terms_are_dropped_unchecked():
     comp = _one_block_computer(
         {(good, 0): Fraction(1), (bad, 1): Fraction(0), (good, 1): "0/3"}, n=2
     )
-    amps = comp.prequery_state(1, "")
+    amps = comp.prequery_state(1, "").amps
     assert dict(amps) == {(good, 0): Fraction(1)}
-    assert [(ws, sq) for _lidx, _table, ws, sq in comp._cached_input(1, "").terms] == [
+    assert [(ws, sq) for _lidx, _table, ws, sq in comp.prequery_state(1, "").terms] == [
         (0, Fraction(1))
     ]
     assert run(comp, 1, "", (1,)) == {"0": Fraction(1)}
@@ -126,7 +125,7 @@ def test_zero_terms_are_dropped_unchecked():
 def test_prequery_words_become_query_words():
     # plain (block, location) pairs are read as QueryWords
     comp = _one_block_computer({(((1, "1"),), 0): Fraction(1)})
-    ((words, ws),) = comp.prequery_state(1, "")
+    ((words, ws),) = comp.prequery_state(1, "").amps
     assert type(words[0]) is QueryWord and words == (QueryWord(1, "1"),)
 
 
@@ -169,7 +168,9 @@ def test_fiber_final_rejects_cell_outside_workspace():
         comp, _ = get_subject("full", 1, 2, 0)
         dim = comp.workspace_dim
         comp.final = FiberFinal(lambda lidx, aidx, ws: ws + sign * dim)
-        error = _same_refusal(comp, (3,), DimensionMismatchError)
+        error = _same_refusal(comp, (3,), ModelError)
+        assert type(error) is ModelError
+        assert str(error).startswith("workspace cell ")
         assert str(error).endswith("outside 0..3")
 
 
@@ -224,6 +225,19 @@ def test_prequery_state_checks_every_word(word, message):
     with pytest.raises(ModelError, match=rf"^prequery input \(1, ''\): {message}"):
         run(comp, 1, "", (1,))
     assert comp._states == {}
+
+
+_WORD = (QueryWord(1, "1"),)
+
+
+@pytest.mark.parametrize(
+    "amp, value", [(1, 1), (-1, -1), (Fraction(1), 1), ("1", 1), (" -2/2 ", -1)], ids=repr
+)
+def test_ints_fractions_and_rational_strings_are_amplitudes(amp, value):
+    comp = _one_block_computer({(_WORD, 0): amp})
+    (got,) = comp.prequery_state(1, "").amps.values()
+    assert type(got) is Fraction and got == value
+    assert run(comp, 1, "", (1,)) == {"0": Fraction(1)}
 
 
 def test_advice_function_length_enforced():
@@ -330,7 +344,7 @@ def test_overlap_matches_fresh_inner_products(label, build):
     hits = 0
     advices = ["".join(bits) for bits in product("01", repeat=comp.advice_len)]
     for block, advice in product(range(1, M + 1), advices):
-        cached = comp._cached_input(block, advice)
+        cached = comp.prequery_state(block, advice)
         for a, b in pairs:
             key = (cached.ordinal, cached.classes(a), cached.classes(b))
             hit = key in comp.overlaps

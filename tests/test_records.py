@@ -142,7 +142,7 @@ def test_error_params_by_keyword():
     params = ErrorParams(epsilon="1/3", c=Fraction(1, 8))
     assert (params.epsilon, params.c) == (Fraction(1, 3), Fraction(1, 8))
     assert type(params.epsilon) is Fraction and type(params.c) is Fraction
-    assert (params.C, params.sqrt_C) == (DEFAULT_PARAMS.C, DEFAULT_PARAMS.sqrt_C)
+    assert params.C == DEFAULT_PARAMS.C and vars(params) == vars(DEFAULT_PARAMS)
     with pytest.raises(ValueError, match="c must lie strictly between 0 and 1/2"):
         ErrorParams(epsilon=Fraction(1, 3), c=Fraction(1, 2))
     with pytest.raises(ValueError):
@@ -152,11 +152,12 @@ def test_error_params_by_keyword():
 def test_encoding_context_by_keyword():
     ctx = EncodingContext(M=2, n=3, p=1, k=2, T=1, l=1)
     assert (ctx.M, ctx.n, ctx.p, ctx.k, ctx.T, ctx.l) == (2, 3, 1, 2, 1, 1)
-    assert ctx.params is DEFAULT_PARAMS and ctx.C == DEFAULT_PARAMS.C
+    assert not hasattr(ctx, "params") and ctx.C == DEFAULT_PARAMS.C
     assert (ctx.t, ctx.width_k, ctx.rank_limit) == (256, 8, 256)
     assert ctx.distance_bound == 4 * DEFAULT_PARAMS.C
     cert = ErrorParams(Fraction(0), Fraction(1, 2))
-    assert EncodingContext(M=1, n=2, p=2, k=0, T=0, l=1, params=cert).params is cert
+    assert cert.C != DEFAULT_PARAMS.C
+    assert EncodingContext(M=1, n=2, p=2, k=0, T=0, l=1, params=cert).C == cert.C
     cases = (
         (dict(M=0), "M must be positive"),
         (dict(n=0, p=0), "n must be positive"),

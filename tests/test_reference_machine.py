@@ -151,7 +151,7 @@ IDS = [f"{name}-M{M}-n{n}-k{k}" for name, M, n, k in CASES]
 def _lists(computer, block, advice):
     """The input's query lists with their amplitudes, workspace cells dropped."""
     out = {}
-    for (words, _ws), amp in computer.prequery_state(block, advice).items():
+    for (words, _ws), amp in computer.prequery_state(block, advice).amps.items():
         out[words] = out.get(words, 0) + amp
     return out
 
@@ -187,7 +187,7 @@ def test_machine_matches_the_reference(name, M, n, k):
         assert _lists(comp, block, advice) == _lists(ref, block, advice)
         # the workspace holds the advised prefix, the rest of the cells clear
         prefix = advice[(block - 1) * q : block * q]
-        cells = {ws for _words, ws in comp.prequery_state(block, advice)}
+        cells = {ws for _words, ws in comp.prequery_state(block, advice).amps}
         assert cells == {answer_to_outcome(prefix + "0" * (n - q))}
         for steps in thresholds:
             assert run(comp, block, advice, steps) == run(ref, block, advice, steps)

@@ -109,7 +109,7 @@ def _fraction_select(coder, advice, bad_prefixes):
         for pos, a in enumerate(picked)
         for b in picked[pos + 1 :]
     )
-    return LwssResult(tuple(picked), m, threshold, tuple(sizes), crosses)
+    return LwssResult(tuple(picked), tuple(sizes), crosses)
 
 
 @pytest.mark.parametrize("name, M, n, from_doc", PARAMS)
@@ -165,7 +165,7 @@ def _word_weights(computer, block, advice, p):
     amplitude squared again."""
     cut = computer.n - p
     acc = {}
-    for (words, _ws), amp in computer.prequery_state(block, advice).items():
+    for (words, _ws), amp in computer.prequery_state(block, advice).amps.items():
         sq = amp * amp
         for w in set(words):
             key = (w.block, w.location[:cut])

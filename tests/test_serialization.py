@@ -20,11 +20,16 @@ from ttquery.harness import (
     report_json,
 )
 from ttquery.model import (
+    FiberFinal,
+    NonadaptiveComputer,
     QueryWord,
     _answer_table,
     _reachable_answers,
+    _table_answer,
     advice_to_doc,
+    computer_from_doc,
     computer_to_doc,
+    run,
 )
 from ttquery.ordered_search import enumerate_instances, rank_of
 from ttquery.subjects import get_subject
@@ -110,3 +115,58 @@ def test_reachable_answers_are_every_threshold_pattern():
     ranked = tuple((w.block, rank_of(w.location)) for w in words)
     assert _reachable_answers(_answer_table(ranked)) == patterns
     assert len(patterns) == 3 * 3
+
+
+def _long_list_machine():
+    """M = 1, n = 11: one list of 1,400 words, ranks 1..1400, whose list
+    index has about 4,600 decimal digits. The final swaps the two workspace
+    cells of the one fiber that threshold 700 reaches; returns the computer
+    and that fiber's answer index."""
+    n, T = 11, 1400
+    words = tuple(QueryWord(1, format(rank - 1, f"0{n}b")) for rank in range(1, T + 1))
+    moved = _table_answer(_answer_table(tuple((1, rank) for rank in range(1, T + 1))), (700,))
+
+    def fn(lidx, aidx, ws):
+        return 1 - ws if aidx == moved else ws
+
+    comp = NonadaptiveComputer(
+        M=1, n=n, T=T, advice_len=0, output_width=1, scratch_dim=1,
+        prequery=lambda block, advice: {(words, 0): 1}, final=FiberFinal(fn),
+    )
+    return comp, moved
+
+
+def test_a_list_index_past_the_decimal_digit_limit_round_trips():
+    comp, moved = _long_list_machine()
+    ((lidx, *_rest),) = comp.prequery_state(1, "").terms
+    assert lidx >= 10**4300
+    text = json.dumps(computer_to_doc(comp, [(1, "")]))
+    assert 30_000 < len(text) < 35_000
+    doc = json.loads(text)
+    assert list(doc["final"]["table"]) == [f"{lidx:#x},{moved}"]
+    loaded = computer_from_doc(doc)
+    swapped = []
+    for step in range(1, 2**11 + 2):
+        got = run(loaded, 1, "", (step,))
+        assert got == run(comp, 1, "", (step,)), step
+        if got == {"1": 1}:
+            swapped.append(step)
+    # every threshold up to 1401 is a class of its own
+    assert swapped == [700]
+
+
+def test_a_doc_with_decimal_list_indices_still_loads():
+    # docs written before list indices were hex keep their decimal keys
+    comp, adv = get_subject("shortcut", 1, 4, 1)
+    doc = computer_to_doc(comp, _inputs(1, 1))
+    fibers = doc["final"]["table"]
+    assert fibers and all(key.startswith("0x") for key in fibers)
+    decimal = {}
+    for key, images in fibers.items():
+        lidx, aidx = key.split(",")
+        decimal[f"{int(lidx, 16)},{aidx}"] = images
+    old = computer_from_doc(dict(doc, final={"form": "fibers", "table": decimal}))
+    new = computer_from_doc(doc)
+    for inst in enumerate_instances(1, 4):
+        advice = adv(inst)
+        assert run(old, 1, advice, inst.steps) == run(new, 1, advice, inst.steps)

@@ -4,8 +4,8 @@ import pytest
 
 from reference import distance_sq, inner_product, measure_register, norm_sq
 
+from ttquery.model import ModelError
 from ttquery.statevec import (
-    DimensionMismatchError,
     as_rational,
     checked_epsilon,
     rational_str,
@@ -82,5 +82,5 @@ def test_measure_register_sums_to_norm():
 def test_measure_register_needs_divisible_workspace():
     s = {(0, 0, 0): Fraction(1)}
     assert measure_register(s, 6, 1) == {0: Fraction(1)}
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ModelError):
         measure_register(s, 6, 2)

@@ -81,7 +81,7 @@ def test_shortcut_is_exact_on_two_cells():
 def test_shortcut_duplicate_lists_when_multiple_of_four():
     comp, adv = get_subject("shortcut", 1, 4, 1)
     inst = StepInstance(1, 4, (8,))
-    pre = comp.prequery_state(1, adv(inst))
+    pre = comp.prequery_state(1, adv(inst)).amps
     ((key, _),) = pre.items()
     words, _ws = key
     assert len(set(words)) == 1  # the same location queried T times
@@ -89,7 +89,7 @@ def test_shortcut_duplicate_lists_when_multiple_of_four():
 
 def test_single_query_queries_neighbor_block():
     comp, adv = build_single_query(2, 2)
-    pre = comp.prequery_state(1, "")
+    pre = comp.prequery_state(1, "").amps
     ((key, _),) = pre.items()
     assert key[0][0].block == 2
 

@@ -145,7 +145,7 @@ def test_cached_analysis_and_state_are_read_only():
     with pytest.raises(TypeError):
         wa.ranks["1"] = 1
     with pytest.raises(TypeError):
-        comp.prequery_state(1, "01")[((), 0)] = Fraction(1)
+        comp.prequery_state(1, "01").amps[((), 0)] = Fraction(1)
 
 
 def _straight_profile(comp, advice, names, p, C):
@@ -176,12 +176,23 @@ def test_profile_matches_straight_classification(label, build, M, n, k, p):
             assert prof.l_prime == len(prof.good_indices)
 
 
+def _straight_schedule(ctx, pool):
+    """The round count and threshold of a pool of that many bad blocks,
+    derived afresh: the reference for ctx.rounds(pool)."""
+    m = _round_count(ctx.t, pool)
+    return m, ctx.C / m if m else None
+
+
+def _schedule(ctx, pool):
+    rounds = ctx.rounds(pool)
+    return rounds.m, rounds.threshold
+
+
 def _straight_select(ctx, comp, advice, bad_prefixes):
     """The selection with its round count and threshold derived afresh and
     every weight read from a straight analysis."""
     pool = tuple(sorted(bad_prefixes))
-    m = _round_count(ctx.t, len(pool))
-    threshold = ctx.C / m if m else None
+    m, threshold = _straight_schedule(ctx, len(pool))
     survivors, picked, sizes, tables = list(pool), [], [len(pool)], {}
     for _ in range(m):
         pivot = next(j for j in survivors if j not in picked)
@@ -196,7 +207,7 @@ def _straight_select(ctx, comp, advice, bad_prefixes):
         for a_pos, a in enumerate(picked)
         for b in picked[a_pos + 1 :]
     )
-    return LwssResult(tuple(picked), m, threshold, tuple(sizes), crosses)
+    return LwssResult(tuple(picked), tuple(sizes), crosses)
 
 
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
@@ -217,6 +228,7 @@ def test_select_matches_straight_selection(label, build, M, n, k, p):
                 bad = {j: inst.step_bits(j)[: n - p] for j in pool}
                 want = _straight_select(ctx, comp, advice, bad)
                 assert _select(coder, advice, bad) == want, (params, inst, pool)
+                assert _schedule(ctx, len(pool)) == _straight_schedule(ctx, len(pool))
 
 
 def test_select_matches_straight_selection_over_several_rounds():
@@ -233,7 +245,9 @@ def test_select_matches_straight_selection_over_several_rounds():
         bad = {j: "" for j in range(M - size + 1, M + 1)}
         sel = _select(coder, advice, bad)
         assert sel == _straight_select(ctx, comp, advice, bad), size
-        rounds.add(sel.m)
+        assert _schedule(ctx, size) == _straight_schedule(ctx, size), size
+        assert len(sel.W) == ctx.rounds(size).m
+        rounds.add(ctx.rounds(size).m)
     assert rounds == {0, 1, 2}
 
 
@@ -345,7 +359,7 @@ def test_trusted_states_match_checked_construction(label, build, M, n, k, p):
 def test_reachable_answers_match_every_threshold(label, build, M, n, k, p):
     comp, _ = build()
     for block, advice in product(range(1, M + 1), _advice_strings(k)):
-        tables = {lidx: table for lidx, table, *_cell in comp._cached_input(block, advice).terms}
+        tables = {lidx: table for lidx, table, *_cell in comp.prequery_state(block, advice).terms}
         for words, _ws in comp.prequery(block, advice):
             ranked = [(w.block, rank_of(w.location)) for w in words]
             brute = {_threshold_answers(ranked, s) for s in _every_threshold(M, n)}
@@ -356,9 +370,9 @@ def test_reachable_answers_match_every_threshold(label, build, M, n, k, p):
 def test_cached_terms_are_immutable_int_tuples(label, build, M, n, k, p):
     comp, _ = build()
     for block, advice in product(range(1, M + 1), _advice_strings(k)):
-        pre = comp.prequery_state(block, advice)
-        cached = comp._states[(block, advice)]
-        assert cached.amps is pre
+        cached = comp.prequery_state(block, advice)
+        pre = cached.amps
+        assert comp._states[(block, advice)] is cached
         assert type(cached.terms) is tuple and len(cached.terms) == len(pre)
         lists = {list_index(words, M, n): words for words, _ws in pre}
         # one term per entry of the mapping, in the mapping's order
@@ -575,7 +589,7 @@ def test_computers_never_share_cached_entries():
     assert second.runs == {}
     b = weight_analysis(second_coder, 1, "01")
     assert a == b and a is not b
-    assert first.prequery_state(1, "01") is not second.prequery_state(1, "01")
+    assert first.prequery_state(1, "01").amps is not second.prequery_state(1, "01").amps
     first_terms = first._states[(1, "01")].terms
     second_terms = second._states[(1, "01")].terms
     assert first_terms == second_terms and first_terms is not second_terms
@@ -790,6 +804,8 @@ def test_audit_integer_checks_match_fraction_rules(label, build, M, n, k, p):
             assert audit.distance_ok == all(d <= 4 * ctx.C for d in audit.distances)
             if audit.selection is not None:
                 sel = audit.selection
-                want = _direct_floor(ctx, M - prof.l_prime, sel.m, sel.survivor_sizes)
+                m = ctx.rounds(M - prof.l_prime).m
+                assert len(sel.W) == m
+                want = _direct_floor(ctx, M - prof.l_prime, m, sel.survivor_sizes)
                 assert audit.selection_floor_ok == want
                 assert want == _floor_verdict(ctx.rounds(M - prof.l_prime), sel.survivor_sizes)
