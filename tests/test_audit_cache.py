@@ -9,22 +9,21 @@ twice so that a verdict served from a cache is checked as well as the one
 that filled it, and each audit distance against reference.distance_sq and
 against 2 - 2 <a, b> on the same two states, computed afresh. The
 sweeps cover every registry subject at M <= 4 and n <= 3, every l, every
-measured width p and two parameter sets.
+measured width p and two parameter sets. The Rounds records themselves
+are checked against reference.direct_rounds in test_weight_cache.
 """
 
 from fractions import Fraction
-from itertools import product
-from math import ceil
 
 import pytest
-from reference import apply_oracle, distance_sq, inner_product
+from machines import CERT_PARAMS, advice_strings, coders
+from reference import apply_oracle, distance_sq, inner_product, round_verdict, straight_analysis
 
 from ttquery import compression
 from ttquery.compression import (
     DEFAULT_PARAMS,
     Coder,
     EncodingContext,
-    ErrorParams,
     InequalityReport,
     LwssExhaustedError,
     _substituted_steps,
@@ -37,7 +36,6 @@ from ttquery.compression import (
 from ttquery.ordered_search import enumerate_instances
 from ttquery.subjects import get_subject
 
-CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
 _true_round_count = compression._round_count
 _true_rounds = EncodingContext.rounds
 
@@ -55,14 +53,6 @@ CONFIGS = (
     ("shortcut", 1, 3, 1),
 )
 IDS = ["{}-{}-{}-{}".format(*c) for c in CONFIGS]
-
-
-def _coders(comp, adv):
-    for l, p, params in product(
-        range(1, comp.M + 1), range(1, min(comp.n, comp.output_width) + 1),
-        (DEFAULT_PARAMS, CERT_PARAMS),
-    ):
-        yield Coder(comp, adv, p, l, params)
 
 
 def _fresh_inequalities(ctx, prof):
@@ -83,44 +73,19 @@ def _fresh_inequalities(ctx, prof):
     return InequalityReport(case, case1, case2, certified, cu, matches)
 
 
-def _direct_round_verdict(ctx, bad_count, m):
-    """The audit's round-count rule, evaluated from scratch."""
-    if ctx.T == 0 or not bad_count:
-        return m == 0
-
-    def quad(x):
-        return ctx.t * x * x - (ctx.t - 1) * x - bad_count
-
-    return quad(m) <= 0 < quad(m + 1) and ctx.C * bad_count <= ctx.T * (m + 1) ** 2
-
-
-def direct_rounds(ctx, pool):
-    """The Rounds record of a pool, from the Fraction rules: m found by
-    scanning the quadratic, floors as ceil(pool - t m i)."""
-    m = 0
-    if ctx.T and pool:
-        while ctx.t * (m + 1) ** 2 - (ctx.t - 1) * (m + 1) - pool <= 0:
-            m += 1
-    floors = tuple(ceil(pool - ctx.t * m * i) for i in range(m + 1))
-    return (m, ctx.C / m if m else None, _direct_round_verdict(ctx, pool, m), floors)
-
-
-def _direct_mass_ok(comp, advice):
-    """Every block's own query mass against T, from the raw prequery function."""
-    for block in range(1, comp.M + 1):
-        mass = Fraction(0)
-        for (words, _ws), amp in comp.prequery(block, advice).items():
-            mass += amp * amp * len({w for w in words if w.block == block})
-        if mass > comp.T:
-            return False
-    return True
+def _mass_ok(comp, advice, C):
+    """Every block's own query mass against T, from straight weights."""
+    return all(
+        straight_analysis(comp, block, advice, 1, C)[2] <= comp.T
+        for block in range(1, comp.M + 1)
+    )
 
 
 @pytest.mark.parametrize("subject, M, n, k", CONFIGS, ids=IDS)
 def test_shared_inequality_report_matches_fresh_computation(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
     instances = list(enumerate_instances(M, n))
-    for coder in _coders(comp, adv):
+    for coder in coders(comp, adv, (DEFAULT_PARAMS, CERT_PARAMS)):
         ctx = coder.ctx
         for _ in range(2):
             for inst in instances:
@@ -141,24 +106,21 @@ def test_shared_inequality_report_matches_fresh_computation(subject, M, n, k):
 def test_round_count_verdict_matches_direct_evaluation(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
     case2 = 0
-    for coder in _coders(comp, adv):
+    for coder in coders(comp, adv, (DEFAULT_PARAMS, CERT_PARAMS)):
         ctx = coder.ctx
-        # every bad-block count, asked twice so the memoized record is
-        # checked as well as the one that filled it
-        for _ in range(2):
-            for bad in range(M + 1):
-                assert ctx.rounds(bad) == direct_rounds(ctx, bad), (ctx, bad)
         # the direct verdict rejects the counts next to the true one
         for bad in range(1, M + 1) if ctx.T else ():
             m = ctx.rounds(bad).m
-            assert not any(_direct_round_verdict(ctx, bad, w) for w in (m - 1, m + 1) if w >= 0)
+            assert not any(
+                round_verdict(ctx.T, ctx.C, bad, w) for w in (m - 1, m + 1) if w >= 0
+            )
         for inst in enumerate_instances(M, n):
             audit = audit_instance(coder, inst)
             if audit.case == 2:
                 prof = profile(coder, inst)
                 m = ctx.rounds(M - prof.l_prime).m
                 assert len(audit.selection.W) == m, (ctx, inst)
-                want = _direct_round_verdict(ctx, M - prof.l_prime, m)
+                want = round_verdict(ctx.T, ctx.C, M - prof.l_prime, m)
                 assert audit.selection_m_ok and want, (ctx, inst)
                 case2 += 1
     assert case2 or subject in ("full", "advised")
@@ -211,23 +173,22 @@ def test_audit_flags_survivor_floors_shifted_by_one(monkeypatch):
 @pytest.mark.parametrize("subject, M, n, k", CONFIGS, ids=IDS)
 def test_cached_mass_verdict_matches_uncached(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
-    advices = ["".join(bits) for bits in product("01", repeat=k)]
-    for coder in _coders(comp, adv):
+    for coder in coders(comp, adv, (DEFAULT_PARAMS, CERT_PARAMS)):
         ctx = coder.ctx
         for _ in range(2):
-            for advice in advices:
+            for advice in advice_strings(k):
                 got = mass_within_queries(coder, advice)
-                assert got == _direct_mass_ok(comp, advice), (ctx, advice)
+                assert got == _mass_ok(comp, advice, ctx.C), (ctx, advice)
         for inst in enumerate_instances(M, n):
             audit = audit_instance(coder, inst)
-            assert audit.mass_ok == _direct_mass_ok(comp, adv(inst))
+            assert audit.mass_ok == _mass_ok(comp, adv(inst), ctx.C)
 
 
 @pytest.mark.parametrize("subject, M, n, k", CONFIGS, ids=IDS)
 def test_audit_distances_match_distance_sq(subject, M, n, k):
     comp, adv = get_subject(subject, M, n, k)
     checked = 0
-    for coder in _coders(comp, adv):
+    for coder in coders(comp, adv, (DEFAULT_PARAMS, CERT_PARAMS)):
         ctx = coder.ctx
         cut = ctx.n - ctx.p
         # the second pass reads every distance from the computer's memo

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from machines import CERT_PARAMS
 
 from ttquery.compression import (
     DEFAULT_PARAMS,
@@ -18,7 +19,6 @@ from ttquery.compression import (
     DecodeError,
     Encoding,
     EncodingContext,
-    ErrorParams,
     _field,
     c_uv_values,
     decode,
@@ -29,7 +29,6 @@ from ttquery.harness import ExperimentConfig, cmd_bounds, cmd_lemmas, cmd_roundt
 from ttquery.ordered_search import enumerate_instances
 from ttquery.subjects import get_subject
 
-CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
 
 # (subject, M, n, k, p): full, advised and probe at small n
 CONFIGS = (

@@ -3,7 +3,7 @@ from itertools import product
 from math import isqrt
 
 import pytest
-from machines import build_even_split, build_neighbor_probe, build_single_query
+from machines import CERT_PARAMS, build_even_split, build_neighbor_probe, build_single_query
 
 from ttquery.compression import (
     DEFAULT_PARAMS,
@@ -34,8 +34,6 @@ from ttquery.compression import (
 from ttquery.model import AdviceFunction
 from ttquery.ordered_search import StepInstance, enumerate_instances, parse_instance, rank_of
 from ttquery.subjects import REGISTRY, SubjectError, build_probe, build_shortcut, get_subject
-
-CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
 
 
 # ---------------------------------------------------------------- parameters

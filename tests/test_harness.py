@@ -21,7 +21,6 @@ from ttquery.harness import (
     cmd_lemmas,
     cmd_roundtrip,
     cmd_simulate,
-    load_config,
     parse_config,
     report_csv,
     report_json,

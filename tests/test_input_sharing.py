@@ -6,8 +6,8 @@ its oracle terms, and its runs and overlaps, which are memoized by the
 input's ordinal. A coder keeps one weight analysis per (block, ordinal),
 and per advice string a record of M slots that point at them.
 Every value read through a shared input is checked against a fresh
-computer that has seen only that input, over every registry subject at
-M <= 3 and n <= 3, built-in and loaded from its exported doc. The counts
+computer that has seen only that input, over the shared grid
+(machines.grid_params), built in and loaded from its exported docs. The counts
 of distinct inputs and the filled slots are checked on four sweeps, and
 the errors of a malformed mapping met after a valid one, of a mapping
 equal to a valid one but typed otherwise, and of a malformed amplitude
@@ -20,53 +20,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from machines import build_shared_query
+from machines import build_shared_query, every_threshold, grid_params, inputs, subject
 
 from ttquery import compression
 from ttquery.compression import Coder, prefix_weights, weight_analysis
-from ttquery.model import (
-    ModelError,
-    NonadaptiveComputer,
-    QueryWord,
-    computer_from_doc,
-    computer_to_doc,
-    overlap,
-    run,
-)
+from ttquery.model import ModelError, NonadaptiveComputer, QueryWord, overlap, run
 from ttquery.ordered_search import enumerate_instances
-from ttquery.subjects import REGISTRY, _identity_final, get_subject
-
-
-def _advice_strings(k):
-    return ["".join(bits) for bits in product("01", repeat=k)]
-
-
-def _advice_len(name, M):
-    # advised at k = M reads one advice bit per block, as probe does
-    return {"advised": M, "probe": M, "shortcut": 1}.get(name, 0)
-
-
-# every registry subject at every M <= 3, n <= 3 it can be built at
-CASES = [
-    (name, M, n)
-    for name in REGISTRY
-    for M, n in product(range(1, 4), range(1, 4))
-    if name != "shortcut" or (M == 1 and n >= 2)
-]
-PARAMS = [
-    pytest.param(*case, from_doc, id=f"{case[0]}-M{case[1]}-n{case[2]}" + "-doc" * from_doc)
-    for from_doc in (False, True)
-    for case in CASES
-]
-
-
-def _computer(name, M, n, inputs, from_doc):
-    """The subject's computer and advice; from_doc loads the computer from
-    a doc that tabulates only `inputs`, so it has seen no other input."""
-    comp, adv = get_subject(name, M, n, _advice_len(name, M))
-    if from_doc:
-        comp = computer_from_doc(computer_to_doc(comp, inputs))
-    return comp, adv
+from ttquery.subjects import _identity_final, get_subject
 
 
 def _one_per_class(comp, block, advice, vectors):
@@ -79,15 +39,16 @@ def _one_per_class(comp, block, advice, vectors):
     return found
 
 
-@pytest.mark.parametrize("name, M, n, from_doc", PARAMS)
-def test_shared_inputs_read_as_inputs_seen_alone(name, M, n, from_doc):
-    inputs = list(product(range(1, M + 1), _advice_strings(_advice_len(name, M))))
-    shared, adv = _computer(name, M, n, inputs, from_doc)
+@pytest.mark.parametrize("name, M, n, k, from_doc", grid_params())
+def test_shared_inputs_read_as_inputs_seen_alone(name, M, n, k, from_doc):
+    # a fresh computer loaded from a doc tabulates only its one input
+    tabulated = inputs(M, k)
+    shared, adv = subject(name, M, n, k, from_doc)
     N, widths = 2**n, sorted({1, shared.output_width})
     coders = {p: Coder(shared, adv, p, 1) for p in widths}
-    vectors = list(product(range(1, N + 2), repeat=M))
-    for block, advice in inputs:
-        fresh, _ = _computer(name, M, n, [(block, advice)], from_doc)
+    vectors = every_threshold(M, n)
+    for block, advice in tabulated:
+        fresh, _ = subject(name, M, n, k, from_doc, [(block, advice)])
         assert shared.prequery_state(block, advice).amps == fresh.prequery_state(block, advice).amps
         for steps, width in product(vectors, widths):
             got = run(shared, block, advice, steps, width)
@@ -105,7 +66,7 @@ def test_shared_inputs_read_as_inputs_seen_alone(name, M, n, from_doc):
             got = weight_analysis(coders[p], block, advice)
             assert got == weight_analysis(Coder(fresh, adv, p, 1), block, advice), (block, advice, p)
     # the pairs that share a mapping share its runs and overlaps
-    ordinals = {shared.prequery_state(block, advice).ordinal for block, advice in inputs}
+    ordinals = {shared.prequery_state(block, advice).ordinal for block, advice in tabulated}
     assert {key[0] for key in shared.runs} == ordinals == {key[0] for key in shared.overlaps}
 
 
@@ -130,15 +91,15 @@ def test_distinct_inputs_are_validated_and_weighed_once(name, M, n, k, distinct,
 
     monkeypatch.setattr(compression, "prefix_weights", counted_weights)
     coder = Coder(comp, adv, 1, 1)
-    inputs = list(product(range(1, M + 1), _advice_strings(k)))
+    pairs = inputs(M, k)
     for _ in range(2):
-        for block, advice in inputs:
+        for block, advice in pairs:
             comp.prequery_state(block, advice)
             weight_analysis(coder, block, advice)
     # prequery is called once per pair; only the distinct mappings are kept
-    assert calls == Counter(inputs)
+    assert calls == Counter(pairs)
     assert len(comp._inputs) == distinct
-    cached = {pair: comp.prequery_state(*pair) for pair in inputs}
+    cached = {pair: comp.prequery_state(*pair) for pair in pairs}
     assert sorted({c.ordinal for c in cached.values()}) == list(range(distinct))
     for (pair, one), (other, two) in product(cached.items(), cached.items()):
         same = one.ordinal == two.ordinal
@@ -153,9 +114,9 @@ def test_distinct_inputs_are_validated_and_weighed_once(name, M, n, k, distinct,
         for block, wa in enumerate(record, 1)
         if wa is not None
     }
-    assert filled.keys() == set(inputs)
+    assert filled.keys() == set(pairs)
     assert len({id(wa) for wa in filled.values()}) == len(weighed)
-    assert set(weighed) == {(block, cached[(block, advice)].ordinal) for block, advice in inputs}
+    assert set(weighed) == {(block, cached[(block, advice)].ordinal) for block, advice in pairs}
     assert set(coder._shared_analyses) == set(weighed)
     for (block, advice), wa in filled.items():
         assert wa is coder._shared_analyses[(block, cached[(block, advice)].ordinal)]

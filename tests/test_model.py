@@ -4,7 +4,7 @@ from functools import partial
 from itertools import product
 
 import pytest
-from machines import build_neighbor_probe, build_single_query
+from machines import build_neighbor_probe, build_single_query, inputs
 from reference import apply_oracle, error_probability, final_apply, inner_product, max_error
 
 from ttquery.model import (
@@ -27,7 +27,7 @@ from ttquery.model import (
     overlap,
     run,
 )
-from ttquery.ordered_search import StepInstance, bin_n, enumerate_instances
+from ttquery.ordered_search import StepInstance, enumerate_instances
 from ttquery.subjects import get_subject
 
 
@@ -197,17 +197,22 @@ def test_error_probability_and_max_error():
 
 
 def test_validate_computer_checks_norm():
+    # a built-in subject's mappings pass the norm check on first use
     comp, _ = get_subject("full", 2, 2, 0)
     for block in (1, 2):
-        comp.prequery_state(block, "")
+        amps = comp.prequery_state(block, "").amps
+        assert sum(amp * amp for amp in amps.values()) == 1
 
 
 def test_run_rejects_non_unit_prequery_state():
-    # a library-built computer is checked on first use, not only on load
+    # a library-built computer is checked on first use, not only on load,
+    # and a unit mapping beside the refused one runs
     word = (QueryWord(1, "0"),)
     comp = _one_block_computer({(word, 0): Fraction(1, 2), (word, 1): Fraction(1, 2)})
     with pytest.raises(ModelError, match=r"^prequery input \(1, ''\): prequery norm\^2 is 1/2$"):
         run(comp, 1, "", (1,))
+    unit = _one_block_computer({(word, 0): Fraction(3, 5), (word, 1): Fraction(4, 5)})
+    assert run(unit, 1, "", (1,)) == {"0": Fraction(9, 25), "1": Fraction(16, 25)}
 
 
 @pytest.mark.parametrize(
@@ -342,8 +347,7 @@ def test_overlap_matches_fresh_inner_products(label, build):
     pairs = rng.sample(pairs, min(len(pairs), 64)) + [((N + 1,) * M, (1,) * M)]
     keys = set()
     hits = 0
-    advices = ["".join(bits) for bits in product("01", repeat=comp.advice_len)]
-    for block, advice in product(range(1, M + 1), advices):
+    for block, advice in inputs(M, comp.advice_len):
         cached = comp.prequery_state(block, advice)
         for a, b in pairs:
             key = (cached.ordinal, cached.classes(a), cached.classes(b))

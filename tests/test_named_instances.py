@@ -4,14 +4,15 @@ The sweep and both decoders build each StepInstance through the unchecked
 StepInstance._named, from steps and n-bit names they already hold. Every
 such instance is checked field by field, names included, against the
 public constructor's: the whole sweep at M <= 4 and n <= 4, and every
-decoded instance of every registry subject at M <= 3 and n <= 3, built-in
-and loaded from its exported doc, under both schemes.
+decoded instance of every subject of the shared grid (machines.grid_params),
+built in and loaded from its exported docs, under both schemes.
 """
 
 from inspect import GEN_CREATED, getgeneratorstate
 from itertools import product
 
 import pytest
+from machines import grid_params, subject, sweep_coders
 
 from ttquery.compression import (
     Coder,
@@ -23,9 +24,7 @@ from ttquery.compression import (
     encode,
     encode_single,
 )
-from ttquery.model import advice_from_doc, advice_to_doc, computer_from_doc, computer_to_doc
 from ttquery.ordered_search import BudgetExceededError, StepInstance, enumerate_instances
-from ttquery.subjects import REGISTRY, get_subject
 
 
 def _fields(inst):
@@ -63,39 +62,11 @@ def test_a_sweep_of_no_blocks_or_no_bits_is_refused_when_iterated(M, n):
         next(sweep)
 
 
-def _advice_len(name, M):
-    return {"advised": M, "probe": M, "shortcut": 1}.get(name, 0)
-
-
-CASES = [
-    (name, M, n)
-    for name in REGISTRY
-    for M, n in product(range(1, 4), range(1, 4))
-    if name != "shortcut" or (M == 1 and n >= 2)
-]
-PARAMS = [
-    pytest.param(*case, from_doc, id=f"{case[0]}-M{case[1]}-n{case[2]}" + "-doc" * from_doc)
-    for from_doc in (False, True)
-    for case in CASES
-]
-
-
-def _subject(name, M, n, from_doc):
-    k = _advice_len(name, M)
-    comp, adv = get_subject(name, M, n, k)
-    if from_doc:
-        advice = ["".join(bits) for bits in product("01", repeat=k)]
-        comp = computer_from_doc(computer_to_doc(comp, list(product(range(1, M + 1), advice))))
-        adv = advice_from_doc(advice_to_doc(adv, enumerate_instances(M, n)))
-    return comp, adv
-
-
 def _schemes(comp, adv, M, n):
     """(encode, decode, coder) at p in {1, n} and l in {1, M}, and the
     single scheme where the subject meets its shape."""
-    for p, l in product(sorted({1, n}), sorted({1, M})):
-        if p <= comp.output_width:
-            yield encode, decode, Coder(comp, adv, p, l)
+    for coder in sweep_coders(comp, adv):
+        yield encode, decode, coder
     try:
         p = _single_check(comp)
     except ValueError:
@@ -103,9 +74,9 @@ def _schemes(comp, adv, M, n):
     yield encode_single, decode_single, Coder(comp, adv, p, 1)
 
 
-@pytest.mark.parametrize("name, M, n, from_doc", PARAMS)
-def test_decoded_instances_are_what_the_constructor_builds(name, M, n, from_doc):
-    comp, adv = _subject(name, M, n, from_doc)
+@pytest.mark.parametrize("name, M, n, k, from_doc", grid_params())
+def test_decoded_instances_are_what_the_constructor_builds(name, M, n, k, from_doc):
+    comp, adv = subject(name, M, n, k, from_doc)
     decoded = 0
     for encode_one, decode_one, coder in _schemes(comp, adv, M, n):
         for inst in enumerate_instances(M, n):

@@ -3,7 +3,14 @@ from itertools import product
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
-from reference import apply_oracle, final_apply, inner_product, measure_register, norm_sq
+from reference import (
+    apply_oracle,
+    inner_product,
+    measure_register,
+    norm_sq,
+    straight_run,
+    straight_weights,
+)
 
 from ttquery.compression import (
     DEFAULT_PARAMS,
@@ -12,6 +19,7 @@ from ttquery.compression import (
     decode,
     double_bits,
     encode,
+    prefix_weights,
 )
 from ttquery.adversary import sqrt_bracket
 from ttquery.model import (
@@ -102,8 +110,10 @@ UNIT_AMPLITUDES = ((Fraction(1),), (Fraction(3, 5), Fraction(4, 5)), (Fraction(1
 def test_one_pass_runs_match_the_reference_path(data):
     # run's and overlap's one pass over cached terms against the
     # state-by-state path (oracle state, final_apply, measure_register, and
-    # inner_product of two oracle states) on a random machine with a
-    # scratch register and an XOR per fiber as its final
+    # inner_product of two oracle states), and prefix_weights at every p
+    # against the straight weights, on a random machine with a scratch
+    # register, an XOR per fiber as its final, and lists that may repeat a
+    # word
     M, n, T = (data.draw(st.integers(1, 2), label=name) for name in ("M", "n", "T"))
     output_width = data.draw(st.integers(1, n), label="output width")
     scratch = data.draw(st.sampled_from([2, 4]), label="scratch")
@@ -143,15 +153,12 @@ def test_one_pass_runs_match_the_reference_path(data):
     )
     vectors = list(product(range(1, 2**n + 2), repeat=M))
     for block in range(1, M + 1):
-        states = {steps: apply_oracle(comp, block, "", steps) for steps in vectors}
-        for steps, state in states.items():
-            final = final_apply(comp.final, state, dim)
-            for width in range(1, output_width + 1):
-                want = {
-                    outcome_to_answer(outcome, width): prob
-                    for outcome, prob in measure_register(final, dim, width).items()
-                }
+        for p in range(1, n + 1):
+            assert prefix_weights(comp, block, "", p) == straight_weights(comp, block, "", p)
+        for steps in vectors:
+            for width, want in straight_run(comp, block, "", steps).items():
                 assert run(comp, block, "", steps, width) == want, (block, steps, width)
+        states = {steps: apply_oracle(comp, block, "", steps) for steps in vectors}
         for a, b in product(vectors, repeat=2):
             want = inner_product(states[a], states[b])
             assert overlap(comp, block, "", a, b) == want, (block, a, b)

@@ -14,47 +14,23 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from machines import every_threshold, export, reports
 
 from ttquery import subjects
 from ttquery.adversary import partition_by_advice, zeta
-from ttquery.harness import (
-    ExperimentConfig,
-    cmd_bounds,
-    cmd_lemmas,
-    cmd_roundtrip,
-    cmd_simulate,
-    report_csv,
-    report_json,
-)
+from ttquery.harness import ExperimentConfig, cmd_simulate
 from ttquery.model import (
     AdviceFunction,
     FiberFinal,
     NonadaptiveComputer,
     QueryWord,
-    advice_to_doc,
     answer_to_outcome,
-    computer_to_doc,
     list_index,
     no_advice,
     run,
 )
 from ttquery.ordered_search import bin_n, enumerate_instances
 from ttquery.subjects import get_subject
-
-
-def _inputs(M, k):
-    return [
-        (block, format(a, f"0{k}b") if k else "")
-        for block in range(1, M + 1)
-        for a in range(2**k)
-    ]
-
-
-def _reports(cfg):
-    runs = [cmd_simulate(cfg), cmd_roundtrip(cfg), cmd_lemmas(cfg), cmd_bounds(cfg)]
-    if cfg.M == 1:
-        runs.append(cmd_roundtrip(cfg._replace(scheme="single")))
-    return [report_csv(r) + report_json(r) for r in runs]
 
 
 def _ones(answers_idx):
@@ -182,7 +158,7 @@ def test_machine_matches_the_reference(name, M, n, k):
     for inst in enumerate_instances(M, n):
         assert adv(inst) == ref_adv(inst)
     q = k // M
-    thresholds = list(product(range(1, 2**n + 2), repeat=M))
+    thresholds = every_threshold(M, n)
     for block, advice in _swept_inputs(M, n, k):
         assert _lists(comp, block, advice) == _lists(ref, block, advice)
         # the workspace holds the advised prefix, the rest of the cells clear
@@ -203,17 +179,10 @@ def test_zeta_matches_the_reference(n):
         assert zeta(comp, part, Fraction(1, 3)) == zeta(ref, part, Fraction(1, 3))
 
 
-def _doc(computer, advice_fn, M, n, k):
-    return {
-        "computer": computer_to_doc(computer, _inputs(M, k)),
-        "advice": advice_to_doc(advice_fn, enumerate_instances(M, n)),
-    }
-
-
 @pytest.mark.parametrize("M, n", SHAPES)
 def test_full_docs_equal_the_reference_byte_for_byte(M, n):
-    built = json.dumps(_doc(*get_subject("full", M, n, 0), M, n, 0))
-    assert built == json.dumps(_doc(*reference_full(M, n), M, n, 0))
+    built = json.dumps(export(*get_subject("full", M, n, 0)))
+    assert built == json.dumps(export(*reference_full(M, n)))
 
 
 @pytest.mark.parametrize("M, n, k, p", [(1, 3, 1, 3), (1, 3, 2, 2), (2, 2, 2, 1), (2, 2, 3, 2)])
@@ -221,11 +190,11 @@ def test_reference_format_advised_doc_gives_the_builtin_reports(tmp_path, M, n, 
     # at 0 < k // M < n the reference doc keeps the prefix in the fibers,
     # not in the workspace, so it differs from the doc the builder exports
     path = tmp_path / "advised.json"
-    path.write_text(json.dumps(_doc(*reference_advised(M, n, k), M, n, k)))
+    path.write_text(json.dumps(export(*reference_advised(M, n, k))))
     cfg = ExperimentConfig(M=M, n=n, k=k, p=p, subject="advised")
     loaded = ExperimentConfig(M=M, n=n, k=k, p=p, subject=str(path))
-    from_doc = [text.replace(str(path), "advised") for text in _reports(loaded)]
-    assert from_doc == _reports(cfg)
+    from_doc = [text.replace(str(path), "advised") for text in reports(loaded)]
+    assert from_doc == reports(cfg)
 
 
 def test_reference_machines_are_built_without_list_indices(monkeypatch):

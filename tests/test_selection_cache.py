@@ -2,12 +2,12 @@
 from the cached oracle terms, and of the bit-string and step checks.
 
 Every selection a coder keeps is checked against a fresh selection on a
-coder whose cache is empty, and every code against a decoder whose cache is
-empty, over every registry subject at M <= 3 and n <= 3, built-in and
-loaded from its exported doc. prefix_weights is checked against the former
-QueryWord-based sum, kept here as the reference, and every selection
-against the Fraction-comparing selection it replaced. The bit-string checks are
-checked against the generator checks they replace, and the decoder's
+coder whose cache is empty and against reference.straight_select, and
+every code against a decoder whose cache is empty, over the shared grid
+(machines.grid_params): every registry subject at M <= 3 and n <= 3,
+built in and loaded from its exported docs. prefix_weights is checked
+against reference.straight_weights on that grid. The bit-string checks
+are checked against the generator checks they replace, and the decoder's
 majority test against an outcome at exactly 1/2.
 """
 
@@ -16,12 +16,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from machines import build_even_split
+from machines import build_even_split, grid_params, inputs, subject, sweep_coders
+from reference import straight_select, straight_weights
 
 from ttquery.compression import (
     Coder,
     DecodeError,
-    LwssResult,
     _majority_suffix,
     _select,
     audit_instance,
@@ -30,7 +30,6 @@ from ttquery.compression import (
     lwss,
     prefix_weights,
     profile,
-    weight_analysis,
 )
 from ttquery.model import (
     AdviceFunction,
@@ -38,85 +37,21 @@ from ttquery.model import (
     NonadaptiveComputer,
     QueryWord,
     advice_from_doc,
-    advice_to_doc,
     check_word,
-    computer_from_doc,
-    computer_to_doc,
     run,
 )
 from ttquery.ordered_search import StepInstance, enumerate_instances, rank_of
-from ttquery.subjects import REGISTRY, _identity_final, get_subject
+from ttquery.subjects import _identity_final, get_subject
+
+GRID = grid_params()
 
 
-def _advice_strings(k):
-    return ["".join(bits) for bits in product("01", repeat=k)]
-
-
-def _advice_len(name, M):
-    return {"advised": 1, "probe": M, "shortcut": 1}.get(name, 0)
-
-
-# every registry subject at every M <= 3, n <= 3 it can be built at
-CASES = [
-    (name, M, n)
-    for name in REGISTRY
-    for M, n in product(range(1, 4), range(1, 4))
-    if name != "shortcut" or (M == 1 and n >= 2)
-]
-PARAMS = [
-    pytest.param(*case, from_doc, id=f"{case[0]}-M{case[1]}-n{case[2]}" + "-doc" * from_doc)
-    for from_doc in (False, True)
-    for case in CASES
-]
-
-
-def _subject(name, M, n, from_doc):
-    """The subject, or the computer and advice loaded from its exported docs."""
-    k = _advice_len(name, M)
-    comp, adv = get_subject(name, M, n, k)
-    if from_doc:
-        inputs = list(product(range(1, M + 1), _advice_strings(k)))
-        comp = computer_from_doc(computer_to_doc(comp, inputs))
-        adv = advice_from_doc(advice_to_doc(adv, enumerate_instances(M, n)))
-    return comp, adv
-
-
-def _coders(comp, M, n):
-    """(p, l) at p in {1, n} within the output and l in {1, M}."""
-    return [
-        (p, l)
-        for p, l in product(sorted({1, n}), sorted({1, M}))
-        if p <= comp.output_width
-    ]
-
-
-def _fraction_select(coder, advice, bad_prefixes):
-    """The selection as it was written with Fraction comparisons, kept as
-    the reference for _select's cross-multiplied survivor test."""
-    survivors = sorted(bad_prefixes)
-    m, threshold, _, _ = coder.ctx.rounds(len(survivors))
-    picked, sizes, tables = [], [len(survivors)], {}
-    for _ in range(m):
-        pivot = next(j for j in survivors if j not in picked)
-        picked.append(pivot)
-        tables[pivot] = weight_analysis(coder, pivot, advice).table
-        survivors = [
-            j for j in survivors if tables[pivot].get((j, bad_prefixes[j]), Fraction(0)) < threshold
-        ]
-        sizes.append(len(survivors))
-    crosses = tuple(
-        (a, b, tables[a].get((b, bad_prefixes[b]), Fraction(0)))
-        for pos, a in enumerate(picked)
-        for b in picked[pos + 1 :]
-    )
-    return LwssResult(tuple(picked), tuple(sizes), crosses)
-
-
-@pytest.mark.parametrize("name, M, n, from_doc", PARAMS)
-def test_cached_selections_match_fresh_selections(name, M, n, from_doc):
-    comp, adv = _subject(name, M, n, from_doc)
-    for p, l in _coders(comp, M, n):
-        coder, fresh = Coder(comp, adv, p, l), Coder(comp, adv, p, l)
+@pytest.mark.parametrize("name, M, n, k, from_doc", GRID)
+def test_cached_selections_match_fresh_selections(name, M, n, k, from_doc):
+    comp, adv = subject(name, M, n, k, from_doc)
+    for coder in sweep_coders(comp, adv):
+        p, l = coder.ctx.p, coder.ctx.l
+        fresh = Coder(comp, adv, p, l)
         codes = {inst: encode(coder, inst) for inst in enumerate_instances(M, n)}
         cached = dict(coder.selections)
         assert len(cached) <= sum(enc.case == 2 for enc in codes.values())
@@ -124,7 +59,7 @@ def test_cached_selections_match_fresh_selections(name, M, n, from_doc):
             fresh.selections.clear()
             again = _select(fresh, advice, dict(bad))
             assert again == sel and again is not sel, (p, l, advice, bad)
-            assert _fraction_select(fresh, advice, dict(bad)) == sel, (p, l, advice, bad)
+            assert straight_select(fresh, advice, dict(bad)) == sel, (p, l, advice, bad)
         for inst, enc in codes.items():
             assert decode(coder, enc) == inst
             if enc.case == 2:
@@ -135,11 +70,12 @@ def test_cached_selections_match_fresh_selections(name, M, n, from_doc):
         assert all(coder.selections[key] is sel for key, sel in cached.items())
 
 
-@pytest.mark.parametrize("name, M, n, from_doc", PARAMS)
-def test_every_code_decodes_on_a_coder_with_no_selections(name, M, n, from_doc):
-    comp, adv = _subject(name, M, n, from_doc)
-    for p, l in _coders(comp, M, n):
-        coder, second = Coder(comp, adv, p, l), Coder(comp, adv, p, l)
+@pytest.mark.parametrize("name, M, n, k, from_doc", GRID)
+def test_every_code_decodes_on_a_coder_with_no_selections(name, M, n, k, from_doc):
+    comp, adv = subject(name, M, n, k, from_doc)
+    for coder in sweep_coders(comp, adv):
+        p, l = coder.ctx.p, coder.ctx.l
+        second = Coder(comp, adv, p, l)
         for inst in enumerate_instances(M, n):
             enc = encode(coder, inst)
             second.selections.clear()
@@ -157,30 +93,15 @@ def test_a_case_two_sweep_fills_the_selection_cache():
 
 
 # ---------------------------------------------------------------------------
-# Prefix weights from the cached terms, against the QueryWord-based sum
+# Prefix weights from the cached terms, against the straight weights
 
 
-def _word_weights(computer, block, advice, p):
-    """The former prefix_weights: each list's distinct QueryWords, each
-    amplitude squared again."""
-    cut = computer.n - p
-    acc = {}
-    for (words, _ws), amp in computer.prequery_state(block, advice).amps.items():
-        sq = amp * amp
-        for w in set(words):
-            key = (w.block, w.location[:cut])
-            acc[key] = acc.get(key, Fraction(0)) + sq
-    return acc
-
-
-@pytest.mark.parametrize("name, M, n, from_doc", PARAMS)
-def test_prefix_weights_match_query_word_weights(name, M, n, from_doc):
-    comp, _ = _subject(name, M, n, from_doc)
-    for block, advice in product(range(1, M + 1), _advice_strings(comp.advice_len)):
-        for p in range(1, n + 1):
-            assert prefix_weights(comp, block, advice, p) == _word_weights(
-                comp, block, advice, p
-            ), (block, advice, p)
+@pytest.mark.parametrize("name, M, n, k, from_doc", GRID)
+def test_prefix_weights_match_query_word_weights(name, M, n, k, from_doc):
+    comp, _ = subject(name, M, n, k, from_doc)
+    for (block, advice), p in product(inputs(M, k), range(1, n + 1)):
+        want = straight_weights(comp, block, advice, p)
+        assert prefix_weights(comp, block, advice, p) == want, (block, advice, p)
 
 
 def _hand_built():
@@ -207,7 +128,7 @@ def test_prefix_weights_count_each_distinct_word_once_per_list():
     # with no prefix bits left each distinct word of a list still counts
     assert prefix_weights(comp, 1, "", 3) == {(1, ""): 2 * a + b, (2, ""): a + 2 * b}
     for p in range(1, 4):
-        assert prefix_weights(comp, 1, "", p) == _word_weights(comp, 1, "", p)
+        assert prefix_weights(comp, 1, "", p) == straight_weights(comp, 1, "", p)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,9 @@ import itertools
 import json
 
 import pytest
+from machines import export, inputs, reports
 
-from ttquery.harness import (
-    ExperimentConfig,
-    cmd_bounds,
-    cmd_lemmas,
-    cmd_roundtrip,
-    cmd_simulate,
-    report_csv,
-    report_json,
-)
+from ttquery.harness import ExperimentConfig
 from ttquery.model import (
     FiberFinal,
     NonadaptiveComputer,
@@ -26,36 +19,12 @@ from ttquery.model import (
     _answer_table,
     _reachable_answers,
     _table_answer,
-    advice_to_doc,
     computer_from_doc,
     computer_to_doc,
     run,
 )
 from ttquery.ordered_search import enumerate_instances, rank_of
 from ttquery.subjects import get_subject
-
-
-def _inputs(M, k):
-    return [
-        (block, format(a, f"0{k}b") if k else "")
-        for block in range(1, M + 1)
-        for a in range(2**k)
-    ]
-
-
-def _export(name, M, n, k):
-    comp, adv = get_subject(name, M, n, k)
-    return {
-        "computer": computer_to_doc(comp, _inputs(M, k)),
-        "advice": advice_to_doc(adv, enumerate_instances(M, n)),
-    }
-
-
-def _reports(cfg):
-    runs = [cmd_simulate(cfg), cmd_roundtrip(cfg), cmd_lemmas(cfg), cmd_bounds(cfg)]
-    if cfg.M == 1:
-        runs.append(cmd_roundtrip(cfg._replace(scheme="single")))
-    return [report_csv(r) + report_json(r) for r in runs]
 
 
 # (subject, M, n, k, p, l); probe with M = 2 and l = 2 reaches case 2, where
@@ -74,16 +43,16 @@ CASES = [
 @pytest.mark.parametrize("name, M, n, k, p, l", CASES)
 def test_exported_subject_reports_match_builtin(tmp_path, name, M, n, k, p, l):
     path = tmp_path / "subject.json"
-    path.write_text(json.dumps(_export(name, M, n, k)))
+    path.write_text(json.dumps(export(*get_subject(name, M, n, k))))
     cfg = ExperimentConfig(M=M, n=n, k=k, p=p, l=l, subject=name)
     loaded = ExperimentConfig(M=M, n=n, k=k, p=p, l=l, subject=str(path))
-    built_in = _reports(cfg)
-    from_doc = [text.replace(str(path), name) for text in _reports(loaded)]
+    built_in = reports(cfg)
+    from_doc = [text.replace(str(path), name) for text in reports(loaded)]
     assert from_doc == built_in
 
 
 def _fiber_count(name, M, n, k):
-    return len(_export(name, M, n, k)["computer"]["final"]["table"])
+    return len(export(*get_subject(name, M, n, k))["computer"]["final"]["table"])
 
 
 @pytest.mark.parametrize("M, n", [(1, 2), (1, 4), (1, 5), (2, 3)])
@@ -158,7 +127,7 @@ def test_a_list_index_past_the_decimal_digit_limit_round_trips():
 def test_a_doc_with_decimal_list_indices_still_loads():
     # docs written before list indices were hex keep their decimal keys
     comp, adv = get_subject("shortcut", 1, 4, 1)
-    doc = computer_to_doc(comp, _inputs(1, 1))
+    doc = computer_to_doc(comp, inputs(1, 1))
     fibers = doc["final"]["table"]
     assert fibers and all(key.startswith("0x") for key in fibers)
     decimal = {}

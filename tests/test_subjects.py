@@ -2,10 +2,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from machines import build_neighbor_probe, build_single_query
+from machines import ADVICE_LENGTHS, build_neighbor_probe, build_single_query
 from reference import max_error
 
-from ttquery.model import run
 from ttquery.ordered_search import StepInstance, enumerate_instances
 from ttquery.subjects import (
     PROBE_HEAVY,
@@ -104,6 +103,8 @@ def test_neighbor_probe_requires_three_blocks():
 
 def test_registry_names():
     assert set(REGISTRY) == {"full", "advised", "zero", "probe", "shortcut"}
+    # so that every registry subject reaches the differential tests' grid
+    assert ADVICE_LENGTHS.keys() == set(REGISTRY)
     with pytest.raises(SubjectError):
         get_subject("nope", 1, 2, 0)
 

@@ -1,40 +1,52 @@
-"""Differential tests of the coder's and the computer's caches and the
-single-pass census.
+"""Differential tests of the coder's and the computer's caches, the
+single-pass census and the code layouts.
 
-Each cached weight analysis is checked against a recomputation from a
-fresh call of the subject's own prequery function, each profile and
-selection against a straight one that compares weights with C and derives
-the round count afresh, the oracle over cached terms and answer tables
-against the oracle that parses and answers every query word on every run,
-each state the oracle and the final build unchecked against the checks
-it must meet, each memoized run against the same run without the memo on
-a freshly built computer, built-in or loaded from its exported doc, each census folded into a sweep against an
-independent fresh encode or a direct recount, each computer's caches
-against another computer's, each coder's caches against another coder's
-over the same computer, each code built from the context's layout
-against the former per-item writer, and the audit's integer rank limit and
-integer survivor floors of its Rounds records against the Fraction rules
-they replace.
+Weight analyses, profiles, selections and Rounds records, the cached
+oracle terms with their answer tables, and each memoized run, built in or
+loaded from its exported doc, are checked against the straight paths of
+reference.py, and each state the reference oracle and final build
+unchecked against the checks it must meet. Each census folded into a sweep is checked against a fresh encode or a
+direct recount, each computer's caches against another computer's, each
+coder's against another coder's over the same computer, each code built
+from the context's layout against the former per-item writer, and the
+audit's integer rank limit against the Fraction bounds.
 """
 
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from machines import build_neighbor_probe, build_single_query
-from reference import apply_oracle, final_apply, measure_register
-from test_audit_cache import direct_rounds
+from machines import (
+    CERT_PARAMS,
+    EDGE_PARAMS,
+    PARAMS,
+    SUBJECTS,
+    build_neighbor_probe,
+    build_single_query,
+    coders,
+    every_threshold,
+    grid_params,
+    inputs,
+    subject,
+)
+from reference import (
+    apply_oracle,
+    direct_rounds,
+    final_apply,
+    straight_analysis,
+    straight_profile,
+    straight_run,
+    straight_select,
+    threshold_answers,
+)
 
 from ttquery.compression import (
     DEFAULT_PARAMS,
     Coder,
     Encoding,
     EncodingContext,
-    ErrorParams,
-    LwssResult,
     _encode,
     _field,
-    _round_count,
     _select,
     _substituted_steps,
     audit_instance,
@@ -55,75 +67,29 @@ from ttquery.harness import ExperimentConfig, cmd_roundtrip
 from ttquery.model import (
     NonadaptiveComputer,
     _reachable_answers,
-    computer_from_doc,
-    computer_to_doc,
+    _table_answer,
     list_index,
-    outcome_to_answer,
     run,
 )
 from ttquery.ordered_search import StepInstance, bin_n, enumerate_instances, rank_of
-from ttquery.subjects import (
-    PROBE_LIGHT,
-    REGISTRY,
-    get_subject,
-)
+from ttquery.subjects import PROBE_LIGHT, get_subject
 
-CERT_PARAMS = ErrorParams(Fraction(0), Fraction(1, 2))
-# sqrt C = (1 - 2 (1 + c) / 3) / 4 = 64/1025, so C is the probe's light
-# weight: that prefix sits exactly at the threshold and must not be heavy
-EDGE_PARAMS = ErrorParams(Fraction(1, 3), Fraction(257, 2050))
-PARAMS = (DEFAULT_PARAMS, CERT_PARAMS, EDGE_PARAMS)
-
-# (label, builder, M, n, k, p): small sizes of every subject, p within the
-# subject's output width.
-SUBJECTS = (
-    ("full", lambda: get_subject("full", 2, 2, 0), 2, 2, 0, 2),
-    ("advised", lambda: get_subject("advised", 2, 2, 2), 2, 2, 2, 1),
-    ("zero", lambda: get_subject("zero", 2, 2, 0), 2, 2, 0, 1),
-    ("probe", lambda: get_subject("probe", 2, 2, 2), 2, 2, 2, 1),
-    ("shortcut", lambda: get_subject("shortcut", 1, 3, 1), 1, 3, 1, 2),
-    ("neighbor_probe", lambda: build_neighbor_probe(4, 2), 4, 2, 4, 1),
-    ("single_query", lambda: build_single_query(2, 2), 2, 2, 0, 2),
-)
 IDS = [s[0] for s in SUBJECTS]
-
-
-def _advice_strings(k):
-    return ["".join(bits) for bits in product("01", repeat=k)]
-
-
-def _straight_analysis(comp, block, advice, p, threshold):
-    """Weight table, heavy list and own mass from the raw prequery function."""
-    word_weight = {}
-    for (words, _ws), amp in comp.prequery(block, advice).items():
-        for w in set(words):
-            word_weight[w] = word_weight.get(w, Fraction(0)) + amp * amp
-    table = {}
-    for w, v in word_weight.items():
-        key = (w.block, w.location[: comp.n - p])
-        table[key] = table.get(key, Fraction(0)) + v
-    own = {a: v for (j, a), v in table.items() if j == block}
-    heavy = tuple(sorted(a for a, v in own.items() if v > threshold))
-    return table, heavy, sum(own.values(), Fraction(0))
 
 
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
 def test_cached_analysis_matches_recomputation(label, build, M, n, k, p):
     comp, adv = build()
-    inputs = list(product(range(1, M + 1), _advice_strings(k)))
     for cut, params in product(range(1, n + 1), PARAMS):
-        if cut > comp.output_width:
-            # no coder measures past the output; the table is still checked
-            for block, advice in inputs:
-                table = _straight_analysis(comp, block, advice, cut, params.C)[0]
-                assert prefix_weights(comp, block, advice, cut) == table
-            continue
-        coder = Coder(comp, adv, cut, 1, params)
-        for block, advice in inputs:
+        # no coder measures past the output; the table is still checked
+        coder = Coder(comp, adv, cut, 1, params) if cut <= comp.output_width else None
+        for block, advice in inputs(M, k):
+            table, heavy, own = straight_analysis(comp, block, advice, cut, params.C)
+            assert prefix_weights(comp, block, advice, cut) == table, (block, advice, cut)
+            if coder is None:
+                continue
             wa = weight_analysis(coder, block, advice)
-            table, heavy, own = _straight_analysis(comp, block, advice, cut, params.C)
-            assert dict(wa.table) == table
-            assert wa.heavy == heavy
+            assert dict(wa.table) == table and wa.heavy == heavy, (block, advice, cut)
             assert dict(wa.ranks) == {a: i for i, a in enumerate(heavy)}
             assert wa.own_mass == own and wa.mass_ok == (own <= comp.T)
             assert weight_analysis(coder, block, advice) is wa
@@ -148,18 +114,6 @@ def test_cached_analysis_and_state_are_read_only():
         comp.prequery_state(1, "01").amps[((), 0)] = Fraction(1)
 
 
-def _straight_profile(comp, advice, names, p, C):
-    """Each block classified by w > C, with its rank from heavy.index."""
-    blocks = []
-    for i in range(1, comp.M + 1):
-        table, heavy, _own = _straight_analysis(comp, i, advice, p, C)
-        pre = names[i][: comp.n - p]
-        w = table.get((i, pre), Fraction(0))
-        good = w > C
-        blocks.append((i, pre, good, heavy.index(pre) if good else None))
-    return tuple(blocks)
-
-
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
 def test_profile_matches_straight_classification(label, build, M, n, k, p):
     comp, adv = build()
@@ -168,46 +122,11 @@ def test_profile_matches_straight_classification(label, build, M, n, k, p):
         coder = Coder(comp, adv, cut, 1, params)
         for inst in enumerate_instances(M, n):
             advice = adv(inst)
-            names = {i: inst.step_bits(i) for i in range(1, M + 1)}
             prof = profile(coder, inst)
-            want = _straight_profile(comp, advice, names, cut, params.C)
+            want = straight_profile(comp, advice, inst.names, cut, params.C)
             assert prof.advice == advice and prof.blocks == want, (params, inst, cut)
             assert prof.good_indices == tuple(b[0] for b in want if b[2])
             assert prof.l_prime == len(prof.good_indices)
-
-
-def _straight_schedule(ctx, pool):
-    """The round count and threshold of a pool of that many bad blocks,
-    derived afresh: the reference for ctx.rounds(pool)."""
-    m = _round_count(ctx.t, pool)
-    return m, ctx.C / m if m else None
-
-
-def _schedule(ctx, pool):
-    rounds = ctx.rounds(pool)
-    return rounds.m, rounds.threshold
-
-
-def _straight_select(ctx, comp, advice, bad_prefixes):
-    """The selection with its round count and threshold derived afresh and
-    every weight read from a straight analysis."""
-    pool = tuple(sorted(bad_prefixes))
-    m, threshold = _straight_schedule(ctx, len(pool))
-    survivors, picked, sizes, tables = list(pool), [], [len(pool)], {}
-    for _ in range(m):
-        pivot = next(j for j in survivors if j not in picked)
-        picked.append(pivot)
-        tables[pivot] = _straight_analysis(comp, pivot, advice, ctx.p, ctx.C)[0]
-        survivors = [
-            j for j in survivors if tables[pivot].get((j, bad_prefixes[j]), Fraction(0)) < threshold
-        ]
-        sizes.append(len(survivors))
-    crosses = tuple(
-        (a, b, tables[a].get((b, bad_prefixes[b]), Fraction(0)))
-        for a_pos, a in enumerate(picked)
-        for b in picked[a_pos + 1 :]
-    )
-    return LwssResult(tuple(picked), tuple(sizes), crosses)
 
 
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
@@ -221,14 +140,12 @@ def test_select_matches_straight_selection(label, build, M, n, k, p):
     ]
     for params in PARAMS:
         coder = Coder(comp, adv, p, M, params)
-        ctx = coder.ctx
         for inst in enumerate_instances(M, n):
             advice = adv(inst)
             for pool in pools:
                 bad = {j: inst.step_bits(j)[: n - p] for j in pool}
-                want = _straight_select(ctx, comp, advice, bad)
+                want = straight_select(coder, advice, bad)
                 assert _select(coder, advice, bad) == want, (params, inst, pool)
-                assert _schedule(ctx, len(pool)) == _straight_schedule(ctx, len(pool))
 
 
 def test_select_matches_straight_selection_over_several_rounds():
@@ -238,39 +155,14 @@ def test_select_matches_straight_selection_over_several_rounds():
     M = 64
     comp, adv = build_neighbor_probe(M, 1)
     coder = Coder(comp, adv, 1, M, CERT_PARAMS)
-    ctx = coder.ctx
     advice = "01" * (M // 2)
     rounds = set()
     for size in [*range(M + 1), *range(M, -1, -1)]:
         bad = {j: "" for j in range(M - size + 1, M + 1)}
         sel = _select(coder, advice, bad)
-        assert sel == _straight_select(ctx, comp, advice, bad), size
-        assert _schedule(ctx, size) == _straight_schedule(ctx, size), size
-        assert len(sel.W) == ctx.rounds(size).m
-        rounds.add(ctx.rounds(size).m)
+        assert sel == straight_select(coder, advice, bad), size
+        rounds.add(len(sel.W))
     assert rounds == {0, 1, 2}
-
-
-def _threshold_answers(ranked_words, steps):
-    """The answer rule word by word: the reference the answer tables replace."""
-    bits = ["1" if rank >= steps[block - 1] else "0" for block, rank in ranked_words]
-    return int("".join(bits), 2) if bits else 0
-
-
-def _straight_oracle(comp, pre, steps):
-    """The oracle without the term cache: every word parsed on every run,
-    zero amplitudes dropped at the end."""
-    amps = {}
-    for (words, ws), amp in pre.items():
-        ranked = [(w.block, rank_of(w.location)) for w in words]
-        key = (list_index(words, comp.M, comp.n), _threshold_answers(ranked, steps), ws)
-        amps[key] = amps.get(key, Fraction(0)) + amp
-    return {key: amp for key, amp in amps.items() if amp != 0}
-
-
-def _every_threshold(M, n):
-    """Every threshold vector in 1..N+1: each class of every block, N+1 included."""
-    return list(product(range(1, 2**n + 2), repeat=M))
 
 
 def _swept_thresholds(M, n):
@@ -285,20 +177,6 @@ def _swept_thresholds(M, n):
                 pending = {i for i in names if mask >> (i - 1) & 1}
                 thresholds.add(_substituted_steps(M, p, names, prefix_of, pending))
     return sorted(thresholds)
-
-
-@pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
-def test_cached_oracle_matches_straight_oracle(label, build, M, n, k, p):
-    comp, adv = build()
-    inputs = {(b, adv(i)) for i in enumerate_instances(M, n) for b in range(1, M + 1)}
-    swept = _swept_thresholds(M, n)
-    assert len(swept) > 2**(M * n)  # substituted vectors beyond the steps
-    thresholds = sorted(set(swept) | set(_every_threshold(M, n)))
-    for block, advice in sorted(inputs):
-        pre = comp.prequery(block, advice)
-        for steps in thresholds:
-            want = _straight_oracle(comp, pre, steps)
-            assert apply_oracle(comp, block, advice, steps) == want, (block, advice, steps)
 
 
 def _with_zero_terms(comp, adv):
@@ -326,22 +204,48 @@ ZERO_TERMS = (
 )
 
 
-@pytest.mark.parametrize(
+WITH_ZERO_TERMS = pytest.mark.parametrize(
     "label, build, M, n, k, p", (*SUBJECTS, ZERO_TERMS), ids=[*IDS, ZERO_TERMS[0]]
 )
+
+
+def _oracle_inputs(M, n, adv):
+    """Every (block, advice) input an instance's advice reaches."""
+    return sorted({(b, adv(i)) for i in enumerate_instances(M, n) for b in range(1, M + 1)})
+
+
+@WITH_ZERO_TERMS
+def test_cached_oracle_matches_straight_oracle(label, build, M, n, k, p):
+    # the oracle as run and overlap read it, each cached term's list index
+    # and answer table, against the reference that answers every word by
+    # the rule
+    comp, adv = build()
+    swept = _swept_thresholds(M, n)
+    assert len(swept) > 2**(M * n)  # substituted vectors beyond the steps
+    thresholds = sorted(set(swept) | set(every_threshold(M, n)))
+    for block, advice in _oracle_inputs(M, n, adv):
+        cached = comp.prequery_state(block, advice)
+        assert len(cached.terms) == len(cached.amps)
+        for steps in thresholds:
+            got = {
+                (lidx, _table_answer(table, steps), ws): amp
+                for (lidx, table, ws, _square), amp in zip(cached.terms, cached.amps.values())
+            }
+            want = apply_oracle(comp, block, advice, steps)
+            assert got == want, (block, advice, steps)
+
+
+@WITH_ZERO_TERMS
 def test_trusted_states_match_checked_construction(label, build, M, n, k, p):
     # apply_oracle and final_apply build their dicts without checking
     # them; each must still hold int-triple keys with cells in the
-    # workspace and nonzero Fraction amplitudes, and equal the straight
-    # oracle's state, before and after the fiber permutation
+    # workspace and nonzero Fraction amplitudes, and the final must move
+    # each cell through fn
     comp, adv = build()
     fn, cells = comp.final.fn, range(comp.workspace_dim)
-    inputs = {(b, adv(i)) for i in enumerate_instances(M, n) for b in range(1, M + 1)}
     swept = _swept_thresholds(M, n)
-    for block, advice in sorted(inputs):
-        pre = comp.prequery(block, advice)
+    for block, advice in _oracle_inputs(M, n, adv):
         for steps in swept:
-            want = _straight_oracle(comp, pre, steps)
             state = apply_oracle(comp, block, advice, steps)
             final = final_apply(comp.final, state, comp.workspace_dim)
             for got in (state, final):
@@ -350,26 +254,25 @@ def test_trusted_states_match_checked_construction(label, build, M, n, k, p):
                     assert type(key) is tuple and len(key) == 3
                     assert all(type(v) is int for v in key) and key[2] in cells
                     assert type(amp) is Fraction and amp != 0
-            assert state == want, (block, advice, steps)
-            moved = {(lidx, aidx, fn(lidx, aidx, ws)): amp for (lidx, aidx, ws), amp in want.items()}
+            moved = {(lidx, aidx, fn(lidx, aidx, ws)): amp for (lidx, aidx, ws), amp in state.items()}
             assert final == moved, (block, advice, steps)
 
 
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
 def test_reachable_answers_match_every_threshold(label, build, M, n, k, p):
     comp, _ = build()
-    for block, advice in product(range(1, M + 1), _advice_strings(k)):
-        tables = {lidx: table for lidx, table, *_cell in comp.prequery_state(block, advice).terms}
-        for words, _ws in comp.prequery(block, advice):
-            ranked = [(w.block, rank_of(w.location)) for w in words]
-            brute = {_threshold_answers(ranked, s) for s in _every_threshold(M, n)}
+    for block, advice in inputs(M, k):
+        cached = comp.prequery_state(block, advice)
+        tables = {lidx: table for lidx, table, *_cell in cached.terms}
+        for words, _ws in cached.amps:
+            brute = {threshold_answers(words, s) for s in every_threshold(M, n)}
             assert _reachable_answers(tables[list_index(words, M, n)]) == brute
 
 
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
 def test_cached_terms_are_immutable_int_tuples(label, build, M, n, k, p):
     comp, _ = build()
-    for block, advice in product(range(1, M + 1), _advice_strings(k)):
+    for block, advice in inputs(M, k):
         cached = comp.prequery_state(block, advice)
         pre = cached.amps
         assert comp._states[(block, advice)] is cached
@@ -451,55 +354,6 @@ def test_audit_reuses_what_a_fresh_profile_and_selection_give(label, build, M, n
             assert audit.selection == lwss(fresh, prof)
 
 
-def _advice_len(name, M):
-    return {"advised": 1, "probe": M, "shortcut": 1}.get(name, 0)
-
-
-# every registry subject at every M <= 4, n <= 3 it can be built at
-MEMO_CASES = [
-    (name, M, n)
-    for name in REGISTRY
-    for M, n in product(range(1, 5), range(1, 4))
-    if name != "shortcut" or (M == 1 and n >= 2)
-]
-
-
-class _StraightRunner:
-    """`run` without the memo or the answer tables, on its own computer:
-    each word answered by the reference rule, then the final transform and
-    the measurement once per distinct post-oracle state."""
-
-    def __init__(self, comp):
-        self.comp = comp
-        self.parsed = {}
-        self.finals = {}
-
-    def answers(self, block, advice, steps):
-        key = (block, advice)
-        if key not in self.parsed:
-            M, n = self.comp.M, self.comp.n
-            self.parsed[key] = [
-                (list_index(words, M, n), [(w.block, rank_of(w.location)) for w in words], ws, amp)
-                for (words, ws), amp in self.comp.prequery(block, advice).items()
-            ]
-        return tuple(
-            (lidx, _threshold_answers(ranked, steps), ws, amp)
-            for lidx, ranked, ws, amp in self.parsed[key]
-        )
-
-    def run(self, block, advice, answers, width):
-        key = (block, advice, answers, width)
-        if key not in self.finals:
-            amps = {(lidx, aidx, ws): amp for lidx, aidx, ws, amp in answers}
-            dim = self.comp.workspace_dim
-            final = final_apply(self.comp.final, amps, dim)
-            self.finals[key] = {
-                outcome_to_answer(outcome, width): prob
-                for outcome, prob in measure_register(final, dim, width).items()
-            }
-        return self.finals[key]
-
-
 def _memo_sweep(M, n, k, adv):
     """(block, advice, steps) of the runs to check: at M * n <= 8 every
     threshold vector in 1..N+1, so every class of every block, under every
@@ -507,9 +361,8 @@ def _memo_sweep(M, n, k, adv):
     its own advice."""
     blocks = range(1, M + 1)
     if M * n <= 8:
-        advices = _advice_strings(k)
-        for steps in _every_threshold(M, n):
-            for block, advice in product(blocks, advices):
+        for steps in every_threshold(M, n):
+            for block, advice in inputs(M, k):
                 yield block, advice, steps
         return
     for instance in enumerate_instances(M, n):
@@ -518,33 +371,21 @@ def _memo_sweep(M, n, k, adv):
             yield block, advice, instance.steps
 
 
-def _loaded(comp, k):
-    """The computer loaded from its exported doc over every input: its
-    final is a fiber table, and every fiber the table omits keeps the
-    identity."""
-    inputs = list(product(range(1, comp.M + 1), _advice_strings(k)))
-    return computer_from_doc(computer_to_doc(comp, inputs))
-
-
-@pytest.mark.parametrize(
-    "name, M, n, from_doc",
-    [
-        pytest.param(*case, from_doc, id=f"{case[0]}-M{case[1]}-n{case[2]}" + "-doc" * from_doc)
-        for from_doc in (False, True)
-        for case in MEMO_CASES
-    ],
-)
-def test_memoized_runs_match_unmemoized_runs(name, M, n, from_doc):
-    k = _advice_len(name, M)
-    comp, adv = get_subject(name, M, n, k)
-    fresh, _ = get_subject(name, M, n, k)
-    if from_doc:
-        comp, fresh = _loaded(comp, k), _loaded(fresh, k)
-    straight = _StraightRunner(fresh)
+@pytest.mark.parametrize("name, M, n, k, from_doc", grid_params(max_M=4))
+def test_memoized_runs_match_unmemoized_runs(name, M, n, k, from_doc):
+    # a doc's final is a fiber table, and every fiber the table omits keeps
+    # the identity
+    comp, adv = subject(name, M, n, k, from_doc)
+    fresh, _ = subject(name, M, n, k, from_doc)
+    # thresholds under which every word of an input answers alike give it
+    # one straight run, so the reference runs once per input and answers
+    straight = {}
     for block, advice, steps in _memo_sweep(M, n, k, adv):
-        answers = straight.answers(block, advice, steps)
-        for width in range(1, comp.output_width + 1):
-            want = straight.run(block, advice, answers, width)
+        lists = [words for words, _ws in fresh.prequery_state(block, advice).amps]
+        key = (block, advice, *(threshold_answers(words, steps) for words in lists))
+        if key not in straight:
+            straight[key] = straight_run(fresh, block, advice, steps)
+        for width, want in straight[key].items():
             assert run(comp, block, advice, steps, width) == want, (block, advice, steps, width)
     assert comp.runs and fresh.runs == {}
 
@@ -648,7 +489,7 @@ class _ItemWriter:
 
 def _written_encode(coder, inst):
     """The former encoder: names from bin_n, every item put one at a time."""
-    ctx, comp = coder.ctx, coder.computer
+    ctx = coder.ctx
     f = coder.advice_fn(inst)
     names = {i: bin_n(ctx.n, inst.steps[i - 1]) for i in range(1, ctx.M + 1)}
     prof = profile(coder, inst)
@@ -671,25 +512,18 @@ def _written_encode(coder, inst):
     bad = [bp.block for bp in prof.blocks if not bp.good]
     for j in bad:
         w.put(f"prefix-{j}", names[j][:cut])
-    sel = _straight_select(ctx, comp, f, {j: names[j][:cut] for j in bad})
+    sel = straight_select(coder, f, {j: names[j][:cut] for j in bad})
     for j in bad:
         if j not in sel.W:
             w.put(f"suffix-{j}", names[j][cut:])
     return w.build(2), prof, sel
 
 
-def _every_coder(comp, adv):
-    for params, l, p in product(
-        PARAMS, range(1, comp.M + 1), range(1, min(comp.n, comp.output_width) + 1)
-    ):
-        yield Coder(comp, adv, p, l, params)
-
-
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
 def test_layout_encoder_matches_item_writer(label, build, M, n, k, p):
     comp, adv = build()
     cases = set()
-    for coder in _every_coder(comp, adv):
+    for coder in coders(comp, adv):
         ctx = coder.ctx
         for inst in enumerate_instances(M, n):
             enc, prof, sel = _encode(coder, inst)
@@ -754,12 +588,9 @@ def test_rank_limit_matches_the_fraction_bounds():
     assert whole == {True, False}
 
 
-def _direct_floor(ctx, bad_count, m, sizes):
-    return not any(size < bad_count - ctx.t * m * i for i, size in enumerate(sizes))
-
-
 def _floor_verdict(rounds, sizes):
-    """The audit's survivor-floor check against a Rounds record."""
+    """The survivor-floor rule: one size per round and one more, each at
+    least its floor."""
     return len(sizes) == len(rounds.floors) and all(
         size >= floor for size, floor in zip(sizes, rounds.floors)
     )
@@ -767,25 +598,20 @@ def _floor_verdict(rounds, sizes):
 
 @pytest.mark.parametrize("params", PARAMS, ids=["default", "cert", "edge"])
 def test_survivor_floor_verdict_matches_direct_evaluation(params):
-    # under CERT_PARAMS and T = 1, t = 16: a round may shed 16 m survivors.
-    # Every pool size of M = 64 is tried, each record asked twice, and the
-    # integer floors are checked against the Fraction rule on sizes one
-    # either side of each bound
+    # every Rounds record, its integer floors included, asked twice so that
+    # the memoized one is checked as well as the one that filled it,
+    # against the direct evaluation, whose floors are Fraction ceilings: at
+    # every T a registry subject has at n <= 3, and every pool size of
+    # M = 64. Under CERT_PARAMS and T = 1, t = 16: a round may shed 16 m
+    # survivors
     rounds_seen = set()
-    for T in (1, 2):
+    for T in range(8):
         ctx = EncodingContext(M=64, n=1, p=1, k=0, T=T, l=1, params=params)
         for pool in range(64):
+            direct = direct_rounds(T, params.C, pool)
             for _ in range(2):
-                assert ctx.rounds(pool) == direct_rounds(ctx, pool), (T, pool)
-            rounds = ctx.rounds(pool)
-            m = rounds.m
-            rounds_seen.add(m)
-            for i, d in product(range(m + 1), (-1, 0, 1)):
-                sizes = list(rounds.floors)
-                sizes[i] = max(0, sizes[i] + d)
-                want = _direct_floor(ctx, pool, m, sizes)
-                assert _floor_verdict(rounds, tuple(sizes)) == want, (T, pool, sizes)
-            assert not _floor_verdict(rounds, rounds.floors[:-1])
+                assert ctx.rounds(pool) == direct, (T, pool)
+            rounds_seen.add(direct.m)
     # t >= 256 under the default and edge thresholds keeps m at most 1
     assert rounds_seen == ({0, 1, 2} if params is CERT_PARAMS else {0, 1})
 
@@ -793,7 +619,7 @@ def test_survivor_floor_verdict_matches_direct_evaluation(params):
 @pytest.mark.parametrize("label, build, M, n, k, p", SUBJECTS, ids=IDS)
 def test_audit_integer_checks_match_fraction_rules(label, build, M, n, k, p):
     comp, adv = build()
-    for coder in _every_coder(comp, adv):
+    for coder in coders(comp, adv):
         ctx = coder.ctx
         for inst in enumerate_instances(M, n):
             audit = audit_instance(coder, inst)
@@ -803,9 +629,7 @@ def test_audit_integer_checks_match_fraction_rules(label, build, M, n, k, p):
             )
             assert audit.distance_ok == all(d <= 4 * ctx.C for d in audit.distances)
             if audit.selection is not None:
-                sel = audit.selection
-                m = ctx.rounds(M - prof.l_prime).m
-                assert len(sel.W) == m
-                want = _direct_floor(ctx, M - prof.l_prime, m, sel.survivor_sizes)
-                assert audit.selection_floor_ok == want
-                assert want == _floor_verdict(ctx.rounds(M - prof.l_prime), sel.survivor_sizes)
+                sizes = audit.selection.survivor_sizes
+                direct = direct_rounds(ctx.T, ctx.C, M - prof.l_prime)
+                assert len(audit.selection.W) == direct.m
+                assert audit.selection_floor_ok == _floor_verdict(direct, sizes)
