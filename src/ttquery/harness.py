@@ -140,6 +140,19 @@ def load_config(path: str | None, **overrides) -> ExperimentConfig:
     return build_config(raw, **overrides)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, or ConfigError if it repeats a key: json itself keeps
+    the last of two equal keys, silently dropping the earlier entry."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise ConfigError(f"subject file repeats the key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def resolve_subject(cfg: ExperimentConfig):
     """Build a registry subject or load one from a JSON file."""
     if cfg.subject in REGISTRY:
@@ -149,9 +162,11 @@ def resolve_subject(cfg: ExperimentConfig):
             raise ConfigError(str(e)) from None
     try:
         with open(cfg.subject, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ConfigError(f"subject is neither a built-in name nor a readable file: {e}") from None
+    except ConfigError:
+        raise
     except (ValueError, RecursionError) as e:
         # malformed JSON, bytes that are not UTF-8, an integer too long for
         # int() (Python's digit limit), or arrays or objects nested past the

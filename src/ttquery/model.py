@@ -17,7 +17,9 @@ the same machine through `run`.
 
 A prequery function returns its (block, advice) input's superposition as a
 plain mapping {(words, ws): amp}. Query words carry n-bit location strings,
-which is also how documents store them. Each word is parsed once: the one
+which is also how documents store them; a document's rows become the
+same mapping, one item per row. NonadaptiveComputer._validated holds the
+one set of mapping rules, for both. Each word is parsed once: the one
 pass that validates a mapping (see NonadaptiveComputer.prequery_state)
 makes a MachineInput, which holds the read-only mapping and its oracle
 terms (list index, the list's answer table, workspace cell, squared
@@ -61,7 +63,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ordered_search import StepInstance, rank_of
-from .statevec import ZERO, as_rational, rational_str
+from .statevec import ZERO, rational_str
 
 
 class QueryWord(NamedTuple):
@@ -81,11 +83,13 @@ class MissingEntryError(ModelError):
 
 def check_word(word: QueryWord, M: int, n: int) -> None:
     if isinstance(word.block, bool) or not isinstance(word.block, int):
-        raise ModelError(f"word block {word.block!r} is not an integer")
+        raise ModelError(f"word block must be an integer, not {word.block!r}")
     if not 1 <= word.block <= M:
         raise ModelError(f"block {word.block} outside 1..{M}")
     location = word.location
-    if not isinstance(location, str) or len(location) != n or location.strip("01"):
+    if not isinstance(location, str):
+        raise ModelError(f"location {location!r} is not a bit string")
+    if len(location) != n or location.strip("01"):
         raise ModelError(f"bad location {location!r} for n={n}")
 
 
@@ -232,14 +236,32 @@ def _exact_items(amps: Mapping) -> tuple:
     )
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _amplitude(amp) -> Fraction:
-    """An int (not a bool), a Fraction or a "p/q" string, made rational."""
-    try:
-        if not isinstance(amp, bool):
-            return as_rational(amp)
-    except (TypeError, ValueError, ZeroDivisionError):
-        pass
+    """The one amplitude rule, for prequery functions and JSON rows alike:
+    an int or a Fraction that is not a bool, or a "p" / "p/q" string as
+    rational_str writes it, made rational; a zero denominator is refused."""
+    if isinstance(amp, Fraction):
+        return amp
+    if isinstance(amp, int) and not isinstance(amp, bool):
+        return Fraction(amp)
+    if isinstance(amp, str) and _RATIONAL.fullmatch(amp):
+        try:
+            return Fraction(amp)
+        except ZeroDivisionError:
+            raise ModelError(f"amplitude {amp!r} has a zero denominator") from None
     raise ModelError(f"amplitude {amp!r} is not an int, a Fraction or a 'p/q' string")
+
+
+def _query_words(words) -> tuple:
+    """A query list's (block, location) pairs as QueryWords, unchecked."""
+    try:
+        return tuple(QueryWord(*w) for w in words)
+    except TypeError:
+        bad = "a word that is not a (block, location) pair"
+        raise ModelError(f"query list {words!r} holds {bad}") from None
 
 
 class NonadaptiveComputer:
@@ -322,11 +344,14 @@ class NonadaptiveComputer:
                     f"computer expects {self.advice_len}"
                 )
             amps = self.prequery(block, advice)
+            if not isinstance(amps, Mapping):
+                kind = type(amps).__name__
+                raise ModelError(f"{where}: the prequery returned a {kind}, not a mapping")
             try:
                 key = _exact_items(amps)
                 cached = self._inputs.get(key)
-            except TypeError:
-                # an unhashable mapping is validated, and shared with no pair
+            except (TypeError, ValueError):
+                # an unhashable or misshapen mapping is validated, and shared with no pair
                 key = None
             if cached is None:
                 try:
@@ -341,14 +366,17 @@ class NonadaptiveComputer:
     def _validated(self, amps: Mapping) -> MachineInput:
         """Check a prequery mapping and derive its oracle terms, in one pass.
 
-        Every term's list must have T words, its cell must be an int, not a
-        bool, in the workspace, and its amplitude is made rational (see
-        _amplitude); a zero term is dropped unread. Each new nonzero list's
-        words, (block, location) pairs, become QueryWords, each distinct
-        word is checked and ranked once, and the list's index and answer
-        table are built once. Each nonzero amplitude is squared once, and
-        the squares, kept with the terms for `run`, must sum to exactly 1.
-        A valid mapping takes the computer's next ordinal.
+        These are the mapping rules, for prequery functions and document
+        rows alike. Every key must be a (words, ws) pair, its list must
+        have T words, its cell must be an int, not a bool, in the
+        workspace, and its amplitude is made rational (see _amplitude).
+        Words, (block, location) pairs, become QueryWords that check_word
+        accepts; then a zero term is dropped, adding no term or rank. The
+        nonzero terms' distinct words are ranked once, and each nonzero
+        list's index and answer table are built once. Each nonzero
+        amplitude is squared once, and the squares, kept with the terms for
+        `run`, must sum to exactly 1. A valid mapping takes the computer's
+        next ordinal.
         """
         M, n, T, ws_dim = self.M, self.n, self.T, self.workspace_dim
         clean = {}
@@ -357,23 +385,27 @@ class NonadaptiveComputer:
         lists: dict[tuple, tuple] = {}
         terms = []
         total = ZERO
-        for (words, ws), amp in amps.items():
-            if len(words) != T:
-                raise ModelError(f"a query list has {len(words)} words, but T = {T}")
+        for key, amp in amps.items():
+            try:
+                words, ws = key
+                length = len(words)
+            except (TypeError, ValueError):
+                bad = "a (query list, workspace cell) pair"
+                raise ModelError(f"key {key!r} is not {bad}") from None
+            if length != T:
+                raise ModelError(f"a query list has {length} words, but T = {T}")
             if isinstance(ws, bool) or not isinstance(ws, int):
-                raise ModelError(f"workspace cell {ws!r} is not an integer")
+                raise ModelError(f"workspace cell must be an integer, not {ws!r}")
             if not 0 <= ws < ws_dim:
                 raise ModelError(f"workspace index {ws} outside 0..{ws_dim - 1}")
             amp = _amplitude(amp)
             if amp == 0:
+                for word in _query_words(words):
+                    check_word(word, M, n)
                 continue
             listed = lists.get(words)
             if listed is None:
-                try:
-                    qlist = tuple(QueryWord(*w) for w in words)
-                except TypeError:
-                    bad = "a word that is not a (block, location) pair"
-                    raise ModelError(f"query list {words!r} holds {bad}") from None
+                qlist = _query_words(words)
                 ranked = []
                 for word in qlist:
                     pair = ranks.get(word)
@@ -411,7 +443,7 @@ class AdviceFunction:
 
     def __call__(self, instance: StepInstance) -> str:
         bits = self.fn(instance)
-        if len(bits) != self.length or bits.strip("01"):
+        if not isinstance(bits, str) or len(bits) != self.length or bits.strip("01"):
             raise ModelError(f"advice {bits!r} is not a {self.length}-bit string")
         return bits
 
@@ -614,27 +646,6 @@ def doc_shape(doc: Mapping) -> tuple[int, int, int]:
     )
 
 
-def _doc_location(value) -> str:
-    if not isinstance(value, str):
-        raise ModelError(f"location {value!r} is not a bit string")
-    return value
-
-
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def _doc_amp(value) -> Fraction:
-    """A JSON amplitude: an int or a "p/q" string, as rational_str writes it."""
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ModelError(f"amplitude {value!r} has a zero denominator") from None
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ModelError(f"amplitude {value!r} is not an integer or a 'p/q' string")
-
-
 def _final_from_doc(final_doc, output_width: int, scratch_dim: int) -> FiberFinal:
     ws_dim = 2**output_width * scratch_dim
     if not isinstance(final_doc, Mapping):
@@ -647,6 +658,8 @@ def _final_from_doc(final_doc, output_width: int, scratch_dim: int) -> FiberFina
     if not isinstance(table, Mapping):
         raise ModelError("fiber table must map fibers to workspace permutations")
     fiber_map = {}
+    # each fiber -> the key that named it
+    keys = {}
     for key, images in table.items():
         lidx_text, _, aidx_text = key.partition(",")
         images = [_doc_int(v, "fiber image") for v in images]
@@ -660,7 +673,11 @@ def _final_from_doc(final_doc, output_width: int, scratch_dim: int) -> FiberFina
             raise ModelError(f"fiber {key} is not a workspace permutation")
         # a list index is hex, as computer_to_doc writes it, or decimal in older docs
         lidx = int(lidx_text, 16) if lidx_text.startswith("0x") else int(lidx_text)
-        fiber_map[(lidx, int(aidx_text))] = images
+        fiber = (lidx, int(aidx_text))
+        if fiber in keys:
+            raise ModelError(f"fiber keys {keys[fiber]!r} and {key!r} name one fiber")
+        keys[fiber] = key
+        fiber_map[fiber] = images
 
     def fn(lidx, aidx, ws):
         images = fiber_map.get((lidx, aidx))
@@ -673,9 +690,11 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
     """Load a computer from its serialized form (inverse of computer_to_doc).
 
     The output width p may not exceed n, which every built-in meets; it is
-    checked before the workspace is sized from it. Every tabulated input's
-    prequery mapping is built, and so validated, before the computer is
-    returned.
+    checked before the workspace is sized from it. Each row [amp, words,
+    ws] becomes one item of its input's mapping, which _validated checks
+    before the computer is returned; the loader refuses only what the
+    mapping cannot hold: a row of another shape, and a row or an input
+    named twice, which a mapping would merge.
     """
     M, n, advice_len = doc_shape(doc)
     T = _doc_int(doc["T"], "T", 0)
@@ -688,13 +707,24 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
     table = {}
     for key, rows in doc["prequery"].items():
         block_text, _, advice = key.partition("|")
-        amps = {}
-        for amp, words, ws in rows:
-            qlist = tuple(
-                QueryWord(_doc_int(b, "word block"), _doc_location(loc)) for b, loc in words
-            )
-            amps[(qlist, _doc_int(ws, "workspace cell"))] = _doc_amp(amp)
-        table[(int(block_text), advice)] = amps
+        block = int(block_text)
+        where = f"prequery input ({block}, {advice!r})"
+        if (block, advice) in table:
+            raise ModelError(f"{where}: key {key!r} names an input an earlier key names")
+        amps = table[(block, advice)] = {}
+        for number, row in enumerate(rows):
+            try:
+                amp, words, ws = row
+                if isinstance(words, list):
+                    # JSON arrays become tuples, so that the row can key a mapping
+                    words = tuple(tuple(w) if isinstance(w, list) else w for w in words)
+                repeated = (words, ws) in amps
+            except (TypeError, ValueError):
+                shape = "[amplitude, [[block, location], ...], cell]"
+                raise ModelError(f"{where}: row {number} is not {shape}") from None
+            if repeated:
+                raise ModelError(f"{where}: row {number} repeats an earlier row's words and cell")
+            amps[(words, ws)] = amp
 
     def prequery(block: int, advice: str) -> Mapping:
         try:

@@ -70,19 +70,26 @@ ADVICE_LENGTHS = {
 }
 
 
-def grid_params(max_M=3):
-    """The grid as pytest params (name, M, n, k, from_doc): every registry
-    subject at every M <= max_M, n <= 3 and advice length it can be built
-    at, built in and loaded from its exported docs."""
-    cases = []
-    for (name, lengths), M, n in product(ADVICE_LENGTHS.items(), range(1, max_M + 1), range(1, 4)):
+def registry_shapes(shapes):
+    """(name, M, n, k) for every registry subject, at every (M, n) of shapes
+    and advice length ADVICE_LENGTHS gives it that it can be built at."""
+    for (name, lengths), (M, n) in product(ADVICE_LENGTHS.items(), shapes):
         for k in lengths(M):
             try:
                 query_count(name, M, n, k)
             except SubjectError:
                 continue
-            label = f"{name}-M{M}-n{n}" + (f"-k{k}" if k != lengths(M)[0] else "")
-            cases.append((name, M, n, k, label))
+            yield name, M, n, k
+
+
+def grid_params(max_M=3):
+    """The grid as pytest params (name, M, n, k, from_doc): every registry
+    subject at every M <= max_M, n <= 3 and advice length it can be built
+    at, built in and loaded from its exported docs."""
+    cases = []
+    for name, M, n, k in registry_shapes(product(range(1, max_M + 1), range(1, 4))):
+        label = f"{name}-M{M}-n{n}" + (f"-k{k}" if k != ADVICE_LENGTHS[name](M)[0] else "")
+        cases.append((name, M, n, k, label))
     return [
         pytest.param(name, M, n, k, from_doc, id=label + "-doc" * from_doc)
         for from_doc in (False, True)

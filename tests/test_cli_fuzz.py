@@ -150,8 +150,9 @@ def _mutate(doc, path, op, value):
 
 
 def _run_doc(tmp_dir, doc, command):
+    """Run command on the doc, given as a JSON tree or as JSON text."""
     subject = tmp_dir / "subject.json"
-    subject.write_text(json.dumps(doc))
+    subject.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     cfg = tmp_dir / "cfg.txt"
     cfg.write_text(_DOC_CONFIG)
     out, err = io.StringIO(), io.StringIO()
@@ -214,6 +215,64 @@ def test_cli_subject_doc_bad_values_exit_two(tmp_path, path, value, message):
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
 
 
+def _repeat_a_row(doc):
+    rows = doc["computer"]["prequery"]["1|0"]
+    rows.append(copy.deepcopy(rows[0]))
+    return "prequery input (1, '0'): row 1 repeats an earlier row's words and cell"
+
+
+def _respell_a_fiber(doc):
+    # the same fiber with a decimal list index, and the identity as its images
+    fibers = doc["computer"]["final"]["table"]
+    key = "0x152e,1"
+    decimal = f"{0x152e},1"
+    fibers[decimal] = sorted(fibers[key])
+    return f"fiber keys {key!r} and {decimal!r} name one fiber"
+
+
+def _respell_an_input(doc):
+    table = doc["computer"]["prequery"]
+    table["01|0"] = copy.deepcopy(table["1|0"])
+    return "prequery input (1, '0'): key '01|0' names an input an earlier key names"
+
+
+@pytest.mark.parametrize(
+    "repeat", [_repeat_a_row, _respell_a_fiber, _respell_an_input], ids=["row", "fiber", "input"]
+)
+def test_cli_subject_doc_entry_named_twice_exits_two(tmp_path, repeat):
+    # the loader would keep the later entry, silently changing the machine
+    doc = copy.deepcopy(_DOC)
+    message = repeat(doc)
+    code, lines = _run_doc(tmp_path, doc, "simulate")
+    assert code == 2 and lines == [f"error: subject file is malformed: {message}"], lines
+
+
+@pytest.mark.parametrize(
+    "path, key",
+    [
+        ((), "advice"),
+        (("computer",), "M"),
+        (("computer", "prequery"), "1|1"),
+        (("computer", "final", "table"), "0x0,0"),
+        (("advice", "table"), "M=1 n=3 steps=4"),
+    ],
+    ids=["top", "header", "input", "fiber", "advice"],
+)
+def test_cli_subject_file_repeating_a_key_exits_two(tmp_path, path, key):
+    # json keeps the last of two equal keys; the file is refused instead,
+    # even when both give the same value
+    doc = copy.deepcopy(_DOC)
+    node = doc
+    for step in path:
+        node = node[step]
+    node["repeat-me"] = None
+    repeated = f"{json.dumps(key)}: {json.dumps(node[key])}"
+    text = json.dumps(doc).replace('"repeat-me": null', repeated)
+    assert text.count(json.dumps(key) + ":") == 2
+    code, lines = _run_doc(tmp_path, text, "simulate")
+    assert code == 2 and lines == [f"error: subject file repeats the key {key!r}"], lines
+
+
 def test_cli_subject_doc_bad_fiber_image_exits_two(tmp_path):
     doc = copy.deepcopy(_DOC)
     fibers = doc["computer"]["final"]["table"]
@@ -261,6 +320,9 @@ _TERM_DEFECTS = {
     "word": lambda words, ws, amp: ((QueryWord(2, words[0].location), *words[1:]), ws, amp),
     "cell": lambda words, ws, amp: (words, 9, amp),
     "length": lambda words, ws, amp: (words[:-1], ws, amp),
+    # a zero term is dropped only after its words are checked
+    "zero-bool-block": lambda words, ws, amp: ((words[0]._replace(block=True), *words[1:]), ws, 0),
+    "zero-int-location": lambda words, ws, amp: ((QueryWord(1, 11), *words[1:]), ws, 0),
 }
 
 

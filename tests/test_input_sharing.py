@@ -191,14 +191,14 @@ def _not_rational(amp):
         (_VALID, {(_ONE_WORD, 0): 1.0}, _not_rational(1.0)),
         (_VALID, {(_ONE_WORD, 0): 1 + 0j}, _not_rational(1 + 0j)),
         (_VALID, {(_ONE_WORD, 0): True}, _not_rational(True)),
-        (_VALID, {(_ONE_WORD, 0.0): Fraction(1)}, r"workspace cell 0\.0 is not an integer"),
+        (_VALID, {(_ONE_WORD, 0.0): Fraction(1)}, r"workspace cell must be an integer, not 0\.0"),
         (
             {(_ONE_WORD, 1): Fraction(1)},
             {(_ONE_WORD, True): Fraction(1)},
-            r"workspace cell True is not an integer",
+            r"workspace cell must be an integer, not True",
         ),
-        (_VALID, {(((1.0, "1"),), 0): Fraction(1)}, r"word block 1\.0 is not an integer"),
-        (_VALID, {(((True, "1"),), 0): Fraction(1)}, r"word block True is not an integer"),
+        (_VALID, {(((1.0, "1"),), 0): Fraction(1)}, r"word block must be an integer, not 1\.0"),
+        (_VALID, {(((True, "1"),), 0): Fraction(1)}, r"word block must be an integer, not True"),
     ],
     ids=[
         "float-amplitude", "complex-amplitude", "bool-amplitude", "float-cell",
@@ -218,14 +218,37 @@ def test_an_equal_mapping_of_other_types_is_refused_in_either_order(
     "other, message",
     [
         ({(_ONE_WORD, 0): "x"}, _not_rational("x")),
-        ({(_ONE_WORD, 0): "1/0"}, _not_rational("1/0")),
+        ({(_ONE_WORD, 0): "1/0"}, re.escape("amplitude '1/0' has a zero denominator")),
         (
             {(((5,),), 0): Fraction(1)},
             re.escape("query list ((5,),) holds a word that is not a (block, location) pair"),
         ),
-        ({(((1, 1),), 0): Fraction(1)}, r"bad location 1 for n=1"),
+        ({(((1, 1),), 0): Fraction(1)}, r"location 1 is not a bit string"),
+        ({(_ONE_WORD, 0): " -2/2 "}, _not_rational(" -2/2 ")),
+        ({(_ONE_WORD, 0): " 1"}, _not_rational(" 1")),
+        ({(_ONE_WORD, 0): "+1"}, _not_rational("+1")),
+        ({(_ONE_WORD, 0): "0.5"}, _not_rational("0.5")),
+        (
+            {(_ONE_WORD, 0): Fraction(1), (((3, "1"),), 0): 0},
+            r"block 3 outside 1\.\.2",
+        ),
+        (
+            {(_ONE_WORD, 0): Fraction(1), (((True, "1"),), 1): "0"},
+            r"word block must be an integer, not True",
+        ),
+        (
+            {(_ONE_WORD,): Fraction(1)},
+            re.escape(f"key {(_ONE_WORD,)!r} is not a (query list, workspace cell) pair"),
+        ),
+        ({(5, 0): Fraction(1)}, re.escape("key (5, 0) is not a (query list, workspace cell) pair")),
+        ([((_ONE_WORD, 0), Fraction(1))], r"the prequery returned a list, not a mapping"),
     ],
-    ids=["word-amplitude", "zero-denominator", "one-field-word", "int-location"],
+    ids=[
+        "word-amplitude", "zero-denominator", "one-field-word", "int-location",
+        "spaced-amplitude", "space-before-amplitude", "plus-amplitude", "decimal-amplitude",
+        "zero-term-block-outside", "zero-term-bool-block", "one-field-key", "int-words",
+        "list-of-pairs",
+    ],
 )
 @pytest.mark.parametrize("other_first", [False, True], ids=["valid-first", "other-first"])
 def test_a_malformed_amplitude_or_word_is_refused_in_either_order(other, message, other_first):

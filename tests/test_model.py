@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 from functools import partial
 from itertools import product
 
 import pytest
-from machines import build_neighbor_probe, build_single_query, inputs
+from machines import build_neighbor_probe, build_single_query, inputs, registry_shapes
 from reference import apply_oracle, error_probability, final_apply, inner_product, max_error
 
 from ttquery.model import (
@@ -103,23 +104,27 @@ def test_prequery_state_checks_shape():
         assert comp._states == {}
 
 
-def test_zero_terms_are_dropped_unchecked():
-    # a zero term leaves the mapping and the oracle terms, and its words are
-    # never checked; its list length and cell still are
+def test_zero_terms_are_dropped_after_their_words_are_checked():
+    # a zero term leaves the mapping, the oracle terms and the queried
+    # ranks, but its list length, its cell and its words are checked
     good = (QueryWord(1, "01"),)
-    bad = (QueryWord(2, "1"),)
+    other = (QueryWord(1, "11"),)
     comp = _one_block_computer(
-        {(good, 0): Fraction(1), (bad, 1): Fraction(0), (good, 1): "0/3"}, n=2
+        {(good, 0): Fraction(1), (other, 1): Fraction(0), (good, 1): "0/3"}, n=2
     )
-    amps = comp.prequery_state(1, "").amps
-    assert dict(amps) == {(good, 0): Fraction(1)}
-    assert [(ws, sq) for _lidx, _table, ws, sq in comp.prequery_state(1, "").terms] == [
-        (0, Fraction(1))
-    ]
+    cached = comp.prequery_state(1, "")
+    assert dict(cached.amps) == {(good, 0): Fraction(1)}
+    assert [(ws, sq) for _lidx, _table, ws, sq in cached.terms] == [(0, Fraction(1))]
+    assert cached.bounds == ((0, (2,)),)
     assert run(comp, 1, "", (1,)) == {"0": Fraction(1)}
-    long_zero = _one_block_computer({(good, 0): Fraction(1), (good * 2, 0): 0}, n=2)
-    with pytest.raises(ModelError, match="has 2 words"):
-        long_zero.prequery_state(1, "")
+    for zero, message in [
+        ((good * 2, 0), "has 2 words"),
+        (((QueryWord(2, "1"),), 1), "block 2 outside 1..1"),
+        (((QueryWord(1, "1"),), 1), "bad location '1' for n=2"),
+    ]:
+        bad = _one_block_computer({(good, 0): Fraction(1), zero: 0}, n=2)
+        with pytest.raises(ModelError, match=re.escape(message)):
+            bad.prequery_state(1, "")
 
 
 def test_prequery_words_become_query_words():
@@ -236,7 +241,7 @@ _WORD = (QueryWord(1, "1"),)
 
 
 @pytest.mark.parametrize(
-    "amp, value", [(1, 1), (-1, -1), (Fraction(1), 1), ("1", 1), (" -2/2 ", -1)], ids=repr
+    "amp, value", [(1, 1), (-1, -1), (Fraction(1), 1), ("1", 1), ("-2/2", -1)], ids=repr
 )
 def test_ints_fractions_and_rational_strings_are_amplitudes(amp, value):
     comp = _one_block_computer({(_WORD, 0): amp})
@@ -246,9 +251,12 @@ def test_ints_fractions_and_rational_strings_are_amplitudes(amp, value):
 
 
 def test_advice_function_length_enforced():
-    fn = AdviceFunction(2, lambda inst: "0")
-    with pytest.raises(ModelError):
-        fn(StepInstance(1, 1, (1,)))
+    # a result that is not a str is refused like a string of the wrong length
+    for bits in ("0", "0x", 1, None):
+        fn = AdviceFunction(2, lambda inst: bits)
+        message = re.escape(f"advice {bits!r} is not a 2-bit string")
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            fn(StepInstance(1, 1, (1,)))
     assert no_advice()(StepInstance(1, 1, (1,))) == ""
 
 
@@ -321,12 +329,13 @@ def test_error_probability_checks_instance_shape():
 
 
 def _overlap_subjects():
-    """(label, builder) for every registry subject, the neighbour probe and
-    the single-query machine, at M in {1, 2, 4} and n <= 3."""
-    for M, n in product((1, 2, 4), (1, 2, 3)):
-        for name, k in (("full", 0), ("advised", M), ("zero", 0), ("probe", M), ("shortcut", 1)):
-            if name != "shortcut" or (M == 1 and n >= 2):
-                yield f"{name}-{M}-{n}-{k}", partial(get_subject, name, M, n, k)
+    """(label, builder) for every registry subject at each of its advice
+    lengths, the neighbour probe and the single-query machine, at M in
+    {1, 2, 4} and n <= 3."""
+    shapes = list(product((1, 2, 4), (1, 2, 3)))
+    for name, M, n, k in registry_shapes(shapes):
+        yield f"{name}-{M}-{n}-{k}", partial(get_subject, name, M, n, k)
+    for M, n in shapes:
         if M >= 3:
             yield f"neighbor_probe-{M}-{n}", partial(build_neighbor_probe, M, n)
         yield f"single_query-{M}-{n}", partial(build_single_query, M, n)
