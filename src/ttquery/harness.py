@@ -7,7 +7,9 @@ floors and the certifying constants, lemmas reruns every per-instance
 invariant audit. Reports are deterministic: the same configuration
 produces byte-identical CSV rows and JSON summaries.
 
-Configuration is a flat key = value file. Rationals are written "p/q".
+Configuration is a flat key = value file. Rationals are written "p" or
+"p/q", the one grammar of statevec.as_rational; decimal and exponent
+forms are refused.
 Recognized keys: M, n, p, k, epsilon, c, l, subject, scheme, budget,
 instance, blocks, out. The subject is a built-in name or a path to a
 JSON file holding the computer and advice tables.
@@ -105,7 +107,7 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
         elif key in ("epsilon", "c"):
             try:
                 fields[key] = as_rational(value)
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 raise ConfigError(f"{key} must be a rational like 1/3") from None
         elif key == "blocks":
             try:
@@ -255,6 +257,15 @@ def _instances(cfg):
 _PASS, _FAIL = "pass", "fail"
 
 
+def _printed(what: str, v: Fraction) -> str:
+    """rational_str(v), or a ConfigError naming what could not be printed
+    when a part of v is past Python's integer digit limit."""
+    try:
+        return rational_str(v)
+    except ValueError as e:
+        raise ConfigError(f"{what} is too long to print: {e}") from None
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> Report:
     # epsilon is checked here, not through ErrorParams: c plays no part
     try:
@@ -275,20 +286,21 @@ def cmd_simulate(cfg: ExperimentConfig) -> Report:
     max_error = ZERO
     for instance in instances:
         f = advice_fn(instance)
+        literal = instance.literal()
         for block in blocks:
             dist = run(computer, block, f, instance.steps, width=cfg.p)
             expected = eval_G(instance, block, cfg.p)
             error = 1 - dist.get(expected, ZERO)
             max_error = max(max_error, error)
-            shown = " ".join(
-                f"{a}:{rational_str(pr)}" for a, pr in sorted(dist.items())
-            )
+            what = f"a probability at {literal}, block {block}"
+            shown = " ".join(f"{a}:{_printed(what, pr)}" for a, pr in sorted(dist.items()))
             rows.append(
                 (
-                    instance.literal(),
+                    literal,
                     str(block),
                     expected,
                     shown,
+                    # 1 or 1 - p, with the denominator of a p printed above
                     rational_str(error),
                     _PASS if error <= cfg.epsilon else _FAIL,
                 )
@@ -299,7 +311,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> Report:
         "subject": cfg.subject,
         "T": computer.T,
         "p": cfg.p,
-        "epsilon": rational_str(as_rational(cfg.epsilon)),
+        "epsilon": rational_str(cfg.epsilon),
         "max_error": rational_str(max_error),
     }
     return Report(
@@ -402,12 +414,8 @@ def _about(v: Fraction) -> str:
 
 
 def _row(name: str, l: str, v: Fraction | None, note: str) -> tuple[str, ...]:
-    """One bounds row. None is an irrational value; a value past Python's
-    integer digit limit is refused."""
-    try:
-        shown = "irrational exponent" if v is None else rational_str(v)
-    except ValueError as e:
-        raise ConfigError(f"{name} is too long to print: {e}") from None
+    """One bounds row. None is an irrational value."""
+    shown = "irrational exponent" if v is None else _printed(name, v)
     return (name, l, shown, note)
 
 
@@ -443,8 +451,8 @@ def cmd_bounds(cfg: ExperimentConfig) -> Report:
         "M": cfg.M,
         "n": cfg.n,
         "k": cfg.k,
-        "epsilon": rational_str(as_rational(cfg.epsilon)),
-        "c": rational_str(as_rational(cfg.c)),
+        "epsilon": rational_str(cfg.epsilon),
+        "c": rational_str(cfg.c),
         "reference_upper": upper,
         "subject_T": T,
     }

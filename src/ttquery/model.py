@@ -19,14 +19,15 @@ A prequery function returns its (block, advice) input's superposition as a
 plain mapping {(words, ws): amp}. Query words carry n-bit location strings,
 which is also how documents store them; a document's rows become the
 same mapping, one item per row. NonadaptiveComputer._validated holds the
-one set of mapping rules, for both. Each word is parsed once: the one
-pass that validates a mapping (see NonadaptiveComputer.prequery_state)
-makes a MachineInput, which holds the read-only mapping and its oracle
-terms (list index, the list's answer table, workspace cell, squared
-amplitude); `prequery_state` is the one way to read an input. A list's
-answers under a threshold depend only on the threshold's class among the
-ranks the list queries in that block, so each answer index is a sum of
-one table entry per queried block.
+one set of mapping rules, for both; it reads each amplitude through
+statevec.as_rational, the one grammar for a rational from outside. Each
+word is parsed once: the one pass that validates a mapping (see
+NonadaptiveComputer.prequery_state) makes a MachineInput, which holds the
+read-only mapping and its oracle terms (list index, the list's answer
+table, workspace cell, squared amplitude); `prequery_state` is the one
+way to read an input. A list's answers under a threshold depend only on
+the threshold's class among the ranks the list queries in that block, so
+each answer index is a sum of one table entry per queried block.
 
 Inputs are shared by mapping. An advice string is read in part by each
 block's machine, so many (block, advice) pairs return equal mappings;
@@ -56,14 +57,13 @@ every last-p-bits coarsening by measuring fewer cells.
 from __future__ import annotations
 
 import itertools
-import re
 from bisect import bisect_left
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ordered_search import StepInstance, rank_of
-from .statevec import ZERO, rational_str
+from .statevec import ZERO, as_rational, rational_str
 
 
 class QueryWord(NamedTuple):
@@ -236,23 +236,14 @@ def _exact_items(amps: Mapping) -> tuple:
     )
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def _amplitude(amp) -> Fraction:
-    """The one amplitude rule, for prequery functions and JSON rows alike:
-    an int or a Fraction that is not a bool, or a "p" / "p/q" string as
-    rational_str writes it, made rational; a zero denominator is refused."""
-    if isinstance(amp, Fraction):
-        return amp
-    if isinstance(amp, int) and not isinstance(amp, bool):
-        return Fraction(amp)
-    if isinstance(amp, str) and _RATIONAL.fullmatch(amp):
-        try:
-            return Fraction(amp)
-        except ZeroDivisionError:
-            raise ModelError(f"amplitude {amp!r} has a zero denominator") from None
-    raise ModelError(f"amplitude {amp!r} is not an int, a Fraction or a 'p/q' string")
+    """An amplitude made rational by statevec.as_rational, the one rule for
+    a rational from outside, for prequery functions and JSON rows alike;
+    a refusal becomes a ModelError that starts with "amplitude"."""
+    try:
+        return as_rational(amp)
+    except (TypeError, ValueError) as e:
+        raise ModelError(f"amplitude {e}") from None
 
 
 def _query_words(words) -> tuple:
@@ -324,24 +315,25 @@ class NonadaptiveComputer:
         """The validated input of (block, advice), built once.
 
         Every error names the input as `prequery input (block, advice)`.
-        See _validated for the checks; the input holds the read-only
-        mapping of the nonzero terms, as .amps, and its oracle terms. A
-        mapping equal to one already validated, item by item and in order,
-        with every amplitude, workspace cell and word field of the same type
-        (see _exact_items), is not validated again: the pair reads that input.
-        Only a valid, hashable mapping is kept for sharing, so a malformed
-        one raises for every pair that returns it, whichever pair asks
-        first.
+        The block must lie in 1..M and the advice must be a k-bit 0/1
+        string, the form an AdviceFunction returns, before the prequery is
+        called. See _validated for the mapping checks; the input holds the
+        read-only mapping of the nonzero terms, as .amps, and its oracle
+        terms. A mapping equal to one already validated, item by item and
+        in order, with every amplitude, workspace cell and word field of the
+        same type (see _exact_items), is not validated again: the pair reads
+        that input. Only a valid, hashable mapping is kept for sharing, so a
+        malformed one raises for every pair that returns it, whichever pair
+        asks first.
         """
         cached = self._states.get((block, advice))
         if cached is None:
             where = f"prequery input ({block}, {advice!r})"
             if not 1 <= block <= self.M:
                 raise ModelError(f"{where}: input block {block} outside 1..{self.M}")
-            if len(advice) != self.advice_len:
+            if not _is_advice(advice, self.advice_len):
                 raise ModelError(
-                    f"{where}: advice {advice!r} has {len(advice)} bits, "
-                    f"computer expects {self.advice_len}"
+                    f"{where}: advice {advice!r} is not a {self.advice_len}-bit string"
                 )
             amps = self.prequery(block, advice)
             if not isinstance(amps, Mapping):
@@ -435,6 +427,11 @@ class NonadaptiveComputer:
         )
 
 
+def _is_advice(bits, length: int) -> bool:
+    """Whether bits is a length-bit 0/1 string, the one form of advice."""
+    return isinstance(bits, str) and len(bits) == length and not bits.strip("01")
+
+
 class AdviceFunction:
     """Classical advice: a fixed-length bit string per instance."""
 
@@ -443,7 +440,7 @@ class AdviceFunction:
 
     def __call__(self, instance: StepInstance) -> str:
         bits = self.fn(instance)
-        if not isinstance(bits, str) or len(bits) != self.length or bits.strip("01"):
+        if not _is_advice(bits, self.length):
             raise ModelError(f"advice {bits!r} is not a {self.length}-bit string")
         return bits
 
@@ -672,8 +669,11 @@ def _final_from_doc(final_doc, output_width: int, scratch_dim: int) -> FiberFina
         if sorted(images) != list(range(ws_dim)):
             raise ModelError(f"fiber {key} is not a workspace permutation")
         # a list index is hex, as computer_to_doc writes it, or decimal in older docs
-        lidx = int(lidx_text, 16) if lidx_text.startswith("0x") else int(lidx_text)
-        fiber = (lidx, int(aidx_text))
+        try:
+            lidx = int(lidx_text, 16) if lidx_text.startswith("0x") else int(lidx_text)
+            fiber = (lidx, int(aidx_text))
+        except ValueError:
+            raise ModelError(f"fiber key {key!r} is not 'L,A' with integer L and A") from None
         if fiber in keys:
             raise ModelError(f"fiber keys {keys[fiber]!r} and {key!r} name one fiber")
         keys[fiber] = key
@@ -707,7 +707,11 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
     table = {}
     for key, rows in doc["prequery"].items():
         block_text, _, advice = key.partition("|")
-        block = int(block_text)
+        try:
+            block = int(block_text)
+        except ValueError:
+            bad = "'block|advice' with an integer block"
+            raise ModelError(f"prequery key {key!r} is not {bad}") from None
         where = f"prequery input ({block}, {advice!r})"
         if (block, advice) in table:
             raise ModelError(f"{where}: key {key!r} names an input an earlier key names")
@@ -761,11 +765,7 @@ def advice_from_doc(doc: Mapping) -> AdviceFunction:
         raise ModelError("advice table must map instance literals to bit strings")
     table = dict(table)
     for literal, bits in table.items():
-        if (
-            not isinstance(bits, str)
-            or len(bits) != length
-            or bits.strip("01")
-        ):
+        if not _is_advice(bits, length):
             raise ModelError(
                 f"advice {bits!r} for {literal!r} is not a {length}-bit string"
             )

@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -529,6 +530,64 @@ def test_epsilon_from_half_up_names_the_bound(tmp_path, capsys, command, epsilon
     cfg = _write(tmp_path, f"M = 1\nn = 2\nepsilon = {epsilon}\n")
     assert main([command, "--config", cfg]) == 2
     assert "epsilon must be below 1/2" in capsys.readouterr().err
+
+
+_PAST_THE_DIGIT_LIMIT = (
+    "subject file is malformed: prequery input (1, ''): amplitude '111111111111...' "
+    "(5000 characters) has a part past Python's integer digit limit"
+)
+
+
+@pytest.mark.parametrize("command", ["bounds", "roundtrip", "lemmas", "simulate"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        *(
+            pytest.param(
+                f"{key} = {value}", f"{key} must be a rational like 1/3", id=f"{key}={value}"
+            )
+            for key in ("epsilon", "c")
+            for value in ("1e-99999999", "1e-5000", "0.25", "1e3")
+        ),
+        pytest.param("subject = @long-amplitude", _PAST_THE_DIGIT_LIMIT, id="5000-digit-amplitude"),
+    ],
+)
+def test_a_rational_outside_the_grammar_exits_two_at_once(tmp_path, capsys, command, line, message):
+    # refused before any exact arithmetic, so an exponent builds no huge denominator
+    line = line.replace("@long-amplitude", _broken_full_doc(tmp_path, amp="1" * 5000))
+    cfg = _write(tmp_path, f"M = 1\nn = 2\np = 2\n{line}\n")
+    start = time.perf_counter()
+    assert main([command, "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _long_probability_doc(tmp_path):
+    """full M=1 n=2 with its one query list split over workspace cells 0
+    and 1 by the unit vector (u^2 - v^2, 2uv) / (u^2 + v^2), u = 10^1500 + 7
+    and v = 10^1499 + 3: every amplitude part has about 3,000 digits, and
+    every probability part about 6,000, past Python's 4,300-digit limit."""
+    path = Path(_broken_full_doc(tmp_path))
+    doc = json.loads(path.read_text())
+    (rows,) = doc["computer"]["prequery"].values()
+    ((_, words, _),) = rows
+    u, v = 10**1500 + 7, 10**1499 + 3
+    norm = u * u + v * v
+    rows[:] = [[f"{u * u - v * v}/{norm}", words, 0], [f"{2 * u * v}/{norm}", words, 1]]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_simulate_refuses_a_probability_too_long_to_print(tmp_path, capsys):
+    cfg = _write(tmp_path, f"M = 1\nn = 2\np = 2\nsubject = {_long_probability_doc(tmp_path)}\n")
+    assert main(["simulate", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: a probability at M=1 n=2 steps=1, block 1 is too long to print: ")
+    # roundtrip and lemmas print no probability
+    for command in ("roundtrip", "lemmas"):
+        assert main([command, "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["bounds", "roundtrip", "lemmas", "simulate"])

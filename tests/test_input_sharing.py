@@ -228,6 +228,14 @@ def test_an_equal_mapping_of_other_types_is_refused_in_either_order(
         ({(_ONE_WORD, 0): " 1"}, _not_rational(" 1")),
         ({(_ONE_WORD, 0): "+1"}, _not_rational("+1")),
         ({(_ONE_WORD, 0): "0.5"}, _not_rational("0.5")),
+        ({(_ONE_WORD, 0): "1e3"}, _not_rational("1e3")),
+        (
+            {(_ONE_WORD, 0): "1" * 5000},
+            re.escape(
+                "amplitude '111111111111...' (5000 characters) has a part past "
+                "Python's integer digit limit"
+            ),
+        ),
         (
             {(_ONE_WORD, 0): Fraction(1), (((3, "1"),), 0): 0},
             r"block 3 outside 1\.\.2",
@@ -246,6 +254,7 @@ def test_an_equal_mapping_of_other_types_is_refused_in_either_order(
     ids=[
         "word-amplitude", "zero-denominator", "one-field-word", "int-location",
         "spaced-amplitude", "space-before-amplitude", "plus-amplitude", "decimal-amplitude",
+        "exponent-amplitude", "5000-digit-amplitude",
         "zero-term-block-outside", "zero-term-bool-block", "one-field-key", "int-words",
         "list-of-pairs",
     ],

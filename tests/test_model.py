@@ -297,6 +297,50 @@ def test_computer_to_doc_rejects_non_permutation_fiber():
         computer_to_doc(comp, [(1, "")])
 
 
+@pytest.mark.parametrize("advice", ["ab", "1x", "1", "011", 11, None], ids=repr)
+def test_prequery_state_refuses_advice_that_is_not_a_k_bit_string(advice):
+    # before the subject's prequery, which reads the advice with int()
+    comp, _ = get_subject("probe", 2, 2, 2)
+    message = re.escape(f"prequery input (1, {advice!r}): advice {advice!r} is not a 2-bit string")
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        run(comp, 1, advice, (1, 1))
+    assert comp._states == {}
+
+
+def _fiber_images(doc):
+    return next(iter(doc["final"]["table"].values()))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda doc: doc["prequery"].update({"1|x": doc["prequery"]["1|0"]}),
+            "prequery input (1, 'x'): advice 'x' is not a 1-bit string",
+        ),
+        (
+            lambda doc: doc["prequery"].update({"x|0": doc["prequery"].pop("1|0")}),
+            "prequery key 'x|0' is not 'block|advice' with an integer block",
+        ),
+        (
+            lambda doc: doc["final"]["table"].update({"zz,1": _fiber_images(doc)}),
+            "fiber key 'zz,1' is not 'L,A' with integer L and A",
+        ),
+        (
+            lambda doc: doc["final"]["table"].update({"0x7": _fiber_images(doc)}),
+            "fiber key '0x7' is not 'L,A' with integer L and A",
+        ),
+    ],
+    ids=["advice", "block", "list-index", "no-comma"],
+)
+def test_computer_from_doc_names_a_key_it_cannot_read(edit, message):
+    comp, _ = get_subject("advised", 1, 3, 1)
+    doc = computer_to_doc(comp, [(1, "0"), (1, "1")])
+    edit(doc)
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        computer_from_doc(doc)
+
+
 def test_run_rejects_bad_width():
     comp, adv = get_subject("full", 1, 2, 0)
     inst = StepInstance(1, 2, (1,))

@@ -1,3 +1,5 @@
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,47 @@ def test_as_rational_forms():
 def test_as_rational_rejects_floats():
     with pytest.raises(TypeError):
         as_rational(0.5)
+
+
+@pytest.mark.parametrize("value", [True, False, None, 1 + 0j], ids=repr)
+def test_as_rational_refuses_bools_and_other_types(value):
+    message = re.escape(f"{value!r} is not an int, a Fraction or a 'p/q' string")
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        as_rational(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["0.5", "1e3", "1e-5000", "1e-99999999", " 1/2", "1/2 ", "+1", "1/-2", "1 /2", "", "x"],
+    ids=repr,
+)
+def test_as_rational_refuses_strings_rational_str_never_writes(value):
+    message = re.escape(f"{value!r} is not an int, a Fraction or a 'p/q' string")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        as_rational(value)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("value", ["1/0", "-0/0", "1/000"])
+def test_as_rational_refuses_a_zero_denominator(value):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(value))} has a zero denominator$"):
+        as_rational(value)
+
+
+@pytest.mark.parametrize("value", ["1" * 5000, "1/" + "3" * 5000], ids=["numerator", "denominator"])
+def test_as_rational_refuses_a_part_past_the_digit_limit_in_one_line(value):
+    part = "has a part past Python's integer digit limit"
+    message = re.escape(f"'{value[:12]}...' ({len(value)} characters) {part}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        as_rational(value)
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(-7, 3), Fraction(10**4000, 3), Fraction(0), Fraction(5)], ids=str
+)
+def test_as_rational_reads_back_what_rational_str_writes(value):
+    assert as_rational(rational_str(value)) == value
 
 
 def test_rational_str():
