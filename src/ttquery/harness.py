@@ -45,7 +45,7 @@ from .compression import (
     encode_single,
     single_block_bound,
 )
-from .model import advice_from_doc, computer_from_doc, doc_shape, run
+from .model import ModelError, advice_from_doc, computer_from_doc, doc_shape, run
 from .ordered_search import enumerate_instances, eval_G, parse_instance
 from .statevec import ZERO, as_rational, checked_epsilon, rational_str
 from .subjects import REGISTRY, SubjectError, get_subject, query_count
@@ -114,6 +114,8 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
                 fields[key] = tuple(int(v) for v in value.split(","))
             except ValueError:
                 raise ConfigError("blocks must be comma-separated integers") from None
+            if len(set(fields[key])) < len(fields[key]):
+                raise ConfigError("blocks must not repeat a block")
         else:
             fields[key] = value
     for key, value in overrides.items():
@@ -174,13 +176,16 @@ def resolve_subject(cfg: ExperimentConfig):
         # int() (Python's digit limit), or arrays or objects nested past the
         # interpreter's recursion limit
         raise ConfigError(f"subject file is not valid JSON: {e}") from None
-    # compare the doc's shape with the config before anything is sized from it
+    if not (isinstance(doc, dict) and "computer" in doc and "advice" in doc):
+        raise ConfigError("subject file must be a JSON object with computer and advice")
+    # compare the doc's shape with the config before anything is sized from it;
+    # the loaders name what is malformed, and raise nothing else for a bad doc
     try:
         shape = doc_shape(doc["computer"])
         if shape == (cfg.M, cfg.n, cfg.k):
             computer = computer_from_doc(doc["computer"])
             advice_fn = advice_from_doc(doc["advice"])
-    except (KeyError, ValueError, TypeError) as e:
+    except ModelError as e:
         raise ConfigError(f"subject file is malformed: {e}") from None
     if shape[:2] != (cfg.M, cfg.n):
         raise ConfigError("subject file disagrees with the configured M or n")
@@ -232,9 +237,13 @@ def _params(cfg) -> ErrorParams:
         raise ConfigError(str(e)) from None
 
 
-def _multi_coder(cfg, computer, advice_fn) -> Coder:
+def _check_width(cfg, computer) -> None:
     if cfg.p > computer.output_width:
         raise ConfigError("p exceeds the subject's output width")
+
+
+def _multi_coder(cfg, computer, advice_fn) -> Coder:
+    _check_width(cfg, computer)
     try:
         return Coder(computer, advice_fn, cfg.p, cfg.l, _params(cfg))
     except ValueError as e:
@@ -280,8 +289,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> Report:
         raise ConfigError("blocks must lie in [1, M]")
     instances = _instances(cfg)
     computer, advice_fn = resolve_subject(cfg)
-    if cfg.p > computer.output_width:
-        raise ConfigError("p exceeds the subject's output width")
+    _check_width(cfg, computer)
     rows = []
     max_error = ZERO
     for instance in instances:

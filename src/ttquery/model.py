@@ -625,10 +625,27 @@ def computer_to_doc(
     }
 
 
-def _doc_int(value, what: str, least: int | None = None) -> int:
-    """A JSON integer field: an int, never a bool or a float."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelError(f"{what} must be an integer, not {value!r}")
+# the JSON types a document holds, as json.load gives them (json.dump also
+# writes a tuple as an array), each with its name in messages
+_ARRAY = (list, tuple)
+_JSON_TYPES = {int: "an integer", str: "a string", _ARRAY: "an array", Mapping: "an object"}
+_MISSING = object()
+
+
+def _doc_value(value, what: str, kind=int, least: int | None = None, refusal: str | None = None):
+    """A field, container or key of a document, checked to be of JSON type kind.
+
+    This is the one way the loaders read a document. kind is a key of
+    _JSON_TYPES; an int is never a bool or a float. value is _MISSING for
+    a key its parent object lacks. A missing value, a value of another
+    type (refusal, when given, is that message) and an int below least
+    each raise a ModelError that names the field as what, so no bare
+    KeyError, TypeError or AttributeError leaves a loader.
+    """
+    if value is _MISSING:
+        raise ModelError(f"{what} is missing")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ModelError(refusal or f"{what} must be {_JSON_TYPES[kind]}, not {value!r}")
     if least is not None and value < least:
         raise ModelError(f"{what} must be at least {least}, not {value}")
     return value
@@ -636,30 +653,29 @@ def _doc_int(value, what: str, least: int | None = None) -> int:
 
 def doc_shape(doc: Mapping) -> tuple[int, int, int]:
     """The (M, n, k) of a computer doc, checked as ints; nothing is built."""
+    _doc_value(doc, "computer doc", Mapping)
     return (
-        _doc_int(doc["M"], "M", 1),
-        _doc_int(doc["n"], "n", 1),
-        _doc_int(doc["k"], "k", 0),
+        _doc_value(doc.get("M", _MISSING), "M", least=1),
+        _doc_value(doc.get("n", _MISSING), "n", least=1),
+        _doc_value(doc.get("k", _MISSING), "k", least=0),
     )
 
 
 def _final_from_doc(final_doc, output_width: int, scratch_dim: int) -> FiberFinal:
     ws_dim = 2**output_width * scratch_dim
-    if not isinstance(final_doc, Mapping):
-        raise ModelError(
-            "final transform must be a fiber table; dense matrices are not accepted"
-        )
+    dense = "final transform must be a fiber table; dense matrices are not accepted"
+    _doc_value(final_doc, "final transform", Mapping, refusal=dense)
     if final_doc.get("form") != "fibers":
         raise ModelError(f"unknown final transform form {final_doc.get('form')!r}")
-    table = final_doc.get("table", {})
-    if not isinstance(table, Mapping):
-        raise ModelError("fiber table must map fibers to workspace permutations")
+    refusal = "fiber table must map fibers to workspace permutations"
+    table = _doc_value(final_doc.get("table", {}), "fiber table", Mapping, refusal=refusal)
     fiber_map = {}
     # each fiber -> the key that named it
     keys = {}
     for key, images in table.items():
-        lidx_text, _, aidx_text = key.partition(",")
-        images = [_doc_int(v, "fiber image") for v in images]
+        bad_key = f"fiber key {key!r} is not 'L,A' with integer L and A"
+        lidx_text, _, aidx_text = _doc_value(key, "fiber key", str, refusal=bad_key).partition(",")
+        images = [_doc_value(v, "fiber image") for v in _doc_value(images, f"fiber {key}", _ARRAY)]
         if len(images) != ws_dim:
             raise ModelError(
                 f"fiber {key} has {len(images)} images, but the header's "
@@ -673,7 +689,7 @@ def _final_from_doc(final_doc, output_width: int, scratch_dim: int) -> FiberFina
             lidx = int(lidx_text, 16) if lidx_text.startswith("0x") else int(lidx_text)
             fiber = (lidx, int(aidx_text))
         except ValueError:
-            raise ModelError(f"fiber key {key!r} is not 'L,A' with integer L and A") from None
+            raise ModelError(bad_key) from None
         if fiber in keys:
             raise ModelError(f"fiber keys {keys[fiber]!r} and {key!r} name one fiber")
         keys[fiber] = key
@@ -689,34 +705,38 @@ def _final_from_doc(final_doc, output_width: int, scratch_dim: int) -> FiberFina
 def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
     """Load a computer from its serialized form (inverse of computer_to_doc).
 
-    The output width p may not exceed n, which every built-in meets; it is
-    checked before the workspace is sized from it. Each row [amp, words,
-    ws] becomes one item of its input's mapping, which _validated checks
+    Every field, container and key is read through _doc_value. The output
+    width p may not exceed n, which every built-in meets; it is checked
+    before the workspace is sized from it. Each row [amp, words, ws]
+    becomes one item of its input's mapping, which _validated checks
     before the computer is returned; the loader refuses only what the
     mapping cannot hold: a row of another shape, and a row or an input
     named twice, which a mapping would merge.
     """
     M, n, advice_len = doc_shape(doc)
-    T = _doc_int(doc["T"], "T", 0)
-    output_width = _doc_int(doc["p"], "p", 0)
+    T = _doc_value(doc.get("T", _MISSING), "T", least=0)
+    output_width = _doc_value(doc.get("p", _MISSING), "p", least=0)
     if output_width > n:
         raise ModelError(f"p must be at most n = {n}, not {output_width}")
-    scratch_dim = _doc_int(doc["scratch"], "scratch", 1)
-    if not isinstance(doc["prequery"], Mapping):
-        raise ModelError("prequery table must map inputs to rows")
+    scratch_dim = _doc_value(doc.get("scratch", _MISSING), "scratch", least=1)
+    refusal = "prequery table must map inputs to rows"
+    inputs = _doc_value(doc.get("prequery", _MISSING), "prequery table", Mapping, refusal=refusal)
+    shape = "[amplitude, [[block, location], ...], cell]"
     table = {}
-    for key, rows in doc["prequery"].items():
-        block_text, _, advice = key.partition("|")
+    for key, rows in inputs.items():
+        bad_key = f"prequery key {key!r} is not 'block|advice' with an integer block"
+        block_text, _, advice = _doc_value(key, "prequery key", str, refusal=bad_key).partition("|")
         try:
             block = int(block_text)
         except ValueError:
-            bad = "'block|advice' with an integer block"
-            raise ModelError(f"prequery key {key!r} is not {bad}") from None
+            raise ModelError(bad_key) from None
         where = f"prequery input ({block}, {advice!r})"
         if (block, advice) in table:
             raise ModelError(f"{where}: key {key!r} names an input an earlier key names")
         amps = table[(block, advice)] = {}
-        for number, row in enumerate(rows):
+        for number, row in enumerate(_doc_value(rows, f"{where}: rows", _ARRAY)):
+            bad_row = f"{where}: row {number} is not {shape}"
+            _doc_value(row, "row", _ARRAY, refusal=bad_row)
             try:
                 amp, words, ws = row
                 if isinstance(words, list):
@@ -724,8 +744,7 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
                     words = tuple(tuple(w) if isinstance(w, list) else w for w in words)
                 repeated = (words, ws) in amps
             except (TypeError, ValueError):
-                shape = "[amplitude, [[block, location], ...], cell]"
-                raise ModelError(f"{where}: row {number} is not {shape}") from None
+                raise ModelError(bad_row) from None
             if repeated:
                 raise ModelError(f"{where}: row {number} repeats an earlier row's words and cell")
             amps[(words, ws)] = amp
@@ -746,7 +765,7 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
         output_width=output_width,
         scratch_dim=scratch_dim,
         prequery=prequery,
-        final=_final_from_doc(doc["final"], output_width, scratch_dim),
+        final=_final_from_doc(doc.get("final", _MISSING), output_width, scratch_dim),
     )
     for block, advice in table:
         computer.prequery_state(block, advice)
@@ -754,16 +773,16 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
 
 
 def advice_from_doc(doc: Mapping) -> AdviceFunction:
-    """Advice given as a table keyed by instance literals.
+    """Advice given as a table keyed by instance literals, read through
+    _doc_value.
 
     Every tabulated value must be a `length`-bit string; an instance with
     no entry raises MissingEntryError when its advice is asked for.
     """
-    length = _doc_int(doc["length"], "advice length", 0)
-    table = doc.get("table", {})
-    if not isinstance(table, Mapping):
-        raise ModelError("advice table must map instance literals to bit strings")
-    table = dict(table)
+    _doc_value(doc, "advice doc", Mapping)
+    length = _doc_value(doc.get("length", _MISSING), "advice length", least=0)
+    refusal = "advice table must map instance literals to bit strings"
+    table = dict(_doc_value(doc.get("table", {}), "advice table", Mapping, refusal=refusal))
     for literal, bits in table.items():
         if not _is_advice(bits, length):
             raise ModelError(

@@ -11,6 +11,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -54,7 +55,7 @@ _VALUES = {
             "M=2 M=1 n=2 steps=3",
         ]
     ),
-    "blocks": _mostly(["1", "2", "1,2"], ["0", "5", "1,x", ""]),
+    "blocks": _mostly(["1", "2", "1,2"], ["0", "5", "1,x", "", "1,1", "2,1,2"]),
 }
 _EXTRA_LINES = _mostly(["", "# comment"], ["no equals sign", "wat = 1", "M = 2"])
 
@@ -164,6 +165,9 @@ def _run_doc(tmp_dir, doc, command):
 
 
 _FIRST_ROW = ("computer", "prequery", "1|0", 0)
+# Python's own words for a container of the wrong type; a refusal names
+# the field in the document's terms instead
+_PYTHON_ERROR_TEXT = ("object is not", "indices must", "has no attribute", "not subscriptable")
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -172,6 +176,10 @@ _FIRST_ROW = ("computer", "prequery", "1|0", 0)
     command="simulate",
     mutations=[(_FIRST_ROW + (0,), "delete", True), (_FIRST_ROW + (1, 0), "delete", True)],
 )
+@example(command="simulate", mutations=[(("computer", "T"), "delete", True)])
+@example(command="simulate", mutations=[(("computer", "prequery", "1|0"), "replace", 5)])
+@example(command="simulate", mutations=[(("computer", "final", "table", "0x152e,1"), "replace", 5)])
+@example(command="simulate", mutations=[(("computer",), "replace", [1])])
 @given(
     command=st.sampled_from(["simulate", "roundtrip", "lemmas"]),
     mutations=st.lists(
@@ -194,6 +202,9 @@ def test_cli_subject_doc_fuzz_honours_exit_codes(tmp_path_factory, command, muta
     code, lines = _run_doc(tmp_path_factory.mktemp("docfuzz"), doc, command)
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("error: "), (mutations, lines)
+        assert not any(text in lines[0] for text in _PYTHON_ERROR_TEXT), (mutations, lines)
+        # a KeyError's text is the bare key
+        assert not re.search(r": '[^']*'$", lines[0]), (mutations, lines)
     else:
         assert code in (0, 1), (mutations, code)
         assert lines == [], (mutations, lines)
@@ -304,6 +315,17 @@ def test_cli_unreadable_subject_file_exits_two(tmp_path, content):
         code = main(["simulate", "--config", str(cfg), "--subject", str(subject)])
     lines = err.getvalue().splitlines()
     assert code == 2 and len(lines) == 1 and "not valid JSON" in lines[0], lines
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[_DOC], {"computer": _DOC["computer"]}, {"advice": _DOC["advice"]}, 5],
+    ids=["array", "no-advice", "no-computer", "number"],
+)
+def test_cli_subject_file_without_its_two_docs_exits_two(tmp_path, doc):
+    code, lines = _run_doc(tmp_path, doc, "simulate")
+    assert code == 2, lines
+    assert lines == ["error: subject file must be a JSON object with computer and advice"]
 
 
 def test_cli_subject_doc_unmutated_exits_zero(tmp_path):

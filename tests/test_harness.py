@@ -67,6 +67,14 @@ def test_build_config_rejects_bad_values():
         build_config({"n": "0"})
 
 
+@pytest.mark.parametrize("blocks", ["1,1", "2,1,2"])
+def test_simulate_refuses_a_repeated_block(tmp_path, capsys, blocks):
+    # each repeated block would print its rows twice
+    cfg = _write(tmp_path, f"subject = full\nM = 2\nn = 1\np = 1\nblocks = {blocks}\n")
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: blocks must not repeat a block\n"
+
+
 def test_resolve_subject_from_file(tmp_path):
     comp, adv = get_subject("advised", 1, 2, 1)
     insts = list(enumerate_instances(1, 2, 100))

@@ -1,8 +1,10 @@
+import copy
 import random
 import re
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from typing import NamedTuple
 
 import pytest
 from machines import build_neighbor_probe, build_single_query, inputs, registry_shapes
@@ -339,6 +341,117 @@ def test_computer_from_doc_names_a_key_it_cannot_read(edit, message):
     edit(doc)
     with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         computer_from_doc(doc)
+
+
+def _advised_docs():
+    comp, adv = get_subject("advised", 1, 3, 1)
+    return {
+        "computer": computer_to_doc(comp, [(1, "0"), (1, "1")]),
+        "advice": advice_to_doc(adv, enumerate_instances(1, 3)),
+    }
+
+
+_ADVISED_DOCS = _advised_docs()
+_FIBER = next(iter(_ADVISED_DOCS["computer"]["final"]["table"]))
+_DELETE = object()
+
+
+class _Rekey(NamedTuple):
+    """An edit that moves a node to another key of its parent."""
+
+    key: object
+
+
+def _missing(*path, what=None):
+    what = what or path[-1]
+    return pytest.param(path, _DELETE, f"{what} is missing", id="missing-" + path[-1])
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        *(_missing("computer", field) for field in ("M", "n", "k", "T", "p", "scratch")),
+        _missing("computer", "prequery", what="prequery table"),
+        _missing("computer", "final", what="final transform"),
+        _missing("advice", "length", what="advice length"),
+        pytest.param(
+            ("computer",), [1], "computer doc must be an object, not [1]", id="computer-doc"
+        ),
+        pytest.param(
+            ("computer", "prequery"),
+            [],
+            "prequery table must map inputs to rows",
+            id="prequery-table",
+        ),
+        pytest.param(
+            ("computer", "prequery", "1|0"),
+            _Rekey(1),
+            "prequery key 1 is not 'block|advice' with an integer block",
+            id="int-input-key",
+        ),
+        pytest.param(
+            ("computer", "prequery", "1|0"),
+            5,
+            "prequery input (1, '0'): rows must be an array, not 5",
+            id="rows",
+        ),
+        pytest.param(
+            # three characters, which would unpack as the row's three fields
+            ("computer", "prequery", "1|0", 0),
+            "abc",
+            "prequery input (1, '0'): row 0 is not [amplitude, [[block, location], ...], cell]",
+            id="row",
+        ),
+        pytest.param(
+            ("computer", "final"),
+            [[1, 0], [0, 1]],
+            "final transform must be a fiber table; dense matrices are not accepted",
+            id="final",
+        ),
+        pytest.param(
+            ("computer", "final", "table"),
+            [],
+            "fiber table must map fibers to workspace permutations",
+            id="fiber-table",
+        ),
+        pytest.param(
+            ("computer", "final", "table", _FIBER),
+            _Rekey(1),
+            "fiber key 1 is not 'L,A' with integer L and A",
+            id="int-fiber-key",
+        ),
+        pytest.param(
+            ("computer", "final", "table", _FIBER),
+            5,
+            f"fiber {_FIBER} must be an array, not 5",
+            id="fiber-images",
+        ),
+        pytest.param(("advice",), [1], "advice doc must be an object, not [1]", id="advice-doc"),
+        pytest.param(
+            ("advice", "table"),
+            [],
+            "advice table must map instance literals to bit strings",
+            id="advice-table",
+        ),
+    ],
+)
+def test_a_malformed_doc_raises_a_model_error_that_names_the_field(path, value, message):
+    # a missing field, a container of another JSON type, or a key that is
+    # not a string: never a bare KeyError, TypeError or AttributeError
+    docs = copy.deepcopy(_ADVISED_DOCS)
+    *head, last = path
+    node = docs
+    for step in head:
+        node = node[step]
+    if value is _DELETE:
+        del node[last]
+    elif isinstance(value, _Rekey):
+        node[value.key] = node.pop(last)
+    else:
+        node[last] = value
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        computer_from_doc(docs["computer"])
+        advice_from_doc(docs["advice"])
 
 
 def test_run_rejects_bad_width():
