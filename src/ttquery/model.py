@@ -63,7 +63,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ordered_search import StepInstance, rank_of
-from .statevec import ZERO, as_rational, rational_str
+from .statevec import ZERO, as_rational, printable, rational_str
 
 
 class QueryWord(NamedTuple):
@@ -185,7 +185,7 @@ class FiberFinal:
         """
         image = self.fn(lidx, aidx, ws)
         if not 0 <= image < workspace_dim:
-            raise ModelError(f"workspace cell {image} outside 0..{workspace_dim - 1}")
+            raise ModelError(f"workspace cell {image} outside 0..{printable(workspace_dim - 1)}")
         key = (lidx, aidx, image)
         # one hash of the key: a collision leaves the set's size unchanged
         size = len(taken)
@@ -389,7 +389,7 @@ class NonadaptiveComputer:
             if isinstance(ws, bool) or not isinstance(ws, int):
                 raise ModelError(f"workspace cell must be an integer, not {ws!r}")
             if not 0 <= ws < ws_dim:
-                raise ModelError(f"workspace index {ws} outside 0..{ws_dim - 1}")
+                raise ModelError(f"workspace index {ws} outside 0..{printable(ws_dim - 1)}")
             amp = _amplitude(amp)
             if amp == 0:
                 for word in _query_words(words):
@@ -416,7 +416,7 @@ class NonadaptiveComputer:
             total += square
             terms.append((lidx, table, ws, square))
         if total != 1:
-            raise ModelError(f"prequery norm^2 is {rational_str(total)}")
+            raise ModelError(f"prequery norm^2 is {printable(total)}")
         # ranks holds every distinct (block, rank) pair the input queries
         union: dict[int, list[int]] = {}
         for word_block, rank in sorted(ranks.values()):
@@ -629,21 +629,17 @@ def computer_to_doc(
 # writes a tuple as an array), each with its name in messages
 _ARRAY = (list, tuple)
 _JSON_TYPES = {int: "an integer", str: "a string", _ARRAY: "an array", Mapping: "an object"}
-_MISSING = object()
 
 
 def _doc_value(value, what: str, kind=int, least: int | None = None, refusal: str | None = None):
-    """A field, container or key of a document, checked to be of JSON type kind.
+    """A value, container or key of a document, checked to be of JSON type kind.
 
-    This is the one way the loaders read a document. kind is a key of
-    _JSON_TYPES; an int is never a bool or a float. value is _MISSING for
-    a key its parent object lacks. A missing value, a value of another
-    type (refusal, when given, is that message) and an int below least
-    each raise a ModelError that names the field as what, so no bare
-    KeyError, TypeError or AttributeError leaves a loader.
+    This and _doc_field are the one way the loaders read a document. kind
+    is a key of _JSON_TYPES; an int is never a bool or a float. A value of
+    another type (refusal, when given, is that message) and an int below
+    least each raise a ModelError that names the field as what, so no
+    bare TypeError or AttributeError leaves a loader.
     """
-    if value is _MISSING:
-        raise ModelError(f"{what} is missing")
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ModelError(refusal or f"{what} must be {_JSON_TYPES[kind]}, not {value!r}")
     if least is not None and value < least:
@@ -651,36 +647,45 @@ def _doc_value(value, what: str, kind=int, least: int | None = None, refusal: st
     return value
 
 
+def _doc_field(parent: Mapping, key: str, kind=int, what=None, default=None, **checks):
+    """parent[key] checked by _doc_value, named what (key by default);
+    default, when given, stands for a missing key, which otherwise raises a
+    ModelError rather than a KeyError."""
+    what = what or key
+    if key in parent:
+        return _doc_value(parent[key], what, kind, **checks)
+    if default is None:
+        raise ModelError(f"{what} is missing")
+    return default
+
+
 def doc_shape(doc: Mapping) -> tuple[int, int, int]:
     """The (M, n, k) of a computer doc, checked as ints; nothing is built."""
     _doc_value(doc, "computer doc", Mapping)
     return (
-        _doc_value(doc.get("M", _MISSING), "M", least=1),
-        _doc_value(doc.get("n", _MISSING), "n", least=1),
-        _doc_value(doc.get("k", _MISSING), "k", least=0),
+        _doc_field(doc, "M", least=1),
+        _doc_field(doc, "n", least=1),
+        _doc_field(doc, "k", least=0),
     )
 
 
-def _final_from_doc(final_doc, output_width: int, scratch_dim: int) -> FiberFinal:
+def _final_from_doc(final_doc: Mapping, output_width: int, scratch_dim: int) -> FiberFinal:
     ws_dim = 2**output_width * scratch_dim
-    dense = "final transform must be a fiber table; dense matrices are not accepted"
-    _doc_value(final_doc, "final transform", Mapping, refusal=dense)
     if final_doc.get("form") != "fibers":
         raise ModelError(f"unknown final transform form {final_doc.get('form')!r}")
     refusal = "fiber table must map fibers to workspace permutations"
-    table = _doc_value(final_doc.get("table", {}), "fiber table", Mapping, refusal=refusal)
+    table = _doc_field(final_doc, "table", Mapping, "fiber table", {}, refusal=refusal)
     fiber_map = {}
     # each fiber -> the key that named it
     keys = {}
     for key, images in table.items():
-        bad_key = f"fiber key {key!r} is not 'L,A' with integer L and A"
-        lidx_text, _, aidx_text = _doc_value(key, "fiber key", str, refusal=bad_key).partition(",")
+        lidx_text, _, aidx_text = _doc_value(key, "fiber key", str).partition(",")
         images = [_doc_value(v, "fiber image") for v in _doc_value(images, f"fiber {key}", _ARRAY)]
         if len(images) != ws_dim:
             raise ModelError(
                 f"fiber {key} has {len(images)} images, but the header's "
                 f"p = {output_width} and scratch = {scratch_dim} give a "
-                f"workspace of {ws_dim} cells"
+                f"workspace of {printable(ws_dim)} cells"
             )
         if sorted(images) != list(range(ws_dim)):
             raise ModelError(f"fiber {key} is not a workspace permutation")
@@ -689,7 +694,7 @@ def _final_from_doc(final_doc, output_width: int, scratch_dim: int) -> FiberFina
             lidx = int(lidx_text, 16) if lidx_text.startswith("0x") else int(lidx_text)
             fiber = (lidx, int(aidx_text))
         except ValueError:
-            raise ModelError(bad_key) from None
+            raise ModelError(f"fiber key {key!r} is not 'L,A' with integer L and A") from None
         if fiber in keys:
             raise ModelError(f"fiber keys {keys[fiber]!r} and {key!r} name one fiber")
         keys[fiber] = key
@@ -705,31 +710,31 @@ def _final_from_doc(final_doc, output_width: int, scratch_dim: int) -> FiberFina
 def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
     """Load a computer from its serialized form (inverse of computer_to_doc).
 
-    Every field, container and key is read through _doc_value. The output
-    width p may not exceed n, which every built-in meets; it is checked
-    before the workspace is sized from it. Each row [amp, words, ws]
-    becomes one item of its input's mapping, which _validated checks
-    before the computer is returned; the loader refuses only what the
-    mapping cannot hold: a row of another shape, and a row or an input
-    named twice, which a mapping would merge.
+    Every field, container and key is read through _doc_field or
+    _doc_value. The output width p may not exceed n, which every built-in
+    meets; it is checked before the workspace is sized from it. Each row
+    [amp, words, ws] becomes one item of its input's mapping, which
+    _validated checks before the computer is returned; the loader refuses
+    only what the mapping cannot hold: a row of another shape, and a row
+    or an input named twice, which a mapping would merge.
     """
     M, n, advice_len = doc_shape(doc)
-    T = _doc_value(doc.get("T", _MISSING), "T", least=0)
-    output_width = _doc_value(doc.get("p", _MISSING), "p", least=0)
+    T = _doc_field(doc, "T", least=0)
+    output_width = _doc_field(doc, "p", least=0)
     if output_width > n:
         raise ModelError(f"p must be at most n = {n}, not {output_width}")
-    scratch_dim = _doc_value(doc.get("scratch", _MISSING), "scratch", least=1)
+    scratch_dim = _doc_field(doc, "scratch", least=1)
     refusal = "prequery table must map inputs to rows"
-    inputs = _doc_value(doc.get("prequery", _MISSING), "prequery table", Mapping, refusal=refusal)
+    inputs = _doc_field(doc, "prequery", Mapping, "prequery table", refusal=refusal)
     shape = "[amplitude, [[block, location], ...], cell]"
     table = {}
     for key, rows in inputs.items():
-        bad_key = f"prequery key {key!r} is not 'block|advice' with an integer block"
-        block_text, _, advice = _doc_value(key, "prequery key", str, refusal=bad_key).partition("|")
+        block_text, _, advice = _doc_value(key, "prequery key", str).partition("|")
         try:
             block = int(block_text)
         except ValueError:
-            raise ModelError(bad_key) from None
+            bad = "'block|advice' with an integer block"
+            raise ModelError(f"prequery key {key!r} is not {bad}") from None
         where = f"prequery input ({block}, {advice!r})"
         if (block, advice) in table:
             raise ModelError(f"{where}: key {key!r} names an input an earlier key names")
@@ -757,6 +762,8 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
                 f"no prequery row for input ({block}, {advice!r})"
             ) from None
 
+    dense = "final transform must be a fiber table; dense matrices are not accepted"
+    final_doc = _doc_field(doc, "final", Mapping, "final transform", refusal=dense)
     computer = NonadaptiveComputer(
         M=M,
         n=n,
@@ -765,7 +772,7 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
         output_width=output_width,
         scratch_dim=scratch_dim,
         prequery=prequery,
-        final=_final_from_doc(doc.get("final", _MISSING), output_width, scratch_dim),
+        final=_final_from_doc(final_doc, output_width, scratch_dim),
     )
     for block, advice in table:
         computer.prequery_state(block, advice)
@@ -774,15 +781,15 @@ def computer_from_doc(doc: Mapping) -> NonadaptiveComputer:
 
 def advice_from_doc(doc: Mapping) -> AdviceFunction:
     """Advice given as a table keyed by instance literals, read through
-    _doc_value.
+    _doc_field.
 
     Every tabulated value must be a `length`-bit string; an instance with
     no entry raises MissingEntryError when its advice is asked for.
     """
     _doc_value(doc, "advice doc", Mapping)
-    length = _doc_value(doc.get("length", _MISSING), "advice length", least=0)
+    length = _doc_field(doc, "length", what="advice length", least=0)
     refusal = "advice table must map instance literals to bit strings"
-    table = dict(_doc_value(doc.get("table", {}), "advice table", Mapping, refusal=refusal))
+    table = dict(_doc_field(doc, "table", Mapping, "advice table", {}, refusal=refusal))
     for literal, bits in table.items():
         if not _is_advice(bits, length):
             raise ModelError(

@@ -8,8 +8,9 @@ amplitudes. It takes an int or a Fraction that is not a bool, or a "p" or
 "p/q" string in the form rational_str prints, so every value the library
 prints reads back unchanged; decimal and exponent forms, a `+`, spaces, a
 zero denominator and a part past Python's integer digit limit are
-refused. checked_epsilon states the rule for an error tolerance, a
-rational in [0, 1/2).
+refused. printable is rational_str for a message, which never fails.
+checked_epsilon states the rule for an error tolerance, a rational in
+[0, 1/2).
 """
 
 from __future__ import annotations
@@ -70,3 +71,15 @@ def rational_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def printable(value: int | Fraction) -> str:
+    """rational_str(value) for a message, which must print whatever the
+    value: a part past Python's integer digit limit is given by its
+    length in bits instead."""
+    try:
+        return rational_str(value)
+    except ValueError:
+        value = Fraction(value)
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        return f"(a number with a {bits}-bit part, too long to print)"

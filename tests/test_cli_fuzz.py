@@ -328,6 +328,34 @@ def test_cli_subject_file_without_its_two_docs_exits_two(tmp_path, doc):
     assert lines == ["error: subject file must be a JSON object with computer and advice"]
 
 
+_TOO_LONG = "(a number with a "
+# 4,300 digits, Python's integer digit limit: 2**p times it has one more
+_HUGE_SCRATCH = (("computer", "scratch"), int("9" * 4300))
+
+
+@pytest.mark.parametrize(
+    "mutations, message",
+    [
+        # the norm^2 has twice the amplitude's digits in its denominator
+        ([(_FIRST_ROW + (0,), "1/" + "3" * 2300)], "prequery norm^2 is " + _TOO_LONG),
+        ([_HUGE_SCRATCH], "give a workspace of " + _TOO_LONG),
+        (
+            [_HUGE_SCRATCH, (("computer", "final", "table"), {}), (_FIRST_ROW + (2,), -1)],
+            "workspace index -1 outside 0.." + _TOO_LONG,
+        ),
+    ],
+    ids=["norm", "fiber", "cell"],
+)
+def test_cli_subject_doc_with_a_number_too_long_to_print_exits_two(tmp_path, mutations, message):
+    # a loader's message states such a number by its length in bits
+    doc = copy.deepcopy(_DOC)
+    for path, value in mutations:
+        _mutate(doc, path, "replace", value)
+    code, lines = _run_doc(tmp_path, doc, "simulate")
+    assert code == 2 and len(lines) == 1, lines
+    assert lines[0].startswith("error: subject file is malformed: ") and message in lines[0]
+
+
 def test_cli_subject_doc_unmutated_exits_zero(tmp_path):
     code, lines = _run_doc(tmp_path, copy.deepcopy(_DOC), "simulate")
     assert (code, lines) == (0, [])

@@ -1,10 +1,8 @@
-import copy
 import random
 import re
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from typing import NamedTuple
 
 import pytest
 from machines import build_neighbor_probe, build_single_query, inputs, registry_shapes
@@ -309,146 +307,118 @@ def test_prequery_state_refuses_advice_that_is_not_a_k_bit_string(advice):
     assert comp._states == {}
 
 
-def _fiber_images(doc):
-    return next(iter(doc["final"]["table"].values()))
+def _copy_fiber(docs, key):
+    table = docs["computer"]["final"]["table"]
+    table[key] = next(iter(table.values()))
+
+
+def _rekey(table, old, new):
+    table[new] = table.pop(old)
+
+
+def _missing(field, doc="computer", what=None):
+    return pytest.param(
+        lambda docs: docs[doc].pop(field), f"{what or field} is missing", id="missing-" + field
+    )
+
+
+_ROW_SHAPE = "[amplitude, [[block, location], ...], cell]"
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (
-            lambda doc: doc["prequery"].update({"1|x": doc["prequery"]["1|0"]}),
+        pytest.param(
+            lambda d: d["computer"]["prequery"].update({"1|x": d["computer"]["prequery"]["1|0"]}),
             "prequery input (1, 'x'): advice 'x' is not a 1-bit string",
+            id="advice",
         ),
-        (
-            lambda doc: doc["prequery"].update({"x|0": doc["prequery"].pop("1|0")}),
+        pytest.param(
+            lambda d: _rekey(d["computer"]["prequery"], "1|0", "x|0"),
             "prequery key 'x|0' is not 'block|advice' with an integer block",
+            id="block",
         ),
-        (
-            lambda doc: doc["final"]["table"].update({"zz,1": _fiber_images(doc)}),
+        pytest.param(
+            lambda d: _copy_fiber(d, "zz,1"),
             "fiber key 'zz,1' is not 'L,A' with integer L and A",
+            id="list-index",
         ),
-        (
-            lambda doc: doc["final"]["table"].update({"0x7": _fiber_images(doc)}),
+        pytest.param(
+            lambda d: _copy_fiber(d, "0x7"),
             "fiber key '0x7' is not 'L,A' with integer L and A",
+            id="no-comma",
         ),
-    ],
-    ids=["advice", "block", "list-index", "no-comma"],
-)
-def test_computer_from_doc_names_a_key_it_cannot_read(edit, message):
-    comp, _ = get_subject("advised", 1, 3, 1)
-    doc = computer_to_doc(comp, [(1, "0"), (1, "1")])
-    edit(doc)
-    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
-        computer_from_doc(doc)
-
-
-def _advised_docs():
-    comp, adv = get_subject("advised", 1, 3, 1)
-    return {
-        "computer": computer_to_doc(comp, [(1, "0"), (1, "1")]),
-        "advice": advice_to_doc(adv, enumerate_instances(1, 3)),
-    }
-
-
-_ADVISED_DOCS = _advised_docs()
-_FIBER = next(iter(_ADVISED_DOCS["computer"]["final"]["table"]))
-_DELETE = object()
-
-
-class _Rekey(NamedTuple):
-    """An edit that moves a node to another key of its parent."""
-
-    key: object
-
-
-def _missing(*path, what=None):
-    what = what or path[-1]
-    return pytest.param(path, _DELETE, f"{what} is missing", id="missing-" + path[-1])
-
-
-@pytest.mark.parametrize(
-    "path, value, message",
-    [
-        *(_missing("computer", field) for field in ("M", "n", "k", "T", "p", "scratch")),
-        _missing("computer", "prequery", what="prequery table"),
-        _missing("computer", "final", what="final transform"),
-        _missing("advice", "length", what="advice length"),
+        # a missing field, a container of another JSON type, or a key that
+        # is not a string: never a bare KeyError, TypeError or AttributeError
+        *(_missing(field) for field in ("M", "n", "k", "T", "p", "scratch")),
+        _missing("prequery", what="prequery table"),
+        _missing("final", what="final transform"),
+        _missing("length", "advice", "advice length"),
         pytest.param(
-            ("computer",), [1], "computer doc must be an object, not [1]", id="computer-doc"
+            lambda d: d.update(computer=[1]),
+            "computer doc must be an object, not [1]",
+            id="computer-doc",
         ),
         pytest.param(
-            ("computer", "prequery"),
-            [],
+            lambda d: d["computer"].update(prequery=[]),
             "prequery table must map inputs to rows",
             id="prequery-table",
         ),
         pytest.param(
-            ("computer", "prequery", "1|0"),
-            _Rekey(1),
-            "prequery key 1 is not 'block|advice' with an integer block",
+            lambda d: _rekey(d["computer"]["prequery"], "1|0", 1),
+            "prequery key must be a string, not 1",
             id="int-input-key",
         ),
         pytest.param(
-            ("computer", "prequery", "1|0"),
-            5,
+            lambda d: d["computer"]["prequery"].update({"1|0": 5}),
             "prequery input (1, '0'): rows must be an array, not 5",
             id="rows",
         ),
         pytest.param(
             # three characters, which would unpack as the row's three fields
-            ("computer", "prequery", "1|0", 0),
-            "abc",
-            "prequery input (1, '0'): row 0 is not [amplitude, [[block, location], ...], cell]",
+            lambda d: d["computer"]["prequery"]["1|0"].__setitem__(0, "abc"),
+            f"prequery input (1, '0'): row 0 is not {_ROW_SHAPE}",
             id="row",
         ),
         pytest.param(
-            ("computer", "final"),
-            [[1, 0], [0, 1]],
+            lambda d: d["computer"].update(final=[[1, 0], [0, 1]]),
             "final transform must be a fiber table; dense matrices are not accepted",
             id="final",
         ),
         pytest.param(
-            ("computer", "final", "table"),
-            [],
+            lambda d: d["computer"]["final"].update(table=[]),
             "fiber table must map fibers to workspace permutations",
             id="fiber-table",
         ),
         pytest.param(
-            ("computer", "final", "table", _FIBER),
-            _Rekey(1),
-            "fiber key 1 is not 'L,A' with integer L and A",
+            lambda d: _rekey(d["computer"]["final"]["table"], "0xa,0", 1),
+            "fiber key must be a string, not 1",
             id="int-fiber-key",
         ),
         pytest.param(
-            ("computer", "final", "table", _FIBER),
-            5,
-            f"fiber {_FIBER} must be an array, not 5",
+            lambda d: d["computer"]["final"]["table"].update({"0xa,0": 5}),
+            "fiber 0xa,0 must be an array, not 5",
             id="fiber-images",
         ),
-        pytest.param(("advice",), [1], "advice doc must be an object, not [1]", id="advice-doc"),
         pytest.param(
-            ("advice", "table"),
-            [],
+            lambda d: d.update(advice=[1]),
+            "advice doc must be an object, not [1]",
+            id="advice-doc",
+        ),
+        pytest.param(
+            lambda d: d["advice"].update(table=[]),
             "advice table must map instance literals to bit strings",
             id="advice-table",
         ),
     ],
 )
-def test_a_malformed_doc_raises_a_model_error_that_names_the_field(path, value, message):
-    # a missing field, a container of another JSON type, or a key that is
-    # not a string: never a bare KeyError, TypeError or AttributeError
-    docs = copy.deepcopy(_ADVISED_DOCS)
-    *head, last = path
-    node = docs
-    for step in head:
-        node = node[step]
-    if value is _DELETE:
-        del node[last]
-    elif isinstance(value, _Rekey):
-        node[value.key] = node.pop(last)
-    else:
-        node[last] = value
+def test_computer_from_doc_names_a_key_it_cannot_read(edit, message):
+    comp, adv = get_subject("advised", 1, 3, 1)
+    docs = {
+        "computer": computer_to_doc(comp, [(1, "0"), (1, "1")]),
+        "advice": advice_to_doc(adv, enumerate_instances(1, 3)),
+    }
+    edit(docs)
     with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         computer_from_doc(docs["computer"])
         advice_from_doc(docs["advice"])

@@ -10,6 +10,7 @@ from ttquery.model import ModelError
 from ttquery.statevec import (
     as_rational,
     checked_epsilon,
+    printable,
     rational_str,
 )
 
@@ -71,6 +72,15 @@ def test_rational_str():
     assert rational_str(Fraction(3, 5)) == "3/5"
     assert rational_str(Fraction(4)) == "4"
     assert rational_str(Fraction(0)) == "0"
+
+
+def test_printable_gives_a_part_past_the_digit_limit_by_its_bits():
+    assert printable(Fraction(3, 5)) == "3/5"
+    assert printable(7) == "7"
+    assert printable(10**4299) == "1" + "0" * 4299
+    too_long = "(a number with a 14285-bit part, too long to print)"
+    assert printable(10**4300) == too_long
+    assert printable(Fraction(1, 10**4300)) == too_long
 
 
 def test_checked_epsilon_names_the_broken_side():
